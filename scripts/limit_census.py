@@ -35,8 +35,8 @@ def main() -> None:
     print(f"{'system':<12} {'':>4}  {header}")
     for alphabet in alphabets:
         for n in (1, 2, 3):
-            row(lmt("p", fin(n)), f"lmt n={n}", alphabet, lengths)
-        row(lmt("p", OMEGA), "lmt w", alphabet, lengths)
+            row(lmt(fin(n)), f"lmt n={n}", alphabet, lengths)
+        row(lmt(OMEGA), "lmt w", alphabet, lengths)
         for n in (1, 2, 3):
             row(lms(3, fin(n)), f"lms n={n}", alphabet, lengths)
         row(lms(3, OMEGA), "lms w", alphabet, lengths)

@@ -25,7 +25,7 @@ from .distribution import (
     target_triple,
 )
 from .limitcount import render_word, stabilization
-from .operators import lmt, lms, verify_schemes
+from .operators import lmt, lms, run_pipeline, verify_schemes
 from .preorder import (
     cones,
     height,
@@ -152,13 +152,13 @@ def cmd_types(args: argparse.Namespace) -> int:
 
 
 def cmd_dominate(args: argparse.Namespace) -> int:
-    from .domination import iso_classes, prime_node_order, rk_structure, rkt_structure
+    from .domination import iso_classes, prime_node_order, rk_preorder, rk_structure
 
     g = formats.parse_domination(_read(args.infile), args.infile)
     mk = args.machine
     out: list[str] = []
     if args.rkt:
-        p = rkt_structure(g)
+        p = rk_preorder(g)
         names = g.names()
         pairs = ";".join(
             f"{names[i]}<={names[j]}" for i, j in p.pairs() if i != j
@@ -186,77 +186,12 @@ def cmd_dominate(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    from . import operators as ops
-    from .cardinal import parse_card as pc
-
-    steps = formats.parse_pipeline(_read(args.pipeline), args.pipeline)
-    spec = ops.empty_spec()
-    qedges: list[tuple[int, int, bool]] = []
-    base_args: dict[str, str] | None = None
-    for step in steps:
-        if step.op == "base":
-            base_args = step.args
-        elif step.op == "qedge":
-            qedges.append(
-                (
-                    int(step.args["low"]),
-                    int(step.args["high"]),
-                    step.args.get("principal", "false") == "true",
-                )
-            )
-    if base_args is None:
-        raise ValueError("pipeline needs a 'base' line")
-    spec = ops.colored_base(
-        int(base_args["parts"]),
-        int(base_args["colors"]),
-        int(base_args.get("per_color", "1")),
-        qedges,
-    )
-    verify_tags = []
-    for step in steps:
-        if step.op in ("base", "qedge"):
-            continue
-        a = step.args
-        fan = int(a.get("fan", "2"))
-        depth = int(a.get("depth", "1"))
-        if step.op == "icp":
-            y = a.get("y", "auto")
-            need = ops.icp_need(spec, a["sub"], depth, fan)
-            spec = ops.icp(spec, a["sub"], need if y == "auto" else int(y), depth, fan)
-            verify_tags.append("icp")
-        elif step.op in ("css", "bd"):
-            stubs = (
-                [n.name for n in spec.registry.stubs_of(f"p({a['source']})")]
-                if "source" in a
-                else a["stubs"].split(",")
-            )
-            linked = step.op == "bd" or a.get("linked") == "true"
-            spec = ops.css(spec, stubs, a["sub"], fan, linked=linked)
-            verify_tags.append("css")
-        elif step.op == "bu":
-            z = a.get("z", "auto")
-            need = ops.bu_need(spec, a["sub1"], a["sub2"], depth, fan)
-            spec = ops.bu(
-                spec, a["sub1"], a["sub2"], need if z == "auto" else int(z), depth, fan
-            )
-            verify_tags.append("bu")
-        elif step.op == "lmt":
-            spec, _ = ops.apply_lmt(spec, a["node"], pc(a["lam"]), a.get("reading", "gt"))
-        elif step.op == "lms":
-            spec, _ = ops.apply_lms(
-                spec, a["nodes"].split(","), pc(a["lam"]), a.get("reading", "gt")
-            )
-        elif step.op == "note":
-            from dataclasses import replace
-
-            spec = replace(
-                spec, registry=spec.registry.with_note(a.get("text", ""))
-            )
+    spec = run_pipeline(formats.parse_pipeline(_read(args.pipeline), args.pipeline))
     out: list[str] = []
     mk = args.machine
     out.append(f"universe={len(spec.universe)}" if mk else f"universe: {len(spec.universe)} elements")
     if args.verify:
-        for tag in sorted(set(verify_tags)):
+        for tag in sorted({rec.op for rec in spec.history} & {"icp", "css", "bu"}):
             report = verify_schemes(spec, tag)
             out.extend(report.machine() if mk else [report.render()])
     if args.out:
@@ -269,7 +204,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def cmd_limits(args: argparse.Namespace) -> int:
     lam = parse_card(args.lam) if args.lam else None
     if args.system == "lmt":
-        system = lmt("p", lam if lam is not None else parse_card(str(args.n)))
+        system = lmt(lam if lam is not None else parse_card(str(args.n)))
     else:
         system = lms(
             args.seq_len,
@@ -343,7 +278,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     trip = target_triple(spec).render()
     out.append(f"triple={trip}" if mk else f"target triple: {trip}")
     if args.out:
-        _write(args.out, formats.serialize_pipeline(blueprint_pipeline(bp, config)))
+        _write(args.out, formats.serialize_pipeline(bp.pipeline))
         out.append(f"out={args.out}" if mk else f"pipeline written to {args.out}")
     if args.replay:
         struct = replay_blueprint(bp, config)
@@ -360,79 +295,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             out.append(f"il.{label}={render(value)}" if mk else f"IL{label} = {render(value)}")
     _emit(out)
     return 0
-
-
-def blueprint_pipeline(bp, config: BuildConfig):
-    """Render a blueprint as a pipeline file consumable by ``apply``."""
-    steps = [
-        formats.PipelineStep(
-            "base",
-            {
-                "parts": str(len(bp.predicates)),
-                "colors": str(config.colors),
-                "per_color": str(config.per_color),
-            },
-        )
-    ]
-    for low, high, principal in bp.q_edges:
-        steps.append(
-            formats.PipelineStep(
-                "qedge",
-                {"low": str(low), "high": str(high), "principal": str(principal).lower()},
-            )
-        )
-    for step in bp.operator_plan:
-        a = dict(step.args)
-        if step.op == "icp":
-            steps.append(
-                formats.PipelineStep(
-                    "icp",
-                    {
-                        "sub": str(a["sub"]),
-                        "depth": str(config.depth),
-                        "fan": str(config.fan_out),
-                        "y": "auto",
-                    },
-                )
-            )
-        elif step.op == "css":
-            steps.append(
-                formats.PipelineStep(
-                    "css",
-                    {
-                        "sub": str(a["sub"]),
-                        "source": str(a["source"]),
-                        "fan": str(config.fan_out),
-                    },
-                )
-            )
-        elif step.op == "bu":
-            steps.append(
-                formats.PipelineStep(
-                    "bu",
-                    {
-                        "sub1": str(a["sub1"]),
-                        "sub2": str(a["sub2"]),
-                        "depth": str(config.depth),
-                        "fan": str(config.fan_out),
-                        "z": "auto",
-                    },
-                )
-            )
-        elif step.op == "lmt":
-            steps.append(
-                formats.PipelineStep(
-                    "lmt", {"node": f"p(P{a['node_elem']})", "lam": str(a["lam"])}
-                )
-            )
-        elif step.op == "lms":
-            nodes = ",".join(f"p(P{e})" for e in a["node_elems"])  # type: ignore[union-attr]
-            steps.append(formats.PipelineStep("lms", {"nodes": nodes, "lam": str(a["lam"])}))
-        elif step.op == "note":
-            steps.append(
-                formats.PipelineStep("note", {"text": str(a["text"]).replace(" ", "_")})
-            )
-    return steps
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

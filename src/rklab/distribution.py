@@ -12,9 +12,9 @@ either per mutual-domination class (finite mode) or per domination
 sequence (countable-truncated mode, where finite tuples stand for
 eventually-constant sequences unless marked extendable, in which case
 they continue strictly through fresh elements of their own).  Builders
-turn a validated spec into an operator plan; replaying the plan through
-the operators module reproduces the spec's preorder as the registry's
-prime-model structure and the f values as limit targets.
+turn a validated spec into an operator pipeline; running it through
+``operators.run_pipeline`` reproduces the spec's preorder as the
+registry's prime-model structure and the f values as limit targets.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .cardinal import (
     card_lt,
     card_sum_all,
     fin,
-    parse_card,
     render,
 )
 from .domination import (
@@ -42,9 +41,7 @@ from .domination import (
     rk_preorder,
     rk_structure,
 )
-from .limitcount import FREE_SYSTEM, IdentitySystem
-from . import operators as ops
-from .operators import StructSpec, pnode
+from .operators import PipelineStep, StructSpec, pnode, run_pipeline
 from .preorder import (
     Preorder,
     QuotientPoset,
@@ -191,17 +188,6 @@ def decompose_tc(
 ) -> tuple[Card, bool]:
     total = decompose(rk, il, npl)
     return total, card_eq(total, CONTINUUM, ch)
-
-
-def uniform_choice_prime_count(
-    uniform_choice: bool, uncountably_many: bool
-) -> Card | None:
-    """Documented inference rule: uniformly chosen principal refinements
-    over uncountably many types force a continuum of prime models.
-    Applies only when the caller asserts both hypotheses."""
-    if uniform_choice and uncountably_many:
-        return CONTINUUM
-    return None
 
 
 # -- distribution specs -------------------------------------------------------
@@ -472,22 +458,6 @@ def limit_obligations(g: DominationGraph) -> dict[frozenset[str], bool]:
 # -- blueprints ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlanStep:
-    op: str  # "icp" | "css" | "bu" | "lmt" | "lms" | "note"
-    args: tuple[tuple[str, object], ...]
-
-    def arg(self, key: str) -> object:
-        for k, v in self.args:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-
-def _step(op: str, **kwargs: object) -> PlanStep:
-    return PlanStep(op, tuple(sorted(kwargs.items())))
-
-
-@dataclass(frozen=True)
 class BuildConfig:
     colors: int = 1
     per_color: int = 1
@@ -503,14 +473,15 @@ class BuildConfig:
 class TheoryBlueprint:
     predicates: tuple[str, ...]
     q_edges: tuple[tuple[int, int, bool], ...]
-    operator_plan: tuple[PlanStep, ...]
-    identity_systems: tuple[tuple[str, IdentitySystem], ...]
+    pipeline: tuple[PipelineStep, ...]  # base, one qedge per q edge, operator steps
+    config: BuildConfig
     partition: tuple[tuple[int, str], ...] | None
     variant: str
     notes: tuple[str, ...] = ()
 
-    def systems(self) -> dict[str, IdentitySystem]:
-        return dict(self.identity_systems)
+    @property
+    def operator_plan(self) -> tuple[PipelineStep, ...]:
+        return self.pipeline[1 + len(self.q_edges):]
 
 
 def _components(order: Preorder) -> list[list[int]]:
@@ -548,13 +519,14 @@ def _class_rank(q: QuotientPoset) -> list[int]:
 def build_blueprint(
     spec: DistributionSpec, variant: str, config: BuildConfig = BuildConfig()
 ) -> TheoryBlueprint:
-    """Emit predicates, domination links, and the operator plan.
+    """Emit predicates, domination links, and the pipeline that builds them.
 
-    The plan realizes the spec's preorder on the non-principal types of
-    the parts, sizes limit targets by f, and differs between variants in
-    the order of partition versus allocation: the allocation-first order
-    pins the prime side of the partition exactly, the partition-first
-    order pins the prime-less side exactly.
+    The config's sizes are written into the steps.  The plan realizes
+    the spec's preorder on the non-principal types of the parts, sizes
+    limit targets by f, and differs between variants in the order of
+    partition versus allocation: the allocation-first order pins the
+    prime side of the partition exactly, the partition-first order pins
+    the prime-less side exactly.
     """
     if variant not in ("t77", "t84", "t91", "t92"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -589,28 +561,52 @@ def build_blueprint(
     def elem_sort(elems: list[int]) -> list[int]:
         return sorted(elems, key=lambda e: (rank[q.class_of(e)], e))
 
-    plan: list[PlanStep] = []
+    fan, depth = str(config.fan_out), str(config.depth)
+
+    def icp_step(e: int) -> PipelineStep:
+        return PipelineStep("icp", {"sub": f"P{e}", "depth": depth, "fan": fan, "y": "auto"})
+
+    def css_step(e: int, source: int) -> PipelineStep:
+        return PipelineStep("css", {"sub": f"P{e}", "source": f"P{source}", "fan": fan})
+
+    def bu_step(a: int, b: int) -> PipelineStep:
+        return PipelineStep(
+            "bu", {"sub1": f"P{a}", "sub2": f"P{b}", "depth": depth, "fan": fan, "z": "auto"}
+        )
+
+    plan = [
+        PipelineStep(
+            "base",
+            {"parts": str(m), "colors": str(config.colors), "per_color": str(config.per_color)},
+        )
+    ]
+    for low, high, principal in q_edges:
+        plan.append(
+            PipelineStep(
+                "qedge", {"low": str(low), "high": str(high), "principal": str(principal).lower()}
+            )
+        )
     if variant in ("t77", "t84"):
         source = 0
-        plan.append(_step("icp", sub=f"P{source}"))
+        plan.append(icp_step(source))
         for comp in _components(order):
             for e in elem_sort(comp):
-                plan.append(_step("css", sub=f"P{e}", source=f"P{source}"))
+                plan.append(css_step(e, source))
     elif variant == "t91":
         source = 0
-        plan.append(_step("icp", sub=f"P{source}"))
+        plan.append(icp_step(source))
         for e in elem_sort(p_elems):
-            plan.append(_step("css", sub=f"P{e}", source=f"P{source}"))
+            plan.append(css_step(e, source))
         for e in elem_sort(npl_elems):
             if e != source or source in p_elems:
-                plan.append(_step("icp", sub=f"P{e}"))
+                plan.append(icp_step(e))
     else:  # t92: partition first, then allocation
         icp_elems = elem_sort(npl_elems) or [0]
         source = icp_elems[0]
         for e in icp_elems:
-            plan.append(_step("icp", sub=f"P{e}"))
+            plan.append(icp_step(e))
         for e in elem_sort(p_elems):
-            plan.append(_step("css", sub=f"P{e}", source=f"P{source}"))
+            plan.append(css_step(e, source))
 
     comps = _components(order)
     comp_max_reps: list[list[int]] = []
@@ -623,38 +619,22 @@ def build_blueprint(
         ]
         comp_max_reps.append(sorted(min(q.classes[c]) for c in maxima))
     for a, b in itertools.combinations(range(len(comps)), 2):
-        plan.append(
-            _step("bu", sub1=f"P{comp_max_reps[a][0]}", sub2=f"P{comp_max_reps[b][0]}")
-        )
+        plan.append(bu_step(comp_max_reps[a][0], comp_max_reps[b][0]))
     for reps in comp_max_reps:
         for a, b in itertools.combinations(reps, 2):
-            plan.append(_step("bu", sub1=f"P{a}", sub2=f"P{b}"))
+            plan.append(bu_step(a, b))
 
-    systems: list[tuple[str, IdentitySystem]] = []
     if spec.mode == "finite":
         for members in q.classes:
-            key = frozenset(members)
-            f_val = spec.class_map()[key]
-            if card_eq(f_val, ZERO, ch=False):
-                continue
-            rep = min(members)
-            node = pnode(f"P{rep}")
-            plan.append(_step("lmt", node_elem=rep, lam=render(f_val)))
-            if card_eq(f_val, CONTINUUM, ch=False):
-                systems.append((node, FREE_SYSTEM))
-            else:
-                systems.append((node, ops.lmt(node, f_val)))
+            f_val = spec.class_map()[frozenset(members)]
+            if not card_eq(f_val, ZERO, ch=False):
+                node = pnode(f"P{min(members)}")
+                plan.append(PipelineStep("lmt", {"node": node, "lam": render(f_val)}))
     else:
         for key, f_val in sorted(spec.seq_map().items(), key=lambda kv: kv[0].render()):
-            if card_eq(f_val, ZERO, ch=False):
-                continue
-            nodes = tuple(pnode(f"P{e}") for e in key.entries)
-            plan.append(_step("lms", node_elems=key.entries, lam=render(f_val)))
-            skey = ops.seq_key(nodes)
-            if card_eq(f_val, CONTINUUM, ch=False):
-                systems.append((skey, FREE_SYSTEM))
-            else:
-                systems.append((skey, ops.lms(len(nodes), f_val)))
+            if not card_eq(f_val, ZERO, ch=False):
+                nodes = ",".join(pnode(f"P{e}") for e in key.entries)
+                plan.append(PipelineStep("lms", {"nodes": nodes, "lam": render(f_val)}))
 
     notes: list[str] = []
     if variant == "t92":
@@ -666,13 +646,14 @@ def build_blueprint(
             notes.append(
                 "allocation over tuples gives prime models over the residual types"
             )
-        plan.append(_step("note", text=notes[-1]))
+        # a pipeline argument is one token
+        plan.append(PipelineStep("note", {"text": notes[-1].replace(" ", "_")}))
 
     return TheoryBlueprint(
         predicates,
         tuple(q_edges),
         tuple(plan),
-        tuple(systems),
+        config,
         spec.partition,
         variant,
         tuple(notes),
@@ -682,55 +663,16 @@ def build_blueprint(
 def replay_blueprint(
     bp: TheoryBlueprint, config: BuildConfig = BuildConfig(), check: bool = False
 ) -> StructSpec:
-    """Execute the operator plan on a freshly seeded structure.
+    """Run the blueprint's pipeline on a freshly seeded structure.
 
-    With ``check`` set, the just-applied operator's ground schemes are
-    re-verified after every step and a violation raises immediately.
+    ``config`` must be the one the blueprint was built with, since its
+    sizes are baked into the pipeline.  With ``check`` set, every
+    operator record is verified as soon as it is applied and a
+    violation raises immediately.
     """
-    spec = ops.colored_base(
-        len(bp.predicates), config.colors, config.per_color, bp.q_edges
-    )
-
-    def checked(out: StructSpec, tag: str) -> StructSpec:
-        if check:
-            report = ops.verify_schemes(out, tag)
-            if not report.ok:
-                bad = ", ".join(e.code for e in report.violations())
-                raise ValueError(f"scheme violation after {tag}: {bad}")
-        return out
-
-    for step in bp.operator_plan:
-        if step.op == "icp":
-            sub = str(step.arg("sub"))
-            need = ops.icp_need(spec, sub, config.depth, config.fan_out)
-            spec = checked(
-                ops.icp(spec, sub, need, config.depth, config.fan_out), "icp"
-            )
-        elif step.op == "css":
-            sub = str(step.arg("sub"))
-            source = str(step.arg("source"))
-            stubs = [n.name for n in spec.registry.stubs_of(pnode(source))]
-            spec = checked(ops.css(spec, stubs, sub, config.fan_out), "css")
-        elif step.op == "bu":
-            sub1, sub2 = str(step.arg("sub1")), str(step.arg("sub2"))
-            need = ops.bu_need(spec, sub1, sub2, config.depth, config.fan_out)
-            spec = checked(
-                ops.bu(spec, sub1, sub2, need, config.depth, config.fan_out), "bu"
-            )
-        elif step.op == "lmt":
-            rep = int(step.arg("node_elem"))  # type: ignore[arg-type]
-            lam = parse_card(str(step.arg("lam")))
-            spec, _ = ops.apply_lmt(spec, pnode(f"P{rep}"), lam)
-        elif step.op == "lms":
-            entries = step.arg("node_elems")
-            nodes = [pnode(f"P{e}") for e in entries]  # type: ignore[union-attr]
-            lam = parse_card(str(step.arg("lam")))
-            spec, _ = ops.apply_lms(spec, nodes, lam)
-        elif step.op == "note":
-            spec = replace(spec, registry=spec.registry.with_note(str(step.arg("text"))))
-        else:
-            raise ValueError(f"unknown plan step {step.op!r}")
-    return spec
+    if config != bp.config:
+        raise ValueError(f"blueprint was built with {bp.config}, not {config}")
+    return run_pipeline(bp.pipeline, check)
 
 
 def replayed_prime_preorder(struct: StructSpec, predicates: tuple[str, ...]) -> Preorder:

@@ -151,11 +151,6 @@ def rk_size(g: DominationGraph) -> int:
     return len(iso_classes(g))
 
 
-def rkt_structure(g: DominationGraph) -> Preorder:
-    """The full domination preorder on all type nodes."""
-    return rk_preorder(g)
-
-
 # -- limit models over a single type -----------------------------------------
 
 @dataclass(frozen=True)

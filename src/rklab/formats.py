@@ -8,12 +8,12 @@ serializer's output reparses to an equal value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import Iterable
 
 from .cardinal import Card, parse_card, render
 from .distribution import DistributionSpec, SeqKey, finite_spec, sequence_spec
 from .domination import DomEdge, DominationGraph, TypeNode
-from .operators import OpRecord, RegEdge, RegNode, Registry, StructSpec
+from .operators import OpRecord, PipelineStep, RegEdge, RegNode, Registry, StructSpec
 from .preorder import Preorder, QuotientPoset, close, from_pairs
 from .typespace import TypeSpace, parse_cell, render_cell
 
@@ -454,12 +454,6 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
 
 # -- pipeline files -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineStep:
-    op: str
-    args: dict[str, str]
-
-
 def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
     """Grammar: one operator invocation per line, ``<op> key=value ...``."""
     steps = []
@@ -478,7 +472,7 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
     return steps
 
 
-def serialize_pipeline(steps: list[PipelineStep]) -> str:
+def serialize_pipeline(steps: Iterable[PipelineStep]) -> str:
     lines = []
     for step in steps:
         parts = [step.op]

@@ -12,6 +12,9 @@ identity systems (consumed by the word-congruence engine) plus registry
 annotations recording the intended number of limit models over a type
 or a sequence, and the fact that the linking relations never
 semi-isolate backwards.
+
+``run_pipeline`` is the one interpreter of operator pipelines, whether
+they come from a pipeline file or from a blueprint builder.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .cardinal import CONTINUUM, OMEGA, Card, card_eq, fin, render
+from .cardinal import CONTINUUM, OMEGA, Card, card_eq, fin, parse_card, render
 from .domination import DomEdge, DominationGraph, TypeNode
 from .limitcount import FREE_SYSTEM, IdentitySystem, Schema
 from .report import Report, ReportBuilder
@@ -151,10 +154,6 @@ class StructSpec:
         if el not in self.coloring:
             raise KeyError(f"element {el!r} is uncolored")
         return self.coloring[el]
-
-
-def empty_spec() -> StructSpec:
-    return StructSpec((), {}, {}, {}, {})
 
 
 def colored_base(
@@ -434,18 +433,6 @@ def css(
     )
 
 
-def bd(
-    spec: StructSpec,
-    q_subset: Sequence[str],
-    sub: str,
-    fan_out: int = 3,
-    seed: int = 0,
-) -> StructSpec:
-    """Ban for downward movement: the allocation operator with its output
-    tied to the type, under the same input parameters."""
-    return css(spec, q_subset, sub, fan_out=fan_out, seed=seed, linked=True)
-
-
 def bu(
     spec: StructSpec,
     sub1: str,
@@ -533,7 +520,7 @@ def bu(
 
 # -- limit-model operators ----------------------------------------------------
 
-def lmt(p: str, lam: Card, reading: str = "gt") -> IdentitySystem:
+def lmt(lam: Card) -> IdentitySystem:
     """Identity family sizing the limit models over a single type."""
     if lam.finite:
         n = lam.value
@@ -602,7 +589,7 @@ def apply_lmt(
     if card_eq(lam, CONTINUUM, ch=False):
         system = FREE_SYSTEM
     else:
-        system = lmt(p, lam, reading)
+        system = lmt(lam)
     registry = spec.registry
     if p not in registry.nodes:
         registry = registry.with_node(RegNode(p))
@@ -795,6 +782,17 @@ def _verify_bu(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -
     rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
 
 
+_VERIFIERS = {"icp": _verify_icp, "css": _verify_css, "bu": _verify_bu}
+
+
+def _verify_record(spec: StructSpec, rb: ReportBuilder, index: int) -> None:
+    """Add the ground checks of the history record at ``index`` to ``rb``."""
+    rec = spec.history[index]
+    tag = f"app{index}"
+    rb.fact(f"{tag}.fan_out", rec.params["fan_out"])
+    _VERIFIERS[rec.op](spec, rb, tag, rec.params)
+
+
 def verify_schemes(spec: StructSpec, op_tag: str) -> Report:
     """Re-evaluate every ground instance of the named operator's schemes.
 
@@ -802,21 +800,89 @@ def verify_schemes(spec: StructSpec, op_tag: str) -> Report:
     current relations; a mutation of the structure shows up as a FAIL
     entry, never an exception.
     """
-    if op_tag not in ("icp", "css", "bu"):
+    if op_tag not in _VERIFIERS:
         raise ValueError(f"no ground schemes for {op_tag!r}")
-    records = [
-        (i, rec) for i, rec in enumerate(spec.history) if rec.op == op_tag
-    ]
-    if not records:
+    indices = [i for i, rec in enumerate(spec.history) if rec.op == op_tag]
+    if not indices:
         raise ValueError(f"spec has no recorded {op_tag} application")
     rb = ReportBuilder(f"schemes:{op_tag}")
-    for i, rec in records:
-        tag = f"app{i}"
-        rb.fact(f"{tag}.fan_out", rec.params["fan_out"])
-        if op_tag == "icp":
-            _verify_icp(spec, rb, tag, rec.params)
-        elif op_tag == "css":
-            _verify_css(spec, rb, tag, rec.params)
-        else:
-            _verify_bu(spec, rb, tag, rec.params)
+    for i in indices:
+        _verify_record(spec, rb, i)
     return rb.done()
+
+
+# -- pipelines ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PipelineStep:
+    """One pipeline line: an operator keyword and its ``key=value`` arguments."""
+
+    op: str
+    args: dict[str, str]
+
+
+def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSpec:
+    """Apply a pipeline to the colored base it declares.
+
+    The ``base`` and ``qedge`` steps seed the structure wherever they
+    appear, the last ``base`` winning; the other steps run in order.
+    ``fan`` defaults to 2, ``depth`` to 1, and ``y``/``z`` to the least
+    size that honors the splits; ``bd`` is ``css`` with ``linked=true``.
+    With ``check`` set, each icp/css/bu record is verified as soon as it
+    is applied, and a violation raises ``ValueError``.
+    """
+    base: dict[str, str] | None = None
+    qedges: list[tuple[int, int, bool]] = []
+    for step in steps:
+        if step.op == "base":
+            base = step.args
+        elif step.op == "qedge":
+            a = step.args
+            qedges.append(
+                (int(a["low"]), int(a["high"]), a.get("principal", "false") == "true")
+            )
+    if base is None:
+        raise ValueError("pipeline needs a 'base' line")
+    spec = colored_base(
+        int(base["parts"]), int(base["colors"]), int(base.get("per_color", "1")), qedges
+    )
+    for step in steps:
+        if step.op in ("base", "qedge"):
+            continue
+        a = step.args
+        fan = int(a.get("fan", "2"))
+        depth = int(a.get("depth", "1"))
+        if step.op == "icp":
+            y = a.get("y", "auto")
+            need = icp_need(spec, a["sub"], depth, fan)
+            spec = icp(spec, a["sub"], need if y == "auto" else int(y), depth, fan)
+        elif step.op in ("css", "bd"):
+            if "source" in a:
+                stubs = [n.name for n in spec.registry.stubs_of(pnode(a["source"]))]
+            else:
+                stubs = a["stubs"].split(",")
+            linked = step.op == "bd" or a.get("linked") == "true"
+            spec = css(spec, stubs, a["sub"], fan, linked=linked)
+        elif step.op == "bu":
+            z = a.get("z", "auto")
+            need = bu_need(spec, a["sub1"], a["sub2"], depth, fan)
+            spec = bu(spec, a["sub1"], a["sub2"], need if z == "auto" else int(z), depth, fan)
+        elif step.op == "lmt":
+            spec, _ = apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+        elif step.op == "lms":
+            nodes = a["nodes"].split(",")
+            spec, _ = apply_lms(spec, nodes, parse_card(a["lam"]), a.get("reading", "gt"))
+        elif step.op == "note":
+            spec = replace(spec, registry=spec.registry.with_note(a.get("text", "")))
+            continue
+        else:
+            raise ValueError(f"unknown pipeline step {step.op!r}")
+        rec = spec.history[-1]
+        if check and rec.op in _VERIFIERS:
+            # steps only append new relations, elements and colors: earlier records cannot change
+            rb = ReportBuilder(f"schemes:{rec.op}")
+            _verify_record(spec, rb, len(spec.history) - 1)
+            bad = ", ".join(e.code for e in rb.done().violations())
+            if bad:
+                raise ValueError(f"scheme violation after {rec.op}: {bad}")
+    return spec

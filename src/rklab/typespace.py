@@ -343,31 +343,18 @@ def npl_zero_check(ts: TypeSpace, spec, depth: int, budget: int = FORMULA_BUDGET
     True when every tuple over the realized cells extends, within the
     realized cells, to one over which every consistent one-variable
     formula is an i-formula.  The represented families are unary, so a
-    formula's class does not depend on the parameter tuple; the
-    extension search is kept (and trivially succeeds on the empty
-    extension) so the check retains the criterion's quantifier shape.
+    formula's class does not depend on the parameter tuple: the empty
+    extension decides, and the check holds exactly when every formula is
+    an i-formula or no cell is realized.
     """
     if spec.space.family != ts.family or (
         ts.family == "colored" and spec.space.parts != ts.parts
     ):
         raise ValueError("model spec belongs to a different family")
     space = space_at(ts, depth)
-    support = set(spec.support())
+    support = spec.support()
     all_i = all(
         classify_formula(space, phi) is FormulaClass.I
         for phi in enumerate_formulas(space, budget)
     )
-
-    def tuple_is_isolating(_cells: tuple[Cell, ...]) -> bool:
-        # the families are unary: parameters never change a formula's class
-        return all_i
-
-    for base_cell in sorted(support, key=render_cell):
-        base = (base_cell,)
-        extended = any(
-            tuple_is_isolating(base + ext)
-            for ext in [()] + [(c,) for c in sorted(support, key=render_cell)]
-        )
-        if not extended:
-            return False
-    return True
+    return all_i or not support

@@ -232,9 +232,9 @@ def test_criterion_07_limit_counting():
     start = time.perf_counter()
     systems = []
     for n in (1, 2, 3):
-        systems.append(lmt("p", fin(n)))
+        systems.append(lmt(fin(n)))
         systems.append(lms(3, fin(n)))
-    systems.append(lmt("p", OMEGA))
+    systems.append(lmt(OMEGA))
     systems.append(lms(3, OMEGA))
     for sys_ in systems:
         for alphabet in (2, 3, 4):
@@ -244,8 +244,8 @@ def test_criterion_07_limit_counting():
                 assert count_classes(sys_, alphabet, length)[0] == expected
     for alphabet in (2, 3, 4):
         for length in (1, 2, 3, 4, 5):
-            assert count_classes(lmt("p", fin(1)), alphabet, length)[0] == 1
-    base = lmt("p", OMEGA)
+            assert count_classes(lmt(fin(1)), alphabet, length)[0] == 1
+    base = lmt(OMEGA)
     from rklab.limitcount import IdentitySystem
 
     for cut in range(len(base.schemas)):
@@ -334,7 +334,7 @@ def test_criterion_09_builder_round_trip():
             )
         spec = finite_spec(order, f)
         bp = build_blueprint(spec, "t77", cfg)
-        # check=True re-verifies schemes after every intermediate structure
+        # check=True verifies each operator record as soon as it is applied
         struct = replay_blueprint(bp, cfg, check=True)
         assert len(struct.universe) <= 200, f"universe {len(struct.universe)}"
         po = replayed_prime_preorder(struct, bp.predicates)

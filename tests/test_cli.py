@@ -1,4 +1,8 @@
+import pytest
+
 from rklab.cli import main
+from rklab.distribution import BuildConfig, build_blueprint, replay_blueprint
+from rklab.formats import parse_distribution, parse_struct, serialize_struct
 
 
 def run_cli(*argv, capsys=None):
@@ -139,10 +143,12 @@ def test_decompose_command(capsys):
     assert "continuum check: pass" in out
 
 
-def test_build_and_apply_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["t77", "t84", "t91", "t92"])
+def test_build_and_apply_round_trip(tmp_path, capsys, variant):
     ds = tmp_path / "spec.ds"
     ds.write_text(
         "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+        "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
     )
     pipe = tmp_path / "bp.pipe"
     code, out, _ = run_cli(
@@ -150,7 +156,7 @@ def test_build_and_apply_round_trip(tmp_path, capsys):
         "--spec",
         str(ds),
         "--variant",
-        "t77",
+        variant,
         "--replay",
         "--out",
         str(pipe),
@@ -174,11 +180,12 @@ def test_build_and_apply_round_trip(tmp_path, capsys):
     assert code == 0
     assert "=> pass" in out
     text = struct_file.read_text()
-    assert text.startswith("universe:")
-    from rklab.formats import parse_struct
-
     parsed = parse_struct(text, str(struct_file))
     assert parsed.registry.limit_targets["p(P0)"].value == 2
+    # apply on the written pipeline reproduces build --replay exactly
+    cfg = BuildConfig(colors=1, per_color=1, depth=1, fan_out=1)
+    spec = parse_distribution(ds.read_text(), str(ds))
+    assert text == serialize_struct(replay_blueprint(build_blueprint(spec, variant, cfg), cfg))
 
 
 def test_machine_apply_stable(tmp_path, capsys):

@@ -24,7 +24,6 @@ from rklab.distribution import (
     subsequence_of,
     tail_equal,
     target_triple,
-    uniform_choice_prime_count,
     validate_f,
 )
 from rklab.domination import DomEdge, DominationGraph, TypeNode
@@ -109,12 +108,6 @@ def test_decompose():
     assert total == CONTINUUM and ok
     total, ok = decompose_tc(fin(2), [], fin(1))
     assert not ok
-
-
-def test_uniform_choice_rule():
-    assert uniform_choice_prime_count(True, True) == CONTINUUM
-    assert uniform_choice_prime_count(True, False) is None
-    assert uniform_choice_prime_count(False, True) is None
 
 
 # -- f validation -------------------------------------------------------------
@@ -240,6 +233,13 @@ def test_blueprint_example_shape():
     po = replayed_prime_preorder(struct, bp.predicates)
     assert po.le(0, 1) and not po.le(1, 0)
     assert preorders_isomorphic(po, order)
+
+
+def test_replay_rejects_other_config():
+    spec = finite_spec(close(from_pairs(1, [])), {frozenset({0}): ZERO})
+    bp = build_blueprint(spec, "t77", CFG)
+    with pytest.raises(ValueError, match="built with"):
+        replay_blueprint(bp, BuildConfig(fan_out=CFG.fan_out + 1))
 
 
 def test_blueprint_singleton():

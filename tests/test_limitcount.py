@@ -20,15 +20,15 @@ from rklab.operators import lmt, lms
 def all_systems():
     out = []
     for n in (1, 2, 3):
-        out.append(("lmt", n, lmt("p", fin(n))))
+        out.append(("lmt", n, lmt(fin(n))))
         out.append(("lms", n, lms(3, fin(n))))
-    out.append(("lmt", "w", lmt("p", OMEGA)))
+    out.append(("lmt", "w", lmt(OMEGA)))
     out.append(("lms", "w", lms(3, OMEGA)))
     return out
 
 
 def test_instantiate_lmt_n1_examples():
-    sys1 = lmt("p", fin(1))
+    sys1 = lmt(fin(1))
     eqs = instantiate(sys1, 3, 2)
     assert ((0,), (1,)) in eqs
     assert ((0,), (2,)) in eqs
@@ -61,7 +61,7 @@ def test_free_monoid_counts():
 def test_lmt_n1_single_class():
     for alphabet in (2, 3, 4):
         for length in (1, 2, 3, 4, 5):
-            count, reps = count_classes(lmt("p", fin(1)), alphabet, length)
+            count, reps = count_classes(lmt(fin(1)), alphabet, length)
             assert count == 1
             assert reps == [(0,)]
 
@@ -78,7 +78,7 @@ def test_engine_matches_oracle():
 
 def test_lmt_n2_frozen_count_and_stability():
     # value computed by the brute-force oracle and frozen here
-    sys2 = lmt("p", fin(2))
+    sys2 = lmt(fin(2))
     eqs = instantiate(sys2, 3, 4)
     oracle, _ = brute_congruence_count(eqs, 3, 4)
     assert oracle == 3
@@ -87,7 +87,7 @@ def test_lmt_n2_frozen_count_and_stability():
 
 
 def test_adding_equations_never_increases_count():
-    base = lmt("p", OMEGA)
+    base = lmt(OMEGA)
     for cut in range(len(base.schemas) + 1):
         partial = IdentitySystem("lmt", base.schemas[:cut], OMEGA)
         fuller = IdentitySystem("lmt", base.schemas[: cut + 1], OMEGA) if cut < len(
@@ -100,12 +100,12 @@ def test_adding_equations_never_increases_count():
 
 
 def test_normal_form_examples():
-    sys1 = lmt("p", fin(1))
+    sys1 = lmt(fin(1))
     assert normal_form(sys1, (2, 1, 2), 4) == (0,)
     assert normal_form(FREE_SYSTEM, (1, 0), 3, alphabet=2) == (1, 0)
     w = (2, 0, 1)
-    nf = normal_form(lmt("p", fin(2)), w, 4, alphabet=3)
-    assert normal_form(lmt("p", fin(2)), nf, 4, alphabet=3) == nf
+    nf = normal_form(lmt(fin(2)), w, 4, alphabet=3)
+    assert normal_form(lmt(fin(2)), nf, 4, alphabet=3) == nf
 
 
 def test_normal_form_characterizes_classes():
@@ -119,7 +119,7 @@ def test_normal_form_characterizes_classes():
 
 
 def test_word_validation():
-    sys1 = lmt("p", fin(1))
+    sys1 = lmt(fin(1))
     with pytest.raises(ValueError):
         normal_form(sys1, (), 3)
     with pytest.raises(ValueError):
@@ -136,7 +136,7 @@ def test_word_validation():
     st.sampled_from([1, 2, OMEGA]),
 )
 def test_normal_form_idempotent_and_in_class(letters, lam):
-    sys = lmt("p", fin(lam) if isinstance(lam, int) else lam)
+    sys = lmt(fin(lam) if isinstance(lam, int) else lam)
     w = tuple(letters)
     nf = normal_form(sys, w, 4, alphabet=3)
     assert normal_form(sys, nf, 4, alphabet=3) == nf
@@ -144,7 +144,7 @@ def test_normal_form_idempotent_and_in_class(letters, lam):
 
 
 def test_stabilization_report():
-    info = stabilization(lmt("p", fin(1)), 3, 4)
+    info = stabilization(lmt(fin(1)), 3, 4)
     assert info["count"] == 1 and info["stable"]
     assert info["target"] == fin(1)
     info = stabilization(lms(3, OMEGA), 3, 3)
@@ -198,7 +198,7 @@ def _bfs_classes(instances, alphabet, max_len):
 
 
 def test_engine_matches_bfs_connectivity():
-    for sys_ in (lmt("p", fin(2)), lmt("p", OMEGA), lms(3, fin(3)), lms(3, OMEGA)):
+    for sys_ in (lmt(fin(2)), lmt(OMEGA), lms(3, fin(3)), lms(3, OMEGA)):
         for alphabet, length in ((3, 4), (4, 3), (2, 5)):
             eqs = instantiate(sys_, alphabet, length)
             assert count_classes(sys_, alphabet, length)[0] == _bfs_classes(
@@ -209,7 +209,7 @@ def test_engine_matches_bfs_connectivity():
 def test_engine_matches_oracle_at_bound_five():
     # spot checks right at the length-bound boundary, where equations
     # whose replacement would overflow must be skipped on both sides
-    for sys_ in (lmt("p", fin(3)), lms(3, OMEGA)):
+    for sys_ in (lmt(fin(3)), lms(3, OMEGA)):
         for alphabet in (2, 3):
             eqs = instantiate(sys_, alphabet, 5)
             expected, _ = brute_congruence_count(eqs, alphabet, 5)

@@ -4,11 +4,12 @@ from dataclasses import replace
 import pytest
 
 from rklab.cardinal import CONTINUUM, OMEGA, fin
+from rklab import operators
 from rklab.limitcount import FREE_SYSTEM
 from rklab.operators import (
+    PipelineStep,
     apply_lmt,
     apply_lms,
-    bd,
     bu,
     bu_need,
     colored_base,
@@ -18,6 +19,7 @@ from rklab.operators import (
     lmt,
     lms,
     pnode,
+    run_pipeline,
     stub_name,
     verify_q_order,
     verify_schemes,
@@ -114,7 +116,7 @@ def test_css_rejects_non_stubs():
 
 def test_bd_is_linked_css():
     spec, stubs = icp_then_stubs(base2(colors=1))
-    out = bd(spec, stubs, "P0", 2)
+    out = css(spec, stubs, "P0", 2, linked=True)
     assert out.history[-1].params["linked"] is True
     assert any("linked" in n for n in out.registry.notes)
 
@@ -210,19 +212,19 @@ def test_verify_schemes_needs_matching_record():
 
 
 def test_lmt_systems():
-    sys1 = lmt("p", fin(1))
+    sys1 = lmt(fin(1))
     assert sys1.kind == "lmt" and sys1.n == 1 and sys1.target == fin(1)
     assert [s.kind for s in sys1.schemas] == [
         "single_rename",
         "idem_below",
         "drop_to_min",
     ]
-    sysw = lmt("p", OMEGA)
+    sysw = lmt(OMEGA)
     assert [s.kind for s in sysw.schemas] == ["idem_all", "drop_to_min", "pair_to_run"]
     with pytest.raises(ValueError):
-        lmt("p", fin(0))
+        lmt(fin(0))
     with pytest.raises(ValueError):
-        lmt("p", CONTINUUM)
+        lmt(CONTINUUM)
 
 
 def test_lms_systems():
@@ -254,3 +256,44 @@ def test_apply_limit_operators():
     spec, system = apply_lms(spec, nodes, OMEGA)
     assert spec.registry.limit_targets["p(P0)>p(P1)"] == OMEGA
     assert any("never semi-isolating" in n for n in spec.registry.notes)
+
+
+PIPE = [
+    PipelineStep("base", {"parts": "2", "colors": "1"}),
+    PipelineStep("icp", {"sub": "P0", "fan": "1"}),
+    PipelineStep("css", {"sub": "P0", "source": "P0", "fan": "1"}),
+    PipelineStep("css", {"sub": "P1", "source": "P0", "fan": "1"}),
+    PipelineStep("bu", {"sub1": "P0", "sub2": "P1", "fan": "1"}),
+    PipelineStep("lmt", {"node": "p(P0)", "lam": "2"}),
+]
+
+
+def test_checked_pipeline_verifies_each_record_once(monkeypatch):
+    verified = []
+    real = operators._verify_record
+
+    def counting(spec, rb, index):
+        verified.append(index)
+        real(spec, rb, index)
+
+    monkeypatch.setattr(operators, "_verify_record", counting)
+    spec = run_pipeline(PIPE, check=True)
+    assert [rec.op for rec in spec.history] == ["icp", "css", "css", "bu", "lmt"]
+    assert verified == [0, 1, 2, 3]
+    assert spec == run_pipeline(PIPE)
+
+
+def test_checked_pipeline_raises_at_failing_step(monkeypatch):
+    real_css = operators.css
+
+    def lossy_css(*args, **kwargs):
+        out = real_css(*args, **kwargs)
+        rel = out.history[-1].params["rels"][0]
+        binary = dict(out.binary)
+        binary[rel] = out.binary[rel][1:]  # drop one witness
+        return replace(out, binary=binary)
+
+    monkeypatch.setattr(operators, "css", lossy_css)
+    assert len(run_pipeline(PIPE).history) == 5  # unchecked: nothing notices
+    with pytest.raises(ValueError, match=r"^scheme violation after css: app1\.color-monotone"):
+        run_pipeline(PIPE, check=True)
