@@ -202,16 +202,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
-    lam = parse_card(args.lam) if args.lam else None
-    if args.system == "lmt":
-        system = lmt(lam if lam is not None else parse_card(str(args.n)))
-    else:
-        system = lms(
-            args.seq_len,
-            lam if lam is not None else parse_card(str(args.n)),
-            args.reading,
-        )
+    lam = parse_card(args.lam or str(args.n))
+    system = lmt(lam) if args.system == "lmt" else lms(args.seq_len, lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
+    known = info["count_next"] is not None
     mk = args.machine
     out: list[str] = []
     if mk:
@@ -221,8 +215,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
             out.append(f"reading={system.reading}")
         out.append(f"L={info['L']}")
         out.append(f"classes={info['count']}")
-        out.append(f"classes_next={info['count_next']}")
-        out.append(f"stable={str(info['stable']).lower()}")
+        out.append(f"classes_next={info['count_next'] if known else 'unknown'}")
+        out.append(f"stable={str(info['stable']).lower() if known else 'unknown'}")
         reps = info["representatives"][:20]
         out.append("representatives=" + ";".join(render_word(w) for w in reps))
     else:
@@ -230,8 +224,9 @@ def cmd_limits(args: argparse.Namespace) -> int:
         if system.kind == "lms" and system.n is None:
             out.append(f"side-condition reading: {system.reading}")
         out.append(f"L={info['L']}: {info['count']} classes")
-        out.append(f"L={info['L'] + 1}: {info['count_next']} classes")
-        out.append(f"stable: {info['stable']}")
+        over = f"over the word budget ({info['words_next']} > {info['budget']})"
+        out.append(f"L={info['L'] + 1}: " + (f"{info['count_next']} classes" if known else over))
+        out.append(f"stable: {info['stable'] if known else 'unknown'}")
         reps = ", ".join(render_word(w) for w in info["representatives"][:20])
         out.append(f"representatives: {reps}")
         out.append(f"target (displayed, not asserted at finite L): {render(system.target)}")
@@ -406,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (formats.ParseError, ValueError, OSError, KeyError) as exc:
+    except (formats.ParseError, ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

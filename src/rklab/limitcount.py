@@ -17,8 +17,11 @@ paths, approximated here by their nonempty prefixes.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import eq
 from typing import Iterator
 
 from .cardinal import CONTINUUM, Card, render
@@ -57,11 +60,9 @@ class IdentitySystem:
 FREE_SYSTEM = IdentitySystem("free", (), CONTINUUM)
 
 
-def _words_up_to(alphabet: int, max_len: int) -> list[Word]:
-    out: list[Word] = []
+def _words_up_to(alphabet: int, max_len: int) -> Iterator[Word]:
     for length in range(1, max_len + 1):
-        out.extend(itertools.product(range(alphabet), repeat=length))
-    return out
+        yield from itertools.product(range(alphabet), repeat=length)
 
 
 def _run(a: int, b: int) -> Word:
@@ -74,9 +75,8 @@ def schema_instances(schema: Schema, alphabet: int, max_len: int) -> Iterator[tu
         # n-1 ~ m for every m >= n
         n = schema.param
         assert n is not None
-        if n - 1 < alphabet:
-            for m in range(n, alphabet):
-                yield (n - 1,), (m,)
+        for m in range(n, alphabet):
+            yield (n - 1,), (m,)
     elif k == "idem_below":
         n = schema.param
         assert n is not None
@@ -89,9 +89,9 @@ def schema_instances(schema: Schema, alphabet: int, max_len: int) -> Iterator[tu
                 yield (m, m), (m,)
     elif k == "drop_to_min":
         # a strictly higher prefix collapses onto its last letter
-        for w in _words_up_to(alphabet, max_len):
-            if len(w) >= 2 and min(w[:-1]) > w[-1]:
-                yield w, (w[-1],)
+        for u in _words_up_to(alphabet, max_len - 1):
+            for last in range(min(u)):
+                yield u + (last,), (last,)
     elif k == "pair_to_run":
         # a jump up fills in as the full ascending run
         for a in range(alphabet):
@@ -100,22 +100,21 @@ def schema_instances(schema: Schema, alphabet: int, max_len: int) -> Iterator[tu
                     yield (a, b), _run(a, b)
     elif k == "ascend_to_power":
         # a word topped by a strict maximum collapses to that letter repeated
-        for w in _words_up_to(alphabet, max_len):
-            if len(w) >= 2 and max(w[:-1]) < w[-1]:
-                yield w, (w[-1],) * len(w)
+        for u in _words_up_to(alphabet, max_len - 1):
+            for last in range(max(u) + 1, alphabet):
+                yield u + (last,), (last,) * (len(u) + 1)
     elif k == "ascend_to_run":
-        for w in _words_up_to(alphabet, max_len):
-            s = len(w) - 1
-            if s >= 1 and w[0] + s <= w[-1]:
-                yield w, _run(w[0], w[0] + s)
+        for u in _words_up_to(alphabet, max_len - 1):
+            s = len(u)
+            for last in range(u[0] + s, alphabet):
+                yield u + (last,), _run(u[0], u[0] + s)
     elif k == "ascend_to_capped_run":
         # first side condition is read as first+s > last ("gt") or >= ("geq");
         # combined with last = first + t and s > t both readings coincide
-        for w in _words_up_to(alphabet, max_len):
-            s = len(w) - 1
-            t = w[-1] - w[0]
-            if s >= 1 and 0 < t < s:
-                yield w, _run(w[0], w[0] + t) + (w[0] + t,) * (s - t)
+        for u in _words_up_to(alphabet, max_len - 1):
+            s = len(u)
+            for last in range(u[0] + 1, min(u[0] + s, alphabet)):
+                yield u + (last,), _run(u[0], last) + (last,) * (s - (last - u[0]))
     else:
         raise ValueError(f"unknown schema kind {k!r}")
 
@@ -124,78 +123,96 @@ def instantiate(sys: IdentitySystem, alphabet: int, max_len: int) -> list[tuple[
     """All ground instances with both sides nonempty and within the bound."""
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
-    out: list[tuple[Word, Word]] = []
-    seen: set[tuple[Word, Word]] = set()
+    out: dict[tuple[Word, Word], None] = {}
     for schema in sys.schemas:
         for lhs, rhs in schema_instances(schema, alphabet, max_len):
-            if not lhs or not rhs or lhs == rhs:
-                continue
-            if len(lhs) > max_len or len(rhs) > max_len:
-                continue
-            if (lhs, rhs) not in seen:
-                seen.add((lhs, rhs))
-                out.append((lhs, rhs))
-    return out
+            if lhs and rhs and lhs != rhs and len(lhs) <= max_len and len(rhs) <= max_len:
+                out[lhs, rhs] = None
+    return list(out)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _word_count(alphabet: int, max_len: int) -> int:
+    return sum(alphabet**k for k in range(1, max_len + 1))
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _code(w: Word, alphabet: int) -> int:
+    """The bijective base-A numeral of w (digits letter + 1), minus one: code
+    order is length-lex order, the words of length at most k hold the first
+    codes, x.c has code A(x+1)+c and c.x has x+(c+1)A^|x|."""
+    n = 0
+    for letter in w:
+        n = n * alphabet + letter + 1
+    return n - 1
+
+
+def _decode(code: int, alphabet: int) -> Word:
+    letters = []
+    n = code + 1
+    while n:
+        n, letter = divmod(n - 1, alphabet)
+        letters.append(letter)
+    return tuple(reversed(letters))
+
+
+def _extensions(roots: list[int], alphabet: int, sizes: list[int]) -> Iterator[tuple[int, int]]:
+    """Code pairs c.x ~ c.r and x.c ~ r.c for every letter c and every word
+    x whose root r in ``roots`` is another word; ``sizes[k]`` counts the
+    words of length at most k."""
+    for x, r in enumerate(roots):
+        if r != x:
+            px, pr = alphabet ** bisect_right(sizes, x), alphabet ** bisect_right(sizes, r)
+            for c in range(alphabet):
+                yield x + (c + 1) * px, r + (c + 1) * pr
+                yield alphabet * (x + 1) + c, alphabet * (r + 1) + c
 
 
 @lru_cache(maxsize=64)
-def _class_table(
-    sys: IdentitySystem, alphabet: int, max_len: int, budget: int
-) -> tuple[tuple[Word, ...], dict[Word, Word]]:
-    total = sum(alphabet**l for l in range(1, max_len + 1))
+def _class_table(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) -> array:
+    """Every word's root: the code of its class's length-lex minimum.
+
+    E_k, the congruence on words of length at most k, is generated by
+    E_(k-1), by c.x ~ c.r and x.c ~ r.c for each word x with E_(k-1) root r
+    and letter c, and by the instances whose longer side has length k: an
+    instance in a nonempty context is c.g or g.c for a generator g of
+    E_(k-1).  So E_1 .. E_L grow in one table with a few unions per word.
+    Unions point at the smaller code, so ``parent[i] <= i``, one ascending
+    pass finds every root, and a root is its class's length-lex minimum.
+    """
+    total = _word_count(alphabet, max_len)
     if total > budget:
         raise ValueError(f"{total} words exceed the budget {budget}")
-    words = _words_up_to(alphabet, max_len)
-    index = {w: i for i, w in enumerate(words)}
-    by_lhs: dict[Word, list[Word]] = {}
+    # sizes[k] counts the words of length at most k
+    sizes = list(itertools.accumulate((alphabet**k for k in range(1, max_len + 1)), initial=0))
+    new_pairs: list[list[tuple[int, int]]] = [[] for _ in sizes]
     for lhs, rhs in instantiate(sys, alphabet, max_len):
-        by_lhs.setdefault(lhs, []).append(rhs)
-    uf = _UnionFind(len(words))
-    for w in words:
-        wl = len(w)
-        for i in range(wl):
-            for j in range(i + 1, wl + 1):
-                factor = w[i:j]
-                for rhs in by_lhs.get(factor, ()):
-                    if wl - (j - i) + len(rhs) <= max_len:
-                        uf.union(index[w], index[w[:i] + rhs + w[j:]])
-    groups: dict[int, list[Word]] = {}
-    for w in words:
-        groups.setdefault(uf.find(index[w]), []).append(w)
-    reps: list[Word] = []
-    normal: dict[Word, Word] = {}
-    for members in groups.values():
-        rep = min(members, key=lambda w: (len(w), w))
-        reps.append(rep)
-        for w in members:
-            normal[w] = rep
-    reps.sort(key=lambda w: (len(w), w))
-    return tuple(reps), normal
+        new_pairs[max(len(lhs), len(rhs))].append((_code(lhs, alphabet), _code(rhs, alphabet)))
+    parent = list(range(total))
+    for k in range(1, max_len + 2):
+        for i in range(sizes[k - 1]):
+            parent[i] = parent[parent[i]]
+        if k > max_len:
+            break
+        pairs = itertools.chain(_extensions(parent[: sizes[k - 1]], alphabet, sizes), new_pairs[k])
+        for i, j in pairs:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+    return array("I", parent)
 
 
 def count_classes(
     sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
 ) -> tuple[int, list[Word]]:
     """Class count plus length-lex minimal representatives."""
-    reps, _ = _class_table(sys, alphabet, max_len, budget)
-    return len(reps), list(reps)
+    root = _class_table(sys, alphabet, max_len, budget)
+    codes = itertools.compress(range(len(root)), map(eq, root, range(len(root))))
+    reps = [_decode(c, alphabet) for c in codes]
+    return len(reps), reps
 
 
 def normal_form(
@@ -214,8 +231,7 @@ def normal_form(
         alphabet = max(w) + 1
     if any(not (0 <= letter < alphabet) for letter in w):
         raise ValueError("letter outside the alphabet")
-    _, normal = _class_table(sys, alphabet, max_len, budget)
-    return normal[w]
+    return _decode(_class_table(sys, alphabet, max_len, budget)[_code(w, alphabet)], alphabet)
 
 
 def render_word(w: Word) -> str:
@@ -225,14 +241,20 @@ def render_word(w: Word) -> str:
 def stabilization(
     sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
 ) -> dict[str, object]:
-    """Counts at L and L+1 with the agreement flag the CLI reports."""
+    """Counts at L and L+1 with the agreement flag the CLI reports; the L+1
+    figures are None when only that table is over the word budget."""
     count_here, reps = count_classes(sys, alphabet, max_len, budget)
-    count_next, _ = count_classes(sys, alphabet, max_len + 1, budget)
+    words_next = _word_count(alphabet, max_len + 1)
+    count_next = None
+    if words_next <= budget:
+        count_next, _ = count_classes(sys, alphabet, max_len + 1, budget)
     return {
         "L": max_len,
         "count": count_here,
         "count_next": count_next,
-        "stable": count_here == count_next,
+        "stable": None if count_next is None else count_here == count_next,
+        "words_next": words_next,
+        "budget": budget,
         "representatives": reps,
         "target": sys.target,
     }

@@ -250,3 +250,27 @@ def test_dominate_dot_export(tmp_path, capsys):
     assert code == 0
     text = dot.read_text()
     assert text.startswith("digraph") and "{a}" in text and "{b}" in text
+
+
+def test_limits_next_table_over_budget(capsys):
+    # the L=8 table fits the word budget, the L=9 one does not
+    argv = ["limits", "--system", "lms", "--lam", "w", "--alphabet", "4", "--len", "8"]
+    code, out, err = run_cli(*argv, "--machine", capsys=capsys)
+    assert code == 0 and err == ""
+    rec = dict(line.split("=", 1) for line in out.splitlines())
+    assert rec["classes"] == "87"
+    assert rec["classes_next"] == "unknown" and rec["stable"] == "unknown"
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert "L=8: 87 classes\nL=9: over the word budget (349524 > 200000)\nstable: unknown\n" in out
+    code, out, err = run_cli(*argv[:-1], "9", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: 349524 words exceed the budget 200000\n"
+
+
+def test_preorder_cone_out_of_range(tmp_path, capsys):
+    po = tmp_path / "p.po"
+    po.write_text("elements: 3\n0 <= 1\n")
+    code, out, err = run_cli("preorder", "--in", str(po), "--cone", "7", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: element 7 out of range\n"

@@ -214,3 +214,47 @@ def test_engine_matches_oracle_at_bound_five():
             eqs = instantiate(sys_, alphabet, 5)
             expected, _ = brute_congruence_count(eqs, alphabet, 5)
             assert count_classes(sys_, alphabet, 5)[0] == expected
+
+
+SCHEMA_KINDS = [
+    ("lmt-1", lmt(fin(1))),
+    ("lmt-2", lmt(fin(2))),
+    ("lmt-3", lmt(fin(3))),
+    ("lmt-w", lmt(OMEGA)),
+    ("lms-2", lms(3, fin(2))),
+    ("lms-3", lms(3, fin(3))),
+    ("lms-w-gt", lms(3, OMEGA, reading="gt")),
+    ("lms-w-geq", lms(3, OMEGA, reading="geq")),
+    ("free", FREE_SYSTEM),
+]
+DIFF_SHAPES = [(a, n) for a in (1, 2, 3) for n in (1, 2, 3, 4)] + [(2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("name,sys_", SCHEMA_KINDS, ids=[k for k, _ in SCHEMA_KINDS])
+def test_engine_matches_brute_classes(name, sys_):
+    # counts, representatives and every normal form against the oracle's
+    # classes and their length-lex minima
+    for alphabet, length in DIFF_SHAPES:
+        eqs = instantiate(sys_, alphabet, length)
+        expected, classes = brute_congruence_count(eqs, alphabet, length)
+        minima = {w: min(ms, key=lambda v: (len(v), v)) for ms in classes.values() for w in ms}
+        count, reps = count_classes(sys_, alphabet, length)
+        assert count == expected, (name, alphabet, length)
+        assert reps == sorted(set(minima.values()), key=lambda v: (len(v), v))
+        for w, least in minima.items():
+            assert normal_form(sys_, w, length, alphabet=alphabet) == least
+
+
+def test_stabilization_next_table_over_budget():
+    sys1 = lmt(fin(2))
+    words = {3: 3 + 9 + 27, 4: 3 + 9 + 27 + 81}
+    info = stabilization(sys1, 3, 3, budget=words[3])
+    assert info["count_next"] is None and info["stable"] is None
+    assert info["words_next"] == words[4] and info["budget"] == words[3]
+    assert info["count"] == count_classes(sys1, 3, 3)[0]
+    assert info["representatives"] == count_classes(sys1, 3, 3)[1]
+    full = stabilization(sys1, 3, 3, budget=words[4])
+    assert full["count_next"] == count_classes(sys1, 3, 4)[0]
+    assert full["stable"] == (full["count"] == full["count_next"])
+    with pytest.raises(ValueError, match="39 words exceed the budget 38"):
+        stabilization(sys1, 3, 3, budget=words[3] - 1)
