@@ -17,7 +17,7 @@ from rklab.distribution import (
     replayed_prime_preorder,
 )
 from rklab.formats import quotient_dot, serialize_preorder
-from rklab.preorder import preorders_isomorphic, random_preorder, sim_quotient
+from rklab.preorder import random_preorder, sim_quotient
 
 
 def main() -> None:
@@ -46,7 +46,8 @@ def main() -> None:
     struct = replay_blueprint(bp, cfg)
     print(f"replayed universe: {len(struct.universe)} elements")
     po = replayed_prime_preorder(struct, bp.predicates)
-    print("isomorphic to the drawn preorder:", preorders_isomorphic(po, order))
+    # replay keeps the labels (P_i is element i), so equality is the check
+    print("isomorphic to the drawn preorder:", po == order)
     for key, value in sorted(replayed_il(struct, spec).items(), key=lambda kv: sorted(kv[0])):
         print(f"IL{{{','.join(str(x) for x in sorted(key))}}} = {render(value)}")
     if args.dot:

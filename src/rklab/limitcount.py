@@ -131,8 +131,18 @@ def instantiate(sys: IdentitySystem, alphabet: int, max_len: int) -> list[tuple[
     return list(out)
 
 
-def _word_count(alphabet: int, max_len: int) -> int:
-    return sum(alphabet**k for k in range(1, max_len + 1))
+def _word_count(alphabet: int, max_len: int, budget: int) -> int | None:
+    """The number of nonempty words of length at most max_len, or None once
+    it passes alphabet * (budget + 1), the most words one level past a
+    table within the budget can have; the sum stops there, so a long bound
+    costs nothing."""
+    total, term = 0, 1
+    for _ in range(max_len):
+        term *= alphabet
+        total += term
+        if total > alphabet * (budget + 1):
+            return None
+    return total
 
 
 def _code(w: Word, alphabet: int) -> int:
@@ -178,7 +188,11 @@ def _class_table(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) 
     Unions point at the smaller code, so ``parent[i] <= i``, one ascending
     pass finds every root, and a root is its class's length-lex minimum.
     """
-    total = _word_count(alphabet, max_len)
+    if alphabet < 1 or max_len < 1:
+        raise ValueError("alphabet and length bound must be positive")
+    total = _word_count(alphabet, max_len, budget)
+    if total is None:
+        raise ValueError(f"the words of length at most {max_len} exceed the budget {budget}")
     if total > budget:
         raise ValueError(f"{total} words exceed the budget {budget}")
     # sizes[k] counts the words of length at most k
@@ -244,7 +258,7 @@ def stabilization(
     """Counts at L and L+1 with the agreement flag the CLI reports; the L+1
     figures are None when only that table is over the word budget."""
     count_here, reps = count_classes(sys, alphabet, max_len, budget)
-    words_next = _word_count(alphabet, max_len + 1)
+    words_next = _word_count(alphabet, max_len + 1, budget)
     count_next = None
     if words_next <= budget:
         count_next, _ = count_classes(sys, alphabet, max_len + 1, budget)

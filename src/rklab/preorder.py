@@ -10,13 +10,10 @@ elements are ruled out.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cardinal import CONTINUUM, OMEGA, ZERO, Card, card_eq, render
 from .report import Report, ReportBuilder
-
-WIDTH_CLASS_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -102,9 +99,6 @@ class QuotientPoset:
                 return ci
         raise ValueError(f"element {element} not in any class")
 
-    def as_preorder(self) -> Preorder:
-        return Preorder(self.size, self.leq)
-
     def minima(self) -> list[int]:
         return [
             i
@@ -181,7 +175,6 @@ def cones(p: Preorder, a: int) -> tuple[frozenset[int], frozenset[int]]:
 
 def height(p: Preorder) -> int:
     """Longest chain of pairwise non-equivalent elements (element count)."""
-    _require_closed(p)
     q = sim_quotient(p)
     k = q.size
     # minimal classes have the most successors; process them first
@@ -195,33 +188,37 @@ def height(p: Preorder) -> int:
 
 
 def width(p: Preorder) -> int:
-    """Maximum antichain of the quotient, exact branch-and-bound search."""
-    _require_closed(p)
+    """Maximum antichain of the quotient.
+
+    By Dilworth's theorem this is the fewest chains that cover the
+    quotient, which is its class count minus a maximum matching of the
+    pairs a < b (Fulkerson 1956): each class that no matched pair enters
+    starts one chain.  The matching grows by augmenting paths, searched
+    depth first on an explicit stack.
+    """
     q = sim_quotient(p)
     k = q.size
-    if k > WIDTH_CLASS_CAP:
-        raise ValueError(
-            f"width search capped at {WIDTH_CLASS_CAP} quotient classes, got {k}"
-        )
-    comparable = [
-        [a != b and (q.leq[a][b] or q.leq[b][a]) for b in range(k)] for a in range(k)
-    ]
-
-    best = 0
-
-    def extend(chosen: list[int], candidates: list[int]) -> None:
-        nonlocal best
-        if len(chosen) + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, len(chosen))
-            return
-        head, rest = candidates[0], candidates[1:]
-        extend(chosen + [head], [c for c in rest if not comparable[head][c]])
-        extend(chosen, rest)
-
-    extend([], list(range(k)))
-    return best
+    above = [[b for b in range(k) if b != a and q.leq[a][b]] for a in range(k)]
+    below = [-1] * k  # below[b] is the class matched to b, if any
+    for a in range(k):
+        seen = [False] * k
+        stack, via = [(a, iter(above[a]))], []
+        while stack:
+            u, options = stack[-1]
+            b = next((b for b in options if not seen[b]), None)
+            if b is None:
+                stack.pop()
+                del via[-1:]  # the b that led to the dead end, if any
+            elif below[b] < 0:
+                # flip the path: each stacked class takes the b it went through
+                for (v, _), c in zip(stack, via + [b]):
+                    below[c] = v
+                break
+            else:
+                seen[b] = True
+                via.append(b)
+                stack.append((below[b], iter(above[below[b]])))
+    return below.count(-1)
 
 
 def is_upward_directed(p: Preorder) -> bool:
@@ -331,33 +328,7 @@ def check_premodel(profile: PremodelProfile) -> Report:
     return report
 
 
-# -- helpers used by tests and the distribution round-trip -------------------
-
-def preorders_isomorphic(p: Preorder, q: Preorder) -> bool:
-    """Exhaustive isomorphism search; intended for small n."""
-    if p.n != q.n:
-        return False
-    _require_closed(p)
-    _require_closed(q)
-
-    def profile(r: Preorder, i: int) -> tuple[int, int]:
-        return (sum(r.rel[i]), sum(row[i] for row in r.rel))
-
-    pprof = [profile(p, i) for i in range(p.n)]
-    qprof = [profile(q, i) for i in range(q.n)]
-    if sorted(pprof) != sorted(qprof):
-        return False
-    for perm in itertools.permutations(range(q.n)):
-        if any(pprof[i] != qprof[perm[i]] for i in range(p.n)):
-            continue
-        if all(
-            p.rel[i][j] == q.rel[perm[i]][perm[j]]
-            for i in range(p.n)
-            for j in range(p.n)
-        ):
-            return True
-    return False
-
+# -- helpers used by tests and the demo script ------------------------------
 
 def random_preorder(rng, n: int, density: float = 0.3) -> Preorder:
     pairs = [

@@ -291,12 +291,14 @@ def classify_formula(ts: TypeSpace, phi: FormulaLit) -> FormulaClass:
     return FormulaClass.I
 
 
-def has_prime_model(ts: TypeSpace, budget: int = FORMULA_BUDGET) -> bool:
-    """Exhaustive check that no consistent formula is an ni-formula."""
-    return all(
-        classify_formula(ts, phi) is FormulaClass.I
-        for phi in enumerate_formulas(ts, budget)
-    )
+def has_prime_model(ts: TypeSpace) -> bool:
+    """Whether no consistent formula is an ni-formula, by the family rule.
+
+    iup has no isolated types.  A consistent sdup formula holds in a
+    stopped cell: ``cont:p`` and ``stop:p`` satisfy the same atoms.  Every
+    consistent colored formula is an i-formula (see ``classify_formula``).
+    """
+    return ts.family != "iup"
 
 
 # -- density ------------------------------------------------------------------
@@ -337,7 +339,7 @@ def is_dense(ts: TypeSpace, x: Iterable[Cell], depth: int) -> bool:
     return covers_all_formulas(space, members)
 
 
-def npl_zero_check(ts: TypeSpace, spec, depth: int, budget: int = FORMULA_BUDGET) -> bool:
+def npl_zero_check(ts: TypeSpace, spec, depth: int) -> bool:
     """Truncated rendering of the prime-or-limit criterion.
 
     True when every tuple over the realized cells extends, within the
@@ -352,9 +354,4 @@ def npl_zero_check(ts: TypeSpace, spec, depth: int, budget: int = FORMULA_BUDGET
     ):
         raise ValueError("model spec belongs to a different family")
     space = space_at(ts, depth)
-    support = spec.support()
-    all_i = all(
-        classify_formula(space, phi) is FormulaClass.I
-        for phi in enumerate_formulas(space, budget)
-    )
-    return all_i or not support
+    return has_prime_model(space) or not spec.support()

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Deliberately dumb implementations: exhaustive subset enumeration for
-chains and antichains, a saturating union-find over explicit word lists
-for the bounded congruence, and direct formula enumeration for density.
+chains and antichains, a permutation search for isomorphism, a
+saturating union-find over explicit word lists for the bounded
+congruence, and direct formula enumeration for density.
 They share no code with the library paths they certify.
 """
 from __future__ import annotations
@@ -44,6 +45,18 @@ def brute_width(rel) -> int:
             if ok:
                 best = max(best, size)
     return best
+
+
+def brute_isomorphic(rel_p, rel_q) -> bool:
+    """Whether some relabelling of the elements carries one relation onto
+    the other, by trying every permutation."""
+    n = len(rel_p)
+    if len(rel_q) != n:
+        return False
+    return any(
+        all(rel_p[i][j] == rel_q[perm[i]][perm[j]] for i in range(n) for j in range(n))
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def brute_congruence_count(instances, alphabet: int, max_len: int):

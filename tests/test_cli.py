@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rklab.cli import main
@@ -266,6 +268,40 @@ def test_limits_next_table_over_budget(capsys):
     code, out, err = run_cli(*argv[:-1], "9", capsys=capsys)
     assert code == 2 and out == ""
     assert err == "error: 349524 words exceed the budget 200000\n"
+
+
+def test_limits_long_bound_refused_quickly(capsys):
+    for length in ("100000", "3000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            "limits", "--system", "lmt", "--n", "1", "--alphabet", "2", "--len", length,
+            capsys=capsys,
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert err == f"error: the words of length at most {length} exceed the budget 200000\n"
+        assert elapsed < 0.5, f"--len {length} took {elapsed:.2f}s"
+
+
+def test_prime_model_past_formula_budget(capsys):
+    for argv, cells in (
+        (("--family", "sdup", "--depth", "3"), 23),
+        (("--family", "colored", "--m", "3", "--depth", "6"), 24),
+    ):
+        code, out, err = run_cli("types", *argv, "--prime", "--machine", capsys=capsys)
+        assert code == 0 and err == ""
+        assert out == f"cells={cells}\nprime_model=true\n"
+
+
+def test_preorder_width_past_twenty_classes(tmp_path, capsys):
+    # 24 classes: three 8-element chains, one of them with a 2-cycle on top
+    pairs = [(c * 8 + i, c * 8 + i + 1) for c in range(3) for i in range(7)]
+    pairs += [(23, 24), (24, 23)]
+    po = tmp_path / "wide.po"
+    po.write_text("elements: 25\n" + "".join(f"{a} <= {b}\n" for a, b in pairs))
+    code, out, err = run_cli("preorder", "--in", str(po), "--width", "--machine", capsys=capsys)
+    assert code == 0 and err == ""
+    assert out == "elements=25\nwidth=3\n"
 
 
 def test_preorder_cone_out_of_range(tmp_path, capsys):

@@ -31,7 +31,6 @@ from rklab.operators import pnode, verify_schemes
 from rklab.preorder import (
     close,
     from_pairs,
-    preorders_isomorphic,
     random_preorder,
     sim_quotient,
 )
@@ -232,7 +231,7 @@ def test_blueprint_example_shape():
     struct = replay_blueprint(bp, CFG)
     po = replayed_prime_preorder(struct, bp.predicates)
     assert po.le(0, 1) and not po.le(1, 0)
-    assert preorders_isomorphic(po, order)
+    assert po == order
 
 
 def test_replay_rejects_other_config():
@@ -279,7 +278,8 @@ def test_blueprint_round_trip_random():
         struct = replay_blueprint(bp, CFG)
         assert len(struct.universe) <= 200
         po = replayed_prime_preorder(struct, bp.predicates)
-        assert preorders_isomorphic(po, order)
+        assert po == order
+        assert sim_quotient(po) == q
         il = replayed_il(struct, spec)
         assert all(card_eq(il[k], v, ch=False) for k, v in f.items())
         for tag in ("icp", "css"):
@@ -301,9 +301,7 @@ def test_blueprint_partition_variants():
     flags = replayed_prime_flags(struct92, bp92.predicates)
     assert flags == {0: True, 1: False, 2: True}
     for struct, bp in ((struct91, bp91), (struct92, bp92)):
-        assert preorders_isomorphic(
-            replayed_prime_preorder(struct, bp.predicates), order
-        )
+        assert replayed_prime_preorder(struct, bp.predicates) == order
     ops91 = [s.op for s in bp91.operator_plan]
     ops92 = [s.op for s in bp92.operator_plan]
     assert ops91.index("css") < ops91.index("icp", 1)  # allocation before partition
@@ -319,9 +317,7 @@ def test_blueprint_sequence_mode():
     struct = replay_blueprint(bp, CFG)
     key = ">".join(pnode(f"P{i}") for i in (0, 1, 2))
     assert struct.registry.limit_targets[key] == fin(2)
-    assert preorders_isomorphic(
-        replayed_prime_preorder(struct, bp.predicates), order
-    )
+    assert replayed_prime_preorder(struct, bp.predicates) == order
 
 
 def test_limit_obligations_cross_module_rule():

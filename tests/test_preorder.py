@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_height, brute_width
+from oracles import brute_height, brute_isomorphic, brute_width
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
 from rklab.preorder import (
     ConeCase,
@@ -15,7 +15,6 @@ from rklab.preorder import (
     height,
     is_closed,
     is_upward_directed,
-    preorders_isomorphic,
     random_preorder,
     sim_quotient,
     width,
@@ -174,19 +173,38 @@ def test_cone_cases_match_exactly_one_shape():
 
 
 def test_preorders_isomorphic():
-    assert preorders_isomorphic(chain(3), close(from_pairs(3, [(2, 1), (1, 0)])))
-    assert not preorders_isomorphic(chain(3), antichain(3))
+    assert brute_isomorphic(chain(3).rel, close(from_pairs(3, [(2, 1), (1, 0)])).rel)
+    assert not brute_isomorphic(chain(3).rel, antichain(3).rel)
     cyc = close(from_pairs(2, [(0, 1), (1, 0)]))
-    assert not preorders_isomorphic(cyc, chain(2))
+    assert not brute_isomorphic(cyc.rel, chain(2).rel)
 
 
-def test_width_class_cap():
-    from rklab.preorder import WIDTH_CLASS_CAP
+def chains(*lengths):
+    """Disjoint union of chains of the given lengths."""
+    pairs, start = [], 0
+    for length in lengths:
+        pairs += [(i, i + 1) for i in range(start, start + length - 1)]
+        start += length
+    return close(from_pairs(start, pairs))
 
-    big = antichain(WIDTH_CLASS_CAP + 1)
-    with pytest.raises(ValueError):
-        width(big)
-    assert width(antichain(WIDTH_CLASS_CAP)) == WIDTH_CLASS_CAP
+
+def chain_product(m, n):
+    """Product order of an m-chain and an n-chain; element i*n + j is (i, j)."""
+    pairs = [(i * n + j, (i + 1) * n + j) for i in range(m - 1) for j in range(n)]
+    pairs += [(i * n + j, i * n + j + 1) for i in range(m) for j in range(n - 1)]
+    return close(from_pairs(m * n, pairs))
+
+
+def test_width_past_twenty_classes():
+    assert width(antichain(25)) == 25
+    for lengths in ((30,), (5,) * 7, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (3,) * 24):
+        assert width(chains(*lengths)) == len(lengths)
+    for m, n in ((1, 25), (5, 5), (4, 9), (9, 4), (6, 8)):
+        assert width(chain_product(m, n)) == min(m, n)
+    # equivalent elements collapse: 30 two-element cycles in one chain
+    cycles = [(2 * i, 2 * i + 1) for i in range(30)] + [(2 * i + 1, 2 * i) for i in range(30)]
+    links = [(2 * i, 2 * i + 2) for i in range(29)]
+    assert width(close(from_pairs(60, cycles + links))) == 1
 
 
 from hypothesis import given, settings

@@ -100,15 +100,26 @@ def test_prime_model_family_answers():
     assert has_prime_model(TypeSpace("iup", 6)) is False
     assert has_prime_model(TypeSpace("sdup", 2)) is True
     assert has_prime_model(TypeSpace("colored", 3, 3)) is True
+    # spaces past the formula budget get the same family answer
+    assert has_prime_model(TypeSpace("iup", 16)) is False
+    assert has_prime_model(TypeSpace("sdup", 3)) is True
+    assert has_prime_model(TypeSpace("colored", 6, 3)) is True
 
 
 def test_prime_model_agrees_with_exhaustive_classification():
-    for ts in (TypeSpace("iup", 4), TypeSpace("sdup", 2), TypeSpace("colored", 2, 2)):
+    # every space whose 3^atoms candidates fit the formula budget; the
+    # slowest take about 1.2 s each to enumerate and classify
+    spaces = (
+        [TypeSpace("iup", d) for d in range(1, 10)]
+        + [TypeSpace("sdup", d) for d in (1, 2)]
+        + [TypeSpace("colored", d, m) for m in range(1, 8) for d in range(1, 9 - m)]
+    )
+    for ts in spaces:
         exhaustive = all(
             classify_formula(ts, phi) is FormulaClass.I
             for phi in enumerate_formulas(ts)
         )
-        assert has_prime_model(ts) == exhaustive
+        assert has_prime_model(ts) == exhaustive, ts
 
 
 def test_dense_examples():
@@ -171,6 +182,8 @@ def test_npl_zero_check():
     assert npl_zero_check(colored, explicit(colored, finite_cells), 3) is True
     with pytest.raises(ValueError):
         npl_zero_check(sdup, full_base(iup), 2)
+    assert npl_zero_check(iup, full_base(iup), 12) is False
+    assert npl_zero_check(sdup, explicit(sdup, stopped), 4) is True
 
 
 def test_valid_cell():
