@@ -3,7 +3,8 @@
 Every subcommand reads the module file formats, prints a human-readable
 report by default and line-oriented ``key=value`` records under
 ``--machine``.  Exit status 0 means the analysis completed (violations
-are report content); 2 means an input failed to parse or validate.
+are report content); 2 means an input failed to parse or validate; 3
+means the analysis needs more than one of its budgets allows.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .preorder import (
     sim_quotient,
     width,
 )
+from .report import BudgetError
 from .typespace import (
     FormulaLit,
     TypeSpace,
@@ -403,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (formats.ParseError, ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetError) else 2
 
 
 if __name__ == "__main__":

@@ -44,10 +44,11 @@ from .domination import (
 from .operators import PipelineStep, StructSpec, pnode, run_pipeline
 from .preorder import (
     Preorder,
-    QuotientPoset,
     close,
     from_pairs,
+    induced,
     is_closed,
+    ranks,
     sim_quotient,
 )
 from .report import Report, ReportBuilder
@@ -243,7 +244,7 @@ class DistributionSpec:
                     if not (0 <= a < self.order.n):
                         raise ValueError(f"sequence entry {a} out of range")
                 for a, b in zip(key.entries, key.entries[1:]):
-                    if not self.order.rel[a][b]:
+                    if not self.order.le(a, b):
                         raise ValueError(f"sequence {key.render()} is not a chain")
         if self.partition is not None:
             labels = dict(self.partition)
@@ -401,7 +402,7 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
                 "sequences range over the non-least elements",
             )
             cofinal = all(
-                any(spec.order.rel[x][e] for e in key.entries)
+                any(spec.order.le(x, e) for e in key.entries)
                 for x in range(spec.order.n)
             )
             if cofinal:
@@ -497,23 +498,12 @@ def _components(order: Preorder) -> list[list[int]]:
         while queue:
             a = queue.pop()
             for b in range(n):
-                if not seen[b] and (order.rel[a][b] or order.rel[b][a]):
+                if not seen[b] and (order.le(a, b) or order.le(b, a)):
                     seen[b] = True
                     comp.append(b)
                     queue.append(b)
         comps.append(sorted(comp))
     return comps
-
-
-def _class_rank(q: QuotientPoset) -> list[int]:
-    k = q.size
-    order = sorted(range(k), key=lambda c: -sum(q.leq[c]))
-    rank = [0] * k
-    for c in order:
-        for d in range(k):
-            if d != c and q.leq[c][d]:
-                rank[d] = max(rank[d], rank[c] + 1)
-    return rank
 
 
 def build_blueprint(
@@ -543,7 +533,7 @@ def build_blueprint(
     m = order.n
     predicates = tuple(f"P{i}" for i in range(m))
     q = sim_quotient(order)
-    rank = _class_rank(q)
+    rank = ranks(q)
 
     q_edges: list[tuple[int, int, bool]] = []
     for members in q.classes:
@@ -615,7 +605,7 @@ def build_blueprint(
         maxima = [
             c
             for c in classes
-            if all(d == c or not q.leq[c][d] for d in classes)
+            if not any(d != c and q.le(c, d) for d in classes)
         ]
         comp_max_reps.append(sorted(min(q.classes[c]) for c in maxima))
     for a, b in itertools.combinations(range(len(comps)), 2):
@@ -678,16 +668,8 @@ def replay_blueprint(
 def replayed_prime_preorder(struct: StructSpec, predicates: tuple[str, ...]) -> Preorder:
     """The domination preorder on the parts' type nodes after replay."""
     g = struct.registry.to_domination_graph()
-    full = rk_preorder(g)
     idx = g.index()
-    wanted = [idx[pnode(p)] for p in predicates]
-    pairs = [
-        (a, b)
-        for a, ia in enumerate(wanted)
-        for b, ib in enumerate(wanted)
-        if full.rel[ia][ib]
-    ]
-    return close(from_pairs(len(wanted), pairs))
+    return induced(rk_preorder(g), [idx[pnode(p)] for p in predicates])
 
 
 def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[int], Card]:

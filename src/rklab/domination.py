@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preorder import Preorder, QuotientPoset, close, from_pairs, sim_quotient
+from .preorder import Preorder, QuotientPoset, close, from_pairs, induced, sim_quotient
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class DominationGraph:
 def rk_preorder(g: DominationGraph) -> Preorder:
     """Closure of the certificates, in <= orientation over g.nodes order.
 
-    rel[p][q] holds when p is dominated by q.
+    ``le(p, q)`` holds when p is dominated by q.
     """
     idx = g.index()
     pairs = [(idx[e.dst], idx[e.src]) for e in g.edges]
@@ -98,7 +98,7 @@ def strong_equiv(g: DominationGraph, p: str, q: str) -> bool:
     if p == q:
         return True
     pc = _principal_closure(g)
-    return pc.rel[idx[p]][idx[q]] and pc.rel[idx[q]][idx[p]]
+    return pc.sim(idx[p], idx[q])
 
 
 def iso_classes(g: DominationGraph) -> list[frozenset[str]]:
@@ -115,7 +115,7 @@ def iso_classes(g: DominationGraph) -> list[frozenset[str]]:
             other
             for other in prime
             if other == name
-            or (pc.rel[idx[name]][idx[other]] and pc.rel[idx[other]][idx[name]])
+            or pc.sim(idx[name], idx[other])
         )
         seen |= members
         out.append(members)
@@ -133,17 +133,9 @@ def rk_structure(g: DominationGraph) -> QuotientPoset:
     nodes land in one class (strong equivalence refines mutual
     domination), and the induced order is a partial order.
     """
-    prime = prime_node_order(g)
     idx = g.index()
     order = rk_preorder(g)
-    sub_pairs = [
-        (a, b)
-        for a, pa in enumerate(prime)
-        for b, pb in enumerate(prime)
-        if order.rel[idx[pa]][idx[pb]]
-    ]
-    sub = close(from_pairs(len(prime), sub_pairs))
-    return sim_quotient(sub)
+    return sim_quotient(induced(order, [idx[name] for name in prime_node_order(g)]))
 
 
 def rk_size(g: DominationGraph) -> int:

@@ -25,6 +25,7 @@ from operator import eq
 from typing import Iterator
 
 from .cardinal import CONTINUUM, Card, render
+from .report import BudgetError
 
 Word = tuple[int, ...]
 
@@ -192,9 +193,9 @@ def _class_table(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) 
         raise ValueError("alphabet and length bound must be positive")
     total = _word_count(alphabet, max_len, budget)
     if total is None:
-        raise ValueError(f"the words of length at most {max_len} exceed the budget {budget}")
+        raise BudgetError(f"the words of length at most {max_len} exceed the budget {budget}")
     if total > budget:
-        raise ValueError(f"{total} words exceed the budget {budget}")
+        raise BudgetError(f"{total} words exceed the budget {budget}")
     # sizes[k] counts the words of length at most k
     sizes = list(itertools.accumulate((alphabet**k for k in range(1, max_len + 1)), initial=0))
     new_pairs: list[list[tuple[int, int]]] = [[] for _ in sizes]

@@ -199,7 +199,7 @@ def sequence_respects_graph(seq: RkSequence, graph, names: Sequence[str]) -> boo
         if name not in index:
             return False
     return all(
-        order.rel[index[rendered[i]]][index[rendered[i + 1]]]
+        order.le(index[rendered[i]], index[rendered[i + 1]])
         for i in range(len(rendered) - 1)
     )
 

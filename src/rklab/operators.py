@@ -14,7 +14,9 @@ or a sequence, and the fact that the linking relations never
 semi-isolate backwards.
 
 ``run_pipeline`` is the one interpreter of operator pipelines, whether
-they come from a pipeline file or from a blueprint builder.
+they come from a pipeline file or from a blueprint builder.  It grows
+one working structure through the operator cores (``_icp`` and the
+rest), which each public operator runs on a thawed copy of its spec.
 """
 from __future__ import annotations
 
@@ -68,29 +70,6 @@ class Registry:
     edges: tuple[RegEdge, ...] = ()
     limit_targets: dict[str, Card] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-
-    def with_node(self, node: RegNode) -> "Registry":
-        nodes = dict(self.nodes)
-        nodes[node.name] = node
-        return replace(self, nodes=nodes)
-
-    def update_node(self, name: str, **changes) -> "Registry":
-        if name not in self.nodes:
-            raise KeyError(f"no registry node {name!r}")
-        return self.with_node(replace(self.nodes[name], **changes))
-
-    def with_edge(self, edge: RegEdge) -> "Registry":
-        if edge in self.edges:
-            return self
-        return replace(self, edges=self.edges + (edge,))
-
-    def with_target(self, key: str, value: Card) -> "Registry":
-        targets = dict(self.limit_targets)
-        targets[key] = value
-        return replace(self, limit_targets=targets)
-
-    def with_note(self, note: str) -> "Registry":
-        return replace(self, notes=self.notes + (note,))
 
     def stubs_of(self, p: str) -> list[RegNode]:
         return sorted(
@@ -156,6 +135,62 @@ class StructSpec:
         return self.coloring[el]
 
 
+class _Work:
+    """The one mutable structure an operator pipeline grows.
+
+    A pipeline thaws it once from the colored base; the operator cores
+    grow it in place, each checking only the names it adds, and it is
+    frozen into a validated ``StructSpec`` once, at the end.  It
+    answers ``extent``, ``color``, ``binary``, ``ternary`` and
+    ``history`` as a spec does, so the scheme verifiers read either.
+    """
+
+    extent = StructSpec.extent
+    color = StructSpec.color
+
+    def __init__(self, spec: StructSpec) -> None:
+        self.universe = list(spec.universe)
+        self.names = set(spec.universe)
+        self.unary = dict(spec.unary)
+        self.coloring = dict(spec.coloring)
+        self.binary = dict(spec.binary)
+        self.ternary = dict(spec.ternary)
+        self.nodes: dict[str, RegNode] = {}
+        self.stubs: dict[str, dict[str, None]] = {}  # stub_of -> stub names
+        for node in spec.registry.nodes.values():
+            self.put_node(node)
+        self.edges = dict.fromkeys(spec.registry.edges)  # an insertion-ordered set
+        self.targets = dict(spec.registry.limit_targets)
+        self.notes = list(spec.registry.notes)
+        self.history = list(spec.history)
+
+    def add_elements(self, names: list[str], kind: str) -> None:
+        if not self.names.isdisjoint(names):
+            raise ValueError(f"fresh {kind} elements collide with the universe")
+        self.names.update(names)
+        self.universe.extend(names)
+
+    def put_node(self, node: RegNode) -> None:
+        self.nodes[node.name] = node
+        if node.stub_of is not None:
+            self.stubs.setdefault(node.stub_of, {})[node.name] = None
+
+    def set_node(self, name: str, **changes) -> None:
+        """Apply ``changes`` to the named node, created bare if it is new."""
+        node = self.nodes.get(name) or RegNode(name)
+        self.put_node(replace(node, **changes) if changes else node)
+
+    def stubs_of(self, p: str) -> list[str]:
+        return sorted(self.stubs.get(p, ()))
+
+    def freeze(self) -> StructSpec:
+        registry = Registry(self.nodes, tuple(self.edges), self.targets, tuple(self.notes))
+        return StructSpec(
+            tuple(self.universe), self.unary, self.coloring, self.binary,
+            self.ternary, registry, tuple(self.history),
+        )
+
+
 def colored_base(
     parts: int,
     colors: int,
@@ -176,7 +211,7 @@ def colored_base(
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
-    registry = Registry()
+    nodes: dict[str, RegNode] = {}
     for i in range(parts):
         extent: list[str] = []
         for c in range(colors):
@@ -189,8 +224,9 @@ def colored_base(
         coloring[el] = None
         universe.extend(extent)
         unary[f"P{i}"] = tuple(extent)
-        registry = registry.with_node(RegNode(pnode(f"P{i}"), prime=True))
+        nodes[pnode(f"P{i}")] = RegNode(pnode(f"P{i}"), prime=True)
     binary: dict[str, tuple[tuple[str, str], ...]] = {}
+    edges: dict[RegEdge, None] = {}  # an insertion-ordered set
     for low, high, principal in q_edges:
         if not (0 <= low < parts and 0 <= high < parts) or low == high:
             raise ValueError(f"bad q edge ({low},{high})")
@@ -203,9 +239,8 @@ def colored_base(
                 pairs.append((x, y))
         pairs.append((f"a{low}inf", f"a{high}inf"))
         binary[qname] = tuple(pairs)
-        registry = registry.with_edge(
-            RegEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal)
-        )
+        edges[RegEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal)] = None
+    registry = Registry(nodes, tuple(edges))
     return StructSpec(tuple(universe), unary, coloring, binary, {}, registry)
 
 
@@ -237,13 +272,13 @@ def _eff_color(c: Color, depth: int) -> int:
     return depth if c is None else c
 
 
-def icp_need(spec: StructSpec, sub: str, depth: int, fan_out: int) -> int:
+def icp_need(spec: StructSpec | _Work, sub: str, depth: int, fan_out: int) -> int:
     return sum(
         (2 ** _eff_color(spec.color(x), depth)) * fan_out for x in spec.extent(sub)
     )
 
 
-def bu_need(spec: StructSpec, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
+def bu_need(spec: StructSpec | _Work, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
     total = 0
     for x1 in spec.extent(sub1):
         for x2 in spec.extent(sub2):
@@ -256,7 +291,7 @@ def bu_need(spec: StructSpec, sub1: str, sub2: str, depth: int, fan_out: int) ->
     return total
 
 
-def _check_colored_extent(spec: StructSpec, sub: str, ceiling: int) -> None:
+def _check_colored_extent(spec: StructSpec | _Work, sub: str, ceiling: int) -> None:
     extent = spec.extent(sub)
     if not extent:
         raise ValueError(f"{sub} has an empty extent")
@@ -288,21 +323,26 @@ def icp(
     over the substructure's non-principal type, and registers one
     continuation stub per depth-length bit string.
     """
+    w = _Work(spec)
+    _icp(w, sub, fresh_y, depth, fan_out, seed)
+    return w.freeze()
+
+
+def _icp(w: _Work, sub: str, fresh_y: int, depth: int, fan_out: int, seed: int = 0) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
-    _check_colored_extent(spec, sub, depth)
-    need = icp_need(spec, sub, depth, fan_out)
+    _check_colored_extent(w, sub, depth)
+    need = icp_need(w, sub, depth, fan_out)
     if fresh_y < need:
         raise ValueError(f"Y of size {fresh_y} cannot honor the splits, need {need}")
-    app = len(spec.history)
+    app = len(w.history)
     ys = [f"Y{app}s{seed}_{k}" for k in range(fresh_y)]
-    if set(ys) & set(spec.universe):
-        raise ValueError("fresh Y elements collide with the universe")
+    w.add_elements(ys, "Y")
     rels = [f"{sub}.icp{app}.R{i}" for i in range(depth + 1)]
     tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}
     cursor = 0
-    for x in sorted(spec.extent(sub)):
-        eff = _eff_color(spec.color(x), depth)
+    for x in sorted(w.extent(sub)):
+        eff = _eff_color(w.color(x), depth)
         for block in range(2**eff):
             bits = [(block >> (i - 1)) & 1 for i in range(1, eff + 1)]
             for _ in range(fan_out):
@@ -312,39 +352,18 @@ def icp(
                 for i in range(1, eff + 1):
                     if bits[i - 1]:
                         tuples[rels[i]].append((x, y))
-    binary = dict(spec.binary)
     for r in rels:
-        binary[r] = tuple(tuples[r])
+        w.binary[r] = tuple(tuples[r])
     p = pnode(sub)
-    registry = spec.registry
-    if p not in registry.nodes:
-        registry = registry.with_node(RegNode(p))
-    registry = registry.update_node(p, prime=False)
+    w.set_node(p, prime=False)
     for bits in itertools.product("01", repeat=depth):
         b = "".join(bits)
-        registry = registry.with_node(
-            RegNode(stub_name(sub, b), stub_of=p, stub_bits=b)
-        )
-    registry = registry.with_note(f"icp on {sub}: no prime model over {p}")
-    record = OpRecord(
-        "icp",
-        {
-            "sub": sub,
-            "depth": depth,
-            "fan_out": fan_out,
-            "rels": tuple(rels),
-            "ys": tuple(ys),
-            "seed": seed,
-        },
-    )
-    return replace(
-        spec,
-        universe=spec.universe + tuple(ys),
-        binary=binary,
-        coloring=dict(spec.coloring),
-        registry=registry,
-        history=spec.history + (record,),
-    )
+        w.put_node(RegNode(stub_name(sub, b), stub_of=p, stub_bits=b))
+    w.notes.append(f"icp on {sub}: no prime model over {p}")
+    w.history.append(OpRecord("icp", {
+        "sub": sub, "depth": depth, "fan_out": fan_out,
+        "rels": tuple(rels), "ys": tuple(ys), "seed": seed,
+    }))
 
 
 def css(
@@ -364,11 +383,19 @@ def css(
     the selected stubs.  With ``linked`` set, the allocation is recorded
     as tied to the type (the downward-ban reading of the same operator).
     """
+    w = _Work(spec)
+    _css(w, q_subset, sub, fan_out, seed, linked)
+    return w.freeze()
+
+
+def _css(
+    w: _Work, q_subset: Sequence[str], sub: str, fan_out: int, seed: int = 0, linked: bool = False
+) -> None:
     if not q_subset:
         raise ValueError("q_subset must be nonempty")
     stubs = []
     for name in q_subset:
-        node = spec.registry.nodes.get(name)
+        node = w.nodes.get(name)
         if node is None or node.stub_of is None:
             raise ValueError(f"{name!r} is not a continuation stub")
         stubs.append(node)
@@ -376,61 +403,41 @@ def css(
     if len(depths) != 1:
         raise ValueError("stubs come from different split depths")
     ceiling = depths.pop()
-    _check_colored_extent(spec, sub, ceiling)
-    app = len(spec.history)
+    _check_colored_extent(w, sub, ceiling)
+    app = len(w.history)
     rels = [f"{sub}.css{app}.R{j}" for j in range(len(stubs))]
-    universe = list(spec.universe)
-    coloring = dict(spec.coloring)
     tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}
-    fresh = 0
+    fresh: list[str] = []
+    colors: list[Color] = []
     for j, _stub in enumerate(stubs):
-        for x in sorted(spec.extent(sub)):
-            c = spec.color(x)
+        for x in sorted(w.extent(sub)):
+            c = w.color(x)
             targets: list[Color]
             if c is None:
                 targets = [None] * fan_out
             else:
                 targets = [k for k in range(c, ceiling + 1) for _ in range(fan_out)]
             for tcol in targets:
-                t = f"T{app}s{seed}_{fresh}"
-                fresh += 1
-                universe.append(t)
-                coloring[t] = tcol
+                t = f"T{app}s{seed}_{len(fresh)}"
+                fresh.append(t)
+                colors.append(tcol)
                 tuples[rels[j]].append((x, t))
-    binary = dict(spec.binary)
+    w.add_elements(fresh, "T")
+    w.coloring.update(zip(fresh, colors))
     for r in rels:
-        binary[r] = tuple(tuples[r])
+        w.binary[r] = tuple(tuples[r])
     p = pnode(sub)
-    registry = spec.registry
-    if p not in registry.nodes:
-        registry = registry.with_node(RegNode(p))
-    registry = registry.update_node(p, prime=True)
+    w.set_node(p, prime=True)
     for node in stubs:
-        registry = registry.update_node(node.name, realized=True)
+        w.set_node(node.name, realized=True)
     msg = f"css on {sub}: prime model over {p} realizes exactly {len(stubs)} stubs"
     if linked:
         msg += " (linked: removing a realized stub removes the type)"
-    registry = registry.with_note(msg)
-    record = OpRecord(
-        "css",
-        {
-            "sub": sub,
-            "stubs": tuple(n.name for n in stubs),
-            "rels": tuple(rels),
-            "ceiling": ceiling,
-            "fan_out": fan_out,
-            "linked": linked,
-            "seed": seed,
-        },
-    )
-    return replace(
-        spec,
-        universe=tuple(universe),
-        coloring=coloring,
-        binary=binary,
-        registry=registry,
-        history=spec.history + (record,),
-    )
+    w.notes.append(msg)
+    w.history.append(OpRecord("css", {
+        "sub": sub, "stubs": tuple(n.name for n in stubs), "rels": tuple(rels),
+        "ceiling": ceiling, "fan_out": fan_out, "linked": linked, "seed": seed,
+    }))
 
 
 def bu(
@@ -449,26 +456,33 @@ def bu(
     non-principal types lose their prime models while the two types
     themselves keep their flags.
     """
+    w = _Work(spec)
+    _bu(w, sub1, sub2, fresh_z, depth, fan_out, seed)
+    return w.freeze()
+
+
+def _bu(
+    w: _Work, sub1: str, sub2: str, fresh_z: int, depth: int, fan_out: int, seed: int = 0
+) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
-    ext1, ext2 = spec.extent(sub1), spec.extent(sub2)
+    ext1, ext2 = w.extent(sub1), w.extent(sub2)
     if set(ext1) & set(ext2):
         raise ValueError(f"{sub1} and {sub2} overlap")
-    _check_colored_extent(spec, sub1, depth)
-    _check_colored_extent(spec, sub2, depth)
-    need = bu_need(spec, sub1, sub2, depth, fan_out)
+    _check_colored_extent(w, sub1, depth)
+    _check_colored_extent(w, sub2, depth)
+    need = bu_need(w, sub1, sub2, depth, fan_out)
     if fresh_z < need:
         raise ValueError(f"Z of size {fresh_z} cannot honor the splits, need {need}")
-    app = len(spec.history)
+    app = len(w.history)
     zs = [f"Z{app}s{seed}_{k}" for k in range(fresh_z)]
-    if set(zs) & set(spec.universe):
-        raise ValueError("fresh Z elements collide with the universe")
+    w.add_elements(zs, "Z")
     rels = [f"{sub1}*{sub2}.bu{app}.R{i}" for i in range(depth + 1)]
     tuples: dict[str, list[tuple[str, str, str]]] = {r: [] for r in rels}
     cursor = 0
     for x1 in sorted(ext1):
         for x2 in sorted(ext2):
-            c1, c2 = spec.color(x1), spec.color(x2)
+            c1, c2 = w.color(x1), w.color(x2)
             if c1 is None and c2 is None:
                 eff = depth
             else:
@@ -482,40 +496,20 @@ def bu(
                     for i in range(1, eff + 1):
                         if bits[i - 1]:
                             tuples[rels[i]].append((x1, x2, z))
-    ternary = dict(spec.ternary)
     for r in rels:
-        ternary[r] = tuple(tuples[r])
+        w.ternary[r] = tuple(tuples[r])
     p1, p2 = pnode(sub1), pnode(sub2)
-    registry = spec.registry
     for p in (p1, p2):
-        if p not in registry.nodes:
-            registry = registry.with_node(RegNode(p))
+        w.set_node(p)
     joint = joint_name(p1, p2)
-    registry = registry.with_node(RegNode(joint, prime=False))
-    registry = registry.with_edge(RegEdge(joint, p1, "x=y1", principal=True))
-    registry = registry.with_edge(RegEdge(joint, p2, "x=y2", principal=True))
-    registry = registry.with_note(
-        f"bu on {sub1},{sub2}: no prime models over joint types {joint}"
-    )
-    record = OpRecord(
-        "bu",
-        {
-            "sub1": sub1,
-            "sub2": sub2,
-            "depth": depth,
-            "fan_out": fan_out,
-            "rels": tuple(rels),
-            "zs": tuple(zs),
-            "seed": seed,
-        },
-    )
-    return replace(
-        spec,
-        universe=spec.universe + tuple(zs),
-        ternary=ternary,
-        registry=registry,
-        history=spec.history + (record,),
-    )
+    w.put_node(RegNode(joint, prime=False))
+    w.edges[RegEdge(joint, p1, "x=y1", principal=True)] = None
+    w.edges[RegEdge(joint, p2, "x=y2", principal=True)] = None
+    w.notes.append(f"bu on {sub1},{sub2}: no prime models over joint types {joint}")
+    w.history.append(OpRecord("bu", {
+        "sub1": sub1, "sub2": sub2, "depth": depth, "fan_out": fan_out,
+        "rels": tuple(rels), "zs": tuple(zs), "seed": seed,
+    }))
 
 
 # -- limit-model operators ----------------------------------------------------
@@ -586,24 +580,20 @@ def apply_lmt(
     identities); finite and countable targets carry the corresponding
     identity system.
     """
-    if card_eq(lam, CONTINUUM, ch=False):
-        system = FREE_SYSTEM
-    else:
-        system = lmt(lam)
-    registry = spec.registry
-    if p not in registry.nodes:
-        registry = registry.with_node(RegNode(p))
-    registry = registry.with_target(p, lam)
-    registry = registry.with_note(
+    w = _Work(spec)
+    system = _apply_lmt(w, p, lam, reading)
+    return w.freeze(), system
+
+
+def _apply_lmt(w: _Work, p: str, lam: Card, reading: str = "gt") -> IdentitySystem:
+    system = FREE_SYSTEM if card_eq(lam, CONTINUUM, ch=False) else lmt(lam)
+    w.set_node(p)
+    w.targets[p] = lam
+    w.notes.append(
         f"lmt over {p}: linking relations entail the type and never semi-isolate back"
     )
-    record = OpRecord(
-        "lmt", {"node": p, "lam": render(lam), "reading": reading}
-    )
-    return (
-        replace(spec, registry=registry, history=spec.history + (record,)),
-        system,
-    )
+    w.history.append(OpRecord("lmt", {"node": p, "lam": render(lam), "reading": reading}))
+    return system
 
 
 def seq_key(nodes: Sequence[str]) -> str:
@@ -613,28 +603,24 @@ def seq_key(nodes: Sequence[str]) -> str:
 def apply_lms(
     spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = "gt"
 ) -> tuple[StructSpec, IdentitySystem]:
+    w = _Work(spec)
+    system = _apply_lms(w, nodes, lam, reading)
+    return w.freeze(), system
+
+
+def _apply_lms(w: _Work, nodes: Sequence[str], lam: Card, reading: str = "gt") -> IdentitySystem:
     if not nodes:
         raise ValueError("sequence must be nonempty")
-    if card_eq(lam, CONTINUUM, ch=False):
-        system = FREE_SYSTEM
-    else:
-        system = lms(len(nodes), lam, reading)
-    registry = spec.registry
+    system = FREE_SYSTEM if card_eq(lam, CONTINUUM, ch=False) else lms(len(nodes), lam, reading)
     for p in nodes:
-        if p not in registry.nodes:
-            registry = registry.with_node(RegNode(p))
+        w.set_node(p)
     key = seq_key(nodes)
-    registry = registry.with_target(key, lam)
-    registry = registry.with_note(
+    w.targets[key] = lam
+    w.notes.append(
         f"lms over {key}: linking relations step down the sequence, never semi-isolating back"
     )
-    record = OpRecord(
-        "lms", {"nodes": tuple(nodes), "lam": render(lam), "reading": reading}
-    )
-    return (
-        replace(spec, registry=registry, history=spec.history + (record,)),
-        system,
-    )
+    w.history.append(OpRecord("lms", {"nodes": tuple(nodes), "lam": render(lam), "reading": reading}))
+    return system
 
 
 # -- ground scheme verification -----------------------------------------------
@@ -653,7 +639,7 @@ def _triple_index(triples: Iterable[tuple[str, str, str]]) -> dict[tuple[str, st
     return out
 
 
-def _verify_icp(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     sub = params["sub"]
     depth = params["depth"]
     fan_out = params["fan_out"]
@@ -700,7 +686,7 @@ def _verify_icp(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) 
     rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
 
 
-def _verify_css(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+def _verify_css(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     sub = params["sub"]
     ceiling = params["ceiling"]
     fan_out = params["fan_out"]
@@ -733,7 +719,7 @@ def _verify_css(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) 
     rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
 
 
-def _verify_bu(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     sub1, sub2 = params["sub1"], params["sub2"]
     depth = params["depth"]
     fan_out = params["fan_out"]
@@ -785,7 +771,7 @@ def _verify_bu(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -
 _VERIFIERS = {"icp": _verify_icp, "css": _verify_css, "bu": _verify_bu}
 
 
-def _verify_record(spec: StructSpec, rb: ReportBuilder, index: int) -> None:
+def _verify_record(spec: StructSpec | _Work, rb: ReportBuilder, index: int) -> None:
     """Add the ground checks of the history record at ``index`` to ``rb``."""
     rec = spec.history[index]
     tag = f"app{index}"
@@ -829,7 +815,8 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
     ``fan`` defaults to 2, ``depth`` to 1, and ``y``/``z`` to the least
     size that honors the splits; ``bd`` is ``css`` with ``linked=true``.
     With ``check`` set, each icp/css/bu record is verified as soon as it
-    is applied, and a violation raises ``ValueError``.
+    is applied, and a violation raises ``ValueError``.  One working
+    structure carries every step, so each step costs what it adds.
     """
     base: dict[str, str] | None = None
     qedges: list[tuple[int, int, bool]] = []
@@ -843,9 +830,9 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
             )
     if base is None:
         raise ValueError("pipeline needs a 'base' line")
-    spec = colored_base(
+    w = _Work(colored_base(
         int(base["parts"]), int(base["colors"]), int(base.get("per_color", "1")), qedges
-    )
+    ))
     for step in steps:
         if step.op in ("base", "qedge"):
             continue
@@ -854,35 +841,33 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
         depth = int(a.get("depth", "1"))
         if step.op == "icp":
             y = a.get("y", "auto")
-            need = icp_need(spec, a["sub"], depth, fan)
-            spec = icp(spec, a["sub"], need if y == "auto" else int(y), depth, fan)
+            need = icp_need(w, a["sub"], depth, fan)
+            _icp(w, a["sub"], need if y == "auto" else int(y), depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
-                stubs = [n.name for n in spec.registry.stubs_of(pnode(a["source"]))]
+                stubs = w.stubs_of(pnode(a["source"]))
             else:
                 stubs = a["stubs"].split(",")
-            linked = step.op == "bd" or a.get("linked") == "true"
-            spec = css(spec, stubs, a["sub"], fan, linked=linked)
+            _css(w, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
         elif step.op == "bu":
             z = a.get("z", "auto")
-            need = bu_need(spec, a["sub1"], a["sub2"], depth, fan)
-            spec = bu(spec, a["sub1"], a["sub2"], need if z == "auto" else int(z), depth, fan)
+            need = bu_need(w, a["sub1"], a["sub2"], depth, fan)
+            _bu(w, a["sub1"], a["sub2"], need if z == "auto" else int(z), depth, fan)
         elif step.op == "lmt":
-            spec, _ = apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+            _apply_lmt(w, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "lms":
-            nodes = a["nodes"].split(",")
-            spec, _ = apply_lms(spec, nodes, parse_card(a["lam"]), a.get("reading", "gt"))
+            _apply_lms(w, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "note":
-            spec = replace(spec, registry=spec.registry.with_note(a.get("text", "")))
+            w.notes.append(a.get("text", ""))
             continue
         else:
             raise ValueError(f"unknown pipeline step {step.op!r}")
-        rec = spec.history[-1]
+        rec = w.history[-1]
         if check and rec.op in _VERIFIERS:
             # steps only append new relations, elements and colors: earlier records cannot change
             rb = ReportBuilder(f"schemes:{rec.op}")
-            _verify_record(spec, rb, len(spec.history) - 1)
+            _verify_record(w, rb, len(w.history) - 1)
             bad = ", ".join(e.code for e in rb.done().violations())
             if bad:
                 raise ValueError(f"scheme violation after {rec.op}: {bad}")
-    return spec
+    return w.freeze()

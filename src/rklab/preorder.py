@@ -1,6 +1,8 @@
 """Finite preorders, their quotient posets, and the premodel axiom checker.
 
-A preorder is an n x n boolean relation; ``close`` takes the
+A preorder on 0..n-1 is stored as bitset rows: bit j of ``rows[i]``
+says i <= j for j != i, and the diagonal is the one mask ``loops``, so
+memory grows with the pairs present, not with n^2.  ``close`` takes the
 reflexive-transitive closure and everything downstream requires closed
 input.  The quotient identifies mutually related elements (the strongly
 connected components of the relation) and is always a genuine partial
@@ -16,64 +18,98 @@ from .cardinal import CONTINUUM, OMEGA, ZERO, Card, card_eq, render
 from .report import Report, ReportBuilder
 
 
+def _bits(x: int) -> list[int]:
+    """The positions of the set bits of ``x``, ascending."""
+    s = bin(x)[:1:-1]
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
+
+
+def _mask(positions) -> int:
+    """The int whose set bits are ``positions``, built in linear time."""
+    positions = list(positions)
+    buf = bytearray(max(positions, default=-1) // 8 + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 @dataclass(frozen=True)
 class Preorder:
     n: int
-    rel: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
+    loops: int
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative element count")
-        if len(self.rel) != self.n or any(len(r) != self.n for r in self.rel):
+        if len(self.rows) != self.n or any(
+            r >> self.n or r >> i & 1 for i, r in enumerate(self.rows)
+        ) or self.loops >> self.n:
             raise ValueError("relation shape does not match element count")
 
     def le(self, i: int, j: int) -> bool:
-        return self.rel[i][j]
+        return bool((self.rows[i] >> j if i != j else self.loops >> i) & 1)
 
     def sim(self, i: int, j: int) -> bool:
-        return self.rel[i][j] and self.rel[j][i]
+        return self.le(i, j) and self.le(j, i)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(self.n) if self.rel[i][j]]
+        loops = set(_bits(self.loops))
+        return [
+            (i, j)
+            for i, row in enumerate(self.rows)
+            for j in sorted(_bits(row) + [i] * (i in loops))
+        ]
 
 
 def from_pairs(n: int, pairs) -> Preorder:
-    rel = [[False] * n for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    loops = []
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"pair ({i},{j}) out of range for {n} elements")
-        rel[i][j] = True
-    return Preorder(n, tuple(tuple(r) for r in rel))
+        if i == j:
+            loops.append(i)
+        else:
+            succ[i].append(j)
+    return Preorder(n, tuple(_mask(js) for js in succ), _mask(loops))
 
 
 def close(p: Preorder) -> Preorder:
-    """Reflexive-transitive closure (Warshall); idempotent."""
-    rel = [list(row) for row in p.rel]
-    n = p.n
-    for i in range(n):
-        rel[i][i] = True
-    for k in range(n):
-        rk = rel[k]
-        for i in range(n):
-            if rel[i][k]:
-                ri = rel[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return Preorder(n, tuple(tuple(r) for r in rel))
+    """Reflexive-transitive closure; idempotent.
+
+    Each row grows breadth first: the rows of the elements it newly
+    reaches are ORed in until it reaches nothing new.
+    """
+    rows = list(p.rows)
+    for i, row in enumerate(rows):
+        reach = frontier = row
+        while frontier:
+            new = 0
+            for j in _bits(frontier):
+                new |= rows[j]
+            frontier = new & ~reach
+            reach |= new
+        rows[i] = reach ^ 1 << i if reach >> i & 1 else reach
+    return Preorder(p.n, tuple(rows), (1 << p.n) - 1)
 
 
 def is_closed(p: Preorder) -> bool:
-    n = p.n
-    for i in range(n):
-        if not p.rel[i][i]:
+    if p.loops != (1 << p.n) - 1:
+        return False
+    rows = p.rows
+    for i, row in enumerate(rows):
+        reached = 0
+        for j in _bits(row):
+            reached |= rows[j]
+        extra = reached & ~row  # i itself may appear, through i <= j <= i
+        if extra and (extra & (extra - 1) or extra.bit_length() != i + 1):
             return False
-    for i in range(n):
-        for k in range(n):
-            if p.rel[i][k]:
-                for j in range(n):
-                    if p.rel[k][j] and not p.rel[i][j]:
-                        return False
     return True
 
 
@@ -82,16 +118,34 @@ def _require_closed(p: Preorder) -> None:
         raise ValueError("preorder must be reflexively and transitively closed")
 
 
+def induced(p: Preorder, elements: list[int]) -> Preorder:
+    """The relation restricted to ``elements``, renumbered in list order."""
+    pos = {e: a for a, e in enumerate(elements)}
+    rows = tuple(
+        _mask(pos[j] for j in _bits(p.rows[e]) if j in pos) for e in elements
+    )
+    return Preorder(
+        len(elements), rows, _mask(a for a, e in enumerate(elements) if p.loops >> e & 1)
+    )
+
+
 @dataclass(frozen=True)
 class QuotientPoset:
-    """Partition into mutual-domination classes plus the induced order."""
+    """Partition into mutual-domination classes plus the induced order.
+
+    Bit b of ``above[a]`` says class a lies strictly below class b; the
+    order is reflexive, so the diagonal is not stored.
+    """
 
     classes: tuple[tuple[int, ...], ...]
-    leq: tuple[tuple[bool, ...], ...]
+    above: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.classes)
+
+    def le(self, a: int, b: int) -> bool:
+        return a == b or bool(self.above[a] >> b & 1)
 
     def class_of(self, element: int) -> int:
         for ci, members in enumerate(self.classes):
@@ -100,91 +154,78 @@ class QuotientPoset:
         raise ValueError(f"element {element} not in any class")
 
     def minima(self) -> list[int]:
-        return [
-            i
-            for i in range(self.size)
-            if all(i == j or not self.leq[j][i] for j in range(self.size))
-        ]
+        covered = 0
+        for row in self.above:
+            covered |= row
+        return [i for i in range(self.size) if not covered >> i & 1]
 
     def maxima(self) -> list[int]:
-        return [
-            i
-            for i in range(self.size)
-            if all(i == j or not self.leq[i][j] for j in range(self.size))
-        ]
+        return [i for i, row in enumerate(self.above) if not row]
 
     def least(self) -> int | None:
-        for i in range(self.size):
-            if all(self.leq[i][j] for j in range(self.size)):
-                return i
-        return None
+        # every class lies above some minimal one, so a sole minimum is least
+        minima = self.minima()
+        return minima[0] if len(minima) == 1 else None
 
     def greatest(self) -> int | None:
-        for i in range(self.size):
-            if all(self.leq[j][i] for j in range(self.size)):
-                return i
-        return None
+        maxima = self.maxima()
+        return maxima[0] if len(maxima) == 1 else None
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a < b and nothing strictly between."""
         out = []
-        k = self.size
-        for a in range(k):
-            for b in range(k):
-                if a == b or not self.leq[a][b]:
-                    continue
-                between = any(
-                    c not in (a, b) and self.leq[a][c] and self.leq[c][b]
-                    for c in range(k)
-                )
-                if not between:
-                    out.append((a, b))
+        for a, row in enumerate(self.above):
+            through = 0
+            for c in _bits(row):
+                through |= self.above[c]
+            out.extend((a, b) for b in _bits(row & ~through))
         return out
 
 
 def sim_quotient(p: Preorder) -> QuotientPoset:
     _require_closed(p)
     n = p.n
-    seen = [False] * n
+    rows = p.rows
+    class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
     for i in range(n):
-        if seen[i]:
+        if class_of[i] >= 0:
             continue
-        members = tuple(j for j in range(n) if p.sim(i, j))
+        members = (i, *(j for j in _bits(rows[i]) if rows[j] >> i & 1))
         for j in members:
-            seen[j] = True
+            class_of[j] = len(classes)
         classes.append(members)
-    k = len(classes)
-    leq = [
-        [p.rel[classes[a][0]][classes[b][0]] for b in range(k)] for a in range(k)
-    ]
-    for a in range(k):
-        for b in range(k):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise AssertionError("quotient order failed antisymmetry")
-    return QuotientPoset(tuple(classes), tuple(tuple(r) for r in leq))
+    above = tuple(
+        _mask(b for b in (class_of[j] for j in _bits(rows[members[0]])) if b != a)
+        for a, members in enumerate(classes)
+    )
+    return QuotientPoset(tuple(classes), above)
 
 
 def cones(p: Preorder, a: int) -> tuple[frozenset[int], frozenset[int]]:
     if not (0 <= a < p.n):
         raise IndexError(f"element {a} out of range")
-    lower = frozenset(x for x in range(p.n) if p.rel[x][a])
-    upper = frozenset(x for x in range(p.n) if p.rel[a][x])
+    lower = frozenset(x for x in range(p.n) if p.le(x, a))
+    upper = frozenset(_bits(p.rows[a])) | ({a} if p.le(a, a) else set())
     return lower, upper
+
+
+def ranks(q: QuotientPoset) -> list[int]:
+    """Per class, the most classes strictly below it on one chain."""
+    # a class has more classes above it than any class above it: this
+    # order puts every class before the classes above it
+    order = sorted(range(q.size), key=lambda c: -q.above[c].bit_count())
+    rank = [0] * q.size
+    for c in order:
+        for d in _bits(q.above[c]):
+            if rank[c] + 1 > rank[d]:
+                rank[d] = rank[c] + 1
+    return rank
 
 
 def height(p: Preorder) -> int:
     """Longest chain of pairwise non-equivalent elements (element count)."""
-    q = sim_quotient(p)
-    k = q.size
-    # minimal classes have the most successors; process them first
-    order = sorted(range(k), key=lambda c: -sum(q.leq[c]))
-    best = [1] * k
-    for c in order:
-        for d in range(k):
-            if d != c and q.leq[c][d] and best[c] + 1 > best[d]:
-                best[d] = best[c] + 1
-    return max(best, default=0)
+    return max(ranks(sim_quotient(p)), default=-1) + 1
 
 
 def width(p: Preorder) -> int:
@@ -198,14 +239,14 @@ def width(p: Preorder) -> int:
     """
     q = sim_quotient(p)
     k = q.size
-    above = [[b for b in range(k) if b != a and q.leq[a][b]] for a in range(k)]
+    above = [_bits(row) for row in q.above]
     below = [-1] * k  # below[b] is the class matched to b, if any
+    seen = [-1] * k  # seen[b] == a: b was tried in the search from a
     for a in range(k):
-        seen = [False] * k
         stack, via = [(a, iter(above[a]))], []
         while stack:
             u, options = stack[-1]
-            b = next((b for b in options if not seen[b]), None)
+            b = next((b for b in options if seen[b] != a), None)
             if b is None:
                 stack.pop()
                 del via[-1:]  # the b that led to the dead end, if any
@@ -215,19 +256,16 @@ def width(p: Preorder) -> int:
                     below[c] = v
                 break
             else:
-                seen[b] = True
+                seen[b] = a
                 via.append(b)
                 stack.append((below[b], iter(above[below[b]])))
     return below.count(-1)
 
 
 def is_upward_directed(p: Preorder) -> bool:
-    _require_closed(p)
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if not any(p.rel[i][u] and p.rel[j][u] for u in range(p.n)):
-                return False
-    return True
+    """Every pair has a common upper bound; for a finite preorder, that is
+    a single maximal class."""
+    return len(sim_quotient(p).maxima()) <= 1
 
 
 # -- premodel profiles -------------------------------------------------------

@@ -2,10 +2,16 @@
 
 Failures are report content, not exceptions: a check that finds
 violations still returns normally and the caller decides what to do.
+A computation that would exceed one of its budgets raises
+``BudgetError`` instead of running.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+class BudgetError(ValueError):
+    """A computation's size exceeds its budget; the input itself is valid."""
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from .report import BudgetError
+
 IUP_DEPTH_CAP = 16
 FORMULA_BUDGET = 30000
 
@@ -254,7 +256,7 @@ def enumerate_formulas(
     alphabet = atoms(ts)
     total = 3 ** len(alphabet)
     if total > budget:
-        raise ValueError(
+        raise BudgetError(
             f"formula enumeration needs {total} candidates, budget is {budget}"
         )
     cells = enumerate_types(ts)
@@ -270,25 +272,17 @@ def classify_formula(ts: TypeSpace, phi: FormulaLit) -> FormulaClass:
     """Family rule for whether some isolated type of the true family contains phi.
 
     iup has no isolated types at all; in sdup every consistent literal
-    conjunction is realized by a stopped element; in colored no finite
-    conjunction can exclude all the finite colors.
+    conjunction is realized by a stopped element (``cont:p`` and
+    ``stop:p`` satisfy the same atoms); in colored no finite conjunction
+    can exclude all the finite colors.
     """
     if not consistent(ts, phi):
         raise ValueError("formula is inconsistent in this space")
-    if ts.family == "iup":
-        return FormulaClass.NI
-    if ts.family == "sdup":
-        stop_ok = any(
-            satisfies(ts, cell, phi)
-            for cell in enumerate_types(ts)
-            if isinstance(cell, SdupCell) and cell.kind == "stop"
-        )
-        return FormulaClass.I if stop_ok else FormulaClass.NI
     # colored: a literal conjunction mentions finitely many colors and the
     # family always has deeper finite colors, so a consistent formula is
     # compatible with some finite-color (isolated) type even when only the
     # infinite-color cell witnesses it at this truncation depth
-    return FormulaClass.I
+    return FormulaClass.NI if ts.family == "iup" else FormulaClass.I
 
 
 def has_prime_model(ts: TypeSpace) -> bool:

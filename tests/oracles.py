@@ -1,14 +1,60 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Deliberately dumb implementations: exhaustive subset enumeration for
-chains and antichains, a permutation search for isomorphism, a
-saturating union-find over explicit word lists for the bounded
-congruence, and direct formula enumeration for density.
+Deliberately dumb implementations: saturation over boolean matrices for
+closures and covers, exhaustive subset enumeration for chains and
+antichains, a permutation search for isomorphism, a saturating
+union-find over explicit word lists for the bounded congruence, and
+direct formula enumeration for density and classification.
 They share no code with the library paths they certify.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+
+
+def matrix(p) -> list[list[bool]]:
+    """A preorder's relation as an n x n boolean matrix, read through ``le``."""
+    return [[p.le(i, j) for j in range(p.n)] for i in range(p.n)]
+
+
+def brute_close(rel) -> list[list[bool]]:
+    """Reflexive-transitive closure: add i <= j for every i <= k <= j
+    until nothing changes."""
+    n = len(rel)
+    out = [[bool(x) or i == j for j, x in enumerate(row)] for i, row in enumerate(rel)]
+    changed = True
+    while changed:
+        changed = False
+        for i, k, j in itertools.product(range(n), repeat=3):
+            if out[i][k] and out[k][j] and not out[i][j]:
+                out[i][j] = changed = True
+    return out
+
+
+def brute_classes(rel) -> set[frozenset[int]]:
+    """The mutual-domination classes of a closed relation."""
+    n = len(rel)
+    return {frozenset(j for j in range(n) if rel[i][j] and rel[j][i]) for i in range(n)}
+
+
+def brute_covers(rel) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """Class pairs (A, B) with A < B and no element strictly between."""
+    n = len(rel)
+    cls = [frozenset(j for j in range(n) if rel[i][j] and rel[j][i]) for i in range(n)]
+    less = lambda a, b: rel[a][b] and not rel[b][a]
+    return {
+        (cls[a], cls[b])
+        for a in range(n)
+        for b in range(n)
+        if less(a, b) and not any(less(a, c) and less(c, b) for c in range(n))
+    }
+
+
+def brute_directed(rel) -> bool:
+    """Every pair of elements has a common upper bound."""
+    n = len(rel)
+    return all(any(rel[i][u] and rel[j][u] for u in range(n)) for i in range(n) for j in range(n))
 
 
 def brute_height(rel) -> int:
@@ -93,6 +139,26 @@ def brute_congruence_count(instances, alphabet: int, max_len: int):
     for w in words:
         classes.setdefault(find(w), []).append(w)
     return len(classes), classes
+
+
+@functools.lru_cache(maxsize=None)
+def _principal_cells_below(ts):
+    from rklab.typespace import enumerate_types, is_principal, space_at
+
+    deeper = space_at(ts, ts.depth + 1)
+    return deeper, [cell for cell in enumerate_types(deeper) if is_principal(deeper, cell)]
+
+
+def brute_classify(ts, phi):
+    """I when some isolated type of the family contains phi, by scanning
+    the principal cells one level deeper than the space: a colored
+    formula that only the infinite color satisfies at depth d holds in
+    the finite color d + 1."""
+    from rklab.typespace import FormulaClass, satisfies
+
+    deeper, cells = _principal_cells_below(ts)
+    isolated = any(satisfies(deeper, cell, phi) for cell in cells)
+    return FormulaClass.I if isolated else FormulaClass.NI
 
 
 def brute_dense(space, cells, formulas, satisfies) -> bool:

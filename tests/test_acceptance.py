@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from oracles import brute_congruence_count, brute_height, brute_width
+from oracles import brute_congruence_count, brute_height, brute_width, matrix
 from rklab.cardinal import (
     CONTINUUM,
     OMEGA,
@@ -108,12 +108,12 @@ def test_criterion_02_preorder_laws():
         for a in range(q.size):
             for b in range(q.size):
                 if a != b:
-                    assert not (q.leq[a][b] and q.leq[b][a])
+                    assert not (q.le(a, b) and q.le(b, a))
         if n <= 8:
             from rklab.preorder import height, width
 
-            assert height(p) == brute_height(p.rel)
-            assert width(p) == brute_width(p.rel)
+            assert height(p) == brute_height(matrix(p))
+            assert width(p) == brute_width(matrix(p))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s"
     report(2, f"({elapsed:.2f}s)")

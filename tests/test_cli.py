@@ -1,4 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -266,7 +271,7 @@ def test_limits_next_table_over_budget(capsys):
     assert code == 0
     assert "L=8: 87 classes\nL=9: over the word budget (349524 > 200000)\nstable: unknown\n" in out
     code, out, err = run_cli(*argv[:-1], "9", capsys=capsys)
-    assert code == 2 and out == ""
+    assert code == 3 and out == ""
     assert err == "error: 349524 words exceed the budget 200000\n"
 
 
@@ -278,7 +283,7 @@ def test_limits_long_bound_refused_quickly(capsys):
             capsys=capsys,
         )
         elapsed = time.perf_counter() - start
-        assert code == 2 and out == ""
+        assert code == 3 and out == ""
         assert err == f"error: the words of length at most {length} exceed the budget 200000\n"
         assert elapsed < 0.5, f"--len {length} took {elapsed:.2f}s"
 
@@ -310,3 +315,26 @@ def test_preorder_cone_out_of_range(tmp_path, capsys):
     code, out, err = run_cli("preorder", "--in", str(po), "--cone", "7", capsys=capsys)
     assert code == 2 and out == ""
     assert err == "error: element 7 out of range\n"
+
+
+def test_preorder_many_elements_fits_in_memory(tmp_path):
+    # 99999 elements and five pairs: memory and time follow the pairs, not n^2
+    po = tmp_path / "big.po"
+    po.write_text("elements: 99999\n0 <= 1\n1 <= 0\n5 <= 99998\n99998 <= 7\n50000 <= 50001\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rklab", "preorder", "--in", str(po), "--height", "--width", "--machine"],
+        capture_output=True, text=True, env=env, timeout=300, preexec_fn=cap_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    # 99998 classes; the chain 5 < 99998 < 7 and the pair 50000 < 50001 match 3
+    assert proc.stdout == "elements=99999\nheight=3\nwidth=99995\n"
+    assert elapsed < 60, f"took {elapsed:.1f}s"

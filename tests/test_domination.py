@@ -227,7 +227,7 @@ def test_rk_structure_matches_direct_definition_on_random_graphs():
             members = {
                 b
                 for b in prime
-                if order.rel[idx[a]][idx[b]] and order.rel[idx[b]][idx[a]]
+                if order.le(idx[a], idx[b]) and order.le(idx[b], idx[a])
             }
             seen |= members
             classes.append(frozenset(members))
@@ -236,5 +236,5 @@ def test_rk_structure_matches_direct_definition_on_random_graphs():
         # induced order agrees with the underlying preorder
         for ca, amembers in enumerate(q.classes):
             for cb, bmembers in enumerate(q.classes):
-                expect = order.rel[idx[prime[amembers[0]]]][idx[prime[bmembers[0]]]]
-                assert q.leq[ca][cb] == expect
+                expect = order.le(idx[prime[amembers[0]]], idx[prime[bmembers[0]]])
+                assert q.le(ca, cb) == expect

@@ -101,7 +101,7 @@ def test_distribution_round_trip():
         else:
             chain = [0]
             for nxt in range(1, order.n):
-                if order.rel[chain[-1]][nxt]:
+                if order.le(chain[-1], nxt):
                     chain.append(nxt)
             key = SeqKey(tuple(chain), extendable=rng.random() < 0.5)
             spec = sequence_spec(order, {key: rng.choice(cards)})

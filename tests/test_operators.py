@@ -1,10 +1,13 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from rklab.cardinal import CONTINUUM, OMEGA, fin
+from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, parse_card
 from rklab import operators
+from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
+from rklab.formats import serialize_struct
 from rklab.limitcount import FREE_SYSTEM
 from rklab.operators import (
     PipelineStep,
@@ -24,6 +27,7 @@ from rklab.operators import (
     verify_q_order,
     verify_schemes,
 )
+from rklab.preorder import close, from_pairs, sim_quotient
 
 
 def base2(colors=2, q=()):
@@ -284,16 +288,117 @@ def test_checked_pipeline_verifies_each_record_once(monkeypatch):
 
 
 def test_checked_pipeline_raises_at_failing_step(monkeypatch):
-    real_css = operators.css
+    real_css = operators._css
 
-    def lossy_css(*args, **kwargs):
-        out = real_css(*args, **kwargs)
-        rel = out.history[-1].params["rels"][0]
-        binary = dict(out.binary)
-        binary[rel] = out.binary[rel][1:]  # drop one witness
-        return replace(out, binary=binary)
+    def lossy_css(work, *args, **kwargs):
+        real_css(work, *args, **kwargs)
+        rel = work.history[-1].params["rels"][0]
+        work.binary[rel] = work.binary[rel][1:]  # drop one witness
 
-    monkeypatch.setattr(operators, "css", lossy_css)
+    monkeypatch.setattr(operators, "_css", lossy_css)
     assert len(run_pipeline(PIPE).history) == 5  # unchecked: nothing notices
     with pytest.raises(ValueError, match=r"^scheme violation after css: app1\.color-monotone"):
         run_pipeline(PIPE, check=True)
+
+
+def test_css_fresh_names_must_not_collide():
+    spec, stubs = icp_then_stubs(base2(colors=1))
+    crowded = replace(spec, universe=spec.universe + (f"T{len(spec.history)}s0_0",))
+    with pytest.raises(ValueError, match="^fresh T elements collide with the universe$"):
+        css(crowded, stubs, "P0", 2)
+
+
+def fold_public_operators(steps):
+    """The pipeline's meaning spelled out with the public spec-to-spec operators."""
+    base = [s.args for s in steps if s.op == "base"][-1]
+    qedges = [
+        (int(a["low"]), int(a["high"]), a.get("principal", "false") == "true")
+        for a in (s.args for s in steps if s.op == "qedge")
+    ]
+    spec = colored_base(
+        int(base["parts"]), int(base["colors"]), int(base.get("per_color", "1")), qedges
+    )
+    for step in steps:
+        a = step.args
+        fan, depth = int(a.get("fan", "2")), int(a.get("depth", "1"))
+        if step.op == "icp":
+            y = a.get("y", "auto")
+            y = icp_need(spec, a["sub"], depth, fan) if y == "auto" else int(y)
+            spec = icp(spec, a["sub"], y, depth, fan)
+        elif step.op in ("css", "bd"):
+            if "source" in a:
+                stubs = [n.name for n in spec.registry.stubs_of(pnode(a["source"]))]
+            else:
+                stubs = a["stubs"].split(",")
+            linked = step.op == "bd" or a.get("linked") == "true"
+            spec = css(spec, stubs, a["sub"], fan, linked=linked)
+        elif step.op == "bu":
+            z = a.get("z", "auto")
+            z = bu_need(spec, a["sub1"], a["sub2"], depth, fan) if z == "auto" else int(z)
+            spec = bu(spec, a["sub1"], a["sub2"], z, depth, fan)
+        elif step.op == "lmt":
+            spec, _ = apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+        elif step.op == "lms":
+            spec, _ = apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
+        elif step.op == "note":
+            notes = spec.registry.notes + (a.get("text", ""),)
+            spec = replace(spec, registry=replace(spec.registry, notes=notes))
+    return spec
+
+
+def random_pipeline(rng):
+    parts, colors = rng.randint(2, 5), rng.randint(1, 2)
+    depth = str(max(1, colors - 1 + rng.randint(0, 1)))
+    steps = [PipelineStep("base", {"parts": str(parts), "colors": str(colors)})]
+    for _ in range(rng.randint(0, 2)):
+        low, high = rng.sample(range(parts), 2)
+        steps.append(PipelineStep("qedge", {"low": str(low), "high": str(high), "principal": rng.choice(["true", "false"])}))
+    subs = [f"P{i}" for i in range(parts)]
+    source = rng.choice(subs)
+    steps.append(PipelineStep("icp", {"sub": source, "depth": depth, "fan": str(rng.randint(1, 2))}))
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["icp", "css", "bd", "bu", "lmt", "lms", "note"])
+        fan = str(rng.randint(1, 2))
+        if kind == "icp":
+            y = rng.choice(["auto", "40", "3"])
+            steps.append(PipelineStep("icp", {"sub": rng.choice(subs), "depth": depth, "fan": fan, "y": y}))
+        elif kind in ("css", "bd"):
+            steps.append(PipelineStep(kind, {"sub": rng.choice(subs), "source": source, "fan": fan}))
+        elif kind == "bu":
+            a, b = rng.sample(subs, 2)
+            steps.append(PipelineStep("bu", {"sub1": a, "sub2": b, "depth": depth, "fan": fan}))
+        elif kind == "lmt":
+            steps.append(PipelineStep("lmt", {"node": pnode(rng.choice(subs)), "lam": rng.choice(["1", "3", "w", "c"])}))
+        elif kind == "lms":
+            nodes = ",".join(pnode(s) for s in rng.sample(subs, 2))
+            steps.append(PipelineStep("lms", {"nodes": nodes, "lam": rng.choice(["2", "w", "c"]), "reading": rng.choice(["gt", "geq"])}))
+        else:
+            steps.append(PipelineStep("note", {"text": f"n{rng.randint(0, 9)}"}))
+    return steps
+
+
+def build_variant_pipelines():
+    order = close(from_pairs(5, [(0, 1), (1, 0), (1, 2), (3, 2)]))
+    q = sim_quotient(order)
+    values = [ZERO, fin(2), OMEGA, CONTINUUM]
+    f = {frozenset(c): (fin(1) if len(c) > 1 else values[i % 4]) for i, c in enumerate(q.classes)}
+    finite = finite_spec(order, f, {0: "P", 1: "NPL", 2: "P", 3: "NPL", 4: "P"})
+    sequence = realize_corollary("c93", (OMEGA,))
+    specs = [(finite, v) for v in ("t77", "t91", "t92")] + [(sequence, v) for v in ("t84", "t91", "t92")]
+    for cfg in (BuildConfig(), BuildConfig(colors=2, depth=2, fan_out=1)):
+        for spec, variant in specs:
+            yield build_blueprint(spec, variant, cfg).pipeline
+
+
+def test_run_pipeline_equals_fold_of_public_operators():
+    rng = random.Random(1018)
+    pipelines = [random_pipeline(rng) for _ in range(60)] + list(build_variant_pipelines())
+    for steps in pipelines:
+        try:
+            expected = serialize_struct(fold_public_operators(steps))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                run_pipeline(steps)
+            continue
+        assert serialize_struct(run_pipeline(steps)) == expected
+        assert serialize_struct(run_pipeline(steps, check=True)) == expected

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from oracles import brute_height, brute_isomorphic, brute_width
+from oracles import (
+    brute_classes,
+    brute_close,
+    brute_covers,
+    brute_directed,
+    brute_height,
+    brute_isomorphic,
+    brute_width,
+    matrix,
+)
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
 from rklab.preorder import (
     ConeCase,
@@ -43,7 +52,7 @@ def test_sim_quotient_examples():
     assert sim_quotient(p).size == 1
     q = sim_quotient(antichain(3))
     assert q.size == 3
-    assert not any(q.leq[a][b] for a in range(3) for b in range(3) if a != b)
+    assert not any(q.le(a, b) for a in range(3) for b in range(3) if a != b)
     # two-cycle below a third element: 2 classes, one covering edge
     p = close(from_pairs(3, [(0, 1), (1, 0), (0, 2)]))
     q = sim_quotient(p)
@@ -77,7 +86,7 @@ def test_height_width_examples():
     assert width(chain(4)) == 1
     grid = close(from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
     assert width(grid) == 2
-    assert brute_width(grid.rel) == 2
+    assert brute_width(matrix(grid)) == 2
 
 
 def test_directedness():
@@ -101,10 +110,38 @@ def test_random_preorders_against_oracles():
         for a in range(q.size):
             for b in range(q.size):
                 if a != b:
-                    assert not (q.leq[a][b] and q.leq[b][a])
+                    assert not (q.le(a, b) and q.le(b, a))
         if n <= 8:
-            assert height(p) == brute_height(p.rel)
-            assert width(p) == brute_width(p.rel)
+            assert height(p) == brute_height(matrix(p))
+            assert width(p) == brute_width(matrix(p))
+
+
+def test_bitset_rows_against_matrix_oracles():
+    rng = random.Random(20261018)
+    for trial in range(300):
+        n = rng.randint(0, 9) if trial < 200 else rng.randint(10, 24)
+        density = rng.uniform(0.0, 0.4)
+        raw = from_pairs(n, [
+            (i, j) for i in range(n) for j in range(n) if rng.random() < density
+        ])
+        full = brute_close(matrix(raw))
+        assert is_closed(raw) == (matrix(raw) == full)
+        p = close(raw)
+        assert matrix(p) == full
+        q = sim_quotient(p)
+        assert {frozenset(c) for c in q.classes} == brute_classes(full)
+        assert {(frozenset(q.classes[a]), frozenset(q.classes[b])) for a, b in q.covers()} == brute_covers(full)
+        for a in range(q.size):
+            for b in range(q.size):
+                assert q.le(a, b) == full[q.classes[a][0]][q.classes[b][0]]
+        assert is_upward_directed(p) == brute_directed(full)
+        for a in range(n):
+            lower, upper = cones(p, a)
+            assert lower == {x for x in range(n) if full[x][a]}
+            assert upper == {x for x in range(n) if full[a][x]}
+        if n <= 8:
+            assert height(p) == brute_height(full)
+            assert width(p) == brute_width(full)
 
 
 def test_height_one_iff_flat():
@@ -113,7 +150,7 @@ def test_height_one_iff_flat():
         p = random_preorder(rng, rng.randint(1, 6), 0.4)
         q = sim_quotient(p)
         flat = not any(
-            q.leq[a][b] for a in range(q.size) for b in range(q.size) if a != b
+            q.le(a, b) for a in range(q.size) for b in range(q.size) if a != b
         )
         assert (height(p) == 1) == flat
 
@@ -173,10 +210,10 @@ def test_cone_cases_match_exactly_one_shape():
 
 
 def test_preorders_isomorphic():
-    assert brute_isomorphic(chain(3).rel, close(from_pairs(3, [(2, 1), (1, 0)])).rel)
-    assert not brute_isomorphic(chain(3).rel, antichain(3).rel)
+    assert brute_isomorphic(matrix(chain(3)), matrix(close(from_pairs(3, [(2, 1), (1, 0)]))))
+    assert not brute_isomorphic(matrix(chain(3)), matrix(antichain(3)))
     cyc = close(from_pairs(2, [(0, 1), (1, 0)]))
-    assert not brute_isomorphic(cyc.rel, chain(2).rel)
+    assert not brute_isomorphic(matrix(cyc), matrix(chain(2)))
 
 
 def chains(*lengths):

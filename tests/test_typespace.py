@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_dense
+from oracles import brute_classify, brute_dense
 from rklab.models import explicit, full_base
 from rklab.typespace import (
     ColorCell,
@@ -82,6 +82,9 @@ def test_classify_examples():
     assert classify_formula(colored, phi) is FormulaClass.I
     with pytest.raises(ValueError):
         classify_formula(iup, FormulaLit.of([((("P", 0)), True), ((("P", 0)), False)]))
+    for ts in (iup, sdup, colored, TypeSpace("colored", 4, 2)):
+        for phi in enumerate_formulas(ts):
+            assert classify_formula(ts, phi) is brute_classify(ts, phi), (ts, phi)
 
 
 def test_consistency_rules():
@@ -116,8 +119,7 @@ def test_prime_model_agrees_with_exhaustive_classification():
     )
     for ts in spaces:
         exhaustive = all(
-            classify_formula(ts, phi) is FormulaClass.I
-            for phi in enumerate_formulas(ts)
+            brute_classify(ts, phi) is FormulaClass.I for phi in enumerate_formulas(ts)
         )
         assert has_prime_model(ts) == exhaustive, ts
 
