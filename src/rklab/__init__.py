@@ -1,38 +1,1 @@
 """Desk-scale workbench for domination preorders between countable models."""
-
-from .cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, Card, card_le, card_sum, card_sup, fin
-from .distribution import Cm3Triple, DistributionSpec, classify_triple, decompose
-from .domination import DominationGraph, rk_preorder, rk_structure
-from .limitcount import IdentitySystem, count_classes, normal_form
-from .preorder import Preorder, close, height, sim_quotient, width
-from .typespace import TypeSpace, enumerate_types, has_prime_model
-
-__all__ = [
-    "CONTINUUM",
-    "OMEGA",
-    "OMEGA1",
-    "ZERO",
-    "Card",
-    "Cm3Triple",
-    "DistributionSpec",
-    "DominationGraph",
-    "IdentitySystem",
-    "Preorder",
-    "TypeSpace",
-    "card_le",
-    "card_sum",
-    "card_sup",
-    "classify_triple",
-    "close",
-    "count_classes",
-    "decompose",
-    "enumerate_types",
-    "fin",
-    "has_prime_model",
-    "height",
-    "normal_form",
-    "rk_preorder",
-    "rk_structure",
-    "sim_quotient",
-    "width",
-]

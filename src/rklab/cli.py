@@ -11,41 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import formats
-from .cardinal import parse_card, render
-from .distribution import (
-    Cm3Triple,
-    BuildConfig,
-    build_blueprint,
-    classify_triple,
-    decompose,
-    decompose_tc,
-    replay_blueprint,
-    replayed_il,
-    replayed_prime_preorder,
-    target_triple,
-)
-from .limitcount import render_word, stabilization
-from .operators import lmt, lms, run_pipeline, verify_schemes
-from .preorder import (
-    cones,
-    height,
-    is_upward_directed,
-    sim_quotient,
-    width,
-)
-from .report import BudgetError
-from .typespace import (
-    FormulaLit,
-    TypeSpace,
-    classify_formula,
-    enumerate_types,
-    has_prime_model,
-    is_dense,
-    is_principal,
-    parse_cell,
-    render_cell,
-)
+from .report import BudgetError  # each command imports the layers it runs
 
 
 def _emit(lines: list[str]) -> None:
@@ -66,7 +32,10 @@ def _write(path: str, text: str) -> None:
 # -- subcommands ----------------------------------------------------------
 
 def cmd_preorder(args: argparse.Namespace) -> int:
-    p = formats.parse_preorder(_read(args.infile), args.infile)
+    from .formats import parse_preorder, quotient_dot
+    from .preorder import cones, height, is_upward_directed, sim_quotient, width
+
+    p = parse_preorder(_read(args.infile), args.infile)
     out: list[str] = []
     mk = args.machine
     out.append(f"elements={p.n}" if mk else f"elements: {p.n}")
@@ -79,7 +48,7 @@ def cmd_preorder(args: argparse.Namespace) -> int:
             edges = ";".join(f"{a}<{b}" for a, b in q.covers())
             out.append(f"covers={edges}" if mk else f"covers: {edges or '(none)'}")
         if args.dot:
-            _write(args.dot, formats.quotient_dot(q))
+            _write(args.dot, quotient_dot(q))
             out.append(f"dot={args.dot}" if mk else f"dot written to {args.dot}")
     if args.height:
         out.append(f"height={height(p)}" if mk else f"height: {height(p)}")
@@ -100,13 +69,19 @@ def cmd_preorder(args: argparse.Namespace) -> int:
 
 def _space_from_args(args: argparse.Namespace) -> TypeSpace:
     if args.infile:
-        return formats.parse_typespace(_read(args.infile), args.infile)
+        from .formats import parse_typespace
+
+        return parse_typespace(_read(args.infile), args.infile)
     if not args.family or not args.depth:
         raise ValueError("need --in or both --family and --depth")
+    from .typespace import TypeSpace
+
     return TypeSpace(args.family, args.depth, args.m)
 
 
 def _parse_literals(ts: TypeSpace, text: str) -> FormulaLit:
+    from .typespace import FormulaLit
+
     lits = {}
     for chunk in text.split(","):
         tok = chunk.strip()
@@ -128,6 +103,16 @@ def _parse_literals(ts: TypeSpace, text: str) -> FormulaLit:
 
 
 def cmd_types(args: argparse.Namespace) -> int:
+    from .typespace import (
+        classify_formula,
+        enumerate_types,
+        has_prime_model,
+        is_dense,
+        is_principal,
+        parse_cell,
+        render_cell,
+    )
+
     ts = _space_from_args(args)
     mk = args.machine
     out: list[str] = []
@@ -155,8 +140,10 @@ def cmd_types(args: argparse.Namespace) -> int:
 
 def cmd_dominate(args: argparse.Namespace) -> int:
     from .domination import iso_classes, prime_node_order, rk_preorder, rk_structure
+    from .formats import parse_domination, quotient_dot
+    from .preorder import sim_quotient
 
-    g = formats.parse_domination(_read(args.infile), args.infile)
+    g = parse_domination(_read(args.infile), args.infile)
     mk = args.machine
     out: list[str] = []
     if args.rkt:
@@ -181,14 +168,17 @@ def cmd_dominate(args: argparse.Namespace) -> int:
         covers = ";".join(f"{a}<{b}" for a, b in q.covers())
         out.append(f"covers={covers}" if mk else f"covers: {covers or '(none)'}")
         if args.dot:
-            _write(args.dot, formats.quotient_dot(q, prime))
+            _write(args.dot, quotient_dot(q, prime))
             out.append(f"dot={args.dot}" if mk else f"dot written to {args.dot}")
     _emit(out)
     return 0
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    spec = run_pipeline(formats.parse_pipeline(_read(args.pipeline), args.pipeline))
+    from .formats import parse_pipeline, serialize_struct
+    from .operators import run_pipeline, verify_schemes
+
+    spec = run_pipeline(parse_pipeline(_read(args.pipeline), args.pipeline))
     out: list[str] = []
     mk = args.machine
     out.append(f"universe={len(spec.universe)}" if mk else f"universe: {len(spec.universe)} elements")
@@ -197,13 +187,17 @@ def cmd_apply(args: argparse.Namespace) -> int:
             report = verify_schemes(spec, tag)
             out.extend(report.machine() if mk else [report.render()])
     if args.out:
-        _write(args.out, formats.serialize_struct(spec))
+        _write(args.out, serialize_struct(spec))
         out.append(f"out={args.out}" if mk else f"structure written to {args.out}")
     _emit(out)
     return 0
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
+    from .cardinal import parse_card, render
+    from .limitcount import render_word, stabilization
+    from .operators import lmt, lms
+
     lam = parse_card(args.lam or str(args.n))
     system = lmt(lam) if args.system == "lmt" else lms(args.seq_len, lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
@@ -237,6 +231,9 @@ def cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _parse_triple(text: str) -> Cm3Triple:
+    from .cardinal import parse_card
+    from .distribution import Cm3Triple
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"triple must have three components, got {text!r}")
@@ -244,6 +241,8 @@ def _parse_triple(text: str) -> Cm3Triple:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .distribution import classify_triple
+
     triple = _parse_triple(args.triple)
     theory_class = "small" if args.small else "tc"
     verdict = classify_triple(triple, theory_class, ch=not args.no_ch)
@@ -262,7 +261,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    spec = formats.parse_distribution(_read(args.spec), args.spec)
+    from .cardinal import render
+    from .distribution import (
+        BuildConfig,
+        build_blueprint,
+        replay_blueprint,
+        replayed_il,
+        replayed_prime_preorder,
+        target_triple,
+    )
+    from .formats import parse_distribution, serialize_pipeline
+    from .preorder import sim_quotient
+
+    spec = parse_distribution(_read(args.spec), args.spec)
     config = BuildConfig(
         colors=args.colors, per_color=1, depth=args.depth, fan_out=args.fan_out
     )
@@ -275,7 +286,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     trip = target_triple(spec).render()
     out.append(f"triple={trip}" if mk else f"target triple: {trip}")
     if args.out:
-        _write(args.out, formats.serialize_pipeline(bp.pipeline))
+        _write(args.out, serialize_pipeline(bp.pipeline))
         out.append(f"out={args.out}" if mk else f"pipeline written to {args.out}")
     if args.replay:
         struct = replay_blueprint(bp, config)
@@ -295,6 +306,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .cardinal import parse_card, render
+    from .distribution import decompose, decompose_tc
+
     rk = parse_card(args.rk)
     il = [parse_card(tok) for tok in args.il.split(",")] if args.il else []
     npl = parse_card(args.npl)
@@ -403,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (formats.ParseError, ValueError, OSError, KeyError, IndexError) as exc:
+    except (ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetError) else 2
 

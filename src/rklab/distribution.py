@@ -34,24 +34,7 @@ from .cardinal import (
     fin,
     render,
 )
-from .domination import (
-    DominationGraph,
-    iso_classes,
-    prime_node_order,
-    rk_preorder,
-    rk_structure,
-)
-from .operators import PipelineStep, StructSpec, pnode, run_pipeline
-from .preorder import (
-    Preorder,
-    close,
-    from_pairs,
-    induced,
-    is_closed,
-    ranks,
-    sim_quotient,
-)
-from .report import Report, ReportBuilder
+from .report import Report, ReportBuilder  # preorder, domination, operators: imported where used
 
 
 @dataclass(frozen=True)
@@ -222,6 +205,8 @@ class DistributionSpec:
     triple: Cm3Triple | None = None
 
     def __post_init__(self) -> None:
+        from .preorder import is_closed, sim_quotient
+
         if not is_closed(self.order):
             raise ValueError("spec order must be closed")
         if self.mode not in ("finite", "countable-truncated"):
@@ -271,6 +256,8 @@ def finite_spec(
     values: dict[frozenset[int], Card],
     partition: dict[int, str] | None = None,
 ) -> DistributionSpec:
+    from .preorder import close
+
     return DistributionSpec(
         close(order),
         "finite",
@@ -285,6 +272,8 @@ def sequence_spec(
     partition: dict[int, str] | None = None,
     extendable: bool = True,
 ) -> DistributionSpec:
+    from .preorder import close
+
     return DistributionSpec(
         close(order),
         "countable-truncated",
@@ -343,6 +332,8 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
     """
     if profile not in ("tc", "small"):
         raise ValueError(f"unknown profile {profile!r}")
+    from .preorder import sim_quotient
+
     rb = ReportBuilder(f"f-validation:{profile}:{spec.mode}")
     q = sim_quotient(spec.order)
 
@@ -444,6 +435,8 @@ def _class_label(key: frozenset[int]) -> str:
 def limit_obligations(g: DominationGraph) -> dict[frozenset[str], bool]:
     """Per mutual-domination class of prime nodes: does it force a limit
     model (two or more isomorphism types in one class)?"""
+    from .domination import iso_classes, prime_node_order, rk_structure
+
     prime = prime_node_order(g)
     q = rk_structure(g)
     iso = iso_classes(g)
@@ -518,6 +511,9 @@ def build_blueprint(
     prime side of the partition exactly, the partition-first order pins
     the prime-less side exactly.
     """
+    from .operators import PipelineStep, pnode
+    from .preorder import ranks, sim_quotient
+
     if variant not in ("t77", "t84", "t91", "t92"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "t77" and spec.mode != "finite":
@@ -660,6 +656,8 @@ def replay_blueprint(
     operator record is verified as soon as it is applied and a
     violation raises immediately.
     """
+    from .operators import run_pipeline
+
     if config != bp.config:
         raise ValueError(f"blueprint was built with {bp.config}, not {config}")
     return run_pipeline(bp.pipeline, check)
@@ -667,6 +665,10 @@ def replay_blueprint(
 
 def replayed_prime_preorder(struct: StructSpec, predicates: tuple[str, ...]) -> Preorder:
     """The domination preorder on the parts' type nodes after replay."""
+    from .domination import rk_preorder
+    from .operators import pnode
+    from .preorder import induced
+
     g = struct.registry.to_domination_graph()
     idx = g.index()
     return induced(rk_preorder(g), [idx[pnode(p)] for p in predicates])
@@ -674,6 +676,9 @@ def replayed_prime_preorder(struct: StructSpec, predicates: tuple[str, ...]) -> 
 
 def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[int], Card]:
     """Read the per-class limit targets back out of the replayed registry."""
+    from .operators import pnode
+    from .preorder import sim_quotient
+
     q = sim_quotient(spec.order)
     targets = struct.registry.limit_targets
     out: dict[frozenset[int], Card] = {}
@@ -684,6 +689,8 @@ def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[in
 
 
 def replayed_prime_flags(struct: StructSpec, predicates: tuple[str, ...]) -> dict[int, bool]:
+    from .operators import pnode
+
     return {
         i: struct.registry.nodes[pnode(p)].prime for i, p in enumerate(predicates)
     }
@@ -707,6 +714,8 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
     c85: countably many primes, any limit count, continuum rest.
     c93: continuum primes and limits, chosen count of other models.
     """
+    from .preorder import close, from_pairs, sim_quotient
+
     if kind == "c78":
         lam1, lam2 = params
         if not (lam1.finite and lam1.value >= 1):

@@ -10,12 +10,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .cardinal import Card, parse_card, render
-from .distribution import DistributionSpec, SeqKey, finite_spec, sequence_spec
-from .domination import DomEdge, DominationGraph, TypeNode
-from .operators import OpRecord, PipelineStep, RegEdge, RegNode, Registry, StructSpec
-from .preorder import Preorder, QuotientPoset, close, from_pairs
-from .typespace import TypeSpace, parse_cell, render_cell
+from .cardinal import Card, parse_card, render  # other layers: imported where used
 
 
 class ParseError(ValueError):
@@ -43,6 +38,8 @@ def parse_preorder(text: str, path: str = "<preorder>") -> Preorder:
 
     The file lists generators; the parsed preorder is the closure.
     """
+    from .preorder import close, from_pairs
+
     lines = _lines(text)
     if not lines or not lines[0][1].startswith("elements:"):
         got = lines[0][1] if lines else "<empty file>"
@@ -96,6 +93,8 @@ def quotient_dot(q: QuotientPoset, labels: list[str] | None = None) -> str:
 def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
     """Grammar: ``type <id> [principal] [prime]`` node lines and
     ``<q> dominates <p> via <label> [principal]`` edge lines."""
+    from .domination import DomEdge, DominationGraph, TypeNode
+
     nodes: list[TypeNode] = []
     edges: list[DomEdge] = []
     for no, line in _lines(text):
@@ -146,6 +145,8 @@ def serialize_domination(g: DominationGraph) -> str:
 # -- type-space files ---------------------------------------------------------
 
 def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
+    from .typespace import TypeSpace
+
     fields: dict[str, str] = {}
     for no, line in _lines(text):
         key, sep, value = line.partition(":")
@@ -178,6 +179,7 @@ def serialize_typespace(ts: TypeSpace) -> str:
 
 def parse_modelspec(text: str, path: str = "<modelspec>"):
     from .models import ModelSpec
+    from .typespace import parse_cell, render_cell
 
     lines = _lines(text)
     header: dict[str, str] = {}
@@ -222,6 +224,8 @@ def parse_modelspec(text: str, path: str = "<modelspec>"):
 
 
 def serialize_modelspec(spec) -> str:
+    from .typespace import render_cell
+
     lines = [serialize_typespace(spec.space).rstrip()]
     lines.append(f"base: {'all' if spec.base_all else 'none'}")
     for cell, delta in spec.edits:
@@ -235,6 +239,8 @@ def serialize_modelspec(spec) -> str:
 def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
     """Preorder block, then ``mode:``, ``f:`` value lines, and optional
     ``partition:`` lines."""
+    from .distribution import SeqKey, finite_spec, sequence_spec
+
     lines = _lines(text)
     pre_lines = []
     rest = []
@@ -365,6 +371,8 @@ def serialize_struct(spec: StructSpec) -> str:
 
 
 def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
+    from .operators import OpRecord, RegEdge, RegNode, Registry, StructSpec
+
     universe: tuple[str, ...] = ()
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, int | None] = {}
@@ -456,6 +464,8 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
 
 def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
     """Grammar: one operator invocation per line, ``<op> key=value ...``."""
+    from .operators import PipelineStep
+
     steps = []
     known = {"base", "qedge", "icp", "css", "bd", "bu", "lmt", "lms", "note"}
     for no, line in _lines(text):

@@ -21,11 +21,11 @@ rest), which each public operator runs on a thawed copy of its spec.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .cardinal import CONTINUUM, OMEGA, Card, card_eq, fin, parse_card, render
-from .domination import DomEdge, DominationGraph, TypeNode
 from .limitcount import FREE_SYSTEM, IdentitySystem, Schema
 from .report import Report, ReportBuilder
 
@@ -84,6 +84,8 @@ class Registry:
         )
 
     def to_domination_graph(self) -> DominationGraph:
+        from .domination import DomEdge, DominationGraph, TypeNode
+
         nodes = tuple(
             TypeNode(n.name, principal=n.principal, prime=n.prime)
             for n in sorted(self.nodes.values(), key=lambda n: n.name)
@@ -272,6 +274,12 @@ def _eff_color(c: Color, depth: int) -> int:
     return depth if c is None else c
 
 
+def _pair_eff(c1: Color, c2: Color, depth: int) -> int:
+    """Split depth of a pair: its least finite color, else ``depth``."""
+    finite = [c for c in (c1, c2) if c is not None]
+    return min(finite) if finite else depth
+
+
 def icp_need(spec: StructSpec | _Work, sub: str, depth: int, fan_out: int) -> int:
     return sum(
         (2 ** _eff_color(spec.color(x), depth)) * fan_out for x in spec.extent(sub)
@@ -282,12 +290,7 @@ def bu_need(spec: StructSpec | _Work, sub1: str, sub2: str, depth: int, fan_out:
     total = 0
     for x1 in spec.extent(sub1):
         for x2 in spec.extent(sub2):
-            c1, c2 = spec.color(x1), spec.color(x2)
-            if c1 is None and c2 is None:
-                eff = depth
-            else:
-                eff = min(c for c in (c1, c2) if c is not None)
-            total += (2**eff) * fan_out
+            total += (2 ** _pair_eff(spec.color(x1), spec.color(x2), depth)) * fan_out
     return total
 
 
@@ -482,11 +485,7 @@ def _bu(
     cursor = 0
     for x1 in sorted(ext1):
         for x2 in sorted(ext2):
-            c1, c2 = w.color(x1), w.color(x2)
-            if c1 is None and c2 is None:
-                eff = depth
-            else:
-                eff = min(c for c in (c1, c2) if c is not None)
+            eff = _pair_eff(w.color(x1), w.color(x2), depth)
             for block in range(2**eff):
                 bits = [(block >> (i - 1)) & 1 for i in range(1, eff + 1)]
                 for _ in range(fan_out):
@@ -639,6 +638,20 @@ def _triple_index(triples: Iterable[tuple[str, str, str]]) -> dict[tuple[str, st
     return out
 
 
+def _block_sizes(img0: set[str], layers: list) -> Counter:
+    """Witnesses per split block, in one pass over the layers.
+
+    Bit i of a witness's block says it lies in ``layers[i]``; the
+    witnesses are the members of ``img0``.
+    """
+    block_of = dict.fromkeys(img0, 0)
+    for i, layer in enumerate(layers):
+        for y in layer:
+            if y in block_of:
+                block_of[y] |= 1 << i
+    return Counter(block_of.values())
+
+
 def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     sub = params["sub"]
     depth = params["depth"]
@@ -661,20 +674,11 @@ def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: M
                 contain_bad.append(f"{x}: R{i} outside R0 ({len(extra)})")
             if i > eff and images[i].get(x):
                 split_bad.append(f"{x}: color {eff} but R{i} nonempty")
+        sizes = _block_sizes(img0, [images[i].get(x, ()) for i in range(1, eff + 1)])
         for block in range(2**eff):
-            bits = [(block >> (i - 1)) & 1 for i in range(1, eff + 1)]
-            part = {
-                y
-                for y in img0
-                if all(
-                    (y in images[i].get(x, set())) == bool(bits[i - 1])
-                    for i in range(1, eff + 1)
-                )
-            }
-            if len(part) < fan_out:
-                split_bad.append(
-                    f"{x}: block {bits} has {len(part)} witnesses, need {fan_out}"
-                )
+            if sizes[block] < fan_out:
+                bits = [(block >> i) & 1 for i in range(eff)]
+                split_bad.append(f"{x}: block {bits} has {sizes[block]} witnesses, need {fan_out}")
     rb.check(f"{tag}.base-images", not base_bad, "; ".join(base_bad[:3]))
     rb.check(f"{tag}.splits", not split_bad, "; ".join(split_bad[:3]))
     rb.check(f"{tag}.containment", not contain_bad, "; ".join(contain_bad[:3]))
@@ -731,10 +735,7 @@ def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Ma
     split_bad: list[str] = []
     contain_bad: list[str] = []
     for x1, x2 in pairs:
-        c1, c2 = spec.color(x1), spec.color(x2)
-        eff = depth if (c1 is None and c2 is None) else min(
-            c for c in (c1, c2) if c is not None
-        )
+        eff = _pair_eff(spec.color(x1), spec.color(x2), depth)
         img0 = images[0].get((x1, x2), set())
         for i in range(1, depth + 1):
             extra = images[i].get((x1, x2), set()) - img0
@@ -742,20 +743,11 @@ def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Ma
                 contain_bad.append(f"({x1},{x2}): R{i} outside R0")
             if i > eff and images[i].get((x1, x2)):
                 split_bad.append(f"({x1},{x2}): min color {eff} but R{i} nonempty")
+        sizes = _block_sizes(img0, [images[i].get((x1, x2), ()) for i in range(1, eff + 1)])
         for block in range(2**eff):
-            bits = [(block >> (i - 1)) & 1 for i in range(1, eff + 1)]
-            part = {
-                z
-                for z in img0
-                if all(
-                    (z in images[i].get((x1, x2), set())) == bool(bits[i - 1])
-                    for i in range(1, eff + 1)
-                )
-            }
-            if len(part) < fan_out:
-                split_bad.append(
-                    f"({x1},{x2}): block {bits} has {len(part)}, need {fan_out}"
-                )
+            if sizes[block] < fan_out:
+                bits = [(block >> i) & 1 for i in range(eff)]
+                split_bad.append(f"({x1},{x2}): block {bits} has {sizes[block]}, need {fan_out}")
     rb.check(f"{tag}.splits", not split_bad, "; ".join(split_bad[:3]))
     rb.check(f"{tag}.containment", not contain_bad, "; ".join(contain_bad[:3]))
     disjoint_bad = []

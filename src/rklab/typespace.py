@@ -27,7 +27,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .report import BudgetError
 
+# every family's cell count stays within the 2^16 cells of the deepest iup space
 IUP_DEPTH_CAP = 16
+SDUP_DEPTH_CAP = 14  # 3 * 2^14 - 1 cells
+CELL_CAP = 2**IUP_DEPTH_CAP
 FORMULA_BUDGET = 30000
 
 
@@ -63,9 +66,14 @@ class TypeSpace:
             raise ValueError("depth must be positive")
         if self.family == "iup" and self.depth > IUP_DEPTH_CAP:
             raise ValueError(f"iup depth capped at {IUP_DEPTH_CAP}")
+        if self.family == "sdup" and self.depth > SDUP_DEPTH_CAP:
+            raise ValueError(f"sdup depth capped at {SDUP_DEPTH_CAP}")
         if self.family == "colored":
             if self.parts is None or self.parts < 1:
                 raise ValueError("colored family needs a positive part count")
+            cells = self.parts * (self.depth + 2)
+            if cells > CELL_CAP:
+                raise ValueError(f"colored space capped at {CELL_CAP} cells, got {cells}")
         elif self.parts is not None:
             raise ValueError("parts only applies to the colored family")
 

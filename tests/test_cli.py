@@ -1,3 +1,4 @@
+import json
 import os
 import resource
 import subprocess
@@ -338,3 +339,70 @@ def test_preorder_many_elements_fits_in_memory(tmp_path):
     # 99998 classes; the chain 5 < 99998 < 7 and the pair 50000 < 50001 match 3
     assert proc.stdout == "elements=99999\nheight=3\nwidth=99995\n"
     assert elapsed < 60, f"took {elapsed:.1f}s"
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_oversized_type_spaces_refused_before_allocating():
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for argv, message in (
+        (("--family", "sdup", "--depth", "30"), "sdup depth capped at 14"),
+        (
+            ("--family", "colored", "--m", "10000000", "--depth", "10"),
+            "colored space capped at 65536 cells, got 120000000",
+        ),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rklab", "types", *argv, "--prime", "--machine"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=300,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+
+
+# runs ``python -m rklab ARGV`` and prints the rklab modules it loaded as the last line
+_MODULE_PROBE = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith('rklab')))))\n"
+    "runpy.run_module('rklab', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, forbidden",
+    [
+        (("--help",),
+         {"cardinal", "distribution", "domination", "formats", "limitcount", "models",
+          "operators", "preorder", "typespace"}),
+        (("classify", "--tc", "--triple", "0,0,c"),
+         {"operators", "domination", "preorder", "limitcount", "typespace", "formats"}),
+        (("decompose", "--rk", "1", "--il", "1,w", "--npl", "c", "--tc"),
+         {"operators", "domination", "preorder", "limitcount", "typespace", "formats"}),
+        (("types", "--family", "sdup", "--depth", "2", "--prime", "--enumerate"),
+         {"distribution", "operators", "domination", "preorder", "limitcount", "formats"}),
+        (("limits", "--system", "lmt", "--n", "2", "--alphabet", "2", "--len", "3"),
+         {"distribution", "formats", "typespace"}),
+        (("preorder", "--in", "{po}", "--quotient", "--height", "--width"),
+         {"distribution", "operators", "typespace", "limitcount"}),
+    ],
+    ids=["help", "classify", "decompose", "types", "limits", "preorder"],
+)
+def test_subcommand_imports_only_its_layers(tmp_path, argv, forbidden):
+    po = tmp_path / "chain.po"
+    po.write_text("elements: 3\n0 <= 1\n1 <= 2\n")
+    args = [a.format(po=po) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *args],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("rklab.") for m in json.loads(proc.stdout.splitlines()[-1])}
+    assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rklab import formats
+from rklab import formats, operators
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
 from rklab.distribution import (
     BuildConfig,
@@ -189,7 +189,7 @@ def test_pipeline_random_round_trip():
     ops_pool = ["base", "qedge", "icp", "css", "bu", "lmt", "lms", "note"]
     for _ in range(200):
         steps = [
-            formats.PipelineStep(
+            operators.PipelineStep(
                 rng.choice(ops_pool),
                 {f"k{j}": f"v{rng.randrange(9)}" for j in range(rng.randint(0, 3))},
             )

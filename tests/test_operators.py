@@ -301,6 +301,20 @@ def test_checked_pipeline_raises_at_failing_step(monkeypatch):
         run_pipeline(PIPE, check=True)
 
 
+def test_checked_pipeline_raises_at_failing_bu_block(monkeypatch):
+    real_bu = operators._bu
+
+    def lossy_bu(work, *args, **kwargs):
+        real_bu(work, *args, **kwargs)
+        rel = work.history[-1].params["rels"][0]
+        work.ternary[rel] = work.ternary[rel][1:]  # the first witness lies in block 0 only
+
+    monkeypatch.setattr(operators, "_bu", lossy_bu)
+    assert len(run_pipeline(PIPE).history) == 5  # unchecked: nothing notices
+    with pytest.raises(ValueError, match=r"^scheme violation after bu: app3\.splits$"):
+        run_pipeline(PIPE, check=True)
+
+
 def test_css_fresh_names_must_not_collide():
     spec, stubs = icp_then_stubs(base2(colors=1))
     crowded = replace(spec, universe=spec.universe + (f"T{len(spec.history)}s0_0",))
