@@ -9,8 +9,7 @@ is never asserted at finite length.
 import argparse
 
 from rklab.cardinal import OMEGA, fin, render
-from rklab.limitcount import count_classes, render_word
-from rklab.operators import lmt, lms
+from rklab.limitcount import count_classes, lmt, lms, render_word
 
 
 def row(system, label, alphabet, lengths):

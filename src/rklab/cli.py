@@ -195,8 +195,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_limits(args: argparse.Namespace) -> int:
     from .cardinal import parse_card, render
-    from .limitcount import render_word, stabilization
-    from .operators import lmt, lms
+    from .limitcount import lmt, lms, render_word, stabilization
 
     lam = parse_card(args.lam or str(args.n))
     system = lmt(lam) if args.system == "lmt" else lms(args.seq_len, lam, args.reading)

@@ -25,8 +25,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .cardinal import CONTINUUM, OMEGA, Card, card_eq, fin, parse_card, render
-from .limitcount import FREE_SYSTEM, IdentitySystem, Schema
+from .cardinal import CONTINUUM, Card, card_eq, parse_card, render
+from .limitcount import FREE_SYSTEM, IdentitySystem, lmt, lms
 from .report import Report, ReportBuilder
 
 Color = int | None  # None is the infinite color
@@ -513,63 +513,6 @@ def _bu(
 
 # -- limit-model operators ----------------------------------------------------
 
-def lmt(lam: Card) -> IdentitySystem:
-    """Identity family sizing the limit models over a single type."""
-    if lam.finite:
-        n = lam.value
-        if n < 1:
-            raise ValueError("the finite case needs at least one limit model")
-        return IdentitySystem(
-            "lmt",
-            (
-                Schema("single_rename", n),
-                Schema("idem_below", n),
-                Schema("drop_to_min"),
-            ),
-            fin(n),
-            n=n,
-        )
-    if lam == OMEGA:
-        return IdentitySystem(
-            "lmt",
-            (Schema("idem_all"), Schema("drop_to_min"), Schema("pair_to_run")),
-            OMEGA,
-        )
-    raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
-
-
-def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
-    """Identity family sizing the limit models over a domination sequence."""
-    if q_len < 1:
-        raise ValueError("sequence length must be positive")
-    if reading not in ("gt", "geq"):
-        raise ValueError("reading must be 'gt' or 'geq'")
-    if lam.finite:
-        n = lam.value
-        if n < 1:
-            raise ValueError("the finite case needs at least one limit model")
-        return IdentitySystem(
-            "lms",
-            (Schema("single_rename", n), Schema("ascend_to_power")),
-            fin(n),
-            n=n,
-            seq_len=q_len,
-        )
-    if lam == OMEGA:
-        return IdentitySystem(
-            "lms",
-            (
-                Schema("ascend_to_power"),
-                Schema("ascend_to_run"),
-                Schema("ascend_to_capped_run"),
-            ),
-            OMEGA,
-            reading=reading,
-            seq_len=q_len,
-        )
-    raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
-
-
 def apply_lmt(
     spec: StructSpec, p: str, lam: Card, reading: str = "gt"
 ) -> tuple[StructSpec, IdentitySystem]:
@@ -750,14 +693,23 @@ def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Ma
                 split_bad.append(f"({x1},{x2}): block {bits} has {sizes[block]}, need {fan_out}")
     rb.check(f"{tag}.splits", not split_bad, "; ".join(split_bad[:3]))
     rb.check(f"{tag}.containment", not contain_bad, "; ".join(contain_bad[:3]))
-    disjoint_bad = []
-    for (a1, a2), (b1, b2) in itertools.combinations(pairs, 2):
-        if a1 == b1 or a2 == b2:
-            continue
-        for i, idx in enumerate(images):
-            if idx.get((a1, a2), set()) & idx.get((b1, b2), set()):
-                disjoint_bad.append(f"({a1},{a2})~({b1},{b2})/R{i}")
-    rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
+    # each witness lists the pairs whose image holds it, layer by layer;
+    # two pairs sharing a witness but no coordinate break disjointness
+    clashes = set()
+    for i, idx in enumerate(images):
+        owners: dict[str, list[int]] = {}
+        for p, key in enumerate(pairs):
+            for z in idx.get(key, ()):
+                owners.setdefault(z, []).append(p)
+        for ps in owners.values():
+            for a, b in itertools.combinations(ps, 2):
+                if pairs[a][0] != pairs[b][0] and pairs[a][1] != pairs[b][1]:
+                    clashes.add((a, b, i))
+    shown = []
+    for a, b, i in sorted(clashes)[:3]:
+        (a1, a2), (b1, b2) = pairs[a], pairs[b]
+        shown.append(f"({a1},{a2})~({b1},{b2})/R{i}")
+    rb.check(f"{tag}.disjoint-images", not clashes, "; ".join(shown))
 
 
 _VERIFIERS = {"icp": _verify_icp, "css": _verify_css, "bu": _verify_bu}

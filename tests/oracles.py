@@ -3,8 +3,10 @@
 Deliberately dumb implementations: saturation over boolean matrices for
 closures and covers, exhaustive subset enumeration for chains and
 antichains, a permutation search for isomorphism, a saturating
-union-find over explicit word lists for the bounded congruence, and
-direct formula enumeration for density and classification.
+union-find over explicit word lists for the bounded congruence, the
+identity schemas' ground instances built as word tuples, a comparison
+of every two extent pairs for the bu disjoint-images check, and direct
+formula enumeration for density and classification.
 They share no code with the library paths they certify.
 """
 from __future__ import annotations
@@ -139,6 +141,93 @@ def brute_congruence_count(instances, alphabet: int, max_len: int):
     for w in words:
         classes.setdefault(find(w), []).append(w)
     return len(classes), classes
+
+
+def _words_up_to(alphabet: int, max_len: int):
+    for length in range(1, max_len + 1):
+        yield from itertools.product(range(alphabet), repeat=length)
+
+
+def _run(a: int, b: int):
+    return tuple(range(a, b + 1))
+
+
+def _schema_instances(schema, alphabet: int, max_len: int):
+    k = schema.kind
+    if k == "single_rename":
+        n = schema.param
+        for m in range(n, alphabet):
+            yield (n - 1,), (m,)
+    elif k == "idem_below":
+        if max_len >= 2:
+            for m in range(min(schema.param, alphabet)):
+                yield (m, m), (m,)
+    elif k == "idem_all":
+        if max_len >= 2:
+            for m in range(alphabet):
+                yield (m, m), (m,)
+    elif k == "drop_to_min":
+        for u in _words_up_to(alphabet, max_len - 1):
+            for last in range(min(u)):
+                yield u + (last,), (last,)
+    elif k == "pair_to_run":
+        for a in range(alphabet):
+            for b in range(a + 1, alphabet):
+                if b - a + 1 <= max_len:
+                    yield (a, b), _run(a, b)
+    elif k == "ascend_to_power":
+        for u in _words_up_to(alphabet, max_len - 1):
+            for last in range(max(u) + 1, alphabet):
+                yield u + (last,), (last,) * (len(u) + 1)
+    elif k == "ascend_to_run":
+        for u in _words_up_to(alphabet, max_len - 1):
+            s = len(u)
+            for last in range(u[0] + s, alphabet):
+                yield u + (last,), _run(u[0], u[0] + s)
+    elif k == "ascend_to_capped_run":
+        for u in _words_up_to(alphabet, max_len - 1):
+            s = len(u)
+            for last in range(u[0] + 1, min(u[0] + s, alphabet)):
+                yield u + (last,), _run(u[0], last) + (last,) * (s - (last - u[0]))
+    else:
+        raise ValueError(f"unknown schema kind {k!r}")
+
+
+def brute_instantiate(system, alphabet: int, max_len: int) -> list:
+    """The ground instances of every schema as word tuples, scanning all
+    words below the bound, with both sides nonempty, distinct and within
+    the bound, in schema order without duplicates."""
+    out: dict = {}
+    for schema in system.schemas:
+        for lhs, rhs in _schema_instances(schema, alphabet, max_len):
+            if lhs and rhs and lhs != rhs and len(lhs) <= max_len and len(rhs) <= max_len:
+                out[lhs, rhs] = None
+    return list(out)
+
+
+def brute_bu_disjoint(spec, params) -> list[str]:
+    """Every disjoint-images violation of a bu record, in the order of pair
+    a, pair b, layer: each two extent pairs sharing no coordinate are
+    compared on each layer."""
+    images = []
+    for rel in params["rels"]:
+        index: dict = {}
+        for x1, x2, z in spec.ternary.get(rel, ()):
+            index.setdefault((x1, x2), set()).add(z)
+        images.append(index)
+    pairs = [
+        (x1, x2)
+        for x1 in sorted(spec.extent(params["sub1"]))
+        for x2 in sorted(spec.extent(params["sub2"]))
+    ]
+    bad = []
+    for (a1, a2), (b1, b2) in itertools.combinations(pairs, 2):
+        if a1 == b1 or a2 == b2:
+            continue
+        for i, index in enumerate(images):
+            if index.get((a1, a2), set()) & index.get((b1, b2), set()):
+                bad.append(f"({a1},{a2})~({b1},{b2})/R{i}")
+    return bad
 
 
 @functools.lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from rklab.distribution import (
     replayed_il,
     replayed_prime_preorder,
 )
-from rklab.limitcount import count_classes, instantiate
+from rklab.limitcount import count_classes, instantiate, lmt, lms
 from rklab.models import (
     RkSequence,
     cm_dominates,
@@ -45,8 +45,6 @@ from rklab.operators import (
     colored_base,
     icp,
     icp_need,
-    lmt,
-    lms,
     verify_schemes,
 )
 from rklab.preorder import (

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -368,12 +369,13 @@ def test_oversized_type_spaces_refused_before_allocating():
         assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
 
 
-# runs ``python -m rklab ARGV`` and prints the rklab modules it loaded as the last line
-_MODULE_PROBE = (
+# prints the rklab modules loaded by the run that follows it as the last line
+_PROBE_HEAD = (
     "import atexit, json, runpy, sys\n"
     "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith('rklab')))))\n"
-    "runpy.run_module('rklab', run_name='__main__', alter_sys=True)\n"
 )
+# runs ``python -m rklab ARGV``
+_MODULE_PROBE = _PROBE_HEAD + "runpy.run_module('rklab', run_name='__main__', alter_sys=True)\n"
 
 
 @pytest.mark.parametrize(
@@ -389,7 +391,7 @@ _MODULE_PROBE = (
         (("types", "--family", "sdup", "--depth", "2", "--prime", "--enumerate"),
          {"distribution", "operators", "domination", "preorder", "limitcount", "formats"}),
         (("limits", "--system", "lmt", "--n", "2", "--alphabet", "2", "--len", "3"),
-         {"distribution", "formats", "typespace"}),
+         {"distribution", "formats", "typespace", "operators", "domination", "preorder"}),
         (("preorder", "--in", "{po}", "--quotient", "--height", "--width"),
          {"distribution", "operators", "typespace", "limitcount"}),
     ],
@@ -406,3 +408,77 @@ def test_subcommand_imports_only_its_layers(tmp_path, argv, forbidden):
     assert proc.returncode == 0, proc.stderr
     loaded = {m.removeprefix("rklab.") for m in json.loads(proc.stdout.splitlines()[-1])}
     assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)
+
+
+def test_limit_census_imports_only_its_layers():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "limit_census.py"
+    probe = _PROBE_HEAD + f"runpy.run_path({str(script)!r}, run_name='__main__')\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "--alphabets", "2", "--max-len", "3"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("rklab.") for m in json.loads(proc.stdout.splitlines()[-1])}
+    assert loaded == {"rklab", "cardinal", "limitcount", "report"}, sorted(loaded)
+
+
+README_EXAMPLES = [
+    "preorder --in chain4.po --quotient --height --width --dot out.dot",
+    "types --family iup --depth 3 --enumerate --prime",
+    "types --family sdup --depth 2 --classify Se,!S0,!S1",
+    "dominate --in graph.dg --rkt --dot out.dot",
+    "apply --pipeline build.pipe --verify --out out.struct",
+    "limits --system lmt --n 1 --alphabet 3 --len 4",
+    "limits --system lms --lam w --alphabet 3 --len 3 --reading gt",
+    "classify --tc --triple 0,0,c",
+    "classify --small --triple 1,0,0",
+    "build --spec spec.ds --variant t77 --replay --out build.pipe",
+    "decompose --rk 2 --il 1,0,2 --npl c --tc",
+]
+FUZZ_TOKENS = [
+    "0", "1", "2", "3", "7", "-1", "99", "100000", "3000000", "", "x", "w", "c", "1,2", "0,w,c",
+    "S0", "!Se", "gt", "geq", "t92", "--machine", "--help", "chain4.po", "graph.dg", "spec.ds",
+    "build.pipe", "out.struct",
+]
+
+
+def _mutate(rng, argv):
+    """Delete, insert, replace or swap one to three tokens."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        op, i = rng.randrange(4), rng.randrange(len(argv) + 1)
+        if op == 0 and i < len(argv):
+            del argv[i]
+        elif op == 1:
+            argv.insert(i, rng.choice(FUZZ_TOKENS))
+        elif op == 2 and i < len(argv):
+            argv[i] = rng.choice(FUZZ_TOKENS)
+        elif op == 3 and argv:
+            j = rng.randrange(len(argv))
+            argv[i % len(argv)], argv[j] = argv[j], argv[i % len(argv)]
+    return argv
+
+
+def test_mutated_readme_examples_exit_cleanly(tmp_path, monkeypatch, capsys):
+    # every mutated command line ends in exit 0, 2 or 3, never a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain4.po").write_text("elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n")
+    (tmp_path / "graph.dg").write_text("type p0 prime\ntype p1 prime\np1 dominates p0 via Q principal\n")
+    (tmp_path / "spec.ds").write_text(
+        "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+        "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
+    )
+    assert main(README_EXAMPLES[-2].split()) == 0
+    rng = random.Random(2024)
+    slowest = (0.0, None)
+    for _ in range(1000):
+        argv = _mutate(rng, rng.choice(README_EXAMPLES).split())
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        slowest = max(slowest, (time.perf_counter() - start, argv))
+        capsys.readouterr()
+        assert code in (0, 2, 3), argv
+    assert slowest[0] < 10, slowest

@@ -1,20 +1,24 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_congruence_count
+from oracles import brute_congruence_count, brute_instantiate
 from rklab.cardinal import OMEGA, fin
 from rklab.limitcount import (
     FREE_SYSTEM,
     IdentitySystem,
     Schema,
+    _class_table,
     count_classes,
     instantiate,
+    lmt,
+    lms,
     normal_form,
     render_word,
     stabilization,
 )
-from rklab.operators import lmt, lms
 
 
 def all_systems():
@@ -258,3 +262,60 @@ def test_stabilization_next_table_over_budget():
     assert full["stable"] == (full["count"] == full["count_next"])
     with pytest.raises(ValueError, match="39 words exceed the budget 38"):
         stabilization(sys1, 3, 3, budget=words[3] - 1)
+
+
+@pytest.mark.parametrize("name,sys_", SCHEMA_KINDS, ids=[k for k, _ in SCHEMA_KINDS])
+def test_instantiate_matches_word_scanning_oracle(name, sys_):
+    # the level-by-level code generator decodes to the instances found by
+    # scanning every word, with no duplicates
+    for alphabet in (1, 2, 3, 4):
+        for length in (1, 2, 3, 4, 5):
+            got = instantiate(sys_, alphabet, length)
+            assert len(got) == len(set(got))
+            assert set(got) == set(brute_instantiate(sys_, alphabet, length)), (alphabet, length)
+
+
+def test_stabilization_builds_each_level_once():
+    for _, _, sys_ in all_systems():
+        for alphabet, length in ((2, 1), (2, 6), (3, 4), (4, 5)):
+            _class_table.cache_clear()
+            stabilization(sys_, alphabet, length)
+            assert _class_table.cache_info().misses == length + 1
+
+
+def _snapshot(sys_, alphabet, length):
+    words = [w for n in range(1, length + 1) for w in itertools.product(range(alphabet), repeat=n)]
+    forms = [normal_form(sys_, w, length, alphabet=alphabet) for w in words]
+    return count_classes(sys_, alphabet, length), forms
+
+
+def test_level_tables_independent_of_build_order():
+    # a table grown on the way to L+1 equals the one asked for first
+    for _, _, sys_ in all_systems() + [("free", None, FREE_SYSTEM)]:
+        for alphabet in (1, 2, 3):
+            for length in (1, 2, 3, 4, 5):
+                _class_table.cache_clear()
+                up = _snapshot(sys_, alphabet, length + 1), _snapshot(sys_, alphabet, length)
+                _class_table.cache_clear()
+                down = _snapshot(sys_, alphabet, length), _snapshot(sys_, alphabet, length + 1)
+                assert up == down[::-1], (sys_.kind, alphabet, length)
+
+
+MIXED_SYSTEMS = [
+    (IdentitySystem("lmt", (Schema("drop_to_min"), Schema("ascend_to_power")), OMEGA), (2, 6)),
+    (IdentitySystem("lms", (Schema("idem_below", 1), Schema("ascend_to_capped_run")), OMEGA), (3, 5)),
+    (
+        IdentitySystem(
+            "lms", (Schema("idem_below", 2), Schema("ascend_to_power"), Schema("ascend_to_run")), OMEGA
+        ),
+        (4, 4),
+    ),
+]
+
+
+def test_mixed_schemas_match_brute_classes():
+    # in these systems short words that were roots one level down merge
+    # through longer ones, so their own context pairs are needed
+    for sys_, (alphabet, length) in MIXED_SYSTEMS:
+        expected, _ = brute_congruence_count(instantiate(sys_, alphabet, length), alphabet, length)
+        assert count_classes(sys_, alphabet, length)[0] == expected, sys_.schemas

@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import brute_bu_disjoint
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, parse_card
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
 from rklab.formats import serialize_struct
-from rklab.limitcount import FREE_SYSTEM
+from rklab.limitcount import FREE_SYSTEM, lmt, lms
 from rklab.operators import (
     PipelineStep,
     apply_lmt,
@@ -19,8 +20,6 @@ from rklab.operators import (
     css,
     icp,
     icp_need,
-    lmt,
-    lms,
     pnode,
     run_pipeline,
     stub_name,
@@ -206,6 +205,48 @@ def test_mutation_detected():
             mutated = _delete_one_pair(out, rel, index)
             assert not verify_schemes(mutated, "icp").ok
 
+
+def _mutate_bu(spec, rng):
+    """Copy witnesses between joint images, drop triples and add stray ones
+    on the layers of the last bu record."""
+    params = spec.history[-1].params
+    rels = params["rels"]
+    ternary = {r: list(t) for r, t in spec.ternary.items()}
+    for _ in range(rng.randint(1, 8)):
+        rel = rng.choice(rels)
+        triples = ternary[rel]
+        move = rng.random()
+        if move < 0.5 and triples:
+            _, _, z = rng.choice(triples)
+            for x1, x2, _ in rng.sample(triples, min(len(triples), rng.randint(1, 3))):
+                triples.append((x1, x2, z))
+        elif move < 0.8 and triples:
+            del triples[rng.randrange(len(triples))]
+        else:
+            x1, x2 = rng.choice(spec.extent(params["sub1"])), rng.choice(spec.extent(params["sub2"]))
+            triples.append((x1, x2, rng.choice(spec.universe)))
+    return replace(spec, ternary={r: tuple(t) for r, t in ternary.items()})
+
+
+def test_bu_disjoint_images_match_pairwise_oracle():
+    # the indexed check reports what comparing every two pairs reports,
+    # down to the first three violations
+    rng = random.Random(11)
+    failing = 0
+    for trial in range(60):
+        colors = rng.randint(1, 3)
+        depth = max(1, colors - 1 + rng.randint(0, 1))
+        fan = rng.randint(1, 2)
+        spec = colored_base(2, colors, per_color=rng.randint(1, 2))
+        spec = bu(spec, "P0", "P1", bu_need(spec, "P0", "P1", depth, fan), depth, fan)
+        for _ in range(5):
+            mutated = _mutate_bu(spec, rng)
+            entry = {e.code: e for e in verify_schemes(mutated, "bu").entries}["app0.disjoint-images"]
+            expected = brute_bu_disjoint(mutated, mutated.history[-1].params)
+            assert entry.ok == (not expected)
+            assert entry.detail == "; ".join(expected[:3])
+            failing += not entry.ok
+    assert failing >= 50
 
 def test_verify_schemes_needs_matching_record():
     spec = base2()
