@@ -13,13 +13,14 @@ scope uses only sums and suprema.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from .record import record
 
 _RANK = {"fin": 0, "w": 1, "w1": 2, "c": 3}
 
 
-@dataclass(frozen=True)
+@record
 class Card:
     kind: str
     value: int = 0

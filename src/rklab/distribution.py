@@ -19,7 +19,6 @@ registry's prime-model structure and the f values as limit targets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .cardinal import (
     CONTINUUM,
@@ -34,10 +33,11 @@ from .cardinal import (
     fin,
     render,
 )
+from .record import record, replace
 from .report import Report, ReportBuilder  # preorder, domination, operators: imported where used
 
 
-@dataclass(frozen=True)
+@record
 class Cm3Triple:
     p: Card
     l: Card
@@ -50,7 +50,7 @@ class Cm3Triple:
         return f"({render(self.p)},{render(self.l)},{render(self.npl)})"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str  # "admissible-small" | "admissible-tc" | "inadmissible"
     case: int | None = None
@@ -176,7 +176,7 @@ def decompose_tc(
 
 # -- distribution specs -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SeqKey:
     """A finite chain standing for a domination sequence.
 
@@ -193,7 +193,7 @@ class SeqKey:
         return body + ("<..." if self.extendable else "")
 
 
-@dataclass(frozen=True)
+@record
 class DistributionSpec:
     order: Preorder
     mode: str  # "finite" | "countable-truncated"
@@ -451,7 +451,7 @@ def limit_obligations(g: DominationGraph) -> dict[frozenset[str], bool]:
 
 # -- blueprints ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class BuildConfig:
     colors: int = 1
     per_color: int = 1
@@ -463,7 +463,7 @@ class BuildConfig:
             raise ValueError("split depth must cover the finite colors")
 
 
-@dataclass(frozen=True)
+@record
 class TheoryBlueprint:
     predicates: tuple[str, ...]
     q_edges: tuple[tuple[int, int, bool], ...]

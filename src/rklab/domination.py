@@ -15,19 +15,18 @@ over.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .preorder import Preorder, QuotientPoset, close, from_pairs, induced, sim_quotient
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class TypeNode:
     name: str
     principal: bool = False
     prime: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class DomEdge:
     """src dominates dst, witnessed by the labelled formula."""
 
@@ -37,7 +36,7 @@ class DomEdge:
     principal: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class DominationGraph:
     nodes: tuple[TypeNode, ...]
     edges: tuple[DomEdge, ...]
@@ -145,7 +144,7 @@ def rk_size(g: DominationGraph) -> int:
 
 # -- limit models over a single type -----------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RealEdge:
     """src isolates / semi-isolates dst among realizations of one type."""
 
@@ -159,7 +158,7 @@ class RealEdge:
             raise ValueError("a principal edge always semi-isolates")
 
 
-@dataclass(frozen=True)
+@record
 class RealizationDigraph:
     prime: bool
     nodes: tuple[str, ...]

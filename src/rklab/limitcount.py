@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .cardinal import CONTINUUM, OMEGA, Card, fin, render
+from .record import record
 from .report import BudgetError
 
 Word = tuple[int, ...]
@@ -33,7 +33,7 @@ Word = tuple[int, ...]
 WORD_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@record
 class Schema:
     """One parameterized identity; ``kind`` selects the instance generator."""
 
@@ -41,7 +41,7 @@ class Schema:
     param: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class IdentitySystem:
     kind: str  # "lmt" | "lms" | "free"
     schemas: tuple[Schema, ...]

@@ -15,10 +15,10 @@ implicit base provides at finite depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cardinal import CONTINUUM, Card, card_eq, card_sum_all
+from .record import record
 from .typespace import (
     Cell,
     TypeSpace,
@@ -35,7 +35,7 @@ from .typespace import (
 COUNT_CAP = 8
 
 
-@dataclass(frozen=True)
+@record
 class CellCount:
     """Either a finite count k, or (infinite base) + offset k."""
 
@@ -56,7 +56,7 @@ class CellCount:
         return self.__le__(other) and self != other
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     space: TypeSpace
     base_all: bool
@@ -174,7 +174,7 @@ def perturb(m: ModelSpec, direction: str) -> ModelSpec:
 
 # -- domination sequences and the finite-depth submodel construction ---------
 
-@dataclass(frozen=True)
+@record
 class RkSequence:
     """Cells q_0 <= q_1 <= ... with a witness label for each adjacent pair."""
 

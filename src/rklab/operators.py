@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .cardinal import CONTINUUM, Card, card_eq, parse_card, render
 from .limitcount import FREE_SYSTEM, IdentitySystem, lmt, lms
+from .record import factory, record, replace
 from .report import Report, ReportBuilder
 
 Color = int | None  # None is the infinite color
@@ -46,7 +46,7 @@ def joint_name(p1: str, p2: str) -> str:
 
 # -- registry -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RegNode:
     name: str
     principal: bool = False
@@ -56,7 +56,7 @@ class RegNode:
     realized: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class RegEdge:
     src: str
     dst: str
@@ -64,11 +64,11 @@ class RegEdge:
     principal: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class Registry:
-    nodes: dict[str, RegNode] = field(default_factory=dict)
+    nodes: dict[str, RegNode] = factory(dict)
     edges: tuple[RegEdge, ...] = ()
-    limit_targets: dict[str, Card] = field(default_factory=dict)
+    limit_targets: dict[str, Card] = factory(dict)
     notes: tuple[str, ...] = ()
 
     def stubs_of(self, p: str) -> list[RegNode]:
@@ -98,20 +98,20 @@ class Registry:
 
 # -- structure specs ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class OpRecord:
     op: str
     params: dict[str, object]
 
 
-@dataclass(frozen=True)
+@record
 class StructSpec:
     universe: tuple[str, ...]
     unary: dict[str, tuple[str, ...]]
     coloring: dict[str, Color]
     binary: dict[str, tuple[tuple[str, str], ...]]
     ternary: dict[str, tuple[tuple[str, str, str], ...]]
-    registry: Registry = field(default_factory=Registry)
+    registry: Registry = factory(Registry)
     history: tuple[OpRecord, ...] = ()
 
     def __post_init__(self) -> None:
@@ -334,6 +334,8 @@ def icp(
 def _icp(w: _Work, sub: str, fresh_y: int, depth: int, fan_out: int, seed: int = 0) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
+    if fan_out < 1:
+        raise ValueError("fan-out must be positive")
     _check_colored_extent(w, sub, depth)
     need = icp_need(w, sub, depth, fan_out)
     if fresh_y < need:
@@ -396,6 +398,8 @@ def _css(
 ) -> None:
     if not q_subset:
         raise ValueError("q_subset must be nonempty")
+    if fan_out < 1:
+        raise ValueError("fan-out must be positive")
     stubs = []
     for name in q_subset:
         node = w.nodes.get(name)
@@ -469,6 +473,8 @@ def _bu(
 ) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
+    if fan_out < 1:
+        raise ValueError("fan-out must be positive")
     ext1, ext2 = w.extent(sub1), w.extent(sub2)
     if set(ext1) & set(ext2):
         raise ValueError(f"{sub1} and {sub2} overlap")
@@ -743,7 +749,7 @@ def verify_schemes(spec: StructSpec, op_tag: str) -> Report:
 
 # -- pipelines ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PipelineStep:
     """One pipeline line: an operator keyword and its ``key=value`` arguments."""
 

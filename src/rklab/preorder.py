@@ -12,9 +12,8 @@ elements are ruled out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cardinal import CONTINUUM, OMEGA, ZERO, Card, card_eq, render
+from .record import record
 from .report import Report, ReportBuilder
 
 
@@ -38,7 +37,7 @@ def _mask(positions) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True)
+@record
 class Preorder:
     n: int
     rows: tuple[int, ...]
@@ -129,7 +128,7 @@ def induced(p: Preorder, elements: list[int]) -> Preorder:
     )
 
 
-@dataclass(frozen=True)
+@record
 class QuotientPoset:
     """Partition into mutual-domination classes plus the induced order.
 
@@ -270,7 +269,7 @@ def is_upward_directed(p: Preorder) -> bool:
 
 # -- premodel profiles -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ConeCase:
     """One claimed joint upper cone: its size, co-size, and whether it is X."""
 
@@ -279,7 +278,7 @@ class ConeCase:
     equals_x: bool
 
 
-@dataclass(frozen=True)
+@record
 class PremodelProfile:
     size: Card
     directed: bool

@@ -7,21 +7,21 @@ A computation that would exceed one of its budgets raises
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 
 class BudgetError(ValueError):
     """A computation's size exceeds its budget; the input itself is valid."""
 
 
-@dataclass(frozen=True)
+@record
 class Entry:
     code: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     title: str
     entries: tuple[Entry, ...] = ()

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from .record import record
 from .report import BudgetError
 
 # every family's cell count stays within the 2^16 cells of the deepest iup space
@@ -53,7 +53,7 @@ Cell = IupCell | SdupCell | ColorCell
 Atom = tuple[str, object]
 
 
-@dataclass(frozen=True)
+@record
 class TypeSpace:
     family: str
     depth: int
@@ -84,7 +84,7 @@ def space_at(ts: TypeSpace, depth: int) -> TypeSpace:
     return TypeSpace(ts.family, depth, ts.parts)
 
 
-@dataclass(frozen=True)
+@record
 class FormulaLit:
     """Consistent-conjunction candidate: signed atoms in one free variable."""
 

@@ -392,7 +392,7 @@ def test_criterion_10_operator_ground_checks():
         del pairs[index]
         binary = dict(out.binary)
         binary[rel] = tuple(pairs)
-        from dataclasses import replace
+        from rklab.record import replace
 
         mutated = replace(out, binary=binary)
         if not verify_schemes(mutated, "icp").ok:

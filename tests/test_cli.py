@@ -224,6 +224,36 @@ def test_bd_alias_in_pipeline(tmp_path, capsys):
     assert "linked" in out_file.read_text()
 
 
+@pytest.mark.parametrize("fan", ["0", "-1"])
+def test_build_refuses_fan_out_below_one(tmp_path, capsys, fan):
+    ds = tmp_path / "spec.ds"
+    ds.write_text(
+        "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+        "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
+    )
+    result = run_cli(
+        "build", "--spec", str(ds), "--variant", "t77", "--replay", "--fan-out", fan,
+        capsys=capsys,
+    )
+    assert result == (2, "", "error: fan-out must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        "icp depth=1 fan=0 sub=P0 y=auto\n",
+        "icp depth=1 fan=1 sub=P0 y=auto\ncss fan=-2 source=P0 sub=P0\n",
+        "bu depth=1 fan=0 sub1=P0 sub2=P1 z=auto\n",
+    ],
+    ids=["icp", "css", "bu"],
+)
+def test_apply_refuses_fan_out_below_one(tmp_path, capsys, steps):
+    pipe = tmp_path / "p.pipe"
+    pipe.write_text("base colors=1 parts=2 per_color=1\n" + steps)
+    result = run_cli("apply", "--pipeline", str(pipe), "--verify", "--machine", capsys=capsys)
+    assert result == (2, "", "error: fan-out must be positive\n")
+
+
 def test_types_dense_flag(capsys):
     code, out, _ = run_cli(
         "types",
@@ -369,13 +399,33 @@ def test_oversized_type_spaces_refused_before_allocating():
         assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
 
 
-# prints the rklab modules loaded by the run that follows it as the last line
+# prints, as the last line, the rklab modules loaded by the run that follows it
+# and which of the slow-to-import dataclasses and inspect are loaded
 _PROBE_HEAD = (
     "import atexit, json, runpy, sys\n"
-    "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith('rklab')))))\n"
+    "atexit.register(lambda: print(json.dumps({\n"
+    "    'rklab': sorted(m for m in sys.modules if m.startswith('rklab')),\n"
+    "    'std': [m for m in ('dataclasses', 'inspect') if m in sys.modules]})))\n"
 )
 # runs ``python -m rklab ARGV``
 _MODULE_PROBE = _PROBE_HEAD + "runpy.run_module('rklab', run_name='__main__', alter_sys=True)\n"
+
+
+def _probe(code, *args):
+    """The rklab layers and the slow standard modules that ``python -c code args`` loads."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    return {m.removeprefix("rklab.") for m in seen["rklab"]}, set(seen["std"])
+
+
+@pytest.fixture(scope="module")
+def bare_std():
+    """What a bare interpreter already loads (site hooks may import either module)."""
+    return _probe(_PROBE_HEAD + "pass\n")[1]
 
 
 @pytest.mark.parametrize(
@@ -397,29 +447,20 @@ _MODULE_PROBE = _PROBE_HEAD + "runpy.run_module('rklab', run_name='__main__', al
     ],
     ids=["help", "classify", "decompose", "types", "limits", "preorder"],
 )
-def test_subcommand_imports_only_its_layers(tmp_path, argv, forbidden):
+def test_subcommand_imports_only_its_layers(tmp_path, bare_std, argv, forbidden):
     po = tmp_path / "chain.po"
     po.write_text("elements: 3\n0 <= 1\n1 <= 2\n")
-    args = [a.format(po=po) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULE_PROBE, *args],
-        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = {m.removeprefix("rklab.") for m in json.loads(proc.stdout.splitlines()[-1])}
+    loaded, std = _probe(_MODULE_PROBE, *(a.format(po=po) for a in argv))
     assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)
+    assert std <= bare_std, sorted(std - bare_std)
 
 
-def test_limit_census_imports_only_its_layers():
+def test_limit_census_imports_only_its_layers(bare_std):
     script = Path(__file__).resolve().parent.parent / "scripts" / "limit_census.py"
     probe = _PROBE_HEAD + f"runpy.run_path({str(script)!r}, run_name='__main__')\n"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, "--alphabets", "2", "--max-len", "3"],
-        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = {m.removeprefix("rklab.") for m in json.loads(proc.stdout.splitlines()[-1])}
-    assert loaded == {"rklab", "cardinal", "limitcount", "report"}, sorted(loaded)
+    loaded, std = _probe(probe, "--alphabets", "2", "--max-len", "3")
+    assert loaded == {"rklab", "cardinal", "limitcount", "record", "report"}, sorted(loaded)
+    assert std <= bare_std, sorted(std - bare_std)
 
 
 README_EXAMPLES = [

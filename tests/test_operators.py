@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -27,6 +26,7 @@ from rklab.operators import (
     verify_schemes,
 )
 from rklab.preorder import close, from_pairs, sim_quotient
+from rklab.record import replace
 
 
 def base2(colors=2, q=()):

@@ -178,9 +178,9 @@ def test_premodel_conforming_profile_passes():
 
 
 def test_premodel_finite_height_fails():
-    import dataclasses
+    from rklab.record import replace
 
-    profile = dataclasses.replace(conforming_profile(), height=fin(5))
+    profile = replace(conforming_profile(), height=fin(5))
     report = check_premodel(profile)
     assert not report.ok
     bad = [e for e in report.violations()]
@@ -188,9 +188,9 @@ def test_premodel_finite_height_fails():
 
 
 def test_premodel_continual_lower_cone_fails():
-    import dataclasses
+    from rklab.record import replace
 
-    profile = dataclasses.replace(conforming_profile(), lower_cone_card=CONTINUUM)
+    profile = replace(conforming_profile(), lower_cone_card=CONTINUUM)
     report = check_premodel(profile)
     assert not report.ok
     assert any(e.code == "lower-cones-countable" for e in report.violations())
