@@ -461,6 +461,8 @@ class BuildConfig:
     def __post_init__(self) -> None:
         if self.depth < max(1, self.colors - 1):
             raise ValueError("split depth must cover the finite colors")
+        if self.fan_out < 1:
+            raise ValueError("fan-out must be positive")
 
 
 @record

@@ -101,24 +101,12 @@ def strong_equiv(g: DominationGraph, p: str, q: str) -> bool:
 
 
 def iso_classes(g: DominationGraph) -> list[frozenset[str]]:
-    """Isomorphism classes of prime-model nodes under strong equivalence."""
-    prime = [n.name for n in g.nodes if n.prime]
-    pc = _principal_closure(g)
+    """Isomorphism classes of prime-model nodes under strong equivalence,
+    in the order of their first members."""
+    prime = prime_node_order(g)
     idx = g.index()
-    out: list[frozenset[str]] = []
-    seen: set[str] = set()
-    for name in prime:
-        if name in seen:
-            continue
-        members = frozenset(
-            other
-            for other in prime
-            if other == name
-            or pc.sim(idx[name], idx[other])
-        )
-        seen |= members
-        out.append(members)
-    return out
+    q = sim_quotient(induced(_principal_closure(g), [idx[name] for name in prime]))
+    return [frozenset(prime[a] for a in members) for members in q.classes]
 
 
 def prime_node_order(g: DominationGraph) -> list[str]:

@@ -21,7 +21,7 @@ import itertools
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
-from operator import eq
+from operator import and_, eq, lt
 from typing import Iterable, Iterator, Sequence
 
 from .cardinal import CONTINUUM, OMEGA, Card, fin, render
@@ -128,8 +128,8 @@ def _run_code(first: int, last: int, alphabet: int, length: int) -> int:
     """The code of first, first+1, .., last padded with copies of last to
     ``length`` letters: a run, a capped run, or (first == last) a power."""
     n = 0
-    for i in range(length):
-        n = n * alphabet + min(first + i, last) + 1
+    for letter in range(first, first + length):
+        n = n * alphabet + (letter if letter < last else last) + 1
     return n - 1
 
 
@@ -143,15 +143,17 @@ def _codes_over(letters: range, length: int, alphabet: int) -> list[int]:
 
 def _level_blocks(
     sys: IdentitySystem, alphabet: int, k: int, sizes: list[int]
-) -> Iterator[Iterable[tuple[int, int]]]:
-    """The code pairs of the ground instances whose longer side has exactly
-    k letters, in blocks; a pair may repeat or join a word to itself.
+) -> Iterator[tuple[Sequence[int], int, int]]:
+    """The ground instances whose longer side has exactly k letters, in
+    blocks (prefixes, last, rhs): each word u.last, u in the codes
+    ``prefixes`` (-1 is the empty word), is equated with the word ``rhs``.
 
     A word-scanning schema appends a letter to a prefix u of k-1 letters,
     and u.c has code A(u+1)+c.  Which letters are admissible depends on
     u's minimum (drop_to_min), maximum (ascend_to_power) or first letter
-    (the runs), so the prefixes come as words over a letter range or as
-    the code block of one first letter.
+    (the runs), so the prefixes come as words over a letter range or as the
+    code range of one first letter.  A block may repeat an instance or
+    join a word to itself.
     """
     a, s = alphabet, k - 1
     for schema in sys.schemas:
@@ -159,26 +161,24 @@ def _level_blocks(
         if kind == "single_rename":
             # n-1 ~ m for every m >= n
             if k == 1:
-                yield [(n - 1, m) for m in range(n, a)]
+                yield from (((-1,), n - 1, m) for m in range(n, a))
         elif kind in ("idem_below", "idem_all"):
             if k == 2:
-                yield [(a * (m + 1) + m, m) for m in range(a if n is None else min(n, a))]
+                yield from (((m,), m, m) for m in range(a if n is None else min(n, a)))
         elif kind == "pair_to_run":
             # a jump up fills in as the full ascending run
             if k >= 2:
-                yield [(a * (f + 1) + f + s, _run_code(f, f + s, a, k)) for f in range(a - s)]
+                yield from (((f,), f + s, _run_code(f, f + s, a, k)) for f in range(a - s))
         elif kind == "drop_to_min":
             # a strictly higher prefix collapses onto its last letter
             if k >= 2:
                 for last in range(a - 1):
-                    lhs = [a * (u + 1) + last for u in _codes_over(range(last + 1, a), s, a)]
-                    yield zip(lhs, itertools.repeat(last))
+                    yield _codes_over(range(last + 1, a), s, a), last, last
         elif kind == "ascend_to_power":
             # a word topped by a strict maximum collapses to that letter repeated
             if k >= 2:
                 for last in range(1, a):
-                    lhs = [a * (u + 1) + last for u in _codes_over(range(last), s, a)]
-                    yield zip(lhs, itertools.repeat(_run_code(last, last, a, k)))
+                    yield _codes_over(range(last), s, a), last, _run_code(last, last, a, k)
         elif kind in ("ascend_to_run", "ascend_to_capped_run"):
             # the capped run's first side condition is read as first+s > last
             # ("gt") or >= ("geq"); combined with last = first + t and s > t
@@ -187,27 +187,28 @@ def _level_blocks(
                 block = a ** (s - 1)
                 for f in range(a):
                     # the prefixes that start with f hold one block of codes
-                    lo = a * (sizes[s - 1] + f * block + 1)
+                    lo = sizes[s - 1] + f * block
                     lasts = range(f + s, a) if kind == "ascend_to_run" else range(f + 1, min(f + s, a))
                     for last in lasts:
                         # a plain run stops at f+s <= last, before the cap
-                        lhs = range(lo + last, lo + a * block + last, a)
-                        yield zip(lhs, itertools.repeat(_run_code(f, last, a, k)))
+                        yield range(lo, lo + block), last, _run_code(f, last, a, k)
         else:
             raise ValueError(f"unknown schema kind {kind!r}")
 
 
 def instantiate(sys: IdentitySystem, alphabet: int, max_len: int) -> list[tuple[Word, Word]]:
     """All ground instances with both sides nonempty and within the bound,
-    level by level: the decoded pairs of ``_level_blocks`` for k = 1 .. max_len."""
+    level by level: the decoded blocks of ``_level_blocks`` for k = 1 .. max_len."""
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
     sizes = _sizes(alphabet, max_len)
     out: dict[tuple[Word, Word], None] = {}
     for k in range(1, max_len + 1):
-        for lhs, rhs in itertools.chain.from_iterable(_level_blocks(sys, alphabet, k, sizes)):
-            if lhs != rhs:
-                out[_decode(lhs, alphabet), _decode(rhs, alphabet)] = None
+        for prefixes, last, rhs in _level_blocks(sys, alphabet, k, sizes):
+            for u in prefixes:
+                lhs = alphabet * (u + 1) + last
+                if lhs != rhs:
+                    out[_decode(lhs, alphabet), _decode(rhs, alphabet)] = None
     return list(out)
 
 
@@ -244,27 +245,71 @@ def _decode(code: int, alphabet: int) -> Word:
     return tuple(reversed(letters))
 
 
-def _extensions(
-    roots: Sequence[int], older: Sequence[int], alphabet: int, sizes: list[int]
-) -> Iterator[Iterable[tuple[int, int]]]:
-    """Blocks of code pairs c.x ~ c.r and x.c ~ r.c, c a letter and r the
-    root of x in ``roots``, for each word x that is new since ``older``, the
-    table one level down, or was a root there: any other x reaches r
-    through its older root, one of these.  A new x gets only c.x ~ c.r, as
-    the caller starts x.c at r.c.  ``sizes[k]`` counts the words of length
-    at most k."""
-    a, m, n = alphabet, len(older), len(roots)
-    for x in itertools.compress(range(m), map(eq, older, range(m))):
+def _merge(
+    sys: IdentitySystem, a: int, k: int, roots: array, older: array, merged: Iterable[int] | None,
+    sizes: list[int],
+) -> tuple[dict[int, int], dict[int, Sequence[int]], int]:
+    """Level k over nodes, from the tables for k-1 and k-2 and ``merged``, the
+    roots at k-2 that merged at k-1 (None: find them).  A new word x.c starts
+    at r.c, r the root of x, so the nodes are the old roots and r.c for each
+    root r of k-1 letters.  Returns the root of each node that merged, the
+    nodes q.c of each root q of a word of k-1 letters, and the classes added.
+    """
+    low, top = sizes[k - 2] if k > 1 else -1, sizes[k - 1]
+    up = roots.__getitem__ if k > 1 else int  # a prefix's root; int keeps the empty word, -1
+    # the nodes q.c for the roots q of the words of k-1 letters: old words unless q has k-1 letters
+    rows = {q: roots[a * q + a : a * q + 2 * a] if q < low else range(a * q + a, a * q + 2 * a)
+            for q in set(roots[low:] if k > 1 else (-1,))}
+
+    def node(w: int) -> int:
+        return rows[up(w // a - 1)][w % a] if w >= top else roots[w]
+
+    pairs: list[tuple[int, int]] = []
+    if k > 1:
+        # c.x ~ c.r for the words x = y.d new at k-1, r the root of x.  The root
+        # mu of y at k-2 fixes the roots of c.y and x, so one pair per (c, mu, d)
+        # stands for every such y; none is needed if x = mu.d is a root, or if
+        # mu is shorter than y (c.y.d ~ c.mu.d ~ c.r follow from the rest)
+        mid = sizes[k - 3] if k > 2 else 0
+        for mu in [mu for mu in set(older[mid:]) if mu >= mid] if k > 2 else (-1,):
+            pm = a ** bisect_right(sizes, mu)
+            heads = roots[mu + pm : mu + (a + 1) * pm : pm]  # the roots of c.mu and c.y
+            for d in range(a):
+                x = a * (mu + 1) + d
+                r = roots[x]
+                if r < x:
+                    pr = a ** bisect_right(sizes, r)
+                    for c in range(a):
+                        pairs.append((rows[heads[c]][d], node(r + (c + 1) * pr)))
+        if merged is None:
+            m = len(older)
+            merged = itertools.compress(range(m), map(and_, map(eq, older, range(m)), map(lt, roots, older)))
+    # c.x ~ c.r and x.c ~ r.c for the roots x at k-2 that merged at k-1; any
+    # other word reaches its root through its root at k-2
+    for x in merged:
         r = roots[x]
-        if r != x:
-            px, pr = a ** bisect_right(sizes, x), a ** bisect_right(sizes, r)
-            yield zip(range(x + px, x + (a + 1) * px, px), range(r + pr, r + (a + 1) * pr, pr))
-            yield zip(range(a * (x + 1), a * (x + 2)), range(a * (r + 1), a * (r + 2)))
-    # c.x for the new words x is one block of codes per letter c
-    fresh = roots[m:]
-    shifts = [a ** bisect_right(sizes, r) for r in fresh]
-    for c in range(1, a + 1):
-        yield zip(range(m + c * (n - m), n + c * (n - m)), [r + c * p for r, p in zip(fresh, shifts)])
+        px, pr = a ** bisect_right(sizes, x), a ** bisect_right(sizes, r)
+        pairs += zip(roots[x + px : x + (a + 1) * px : px], roots[r + pr : r + (a + 1) * pr : pr])
+        pairs += zip(roots[a * x + a : a * x + 2 * a], roots[a * r + a : a * r + 2 * a])
+    for prefixes, last, rhs in _level_blocks(sys, a, k, sizes):
+        # one pair per root of a prefix, not per word
+        j = node(rhs)
+        heads = roots[prefixes.start : prefixes.stop] if isinstance(prefixes, range) else map(up, prefixes)
+        for q in set(heads):
+            pairs.append((rows[q][last], j))
+    parent: dict[int, int] = {}  # unions point at the smaller node
+    for i, j in pairs:
+        while i in parent:
+            p = parent[i]
+            parent[i] = i = parent.get(p, p)
+        while j in parent:
+            p = parent[j]
+            parent[j] = j = parent.get(p, p)
+        if i != j:
+            parent[max(i, j)] = min(i, j)
+    for i in sorted(parent):
+        parent[i] = parent.get(parent[i], parent[i])
+    return parent, rows, a * sum(q >= low for q in rows) - len(parent)
 
 
 @lru_cache(maxsize=64)
@@ -275,11 +320,8 @@ def _class_table(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) 
     E_(k-1), by c.x ~ c.r and x.c ~ r.c for each word x with E_(k-1) root r
     and letter c, and by the instances whose longer side has length k: an
     instance in a nonempty context is c.g or g.c for a generator g of
-    E_(k-1).  So the table for L is the cached table for L-1 plus the
-    length-L words and a few unions per word, and the L+1 check costs one
-    level.  Unions point at the smaller code, so ``parent[i] <= i``, one
-    ascending pass finds every root, and a root is its class's length-lex
-    minimum.
+    E_(k-1).  So the table for L is the cached table for L-1 plus level L,
+    which ``_merge`` unites per class, not per word, toward smaller codes.
     """
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
@@ -289,42 +331,26 @@ def _class_table(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) 
     if total > budget:
         raise BudgetError(f"{total} words exceed the budget {budget}")
     sizes = _sizes(alphabet, max_len)
-    a = alphabet
     # one letter makes a level per word, too many to nest a call per level
-    if a > 1 and max_len > 1:
-        low, roots = max_len, _class_table(sys, a, max_len - 1, budget)
-        older = _class_table(sys, a, max_len - 2, budget) if max_len > 2 else array("I")
+    if alphabet > 1 and max_len > 1:
+        first, roots = max_len, _class_table(sys, alphabet, max_len - 1, budget)
+        older, merged = _class_table(sys, alphabet, max_len - 2, budget) if max_len > 2 else array("I"), None
     else:
-        low, roots, older = 1, array("I"), array("I")
-    for k in range(low, max_len + 1):
-        # each new word x.c starts at r.c, r the root of x (the empty word,
-        # code -1, for k = 1)
-        prefix_roots = roots[sizes[k - 2] :] if k > 1 else (-1,)
-        parent = list(roots)
-        parent += [a * (r + 1) + c for r in prefix_roots for c in range(a)]
-        blocks = itertools.chain(_extensions(roots, older, a, sizes), _level_blocks(sys, a, k, sizes))
-        for i, j in itertools.chain.from_iterable(blocks):
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            if i < j:
-                parent[j] = i
-            elif j < i:
-                parent[i] = j
-        for i in range(sizes[k]):
-            parent[i] = parent[parent[i]]
-        older, roots = roots, parent
-    return array("I", roots)
+        first, roots, older, merged = 1, array("I"), array("I"), ()
+    for k in range(first, max_len + 1):
+        parent, rows, _ = _merge(sys, alphabet, k, roots, older, merged, sizes)
+        table = array("I", map(parent.get, roots, roots) if parent else roots)
+        fresh = {q: array("I", map(parent.get, row, row) if parent else row).tobytes() for q, row in rows.items()}
+        table.frombytes(b"".join(map(fresh.__getitem__, roots[sizes[k - 2] :] if k > 1 else (-1,))))
+        older, roots, merged = roots, table, [x for x in parent if x < sizes[k - 1]]
+    return roots
 
 
 def count_classes(
     sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
 ) -> tuple[int, list[Word]]:
-    """Class count plus length-lex minimal representatives."""
-    root = _class_table(sys, alphabet, max_len, budget)
-    codes = itertools.compress(range(len(root)), map(eq, root, range(len(root))))
-    reps = [_decode(c, alphabet) for c in codes]
+    """Class count plus length-lex minimal representatives, the distinct roots."""
+    reps = [_decode(c, alphabet) for c in sorted(set(_class_table(sys, alphabet, max_len, budget)))]
     return len(reps), reps
 
 
@@ -360,7 +386,11 @@ def stabilization(
     words_next = _word_count(alphabet, max_len + 1, budget)
     count_next = None
     if words_next <= budget:
-        count_next, _ = count_classes(sys, alphabet, max_len + 1, budget)
+        # level L+1 on the cached tables, counted without building its table
+        roots = _class_table(sys, alphabet, max_len, budget)
+        older = _class_table(sys, alphabet, max_len - 1, budget) if max_len > 1 else array("I")
+        sizes = _sizes(alphabet, max_len + 1)
+        count_next = count_here + _merge(sys, alphabet, max_len + 1, roots, older, None, sizes)[2]
     return {
         "L": max_len,
         "count": count_here,

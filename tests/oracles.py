@@ -2,11 +2,13 @@
 
 Deliberately dumb implementations: saturation over boolean matrices for
 closures and covers, exhaustive subset enumeration for chains and
-antichains, a permutation search for isomorphism, a saturating
-union-find over explicit word lists for the bounded congruence, the
-identity schemas' ground instances built as word tuples, a comparison
-of every two extent pairs for the bu disjoint-images check, and direct
-formula enumeration for density and classification.
+antichains, a permutation search for isomorphism, a pairwise comparison
+of saturated principal reachability for the isomorphism classes of prime
+models, a saturating union-find over explicit word lists for the bounded
+congruence, the identity schemas' ground instances built as word
+tuples, a comparison of every two extent pairs for the bu
+disjoint-images check, and direct formula enumeration for density and
+classification.
 They share no code with the library paths they certify.
 """
 from __future__ import annotations
@@ -105,6 +107,24 @@ def brute_isomorphic(rel_p, rel_q) -> bool:
         all(rel_p[i][j] == rel_q[perm[i]][perm[j]] for i in range(n) for j in range(n))
         for perm in itertools.permutations(range(n))
     )
+
+
+def brute_iso_classes(graph) -> list[frozenset[str]]:
+    """The strong-equivalence classes of a domination graph's prime nodes in
+    node order: principal edges closed by saturation, then every two prime
+    nodes compared for reachability both ways."""
+    idx = {node.name: i for i, node in enumerate(graph.nodes)}
+    rel = [[False] * len(idx) for _ in idx]
+    for e in graph.edges:
+        if e.principal:
+            rel[idx[e.dst]][idx[e.src]] = True
+    reach = brute_close(rel)
+    prime = [node.name for node in graph.nodes if node.prime]
+    out: list[frozenset[str]] = []
+    for a in prime:
+        if not any(a in members for members in out):
+            out.append(frozenset(b for b in prime if reach[idx[a]][idx[b]] and reach[idx[b]][idx[a]]))
+    return out
 
 
 def brute_congruence_count(instances, alphabet: int, max_len: int):

@@ -238,6 +238,23 @@ def test_build_refuses_fan_out_below_one(tmp_path, capsys, fan):
     assert result == (2, "", "error: fan-out must be positive\n")
 
 
+def test_build_without_replay_refuses_fan_out_below_one(tmp_path, capsys):
+    # the config is checked where it is given, so no pipeline of fan=0
+    # steps is written for apply to refuse later
+    ds = tmp_path / "spec.ds"
+    ds.write_text(
+        "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+        "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
+    )
+    pipe = tmp_path / "zero.pipe"
+    result = run_cli(
+        "build", "--spec", str(ds), "--variant", "t77", "--fan-out", "0", "--out", str(pipe),
+        capsys=capsys,
+    )
+    assert result == (2, "", "error: fan-out must be positive\n")
+    assert not pipe.exists()
+
+
 @pytest.mark.parametrize(
     "steps",
     [

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracles import brute_iso_classes
 
 from rklab.domination import (
     DomEdge,
@@ -238,3 +241,24 @@ def test_rk_structure_matches_direct_definition_on_random_graphs():
             for cb, bmembers in enumerate(q.classes):
                 expect = order.le(idx[prime[amembers[0]]], idx[prime[bmembers[0]]])
                 assert q.le(ca, cb) == expect
+
+
+def test_iso_classes_match_pairwise_oracle_on_random_graphs():
+    # same classes, same frozensets and the same order as comparing every
+    # two prime nodes on the saturated principal edges
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        nodes = []
+        for i in range(n):
+            prime = rng.random() < 0.7
+            nodes.append(TypeNode(f"t{i}", principal=prime and rng.random() < 0.3, prime=prime))
+        density = rng.choice((0.1, 0.3, 0.6))
+        edges = [
+            DomEdge(f"t{i}", f"t{j}", f"e{i}{j}", rng.random() < 0.6)
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < density
+        ]
+        g = graph(nodes, edges)
+        assert iso_classes(g) == brute_iso_classes(g)

@@ -280,7 +280,8 @@ def test_stabilization_builds_each_level_once():
         for alphabet, length in ((2, 1), (2, 6), (3, 4), (4, 5)):
             _class_table.cache_clear()
             stabilization(sys_, alphabet, length)
-            assert _class_table.cache_info().misses == length + 1
+            # levels 1..L; the L+1 count is read from the merge, with no table
+            assert _class_table.cache_info().misses == length
 
 
 def _snapshot(sys_, alphabet, length):
@@ -319,3 +320,22 @@ def test_mixed_schemas_match_brute_classes():
     for sys_, (alphabet, length) in MIXED_SYSTEMS:
         expected, _ = brute_congruence_count(instantiate(sys_, alphabet, length), alphabet, length)
         assert count_classes(sys_, alphabet, length)[0] == expected, sys_.schemas
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    [sys_ for _, _, sys_ in all_systems()] + [lms(3, OMEGA, reading="geq"), FREE_SYSTEM]
+    + [sys_ for sys_, _ in MIXED_SYSTEMS],
+    ids=[f"{k}-{n}" for k, n, _ in all_systems()] + ["lms-w-geq", "free", "mixed-1", "mixed-2", "mixed-3"],
+)
+def test_stabilization_counts_next_level_without_its_table(sys_):
+    # the L+1 count read from the merge equals the L+1 table's count and,
+    # where the words are few enough, the brute-force oracle's
+    for alphabet in (1, 2, 3, 4):
+        for length in range(1, 7):
+            _class_table.cache_clear()
+            got = stabilization(sys_, alphabet, length)["count_next"]
+            assert got == count_classes(sys_, alphabet, length + 1)[0], (alphabet, length)
+            if alphabet ** (length + 1) <= 729:
+                eqs = instantiate(sys_, alphabet, length + 1)
+                assert got == brute_congruence_count(eqs, alphabet, length + 1)[0], (alphabet, length)
