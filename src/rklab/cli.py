@@ -212,8 +212,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         out.append(f"classes={info['count']}")
         out.append(f"classes_next={info['count_next'] if known else 'unknown'}")
         out.append(f"stable={str(info['stable']).lower() if known else 'unknown'}")
-        reps = info["representatives"][:20]
-        out.append("representatives=" + ";".join(render_word(w) for w in reps))
+        out.append("representatives=" + ";".join(render_word(w) for w in info["representatives"]))
     else:
         out.append(f"system: {system.describe()}")
         if system.kind == "lms" and system.n is None:
@@ -222,7 +221,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         over = f"over the word budget ({info['words_next']} > {info['budget']})"
         out.append(f"L={info['L'] + 1}: " + (f"{info['count_next']} classes" if known else over))
         out.append(f"stable: {info['stable'] if known else 'unknown'}")
-        reps = ", ".join(render_word(w) for w in info["representatives"][:20])
+        reps = ", ".join(render_word(w) for w in info["representatives"])
         out.append(f"representatives: {reps}")
         out.append(f"target (displayed, not asserted at finite L): {render(system.target)}")
     _emit(out)

@@ -17,11 +17,8 @@ paths, approximated here by their nonempty prefixes.
 """
 from __future__ import annotations
 
-import itertools
 from array import array
 from bisect import bisect_right
-from functools import lru_cache
-from operator import and_, eq, lt
 from typing import Iterable, Iterator, Sequence
 
 from .cardinal import CONTINUUM, OMEGA, Card, fin, render
@@ -31,6 +28,7 @@ from .report import BudgetError
 Word = tuple[int, ...]
 
 WORD_BUDGET = 200_000
+SHOWN_REPRESENTATIVES = 20
 
 
 @record
@@ -119,9 +117,14 @@ def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
     raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
 
 
-def _sizes(alphabet: int, max_len: int) -> list[int]:
-    """sizes[k] counts the words of length at most k."""
-    return list(itertools.accumulate((alphabet**k for k in range(1, max_len + 1)), initial=0))
+def _sizes(alphabet: int, max_len: int, budget: float = float("inf")) -> list[int]:
+    """sizes[k] counts the nonempty words of length at most k, k = 0 .. max_len.
+    The list stops once it passes alphabet * (budget + 1), the most words one
+    level past a table within the budget can have, so a long bound costs nothing."""
+    sizes = [0]
+    while len(sizes) <= max_len and sizes[-1] <= alphabet * (budget + 1):
+        sizes.append(alphabet * (sizes[-1] + 1))
+    return sizes
 
 
 def _run_code(first: int, last: int, alphabet: int, length: int) -> int:
@@ -212,20 +215,6 @@ def instantiate(sys: IdentitySystem, alphabet: int, max_len: int) -> list[tuple[
     return list(out)
 
 
-def _word_count(alphabet: int, max_len: int, budget: int) -> int | None:
-    """The number of nonempty words of length at most max_len, or None once
-    it passes alphabet * (budget + 1), the most words one level past a
-    table within the budget can have; the sum stops there, so a long bound
-    costs nothing."""
-    total, term = 0, 1
-    for _ in range(max_len):
-        term *= alphabet
-        total += term
-        if total > alphabet * (budget + 1):
-            return None
-    return total
-
-
 def _code(w: Word, alphabet: int) -> int:
     """The bijective base-A numeral of w (digits letter + 1), minus one: code
     order is length-lex order, the words of length at most k hold the first
@@ -246,11 +235,12 @@ def _decode(code: int, alphabet: int) -> Word:
 
 
 def _merge(
-    sys: IdentitySystem, a: int, k: int, roots: array, older: array, merged: Iterable[int] | None,
+    sys: IdentitySystem, a: int, k: int, roots: array, mus: Iterable[int], merged: Iterable[int],
     sizes: list[int],
 ) -> tuple[dict[int, int], dict[int, Sequence[int]], int]:
-    """Level k over nodes, from the tables for k-1 and k-2 and ``merged``, the
-    roots at k-2 that merged at k-1 (None: find them).  A new word x.c starts
+    """Level k over nodes, from the table for k-1, ``mus``, the roots at k-2
+    of the words of k-2 letters that have k-2 letters themselves, and
+    ``merged``, the roots at k-2 that merged at k-1.  A new word x.c starts
     at r.c, r the root of x, so the nodes are the old roots and r.c for each
     root r of k-1 letters.  Returns the root of each node that merged, the
     nodes q.c of each root q of a word of k-1 letters, and the classes added.
@@ -265,25 +255,20 @@ def _merge(
         return rows[up(w // a - 1)][w % a] if w >= top else roots[w]
 
     pairs: list[tuple[int, int]] = []
-    if k > 1:
-        # c.x ~ c.r for the words x = y.d new at k-1, r the root of x.  The root
-        # mu of y at k-2 fixes the roots of c.y and x, so one pair per (c, mu, d)
-        # stands for every such y; none is needed if x = mu.d is a root, or if
-        # mu is shorter than y (c.y.d ~ c.mu.d ~ c.r follow from the rest)
-        mid = sizes[k - 3] if k > 2 else 0
-        for mu in [mu for mu in set(older[mid:]) if mu >= mid] if k > 2 else (-1,):
-            pm = a ** bisect_right(sizes, mu)
-            heads = roots[mu + pm : mu + (a + 1) * pm : pm]  # the roots of c.mu and c.y
-            for d in range(a):
-                x = a * (mu + 1) + d
-                r = roots[x]
-                if r < x:
-                    pr = a ** bisect_right(sizes, r)
-                    for c in range(a):
-                        pairs.append((rows[heads[c]][d], node(r + (c + 1) * pr)))
-        if merged is None:
-            m = len(older)
-            merged = itertools.compress(range(m), map(and_, map(eq, older, range(m)), map(lt, roots, older)))
+    # c.x ~ c.r for the words x = y.d new at k-1, r the root of x.  The root
+    # mu of y at k-2 fixes the roots of c.y and x, so one pair per (c, mu, d)
+    # stands for every such y; none is needed if x = mu.d is a root, or if
+    # mu is shorter than y (c.y.d ~ c.mu.d ~ c.r follow from the rest)
+    for mu in mus:
+        pm = a ** bisect_right(sizes, mu)
+        heads = roots[mu + pm : mu + (a + 1) * pm : pm]  # the roots of c.mu and c.y
+        for d in range(a):
+            x = a * (mu + 1) + d
+            r = roots[x]
+            if r < x:
+                pr = a ** bisect_right(sizes, r)
+                for c in range(a):
+                    pairs.append((rows[heads[c]][d], node(r + (c + 1) * pr)))
     # c.x ~ c.r and x.c ~ r.c for the roots x at k-2 that merged at k-1; any
     # other word reaches its root through its root at k-2
     for x in merged:
@@ -312,45 +297,59 @@ def _merge(
     return parent, rows, a * sum(q >= low for q in rows) - len(parent)
 
 
-@lru_cache(maxsize=64)
-def _class_table(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) -> array:
-    """Every word's root: the code of its class's length-lex minimum.
+# the last level built per (system, alphabet): L, its roots, and what level L+1
+# reads besides them, the roots of the words of L letters that have L letters
+# themselves (its mus) and the roots at L-1 that merged at L; at most 64 entries,
+# the least recently used dropped (the table does not depend on the budget)
+_LEVELS: dict[tuple[IdentitySystem, int], tuple[int, array, list[int], list[int]]] = {}
+
+
+def _class_table(
+    sys: IdentitySystem, alphabet: int, max_len: int, budget: int
+) -> tuple[array, list[int], list[int]]:
+    """Every word's root, the code of its class's length-lex minimum, with
+    the mus and merged roots ``_merge`` reads for level L+1.
 
     E_k, the congruence on words of length at most k, is generated by
     E_(k-1), by c.x ~ c.r and x.c ~ r.c for each word x with E_(k-1) root r
     and letter c, and by the instances whose longer side has length k: an
     instance in a nonempty context is c.g or g.c for a generator g of
-    E_(k-1).  So the table for L is the cached table for L-1 plus level L,
-    which ``_merge`` unites per class, not per word, toward smaller codes.
+    E_(k-1).  So the table for L is the one for L-1 plus level L, which
+    ``_merge`` unites per class, not per word, toward smaller codes.  A
+    bound above the kept level continues from it; one below starts again at
+    level 1.  A level that merges nothing grows the table in place, so a
+    caller must not keep the array past its call.
     """
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
-    total = _word_count(alphabet, max_len, budget)
-    if total is None:
+    sizes = _sizes(alphabet, max_len, budget)
+    if sizes[-1] > alphabet * (budget + 1):
         raise BudgetError(f"the words of length at most {max_len} exceed the budget {budget}")
-    if total > budget:
-        raise BudgetError(f"{total} words exceed the budget {budget}")
-    sizes = _sizes(alphabet, max_len)
-    # one letter makes a level per word, too many to nest a call per level
-    if alphabet > 1 and max_len > 1:
-        first, roots = max_len, _class_table(sys, alphabet, max_len - 1, budget)
-        older, merged = _class_table(sys, alphabet, max_len - 2, budget) if max_len > 2 else array("I"), None
-    else:
-        first, roots, older, merged = 1, array("I"), array("I"), ()
-    for k in range(first, max_len + 1):
-        parent, rows, _ = _merge(sys, alphabet, k, roots, older, merged, sizes)
-        table = array("I", map(parent.get, roots, roots) if parent else roots)
+    if sizes[-1] > budget:
+        raise BudgetError(f"{sizes[-1]} words exceed the budget {budget}")
+    start = 0, array("I"), [], []
+    k, roots, mus, merged = _LEVELS.pop((sys, alphabet), start)
+    if k > max_len:
+        k, roots, mus, merged = start
+    while k < max_len:
+        k += 1
+        parent, rows, _ = _merge(sys, alphabet, k, roots, mus, merged, sizes)
+        low = sizes[k - 2] if k > 1 else -1
+        table = array("I", map(parent.get, roots, roots)) if parent else roots
         fresh = {q: array("I", map(parent.get, row, row) if parent else row).tobytes() for q, row in rows.items()}
-        table.frombytes(b"".join(map(fresh.__getitem__, roots[sizes[k - 2] :] if k > 1 else (-1,))))
-        older, roots, merged = roots, table, [x for x in parent if x < sizes[k - 1]]
-    return roots
+        table.frombytes(b"".join(map(fresh.__getitem__, roots[low:] if k > 1 else (-1,))))
+        roots, mus, merged = table, [q for q in rows if q >= low], [x for x in parent if x < sizes[k - 1]]
+    while len(_LEVELS) >= 64:
+        del _LEVELS[next(iter(_LEVELS))]
+    _LEVELS[sys, alphabet] = k, roots, mus, merged
+    return roots, mus, merged
 
 
 def count_classes(
     sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
 ) -> tuple[int, list[Word]]:
     """Class count plus length-lex minimal representatives, the distinct roots."""
-    reps = [_decode(c, alphabet) for c in sorted(set(_class_table(sys, alphabet, max_len, budget)))]
+    reps = [_decode(c, alphabet) for c in sorted(set(_class_table(sys, alphabet, max_len, budget)[0]))]
     return len(reps), reps
 
 
@@ -370,7 +369,7 @@ def normal_form(
         alphabet = max(w) + 1
     if any(not (0 <= letter < alphabet) for letter in w):
         raise ValueError("letter outside the alphabet")
-    return _decode(_class_table(sys, alphabet, max_len, budget)[_code(w, alphabet)], alphabet)
+    return _decode(_class_table(sys, alphabet, max_len, budget)[0][_code(w, alphabet)], alphabet)
 
 
 def render_word(w: Word) -> str:
@@ -380,24 +379,23 @@ def render_word(w: Word) -> str:
 def stabilization(
     sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
 ) -> dict[str, object]:
-    """Counts at L and L+1 with the agreement flag the CLI reports; the L+1
-    figures are None when only that table is over the word budget."""
-    count_here, reps = count_classes(sys, alphabet, max_len, budget)
-    words_next = _word_count(alphabet, max_len + 1, budget)
+    """Counts at L and L+1 with the agreement flag the CLI reports, and the
+    first ``SHOWN_REPRESENTATIVES`` representatives; the L+1 figures are None
+    when only that table is over the word budget."""
+    roots, mus, merged = _class_table(sys, alphabet, max_len, budget)
+    classes = sorted(set(roots))
+    sizes = _sizes(alphabet, max_len + 1, budget)
     count_next = None
-    if words_next <= budget:
-        # level L+1 on the cached tables, counted without building its table
-        roots = _class_table(sys, alphabet, max_len, budget)
-        older = _class_table(sys, alphabet, max_len - 1, budget) if max_len > 1 else array("I")
-        sizes = _sizes(alphabet, max_len + 1)
-        count_next = count_here + _merge(sys, alphabet, max_len + 1, roots, older, None, sizes)[2]
+    if sizes[-1] <= budget:
+        # level L+1 on the kept level, counted without building its table
+        count_next = len(classes) + _merge(sys, alphabet, max_len + 1, roots, mus, merged, sizes)[2]
     return {
         "L": max_len,
-        "count": count_here,
+        "count": len(classes),
         "count_next": count_next,
-        "stable": None if count_next is None else count_here == count_next,
-        "words_next": words_next,
+        "stable": None if count_next is None else len(classes) == count_next,
+        "words_next": sizes[-1],
         "budget": budget,
-        "representatives": reps,
+        "representatives": [_decode(c, alphabet) for c in classes[:SHOWN_REPRESENTATIVES]],
         "target": sys.target,
     }

@@ -337,6 +337,27 @@ def test_limits_long_bound_refused_quickly(capsys):
         assert elapsed < 0.5, f"--len {length} took {elapsed:.2f}s"
 
 
+def test_limits_one_letter_long_bound_fits_in_memory():
+    # 200000 classes of one-letter words up to 200000 letters: only the
+    # representatives printed are decoded, and the levels cost linear time
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["limits", "--system", "lms", "--lam", "w", "--alphabet", "1", "--len", "200000", "--machine"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rklab", *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=300, preexec_fn=cap_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    rec = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+    assert rec["classes"] == "200000"
+    assert rec["classes_next"] == "unknown" and rec["stable"] == "unknown"
+    assert rec["representatives"].split(";") == [".".join("0" * n) for n in range(1, 21)]
+    assert elapsed < 60, f"took {elapsed:.1f}s"
+
+
 def test_prime_model_past_formula_budget(capsys):
     for argv, cells in (
         (("--family", "sdup", "--depth", "3"), 23),

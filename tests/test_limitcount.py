@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_congruence_count, brute_instantiate
+from rklab import limitcount
 from rklab.cardinal import OMEGA, fin
 from rklab.limitcount import (
+    _LEVELS,
     FREE_SYSTEM,
     IdentitySystem,
     Schema,
-    _class_table,
     count_classes,
     instantiate,
     lmt,
@@ -275,13 +276,17 @@ def test_instantiate_matches_word_scanning_oracle(name, sys_):
             assert set(got) == set(brute_instantiate(sys_, alphabet, length)), (alphabet, length)
 
 
-def test_stabilization_builds_each_level_once():
+def test_stabilization_builds_each_level_once(monkeypatch):
+    calls = []
+    merge = limitcount._merge
+    monkeypatch.setattr(limitcount, "_merge", lambda *args: calls.append(args[2]) or merge(*args))
     for _, _, sys_ in all_systems():
-        for alphabet, length in ((2, 1), (2, 6), (3, 4), (4, 5)):
-            _class_table.cache_clear()
+        for alphabet, length in ((1, 40), (2, 1), (2, 6), (3, 4), (4, 5)):
+            _LEVELS.clear()
+            calls.clear()
             stabilization(sys_, alphabet, length)
-            # levels 1..L; the L+1 count is read from the merge, with no table
-            assert _class_table.cache_info().misses == length
+            # levels 1..L, then the L+1 count read from its merge, with no table
+            assert calls == list(range(1, length + 2)), (sys_.kind, alphabet, length)
 
 
 def _snapshot(sys_, alphabet, length):
@@ -295,9 +300,9 @@ def test_level_tables_independent_of_build_order():
     for _, _, sys_ in all_systems() + [("free", None, FREE_SYSTEM)]:
         for alphabet in (1, 2, 3):
             for length in (1, 2, 3, 4, 5):
-                _class_table.cache_clear()
+                _LEVELS.clear()
                 up = _snapshot(sys_, alphabet, length + 1), _snapshot(sys_, alphabet, length)
-                _class_table.cache_clear()
+                _LEVELS.clear()
                 down = _snapshot(sys_, alphabet, length), _snapshot(sys_, alphabet, length + 1)
                 assert up == down[::-1], (sys_.kind, alphabet, length)
 
@@ -333,7 +338,7 @@ def test_stabilization_counts_next_level_without_its_table(sys_):
     # where the words are few enough, the brute-force oracle's
     for alphabet in (1, 2, 3, 4):
         for length in range(1, 7):
-            _class_table.cache_clear()
+            _LEVELS.clear()
             got = stabilization(sys_, alphabet, length)["count_next"]
             assert got == count_classes(sys_, alphabet, length + 1)[0], (alphabet, length)
             if alphabet ** (length + 1) <= 729:
