@@ -39,23 +39,23 @@ def cmd_preorder(args: argparse.Namespace) -> int:
     out: list[str] = []
     mk = args.machine
     out.append(f"elements={p.n}" if mk else f"elements: {p.n}")
-    if args.quotient or args.dot:
+    if args.quotient or args.dot or args.height or args.width or args.directed:
         q = sim_quotient(p)
-        if args.quotient:
-            for ci, members in enumerate(q.classes):
-                body = ",".join(str(m) for m in members)
-                out.append(f"class.{ci}={body}" if mk else f"class {ci}: {{{body}}}")
-            edges = ";".join(f"{a}<{b}" for a, b in q.covers())
-            out.append(f"covers={edges}" if mk else f"covers: {edges or '(none)'}")
-        if args.dot:
-            _write(args.dot, quotient_dot(q))
-            out.append(f"dot={args.dot}" if mk else f"dot written to {args.dot}")
+    if args.quotient:
+        for ci, members in enumerate(q.classes):
+            body = ",".join(str(m) for m in members)
+            out.append(f"class.{ci}={body}" if mk else f"class {ci}: {{{body}}}")
+        edges = ";".join(f"{a}<{b}" for a, b in q.covers())
+        out.append(f"covers={edges}" if mk else f"covers: {edges or '(none)'}")
+    if args.dot:
+        _write(args.dot, quotient_dot(q))
+        out.append(f"dot={args.dot}" if mk else f"dot written to {args.dot}")
     if args.height:
-        out.append(f"height={height(p)}" if mk else f"height: {height(p)}")
+        out.append(f"height={height(q)}" if mk else f"height: {height(q)}")
     if args.width:
-        out.append(f"width={width(p)}" if mk else f"width: {width(p)}")
+        out.append(f"width={width(q)}" if mk else f"width: {width(q)}")
     if args.directed:
-        d = is_upward_directed(p)
+        d = is_upward_directed(q)
         out.append(f"directed={str(d).lower()}" if mk else f"upward directed: {d}")
     if args.cone is not None:
         lower, upper = cones(p, args.cone)

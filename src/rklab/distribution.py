@@ -205,17 +205,17 @@ class DistributionSpec:
     triple: Cm3Triple | None = None
 
     def __post_init__(self) -> None:
-        from .preorder import is_closed, sim_quotient
+        from .preorder import sim_quotient
 
-        if not is_closed(self.order):
-            raise ValueError("spec order must be closed")
+        # the order's quotient, built once and checked closed; not a field,
+        # so equality, hashing and repr read the fields alone
+        object.__setattr__(self, "quotient", sim_quotient(self.order))
         if self.mode not in ("finite", "countable-truncated"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "finite":
             if self.class_values is None:
                 raise ValueError("finite mode needs per-class values")
-            q = sim_quotient(self.order)
-            expected = {frozenset(c) for c in q.classes}
+            expected = {frozenset(c) for c in self.quotient.classes}
             got = {k for k, _ in self.class_values}
             if expected != got:
                 raise ValueError("class values must cover exactly the quotient classes")
@@ -256,10 +256,8 @@ def finite_spec(
     values: dict[frozenset[int], Card],
     partition: dict[int, str] | None = None,
 ) -> DistributionSpec:
-    from .preorder import close
-
     return DistributionSpec(
-        close(order),
+        order,
         "finite",
         class_values=tuple(sorted(values.items(), key=lambda kv: sorted(kv[0]))),
         partition=tuple(sorted(partition.items())) if partition else None,
@@ -272,10 +270,8 @@ def sequence_spec(
     partition: dict[int, str] | None = None,
     extendable: bool = True,
 ) -> DistributionSpec:
-    from .preorder import close
-
     return DistributionSpec(
-        close(order),
+        order,
         "countable-truncated",
         seq_values=tuple(sorted(values.items(), key=lambda kv: kv[0].render())),
         partition=tuple(sorted(partition.items())) if partition else None,
@@ -332,10 +328,8 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
     """
     if profile not in ("tc", "small"):
         raise ValueError(f"unknown profile {profile!r}")
-    from .preorder import sim_quotient
-
     rb = ReportBuilder(f"f-validation:{profile}:{spec.mode}")
-    q = sim_quotient(spec.order)
+    q = spec.quotient
 
     if spec.mode == "finite":
         values = spec.class_map()
@@ -480,25 +474,34 @@ class TheoryBlueprint:
         return self.pipeline[1 + len(self.q_edges):]
 
 
-def _components(order: Preorder) -> list[list[int]]:
-    n = order.n
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            a = queue.pop()
-            for b in range(n):
-                if not seen[b] and (order.le(a, b) or order.le(b, a)):
-                    seen[b] = True
-                    comp.append(b)
-                    queue.append(b)
-        comps.append(sorted(comp))
-    return comps
+def _components(q: QuotientPoset) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the order, in the order of their least
+    element: each as its elements and, ascending, the least element of
+    each of its maximal classes.
+
+    Comparable classes lie below one maximal class, so joining each class
+    to the maximal classes above it connects each component.
+    """
+    from .preorder import _bits, _mask
+
+    root = list(range(q.size))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    tops = _mask(q.maxima())
+    for a, row in enumerate(q.above):
+        for m in _bits(row & tops):
+            root[find(m)] = find(a)
+    comps: dict[int, tuple[list[int], list[int]]] = {}
+    for c, members in enumerate(q.classes):
+        elements, reps = comps.setdefault(find(c), ([], []))
+        elements.extend(members)
+        if not q.above[c]:
+            reps.append(members[0])
+    return list(comps.values())
 
 
 def build_blueprint(
@@ -514,7 +517,7 @@ def build_blueprint(
     the prime-less side exactly.
     """
     from .operators import PipelineStep, pnode
-    from .preorder import ranks, sim_quotient
+    from .preorder import ranks
 
     if variant not in ("t77", "t84", "t91", "t92"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -527,11 +530,11 @@ def build_blueprint(
         bad = ", ".join(e.code for e in report.violations())
         raise ValueError(f"f validation failed: {bad}")
 
-    order = spec.order
-    m = order.n
+    m = spec.order.n
     predicates = tuple(f"P{i}" for i in range(m))
-    q = sim_quotient(order)
+    q = spec.quotient
     rank = ranks(q)
+    comps = _components(q)
 
     q_edges: list[tuple[int, int, bool]] = []
     for members in q.classes:
@@ -577,8 +580,8 @@ def build_blueprint(
     if variant in ("t77", "t84"):
         source = 0
         plan.append(icp_step(source))
-        for comp in _components(order):
-            for e in elem_sort(comp):
+        for elements, _ in comps:
+            for e in elem_sort(elements):
                 plan.append(css_step(e, source))
     elif variant == "t91":
         source = 0
@@ -596,19 +599,9 @@ def build_blueprint(
         for e in elem_sort(p_elems):
             plan.append(css_step(e, source))
 
-    comps = _components(order)
-    comp_max_reps: list[list[int]] = []
-    for comp in comps:
-        classes = sorted({q.class_of(e) for e in comp})
-        maxima = [
-            c
-            for c in classes
-            if not any(d != c and q.le(c, d) for d in classes)
-        ]
-        comp_max_reps.append(sorted(min(q.classes[c]) for c in maxima))
-    for a, b in itertools.combinations(range(len(comps)), 2):
-        plan.append(bu_step(comp_max_reps[a][0], comp_max_reps[b][0]))
-    for reps in comp_max_reps:
+    for (_, reps_a), (_, reps_b) in itertools.combinations(comps, 2):
+        plan.append(bu_step(reps_a[0], reps_b[0]))
+    for _, reps in comps:
         for a, b in itertools.combinations(reps, 2):
             plan.append(bu_step(a, b))
 
@@ -679,12 +672,10 @@ def replayed_prime_preorder(struct: StructSpec, predicates: tuple[str, ...]) -> 
 def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[int], Card]:
     """Read the per-class limit targets back out of the replayed registry."""
     from .operators import pnode
-    from .preorder import sim_quotient
 
-    q = sim_quotient(spec.order)
     targets = struct.registry.limit_targets
     out: dict[frozenset[int], Card] = {}
-    for members in q.classes:
+    for members in spec.quotient.classes:
         rep = min(members)
         out[frozenset(members)] = targets.get(pnode(f"P{rep}"), ZERO)
     return out
@@ -716,7 +707,7 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
     c85: countably many primes, any limit count, continuum rest.
     c93: continuum primes and limits, chosen count of other models.
     """
-    from .preorder import close, from_pairs, sim_quotient
+    from .preorder import close, from_pairs
 
     if kind == "c78":
         lam1, lam2 = params
@@ -724,11 +715,9 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
             raise ValueError(f"first parameter must be a positive natural, got {render(lam1)}")
         _check_range(lam2, allow_zero=True, what="second parameter")
         n = lam1.value
-        order = close(from_pairs(n, []))
-        q = sim_quotient(order)
-        values = {frozenset(c): ZERO for c in q.classes}
-        values[frozenset(q.classes[0])] = lam2
-        spec = finite_spec(order, values)
+        values = {frozenset({i}): ZERO for i in range(n)}
+        values[frozenset({0})] = lam2
+        spec = finite_spec(close(from_pairs(n, [])), values)
         return replace(spec, triple=Cm3Triple(lam1, lam2, CONTINUUM))
     if kind == "c85":
         (lam,) = params

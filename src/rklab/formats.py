@@ -11,6 +11,11 @@ import json
 from typing import Iterable
 
 from .cardinal import Card, parse_card, render  # other layers: imported where used
+from .report import BudgetError
+
+# the most elements a preorder or distribution-spec file may declare; a
+# million elements and a few pairs take about 320 MB to analyse
+ELEMENT_CAP = 1_000_000
 
 
 class ParseError(ValueError):
@@ -49,6 +54,8 @@ def parse_preorder(text: str, path: str = "<preorder>") -> Preorder:
         n = int(first.split(":", 1)[1].strip())
     except ValueError:
         raise ParseError(path, first_no, "integer element count", first) from None
+    if n > ELEMENT_CAP:
+        raise BudgetError(f"{n} elements exceed the element cap {ELEMENT_CAP}")
     pairs = []
     for no, line in lines[1:]:
         parts = line.split("<=")

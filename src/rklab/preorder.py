@@ -132,12 +132,15 @@ def induced(p: Preorder, elements: list[int]) -> Preorder:
 class QuotientPoset:
     """Partition into mutual-domination classes plus the induced order.
 
-    Bit b of ``above[a]`` says class a lies strictly below class b; the
-    order is reflexive, so the diagonal is not stored.
+    Classes are numbered in the order of their least element, which
+    comes first in each.  Bit b of ``above[a]`` says class a lies
+    strictly below class b; the order is reflexive, so the diagonal is
+    not stored.  ``index[e]`` is the class of element e.
     """
 
     classes: tuple[tuple[int, ...], ...]
     above: tuple[int, ...]
+    index: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -147,10 +150,7 @@ class QuotientPoset:
         return a == b or bool(self.above[a] >> b & 1)
 
     def class_of(self, element: int) -> int:
-        for ci, members in enumerate(self.classes):
-            if element in members:
-                return ci
-        raise ValueError(f"element {element} not in any class")
+        return self.index[element]
 
     def minima(self) -> list[int]:
         covered = 0
@@ -198,7 +198,7 @@ def sim_quotient(p: Preorder) -> QuotientPoset:
         _mask(b for b in (class_of[j] for j in _bits(rows[members[0]])) if b != a)
         for a, members in enumerate(classes)
     )
-    return QuotientPoset(tuple(classes), above)
+    return QuotientPoset(tuple(classes), above, tuple(class_of))
 
 
 def cones(p: Preorder, a: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -222,12 +222,12 @@ def ranks(q: QuotientPoset) -> list[int]:
     return rank
 
 
-def height(p: Preorder) -> int:
+def height(q: QuotientPoset) -> int:
     """Longest chain of pairwise non-equivalent elements (element count)."""
-    return max(ranks(sim_quotient(p)), default=-1) + 1
+    return max(ranks(q), default=-1) + 1
 
 
-def width(p: Preorder) -> int:
+def width(q: QuotientPoset) -> int:
     """Maximum antichain of the quotient.
 
     By Dilworth's theorem this is the fewest chains that cover the
@@ -236,7 +236,6 @@ def width(p: Preorder) -> int:
     starts one chain.  The matching grows by augmenting paths, searched
     depth first on an explicit stack.
     """
-    q = sim_quotient(p)
     k = q.size
     above = [_bits(row) for row in q.above]
     below = [-1] * k  # below[b] is the class matched to b, if any
@@ -261,10 +260,10 @@ def width(p: Preorder) -> int:
     return below.count(-1)
 
 
-def is_upward_directed(p: Preorder) -> bool:
+def is_upward_directed(q: QuotientPoset) -> bool:
     """Every pair has a common upper bound; for a finite preorder, that is
     a single maximal class."""
-    return len(sim_quotient(p).maxima()) <= 1
+    return len(q.maxima()) <= 1
 
 
 # -- premodel profiles -------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Deliberately dumb implementations: saturation over boolean matrices for
 closures and covers, exhaustive subset enumeration for chains and
-antichains, a permutation search for isomorphism, a pairwise comparison
+antichains, a search over every element pair for connected components,
+a permutation search for isomorphism, a pairwise comparison
 of saturated principal reachability for the isomorphism classes of prime
 models, a saturating union-find over explicit word lists for the bounded
 congruence, the identity schemas' ground instances built as word
@@ -59,6 +60,30 @@ def brute_directed(rel) -> bool:
     """Every pair of elements has a common upper bound."""
     n = len(rel)
     return all(any(rel[i][u] and rel[j][u] for u in range(n)) for i in range(n) for j in range(n))
+
+
+def brute_components(rel) -> list[list[int]]:
+    """The connected components of the comparability graph, each sorted,
+    in the order of their least element: a search from each unseen
+    element that tries every element at each step."""
+    n = len(rel)
+    seen = [False] * n
+    comps: list[list[int]] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = [start]
+        while queue:
+            a = queue.pop()
+            for b in range(n):
+                if not seen[b] and (rel[a][b] or rel[b][a]):
+                    seen[b] = True
+                    comp.append(b)
+                    queue.append(b)
+        comps.append(sorted(comp))
+    return comps
 
 
 def brute_height(rel) -> int:

@@ -110,8 +110,8 @@ def test_criterion_02_preorder_laws():
         if n <= 8:
             from rklab.preorder import height, width
 
-            assert height(p) == brute_height(matrix(p))
-            assert width(p) == brute_width(matrix(p))
+            assert height(sim_quotient(p)) == brute_height(matrix(p))
+            assert width(sim_quotient(p)) == brute_width(matrix(p))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s"
     report(2, f"({elapsed:.2f}s)")

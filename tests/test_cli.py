@@ -417,6 +417,80 @@ def _subprocess_env():
     return env
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("preorder", "--in", "{path}", "--quotient", "--height"), "elements: 300000000\n0 <= 1\n"),
+        (("build", "--spec", "{path}", "--replay"),
+         "elements: 300000000\n0 <= 1\nmode: finite\nf: {0,1} = 0\n"),
+    ],
+    ids=["preorder", "build"],
+)
+def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rklab", *(a.format(path=path) for a in argv)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 300000000 elements exceed the element cap 1000000\n"
+    assert elapsed < 1, f"took {elapsed:.2f}s"
+
+
+def _count_preorder_calls(monkeypatch, names):
+    """Count the calls to the named ``rklab.preorder`` functions, in every
+    module that bound them."""
+    import rklab.domination  # binds close and sim_quotient at import
+    import rklab.preorder
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(rklab.preorder, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rklab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_preorder_builds_one_quotient(tmp_path, capsys, monkeypatch):
+    po = tmp_path / "chain.po"
+    po.write_text("elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n")
+    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "is_closed", "close"))
+    code, out, _ = run_cli(
+        "preorder", "--in", str(po), "--quotient", "--height", "--width", "--directed",
+        "--dot", str(tmp_path / "q.dot"), "--machine", capsys=capsys,
+    )
+    assert code == 0 and "height=4\nwidth=1\ndirected=true\n" in out
+    assert counts == {"sim_quotient": 1, "is_closed": 1, "close": 1}
+
+
+def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatch):
+    ds = tmp_path / "spec.ds"
+    ds.write_text(
+        "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+        "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
+    )
+    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "is_closed", "close"))
+    code, out, _ = run_cli("build", "--spec", str(ds), "--replay", "--machine", capsys=capsys)
+    assert code == 0 and "rk_classes=2\n" in out
+    # the spec's order and the replayed one: each closed, checked and quotiented once
+    assert counts == {"sim_quotient": 2, "is_closed": 2, "close": 2}
+
+
 def test_oversized_type_spaces_refused_before_allocating():
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -3,9 +3,11 @@ import time
 
 import pytest
 
+from oracles import brute_components, matrix
 from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, card_eq, fin
 from rklab.distribution import (
     BuildConfig,
+    _components,
     Cm3Triple,
     DistributionSpec,
     SeqKey,
@@ -240,6 +242,20 @@ def test_replay_rejects_other_config():
     bp = build_blueprint(spec, "t77", CFG)
     with pytest.raises(ValueError, match="built with"):
         replay_blueprint(bp, BuildConfig(fan_out=CFG.fan_out + 1))
+
+
+def test_components_against_matrix_oracle():
+    rng = random.Random(20261018)
+    for trial in range(400):
+        n = trial if trial < 2 else rng.randint(0, 12)
+        p = random_preorder(rng, n, rng.uniform(0.0, 0.4))
+        full = matrix(p)
+        comps, expected = _components(sim_quotient(p)), brute_components(full)
+        assert [sorted(elements) for elements, _ in comps] == expected
+        for (_, reps), comp in zip(comps, expected):
+            # the least element of each class with nothing strictly above it
+            top = [e for e in comp if not any(full[e][d] and not full[d][e] for d in comp)]
+            assert reps == [e for e in top if not any(full[e][d] and d < e for d in top)]
 
 
 def test_blueprint_singleton():
