@@ -9,16 +9,18 @@ is never asserted at finite length.
 import argparse
 
 from rklab.cardinal import OMEGA, fin, render
-from rklab.limitcount import count_classes, lmt, lms, render_word
+from rklab.limitcount import lmt, lms, render_word, stabilization
 
 
 def row(system, label, alphabet, lengths):
-    counts = [count_classes(system, alphabet, L)[0] for L in lengths]
+    # stabilization decodes only the first representatives, not every class
+    infos = [stabilization(system, alphabet, L) for L in lengths]
+    counts = [info["count"] for info in infos]
     marks = [
         "=" if i and counts[i] == counts[i - 1] else " " for i in range(len(counts))
     ]
     cells = "  ".join(f"{c:>4}{m}" for c, m in zip(counts, marks))
-    reps = count_classes(system, alphabet, lengths[-1])[1][:6]
+    reps = infos[-1]["representatives"][:6]
     reps_s = " ".join(render_word(w) for w in reps)
     print(f"{label:<12} A={alphabet}  {cells}   target={render(system.target)}  reps: {reps_s}")
 

@@ -33,7 +33,7 @@ from .cardinal import (
     fin,
     render,
 )
-from .record import record, replace
+from .record import record
 from .report import Report, ReportBuilder  # preorder, domination, operators: imported where used
 
 
@@ -255,12 +255,15 @@ def finite_spec(
     order: Preorder,
     values: dict[frozenset[int], Card],
     partition: dict[int, str] | None = None,
+    **fields,
 ) -> DistributionSpec:
+    """A finite-mode spec; ``fields`` sets the remaining ``DistributionSpec`` fields."""
     return DistributionSpec(
         order,
         "finite",
         class_values=tuple(sorted(values.items(), key=lambda kv: sorted(kv[0]))),
         partition=tuple(sorted(partition.items())) if partition else None,
+        **fields,
     )
 
 
@@ -269,13 +272,16 @@ def sequence_spec(
     values: dict[SeqKey, Card],
     partition: dict[int, str] | None = None,
     extendable: bool = True,
+    **fields,
 ) -> DistributionSpec:
+    """A sequence-mode spec; ``fields`` sets the remaining ``DistributionSpec`` fields."""
     return DistributionSpec(
         order,
         "countable-truncated",
         seq_values=tuple(sorted(values.items(), key=lambda kv: kv[0].render())),
         partition=tuple(sorted(partition.items())) if partition else None,
         extendable=extendable,
+        **fields,
     )
 
 
@@ -717,15 +723,13 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         n = lam1.value
         values = {frozenset({i}): ZERO for i in range(n)}
         values[frozenset({0})] = lam2
-        spec = finite_spec(close(from_pairs(n, [])), values)
-        return replace(spec, triple=Cm3Triple(lam1, lam2, CONTINUUM))
+        return finite_spec(close(from_pairs(n, [])), values, triple=Cm3Triple(lam1, lam2, CONTINUUM))
     if kind == "c85":
         (lam,) = params
         _check_range(lam, allow_zero=True, what="limit count")
         order = close(from_pairs(3, [(0, 1), (1, 2)]))
         key = SeqKey((0, 1, 2), extendable=not card_eq(lam, ZERO, ch=False))
-        spec = sequence_spec(order, {key: lam}, extendable=True)
-        return replace(spec, triple=Cm3Triple(OMEGA, lam, CONTINUUM))
+        return sequence_spec(order, {key: lam}, triple=Cm3Triple(OMEGA, lam, CONTINUUM))
     if kind == "c93":
         (lam,) = params
         _check_range(lam, allow_zero=True, what="npl count")
@@ -734,10 +738,11 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         order = close(from_pairs(n, [(0, 1), (1, 2)]))
         partition = {i: ("P" if i < 3 else "NPL") for i in range(n)}
         key = SeqKey((0, 1, 2), extendable=True)
-        spec = sequence_spec(order, {key: CONTINUUM}, partition=partition)
         residual = CONTINUUM if card_eq(lam, CONTINUUM, ch=False) else None
-        return replace(
-            spec,
+        return sequence_spec(
+            order,
+            {key: CONTINUUM},
+            partition=partition,
             npl_residual=residual,
             triple=Cm3Triple(CONTINUUM, CONTINUUM, lam),
         )

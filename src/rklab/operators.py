@@ -27,9 +27,13 @@ from typing import Iterable, Mapping, Sequence
 from .cardinal import CONTINUUM, Card, card_eq, parse_card, render
 from .limitcount import FREE_SYSTEM, IdentitySystem, lmt, lms
 from .record import factory, record, replace
-from .report import Report, ReportBuilder
+from .report import BudgetError, Report, ReportBuilder
 
 Color = int | None  # None is the infinite color
+
+# the most elements the operators may grow a structure to, checked before each
+# step allocates; the costliest plan within it takes about 480 MB (README)
+UNIVERSE_CAP = 250_000
 
 
 def pnode(pred: str) -> str:
@@ -210,6 +214,7 @@ def colored_base(
     """
     if parts < 1 or colors < 1 or per_color < 1:
         raise ValueError("parts, colors, per_color must be positive")
+    _reserve(0, parts * (colors * per_color + 1))
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
@@ -280,6 +285,15 @@ def _pair_eff(c1: Color, c2: Color, depth: int) -> int:
     return min(finite) if finite else depth
 
 
+def _reserve(size: int, adding: int) -> None:
+    """Refuse, before it allocates, a step growing ``size`` elements past the cap."""
+    total = size + adding
+    if total > UNIVERSE_CAP:
+        # 2^depth splits can have more digits than Python prints
+        amount = total if total.bit_length() <= 64 else f"at least 2^{total.bit_length() - 1}"
+        raise BudgetError(f"{amount} elements exceed the universe cap {UNIVERSE_CAP}")
+
+
 def icp_need(spec: StructSpec | _Work, sub: str, depth: int, fan_out: int) -> int:
     return sum(
         (2 ** _eff_color(spec.color(x), depth)) * fan_out for x in spec.extent(sub)
@@ -287,11 +301,14 @@ def icp_need(spec: StructSpec | _Work, sub: str, depth: int, fan_out: int) -> in
 
 
 def bu_need(spec: StructSpec | _Work, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
-    total = 0
-    for x1 in spec.extent(sub1):
-        for x2 in spec.extent(sub2):
-            total += (2 ** _pair_eff(spec.color(x1), spec.color(x2), depth)) * fan_out
-    return total
+    # summed over pairs of colors, not of elements: the extents may be long
+    colors1 = Counter(spec.color(x) for x in spec.extent(sub1))
+    colors2 = Counter(spec.color(x) for x in spec.extent(sub2))
+    return sum(
+        n1 * n2 * (2 ** _pair_eff(c1, c2, depth)) * fan_out
+        for c1, n1 in colors1.items()
+        for c2, n2 in colors2.items()
+    )
 
 
 def _check_colored_extent(spec: StructSpec | _Work, sub: str, ceiling: int) -> None:
@@ -331,13 +348,16 @@ def icp(
     return w.freeze()
 
 
-def _icp(w: _Work, sub: str, fresh_y: int, depth: int, fan_out: int, seed: int = 0) -> None:
+def _icp(w: _Work, sub: str, fresh_y: int | None, depth: int, fan_out: int, seed: int = 0) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
     _check_colored_extent(w, sub, depth)
-    need = icp_need(w, sub, depth, fan_out)
+    # past depth 64 the need is over the cap however it is counted: 2^depth is not computed
+    need = icp_need(w, sub, min(depth, 64), fan_out)
+    fresh_y = need if fresh_y is None else fresh_y
+    _reserve(len(w.universe), max(fresh_y, need))
     if fresh_y < need:
         raise ValueError(f"Y of size {fresh_y} cannot honor the splits, need {need}")
     app = len(w.history)
@@ -411,6 +431,9 @@ def _css(
         raise ValueError("stubs come from different split depths")
     ceiling = depths.pop()
     _check_colored_extent(w, sub, ceiling)
+    # each stub gives an element of color c one target per color c..ceiling
+    per_stub = sum(1 if c is None else ceiling + 1 - c for c in map(w.color, w.extent(sub)))
+    _reserve(len(w.universe), len(stubs) * per_stub * fan_out)
     app = len(w.history)
     rels = [f"{sub}.css{app}.R{j}" for j in range(len(stubs))]
     tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}
@@ -469,7 +492,7 @@ def bu(
 
 
 def _bu(
-    w: _Work, sub1: str, sub2: str, fresh_z: int, depth: int, fan_out: int, seed: int = 0
+    w: _Work, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int, seed: int = 0
 ) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -480,7 +503,9 @@ def _bu(
         raise ValueError(f"{sub1} and {sub2} overlap")
     _check_colored_extent(w, sub1, depth)
     _check_colored_extent(w, sub2, depth)
-    need = bu_need(w, sub1, sub2, depth, fan_out)
+    need = bu_need(w, sub1, sub2, min(depth, 64), fan_out)  # as in _icp
+    fresh_z = need if fresh_z is None else fresh_z
+    _reserve(len(w.universe), max(fresh_z, need))
     if fresh_z < need:
         raise ValueError(f"Z of size {fresh_z} cannot honor the splits, need {need}")
     app = len(w.history)
@@ -791,8 +816,7 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
         depth = int(a.get("depth", "1"))
         if step.op == "icp":
             y = a.get("y", "auto")
-            need = icp_need(w, a["sub"], depth, fan)
-            _icp(w, a["sub"], need if y == "auto" else int(y), depth, fan)
+            _icp(w, a["sub"], None if y == "auto" else int(y), depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
                 stubs = w.stubs_of(pnode(a["source"]))
@@ -801,8 +825,7 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
             _css(w, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
         elif step.op == "bu":
             z = a.get("z", "auto")
-            need = bu_need(w, a["sub1"], a["sub2"], depth, fan)
-            _bu(w, a["sub1"], a["sub2"], need if z == "auto" else int(z), depth, fan)
+            _bu(w, a["sub1"], a["sub2"], None if z == "auto" else int(z), depth, fan)
         elif step.op == "lmt":
             _apply_lmt(w, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "lms":

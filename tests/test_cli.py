@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import importlib
+import io
 import json
 import os
 import random
@@ -9,9 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from rklab.cli import main
+from rklab import cli
+from rklab.cli import COMMANDS, build_parser, main
 from rklab.distribution import BuildConfig, build_blueprint, replay_blueprint
 from rklab.formats import parse_distribution, parse_struct, serialize_struct
+
+
+COMMAND_NAMES = [name for name, _ in COMMANDS]
 
 
 def run_cli(*argv, capsys=None):
@@ -417,16 +425,28 @@ def _subprocess_env():
     return env
 
 
+ELEMENT_CAP_ERROR = "300000000 elements exceed the element cap 1000000"
+
+
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, message",
     [
-        (("preorder", "--in", "{path}", "--quotient", "--height"), "elements: 300000000\n0 <= 1\n"),
+        (("preorder", "--in", "{path}", "--quotient", "--height"), "elements: 300000000\n0 <= 1\n",
+         ELEMENT_CAP_ERROR),
         (("build", "--spec", "{path}", "--replay"),
-         "elements: 300000000\n0 <= 1\nmode: finite\nf: {0,1} = 0\n"),
+         "elements: 300000000\n0 <= 1\nmode: finite\nf: {0,1} = 0\n", ELEMENT_CAP_ERROR),
+        (("apply", "--pipeline", "{path}"),
+         "base colors=1 parts=1 per_color=1\nicp depth=1000000 fan=1 sub=P0 y=auto\n",
+         "at least 2^64 elements exceed the universe cap 250000"),
+        (("apply", "--pipeline", "{path}"),
+         "base colors=1 parts=1 per_color=1\nicp depth=1 fan=100000000 sub=P0\n",
+         "300000002 elements exceed the universe cap 250000"),
+        (("apply", "--pipeline", "{path}"), "base colors=1 parts=1000000 per_color=1000\n",
+         "1001000000 elements exceed the universe cap 250000"),
     ],
-    ids=["preorder", "build"],
+    ids=["preorder", "build", "apply-deep", "apply-fan", "apply-base"],
 )
-def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, text):
+def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, text, message):
     path = tmp_path / "huge.txt"
     path.write_text(text)
 
@@ -442,7 +462,7 @@ def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, te
     elapsed = time.perf_counter() - start
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "error: 300000000 elements exceed the element cap 1000000\n"
+    assert proc.stderr == f"error: {message}\n"
     assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
@@ -545,7 +565,7 @@ def bare_std():
     [
         (("--help",),
          {"cardinal", "distribution", "domination", "formats", "limitcount", "models",
-          "operators", "preorder", "typespace"}),
+          "operators", "preorder", "typespace", "report", "record"}),
         (("classify", "--tc", "--triple", "0,0,c"),
          {"operators", "domination", "preorder", "limitcount", "typespace", "formats"}),
         (("decompose", "--rk", "1", "--il", "1,w", "--npl", "c", "--tc"),
@@ -554,16 +574,24 @@ def bare_std():
          {"distribution", "operators", "domination", "preorder", "limitcount", "formats"}),
         (("limits", "--system", "lmt", "--n", "2", "--alphabet", "2", "--len", "3"),
          {"distribution", "formats", "typespace", "operators", "domination", "preorder"}),
-        (("preorder", "--in", "{po}", "--quotient", "--height", "--width"),
+        (("preorder", "--in", "{dir}/chain.po", "--quotient", "--height", "--width"),
          {"distribution", "operators", "typespace", "limitcount"}),
+        (("dominate", "--in", "{dir}/graph.dg"), {"distribution", "operators", "typespace", "limitcount"}),
+        (("apply", "--pipeline", "{dir}/plan.pipe"), {"distribution", "domination", "typespace"}),
+        (("build", "--spec", "{dir}/spec.ds"), {"typespace", "domination"}),
     ],
-    ids=["help", "classify", "decompose", "types", "limits", "preorder"],
+    ids=["help", "classify", "decompose", "types", "limits", "preorder", "dominate", "apply", "build"],
 )
 def test_subcommand_imports_only_its_layers(tmp_path, bare_std, argv, forbidden):
-    po = tmp_path / "chain.po"
-    po.write_text("elements: 3\n0 <= 1\n1 <= 2\n")
-    loaded, std = _probe(_MODULE_PROBE, *(a.format(po=po) for a in argv))
+    (tmp_path / "chain.po").write_text("elements: 3\n0 <= 1\n1 <= 2\n")
+    (tmp_path / "graph.dg").write_text("type p0 prime\ntype p1 prime\np1 dominates p0 via Q principal\n")
+    (tmp_path / "plan.pipe").write_text("base parts=2 colors=1\nicp sub=P0\n")
+    (tmp_path / "spec.ds").write_text("elements: 2\n0 <= 1\nmode: finite\nf: {0} = 1\nf: {1} = 0\n")
+    loaded, std = _probe(_MODULE_PROBE, *(a.format(dir=tmp_path) for a in argv))
     assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)
+    # the dispatcher imports the invoked subcommand's module and no other
+    commands = {m for m in loaded if m.startswith("commands")}
+    assert commands == ({"commands", f"commands.{argv[0]}"} if argv[0] in COMMAND_NAMES else set())
     assert std <= bare_std, sorted(std - bare_std)
 
 
@@ -635,3 +663,41 @@ def test_mutated_readme_examples_exit_cleanly(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert code in (0, 2, 3), argv
     assert slowest[0] < 10, slowest
+
+
+def _full_parser():
+    """Every subcommand filled in from its module, whatever the command line:
+    the parser the lazy one must act like."""
+    ap = argparse.ArgumentParser(prog="rklab", description=cli.__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_line in COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        command = importlib.import_module(f"rklab.commands.{name}")
+        command.arguments(p)
+        p.add_argument("--machine", action="store_true")
+        p.set_defaults(fn=command.run)
+    return ap
+
+
+def _parse(parser, argv):
+    """The namespace ``parser`` gives ``argv``, or its exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_lazy_parser_acts_like_the_full_one(monkeypatch):
+    rng = random.Random(2024)  # the command lines the mutation test draws
+    argvs = [_mutate(rng, rng.choice(README_EXAMPLES).split()) for _ in range(1000)]
+    argvs += [example.split() for example in README_EXAMPLES]
+    argvs += [[], ["--help"], ["-h"], ["bogus"], ["--help", "limits"]]
+    argvs += [["--", "limits", "--system", "lmt", "--n", "1", "--alphabet", "2", "--len", "3"]]
+    argvs += [[name, "--help"] for name in COMMAND_NAMES]
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = _full_parser()
+        for argv in argvs:
+            assert _parse(build_parser(argv), argv) == _parse(full, argv), argv

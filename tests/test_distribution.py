@@ -4,7 +4,7 @@ import time
 import pytest
 
 from oracles import brute_components, matrix
-from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, card_eq, fin
+from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, card_eq, fin, render
 from rklab.distribution import (
     BuildConfig,
     _components,
@@ -419,6 +419,41 @@ def test_corollary_c93():
     assert any(
         "prime-less" in n for n in build_blueprint(cont, "t92", CFG).notes
     )
+
+
+def _old_corollary(kind, lam):
+    """The spec ``realize_corollary`` gave when it built each spec and then
+    replaced its triple: each corollary spec's quotient built twice."""
+    from rklab.record import replace
+
+    chain = close(from_pairs(3, [(0, 1), (1, 2)]))
+    if kind == "c78":
+        spec = finite_spec(close(from_pairs(2, [])), {frozenset({0}): lam, frozenset({1}): ZERO})
+        return replace(spec, triple=Cm3Triple(fin(2), lam, CONTINUUM))
+    if kind == "c85":
+        key = SeqKey((0, 1, 2), extendable=not card_eq(lam, ZERO, ch=False))
+        return replace(sequence_spec(chain, {key: lam}), triple=Cm3Triple(OMEGA, lam, CONTINUUM))
+    n = 3 + (2 if lam in (OMEGA, CONTINUUM) else lam.value)
+    order = close(from_pairs(n, [(0, 1), (1, 2)]))
+    partition = {i: ("P" if i < 3 else "NPL") for i in range(n)}
+    spec = sequence_spec(order, {SeqKey((0, 1, 2), extendable=True): CONTINUUM}, partition=partition)
+    residual = CONTINUUM if card_eq(lam, CONTINUUM, ch=False) else None
+    return replace(spec, npl_residual=residual, triple=Cm3Triple(CONTINUUM, CONTINUUM, lam))
+
+
+@pytest.mark.parametrize("kind", ["c78", "c85", "c93"])
+@pytest.mark.parametrize("lam", [ZERO, fin(2), OMEGA, CONTINUUM], ids=render)
+def test_corollary_builds_one_quotient(monkeypatch, kind, lam):
+    import rklab.preorder
+
+    quotients = []
+    original = rklab.preorder.sim_quotient
+    monkeypatch.setattr(rklab.preorder, "sim_quotient", lambda p: quotients.append(p) or original(p))
+    params = (fin(2), lam) if kind == "c78" else (lam,)
+    spec = realize_corollary(kind, params)
+    assert len(quotients) == 1
+    monkeypatch.undo()
+    assert spec == _old_corollary(kind, lam)
 
 
 def test_corollaries_all_accepted_and_decompose_to_continuum():

@@ -7,7 +7,7 @@ from oracles import brute_bu_disjoint
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, parse_card
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
-from rklab.formats import serialize_struct
+from rklab.formats import parse_pipeline, serialize_struct
 from rklab.limitcount import FREE_SYSTEM, lmt, lms
 from rklab.operators import (
     PipelineStep,
@@ -27,6 +27,7 @@ from rklab.operators import (
 )
 from rklab.preorder import close, from_pairs, sim_quotient
 from rklab.record import replace
+from rklab.report import BudgetError
 
 
 def base2(colors=2, q=()):
@@ -326,6 +327,40 @@ def test_checked_pipeline_verifies_each_record_once(monkeypatch):
     assert [rec.op for rec in spec.history] == ["icp", "css", "css", "bu", "lmt"]
     assert verified == [0, 1, 2, 3]
     assert spec == run_pipeline(PIPE)
+
+
+def test_auto_sizes_are_computed_once_per_step(monkeypatch):
+    calls = {"icp_need": 0, "bu_need": 0}
+    for name in calls:
+        real = getattr(operators, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(operators, name, counted)
+    run_pipeline(PIPE + [PipelineStep("bu", {"sub1": "P1", "sub2": "P0"})])
+    assert calls == {"icp_need": 1, "bu_need": 2}
+
+
+@pytest.mark.parametrize(
+    "text, amount",
+    [
+        ("base parts=1 colors=3 per_color=100000", "300001"),
+        ("base parts=1 colors=1\nicp sub=P0 fan=1 y=300000", "300002"),
+        ("base parts=1 colors=1\nicp sub=P0 depth=40", "2199023255556"),
+        ("base parts=1 colors=1\nicp sub=P0 depth=100", "at least 2^65"),
+        ("base parts=2 colors=3\nbu sub1=P0 sub2=P1 depth=63", "at least 2^64"),
+        # 10^10 element pairs, sized per pair of colors
+        ("base parts=2 colors=1 per_color=100000\nbu sub1=P0 sub2=P1 fan=1", "10000400004"),
+        ("base parts=1 colors=1\nicp sub=P0 fan=1\ncss sub=P0 source=P0 fan=100000", "600005"),
+    ],
+    ids=["base", "icp-y", "icp-deep", "icp-deeper", "bu-deep", "bu-long", "css"],
+)
+def test_plan_past_the_universe_cap_refused(text, amount):
+    with pytest.raises(BudgetError) as info:
+        run_pipeline(parse_pipeline(text + "\n", "plan.pipe"))
+    assert str(info.value) == f"{amount} elements exceed the universe cap {operators.UNIVERSE_CAP}"
 
 
 def test_checked_pipeline_raises_at_failing_step(monkeypatch):

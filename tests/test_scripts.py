@@ -3,6 +3,7 @@ script that imports a removed name fails the suite."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,15 @@ def test_readme_script(argv, line):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def test_census_one_letter_long_bound_is_quick():
+    # each length's count and the last length's first representatives are
+    # read off one stabilization report, without decoding every class
+    start = time.perf_counter()
+    proc = run_script("limit_census.py", "--alphabets", "1", "--max-len", "300")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    lms_w = next(line for line in proc.stdout.splitlines() if line.startswith("lms w"))
+    assert lms_w.endswith("   300    target=w  reps: 0 0.0 0.0.0 0.0.0.0 0.0.0.0.0 0.0.0.0.0.0")
+    assert elapsed < 1.5, f"took {elapsed:.2f}s"
