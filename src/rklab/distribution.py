@@ -19,6 +19,7 @@ registry's prime-model structure and the f values as limit targets.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .cardinal import (
     CONTINUUM,
@@ -34,7 +35,7 @@ from .cardinal import (
     render,
 )
 from .record import record
-from .report import Report, ReportBuilder  # preorder, domination, operators: imported where used
+from .report import BudgetError, Report, ReportBuilder  # preorder, domination, operators: imported where used
 
 
 @record
@@ -522,7 +523,7 @@ def build_blueprint(
     prime side of the partition exactly, the partition-first order pins
     the prime-less side exactly.
     """
-    from .operators import PipelineStep, pnode
+    from .operators import UNIVERSE_CAP, PipelineStep, pnode
     from .preorder import ranks
 
     if variant not in ("t77", "t84", "t91", "t92"):
@@ -583,27 +584,25 @@ def build_blueprint(
                 "qedge", {"low": str(low), "high": str(high), "principal": str(principal).lower()}
             )
         )
+    # the partition and allocation steps, as (operator, part) in plan order
     if variant in ("t77", "t84"):
         source = 0
-        plan.append(icp_step(source))
-        for elements, _ in comps:
-            for e in elem_sort(elements):
-                plan.append(css_step(e, source))
+        splits = [("icp", source)]
+        splits += [("css", e) for elements, _ in comps for e in elem_sort(elements)]
     elif variant == "t91":
         source = 0
-        plan.append(icp_step(source))
-        for e in elem_sort(p_elems):
-            plan.append(css_step(e, source))
-        for e in elem_sort(npl_elems):
-            if e != source or source in p_elems:
-                plan.append(icp_step(e))
+        splits = [("icp", source)] + [("css", e) for e in elem_sort(p_elems)]
+        splits += [("icp", e) for e in elem_sort(npl_elems) if e != source or source in p_elems]
     else:  # t92: partition first, then allocation
         icp_elems = elem_sort(npl_elems) or [0]
         source = icp_elems[0]
-        for e in icp_elems:
-            plan.append(icp_step(e))
-        for e in elem_sort(p_elems):
-            plan.append(css_step(e, source))
+        splits = [("icp", e) for e in icp_elems] + [("css", e) for e in elem_sort(p_elems)]
+    # a bu step per two components and per two maximal classes of one; each
+    # icp, css and bu step adds an element, so a longer plan never applies
+    steps = len(splits) + comb(len(comps), 2) + sum(comb(len(reps), 2) for _, reps in comps)
+    if steps > UNIVERSE_CAP:
+        raise BudgetError(f"{steps} icp, css and bu steps exceed the universe cap {UNIVERSE_CAP}")
+    plan += (icp_step(e) if op == "icp" else css_step(e, source) for op, e in splits)
 
     for (_, reps_a), (_, reps_b) in itertools.combinations(comps, 2):
         plan.append(bu_step(reps_a[0], reps_b[0]))

@@ -277,11 +277,13 @@ def _merge(
         pairs += zip(roots[x + px : x + (a + 1) * px : px], roots[r + pr : r + (a + 1) * pr : pr])
         pairs += zip(roots[a * x + a : a * x + 2 * a], roots[a * r + a : a * r + 2 * a])
     for prefixes, last, rhs in _level_blocks(sys, a, k, sizes):
-        # one pair per root of a prefix, not per word
+        # one pair per distinct node of the words u.last, not per word
         j = node(rhs)
-        heads = roots[prefixes.start : prefixes.stop] if isinstance(prefixes, range) else map(up, prefixes)
-        for q in set(heads):
-            pairs.append((rows[q][last], j))
+        if isinstance(prefixes, range):
+            heads = {rows[q][last] for q in set(roots[prefixes.start : prefixes.stop])}
+        else:  # listed prefixes may be shorter than k-1 letters (pair_to_run)
+            heads = {node(a * (u + 1) + last) for u in prefixes}
+        pairs += ((i, j) for i in heads)
     parent: dict[int, int] = {}  # unions point at the smaller node
     for i, j in pairs:
         while i in parent:

@@ -21,6 +21,7 @@ rest), which each public operator runs on a thawed copy of its spec.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
@@ -215,6 +216,8 @@ def colored_base(
     if parts < 1 or colors < 1 or per_color < 1:
         raise ValueError("parts, colors, per_color must be positive")
     _reserve(0, parts * (colors * per_color + 1))
+    # a q edge links each color to every color at or below it, and the infinite colors
+    _reserve(0, len(q_edges) * (colors * (colors + 1) // 2 + 1), "q-edge pairs")
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
@@ -275,40 +278,38 @@ def verify_q_order(spec: StructSpec) -> Report:
 
 # -- sizing helpers -----------------------------------------------------------
 
-def _eff_color(c: Color, depth: int) -> int:
-    return depth if c is None else c
-
-
-def _pair_eff(c1: Color, c2: Color, depth: int) -> int:
-    """Split depth of a pair: its least finite color, else ``depth``."""
-    finite = [c for c in (c1, c2) if c is not None]
+def _split_depth(colors: Iterable[Color], depth: int) -> int:
+    """Split depth of an element or pair: its least finite color, else ``depth``."""
+    finite = [c for c in colors if c is not None]
     return min(finite) if finite else depth
 
 
-def _reserve(size: int, adding: int) -> None:
-    """Refuse, before it allocates, a step growing ``size`` elements past the cap."""
+def _reserve(size: int, adding: int, what: str = "elements") -> None:
+    """Refuse, before it allocates, growing ``size`` ``what`` by ``adding``
+    past the cap."""
     total = size + adding
     if total > UNIVERSE_CAP:
         # 2^depth splits can have more digits than Python prints
         amount = total if total.bit_length() <= 64 else f"at least 2^{total.bit_length() - 1}"
-        raise BudgetError(f"{amount} elements exceed the universe cap {UNIVERSE_CAP}")
+        raise BudgetError(f"{amount} {what} exceed the universe cap {UNIVERSE_CAP}")
+
+
+def _split_need(spec: StructSpec | _Work, subs: Sequence[str], depth: int, fan_out: int) -> int:
+    # summed over tuples of colors, not of elements: the extents may be long
+    counts = [Counter(map(spec.color, spec.extent(sub))).items() for sub in subs]
+    total = 0
+    for combo in itertools.product(*counts):
+        colors, sizes = zip(*combo)
+        total += math.prod(sizes) << _split_depth(colors, depth)
+    return total * fan_out
 
 
 def icp_need(spec: StructSpec | _Work, sub: str, depth: int, fan_out: int) -> int:
-    return sum(
-        (2 ** _eff_color(spec.color(x), depth)) * fan_out for x in spec.extent(sub)
-    )
+    return _split_need(spec, (sub,), depth, fan_out)
 
 
 def bu_need(spec: StructSpec | _Work, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
-    # summed over pairs of colors, not of elements: the extents may be long
-    colors1 = Counter(spec.color(x) for x in spec.extent(sub1))
-    colors2 = Counter(spec.color(x) for x in spec.extent(sub2))
-    return sum(
-        n1 * n2 * (2 ** _pair_eff(c1, c2, depth)) * fan_out
-        for c1, n1 in colors1.items()
-        for c2, n2 in colors2.items()
-    )
+    return _split_need(spec, (sub1, sub2), depth, fan_out)
 
 
 def _check_colored_extent(spec: StructSpec | _Work, sub: str, ceiling: int) -> None:
@@ -325,16 +326,47 @@ def _check_colored_extent(spec: StructSpec | _Work, sub: str, ceiling: int) -> N
         )
 
 
+def _split(
+    w: _Work, op: str, subs: Sequence[str], fresh: int | None, depth: int, fan_out: int,
+    letter: str,
+) -> tuple[list[str], list[str]]:
+    """Give each element, or tuple of elements, of the extents of ``subs``
+    2^(split depth) blocks of ``fan_out`` fresh witnesses, ``fresh`` of them
+    in all (the least that honors the splits when None).  Layer R0 holds
+    every witness; layer Ri, i >= 1, those of the blocks with bit i-1 set.
+    Returns the layer names and the witnesses."""
+    for sub in subs:
+        _check_colored_extent(w, sub, depth)
+    # past depth 64 the need is over the cap however it is counted: 2^depth is not computed
+    need = _split_need(w, subs, min(depth, 64), fan_out)
+    fresh = need if fresh is None else fresh
+    _reserve(len(w.universe), max(fresh, need))
+    if fresh < need:
+        raise ValueError(f"{letter} of size {fresh} cannot honor the splits, need {need}")
+    app = len(w.history)
+    names = [f"{letter}{app}s0_{k}" for k in range(fresh)]  # "s0": the names files hold
+    w.add_elements(names, letter)
+    rels = ["*".join(subs) + f".{op}{app}.R{i}" for i in range(depth + 1)]
+    layers: list[list[tuple[str, ...]]] = [[] for _ in rels]
+    cursor = 0
+    for key in itertools.product(*(sorted(w.extent(sub)) for sub in subs)):
+        eff = _split_depth(map(w.color, key), depth)
+        for block in range(2**eff):
+            rows = [key + (y,) for y in names[cursor : cursor + fan_out]]
+            cursor += fan_out
+            layers[0] += rows
+            for i in range(1, eff + 1):
+                if block >> (i - 1) & 1:
+                    layers[i] += rows
+    table = w.binary if len(subs) == 1 else w.ternary
+    for r, rows in zip(rels, layers):
+        table[r] = tuple(rows)
+    return rels, names
+
+
 # -- the operators ------------------------------------------------------------
 
-def icp(
-    spec: StructSpec,
-    sub: str,
-    fresh_y: int,
-    depth: int,
-    fan_out: int = 3,
-    seed: int = 0,
-) -> StructSpec:
+def icp(spec: StructSpec, sub: str, fresh_y: int, depth: int, fan_out: int = 3) -> StructSpec:
     """Continual partition over the designated substructure.
 
     Splits each colored element's image set into 2^color nonempty
@@ -344,41 +376,16 @@ def icp(
     continuation stub per depth-length bit string.
     """
     w = _Work(spec)
-    _icp(w, sub, fresh_y, depth, fan_out, seed)
+    _icp(w, sub, fresh_y, depth, fan_out)
     return w.freeze()
 
 
-def _icp(w: _Work, sub: str, fresh_y: int | None, depth: int, fan_out: int, seed: int = 0) -> None:
+def _icp(w: _Work, sub: str, fresh_y: int | None, depth: int, fan_out: int) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
-    _check_colored_extent(w, sub, depth)
-    # past depth 64 the need is over the cap however it is counted: 2^depth is not computed
-    need = icp_need(w, sub, min(depth, 64), fan_out)
-    fresh_y = need if fresh_y is None else fresh_y
-    _reserve(len(w.universe), max(fresh_y, need))
-    if fresh_y < need:
-        raise ValueError(f"Y of size {fresh_y} cannot honor the splits, need {need}")
-    app = len(w.history)
-    ys = [f"Y{app}s{seed}_{k}" for k in range(fresh_y)]
-    w.add_elements(ys, "Y")
-    rels = [f"{sub}.icp{app}.R{i}" for i in range(depth + 1)]
-    tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}
-    cursor = 0
-    for x in sorted(w.extent(sub)):
-        eff = _eff_color(w.color(x), depth)
-        for block in range(2**eff):
-            bits = [(block >> (i - 1)) & 1 for i in range(1, eff + 1)]
-            for _ in range(fan_out):
-                y = ys[cursor]
-                cursor += 1
-                tuples[rels[0]].append((x, y))
-                for i in range(1, eff + 1):
-                    if bits[i - 1]:
-                        tuples[rels[i]].append((x, y))
-    for r in rels:
-        w.binary[r] = tuple(tuples[r])
+    rels, ys = _split(w, "icp", (sub,), fresh_y, depth, fan_out, "Y")
     p = pnode(sub)
     w.set_node(p, prime=False)
     for bits in itertools.product("01", repeat=depth):
@@ -387,17 +394,12 @@ def _icp(w: _Work, sub: str, fresh_y: int | None, depth: int, fan_out: int, seed
     w.notes.append(f"icp on {sub}: no prime model over {p}")
     w.history.append(OpRecord("icp", {
         "sub": sub, "depth": depth, "fan_out": fan_out,
-        "rels": tuple(rels), "ys": tuple(ys), "seed": seed,
+        "rels": tuple(rels), "ys": tuple(ys), "seed": 0,
     }))
 
 
 def css(
-    spec: StructSpec,
-    q_subset: Sequence[str],
-    sub: str,
-    fan_out: int = 3,
-    seed: int = 0,
-    linked: bool = False,
+    spec: StructSpec, q_subset: Sequence[str], sub: str, fan_out: int = 3, linked: bool = False
 ) -> StructSpec:
     """Allocation for a countable subset of the continuum of stubs.
 
@@ -409,13 +411,11 @@ def css(
     as tied to the type (the downward-ban reading of the same operator).
     """
     w = _Work(spec)
-    _css(w, q_subset, sub, fan_out, seed, linked)
+    _css(w, q_subset, sub, fan_out, linked)
     return w.freeze()
 
 
-def _css(
-    w: _Work, q_subset: Sequence[str], sub: str, fan_out: int, seed: int = 0, linked: bool = False
-) -> None:
+def _css(w: _Work, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool = False) -> None:
     if not q_subset:
         raise ValueError("q_subset must be nonempty")
     if fan_out < 1:
@@ -448,7 +448,7 @@ def _css(
             else:
                 targets = [k for k in range(c, ceiling + 1) for _ in range(fan_out)]
             for tcol in targets:
-                t = f"T{app}s{seed}_{len(fresh)}"
+                t = f"T{app}s0_{len(fresh)}"
                 fresh.append(t)
                 colors.append(tcol)
                 tuples[rels[j]].append((x, t))
@@ -466,18 +466,12 @@ def _css(
     w.notes.append(msg)
     w.history.append(OpRecord("css", {
         "sub": sub, "stubs": tuple(n.name for n in stubs), "rels": tuple(rels),
-        "ceiling": ceiling, "fan_out": fan_out, "linked": linked, "seed": seed,
+        "ceiling": ceiling, "fan_out": fan_out, "linked": linked, "seed": 0,
     }))
 
 
 def bu(
-    spec: StructSpec,
-    sub1: str,
-    sub2: str,
-    fresh_z: int,
-    depth: int,
-    fan_out: int = 3,
-    seed: int = 0,
+    spec: StructSpec, sub1: str, sub2: str, fresh_z: int, depth: int, fan_out: int = 3
 ) -> StructSpec:
     """Ban for upward movement between two designated substructures.
 
@@ -487,47 +481,18 @@ def bu(
     themselves keep their flags.
     """
     w = _Work(spec)
-    _bu(w, sub1, sub2, fresh_z, depth, fan_out, seed)
+    _bu(w, sub1, sub2, fresh_z, depth, fan_out)
     return w.freeze()
 
 
-def _bu(
-    w: _Work, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int, seed: int = 0
-) -> None:
+def _bu(w: _Work, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
-    ext1, ext2 = w.extent(sub1), w.extent(sub2)
-    if set(ext1) & set(ext2):
+    if set(w.extent(sub1)) & set(w.extent(sub2)):
         raise ValueError(f"{sub1} and {sub2} overlap")
-    _check_colored_extent(w, sub1, depth)
-    _check_colored_extent(w, sub2, depth)
-    need = bu_need(w, sub1, sub2, min(depth, 64), fan_out)  # as in _icp
-    fresh_z = need if fresh_z is None else fresh_z
-    _reserve(len(w.universe), max(fresh_z, need))
-    if fresh_z < need:
-        raise ValueError(f"Z of size {fresh_z} cannot honor the splits, need {need}")
-    app = len(w.history)
-    zs = [f"Z{app}s{seed}_{k}" for k in range(fresh_z)]
-    w.add_elements(zs, "Z")
-    rels = [f"{sub1}*{sub2}.bu{app}.R{i}" for i in range(depth + 1)]
-    tuples: dict[str, list[tuple[str, str, str]]] = {r: [] for r in rels}
-    cursor = 0
-    for x1 in sorted(ext1):
-        for x2 in sorted(ext2):
-            eff = _pair_eff(w.color(x1), w.color(x2), depth)
-            for block in range(2**eff):
-                bits = [(block >> (i - 1)) & 1 for i in range(1, eff + 1)]
-                for _ in range(fan_out):
-                    z = zs[cursor]
-                    cursor += 1
-                    tuples[rels[0]].append((x1, x2, z))
-                    for i in range(1, eff + 1):
-                        if bits[i - 1]:
-                            tuples[rels[i]].append((x1, x2, z))
-    for r in rels:
-        w.ternary[r] = tuple(tuples[r])
+    rels, zs = _split(w, "bu", (sub1, sub2), fresh_z, depth, fan_out, "Z")
     p1, p2 = pnode(sub1), pnode(sub2)
     for p in (p1, p2):
         w.set_node(p)
@@ -538,7 +503,7 @@ def _bu(
     w.notes.append(f"bu on {sub1},{sub2}: no prime models over joint types {joint}")
     w.history.append(OpRecord("bu", {
         "sub1": sub1, "sub2": sub2, "depth": depth, "fan_out": fan_out,
-        "rels": tuple(rels), "zs": tuple(zs), "seed": seed,
+        "rels": tuple(rels), "zs": tuple(zs), "seed": 0,
     }))
 
 
@@ -598,148 +563,135 @@ def _apply_lms(w: _Work, nodes: Sequence[str], lam: Card, reading: str = "gt") -
 
 # -- ground scheme verification -----------------------------------------------
 
-def _pair_index(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for x, y in pairs:
-        out.setdefault(x, set()).add(y)
+def _image_index(rows: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], set[str]]:
+    """Each key, a row but its last element, to the witnesses it is paired with."""
+    out: dict[tuple[str, ...], set[str]] = {}
+    for row in rows:
+        out.setdefault(row[:-1], set()).add(row[-1])
     return out
 
 
-def _triple_index(triples: Iterable[tuple[str, str, str]]) -> dict[tuple[str, str], set[str]]:
-    out: dict[tuple[str, str], set[str]] = {}
-    for x, y, z in triples:
-        out.setdefault((x, y), set()).add(z)
-    return out
+def _label(key: tuple[str, ...]) -> str:
+    return key[0] if len(key) == 1 else f"({','.join(key)})"
 
 
-def _block_sizes(img0: set[str], layers: list) -> Counter:
-    """Witnesses per split block, in one pass over the layers.
+def _clashes(keys: list[tuple[str, ...]], index: Mapping) -> list[tuple[int, int]]:
+    """The positions a < b of the keys whose images in ``index`` share a
+    witness although the keys differ in every coordinate, in order.
 
-    Bit i of a witness's block says it lies in ``layers[i]``; the
-    witnesses are the members of ``img0``.
+    Each witness lists the keys that own it, so a structure whose images
+    are disjoint costs one pass.
     """
-    block_of = dict.fromkeys(img0, 0)
-    for i, layer in enumerate(layers):
-        for y in layer:
-            if y in block_of:
-                block_of[y] |= 1 << i
-    return Counter(block_of.values())
+    owners: dict[str, list[int]] = {}
+    for p, key in enumerate(keys):
+        for z in index.get(key, ()):
+            owners.setdefault(z, []).append(p)
+    clashes = {
+        (a, b)
+        for ps in owners.values()
+        if len(ps) > 1
+        for a, b in itertools.combinations(ps, 2)
+        if all(u != v for u, v in zip(keys[a], keys[b]))
+    }
+    return sorted(clashes)
 
 
-def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
-    sub = params["sub"]
-    depth = params["depth"]
-    fan_out = params["fan_out"]
-    rels = params["rels"]
-    images = [_pair_index(spec.binary.get(r, ())) for r in rels]
-    extent = sorted(spec.extent(sub))
+def _split_images(
+    spec: StructSpec | _Work, params: Mapping, subs: Sequence[str]
+) -> tuple[list[tuple[str, ...]], list[dict]]:
+    """The keys a split record covers, the tuples of its extents, and the
+    image index of each of its layers."""
+    table = spec.binary if len(subs) == 1 else spec.ternary
+    images = [_image_index(table.get(r, ())) for r in params["rels"]]
+    return list(itertools.product(*(sorted(spec.extent(sub)) for sub in subs))), images
 
-    base_bad: list[str] = []
+
+def _check_splits(
+    spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping,
+    keys: list[tuple[str, ...]], images: list[dict],
+) -> None:
+    """Every layer of a key lies inside its R0, none lies past its split
+    depth, and each of its 2^(split depth) blocks holds ``fan_out`` witnesses."""
+    depth, fan_out = params["depth"], params["fan_out"]
     split_bad: list[str] = []
     contain_bad: list[str] = []
-    for x in extent:
-        eff = _eff_color(spec.color(x), depth)
-        img0 = images[0].get(x, set())
-        if spec.color(x) == 0 and len(img0) < fan_out:
-            base_bad.append(f"{x}: base image {len(img0)} < {fan_out}")
+    for key in keys:
+        eff = _split_depth(map(spec.color, key), depth)
+        img0 = images[0].get(key, set())
+        block_of = dict.fromkeys(img0, 0)  # bit i-1 set: the witness lies in Ri
         for i in range(1, depth + 1):
-            extra = images[i].get(x, set()) - img0
-            if extra:
-                contain_bad.append(f"{x}: R{i} outside R0 ({len(extra)})")
-            if i > eff and images[i].get(x):
-                split_bad.append(f"{x}: color {eff} but R{i} nonempty")
-        sizes = _block_sizes(img0, [images[i].get(x, ()) for i in range(1, eff + 1)])
+            img = images[i].get(key, set())
+            if extra := img - img0:
+                contain_bad.append(f"{_label(key)}: R{i} outside R0 ({len(extra)})")
+            if i > eff:
+                if img:
+                    split_bad.append(f"{_label(key)}: color {eff} but R{i} nonempty")
+                continue
+            for y in img:
+                if y in block_of:
+                    block_of[y] |= 1 << (i - 1)
+        sizes = Counter(block_of.values())
         for block in range(2**eff):
             if sizes[block] < fan_out:
                 bits = [(block >> i) & 1 for i in range(eff)]
-                split_bad.append(f"{x}: block {bits} has {sizes[block]} witnesses, need {fan_out}")
-    rb.check(f"{tag}.base-images", not base_bad, "; ".join(base_bad[:3]))
+                split_bad.append(
+                    f"{_label(key)}: block {bits} has {sizes[block]} witnesses, need {fan_out}"
+                )
     rb.check(f"{tag}.splits", not split_bad, "; ".join(split_bad[:3]))
     rb.check(f"{tag}.containment", not contain_bad, "; ".join(contain_bad[:3]))
 
-    disjoint_bad = []
-    for a, b in itertools.combinations(extent, 2):
-        if images[0].get(a, set()) & images[0].get(b, set()):
-            disjoint_bad.append(f"{a},{b}")
-    rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
+
+def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+    keys, images = _split_images(spec, params, (params["sub"],))
+    fan_out = params["fan_out"]
+    base_bad = [
+        f"{x}: base image {len(images[0].get((x,), ()))} < {fan_out}"
+        for (x,) in keys
+        if spec.color(x) == 0 and len(images[0].get((x,), ())) < fan_out
+    ]
+    rb.check(f"{tag}.base-images", not base_bad, "; ".join(base_bad[:3]))
+    _check_splits(spec, rb, tag, params, keys, images)
+    shown = [f"{keys[a][0]},{keys[b][0]}" for a, b in _clashes(keys, images[0])]
+    rb.check(f"{tag}.disjoint-images", not shown, "; ".join(shown[:3]))
 
 
 def _verify_css(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
-    sub = params["sub"]
-    ceiling = params["ceiling"]
-    fan_out = params["fan_out"]
-    rels = params["rels"]
-    extent = sorted(spec.extent(sub))
+    ceiling, fan_out = params["ceiling"], params["fan_out"]
+    keys = [(x,) for x in sorted(spec.extent(params["sub"]))]
     color_bad: list[str] = []
     disjoint_bad: list[str] = []
-    for ri, r in enumerate(rels):
-        images = _pair_index(spec.binary.get(r, ()))
-        for x in extent:
+    for ri, r in enumerate(params["rels"]):
+        images = _image_index(spec.binary.get(r, ()))
+        for key in keys:
+            x = key[0]
             c = spec.color(x)
-            img = images.get(x, set())
+            img = images.get(key, set())
             if c is None:
                 if len(img) < fan_out:
                     color_bad.append(f"{x}/R{ri}: {len(img)} images, need {fan_out}")
                 continue
+            bare = sorted(y for y in img if y not in spec.coloring)
+            if bare:
+                color_bad.append(f"{x}/R{ri}: image {bare[0]} is uncolored")
+            hits = Counter(spec.coloring[y] for y in img if y in spec.coloring)
             for k in range(c, ceiling + 1):
-                hits = sum(1 for y in img if spec.color(y) == k)
-                if hits < fan_out:
+                if hits[k] < fan_out:
                     color_bad.append(
-                        f"{x}/R{ri}: color {k} has {hits} images, need {fan_out}"
+                        f"{x}/R{ri}: color {k} has {hits[k]} images, need {fan_out}"
                     )
-            low = [y for y in img if spec.color(y) is not None and spec.color(y) < c]
+            low = sum(n for k, n in hits.items() if k is not None and k < c)
             if low:
-                color_bad.append(f"{x}/R{ri}: {len(low)} images below color {c}")
-        for a, b in itertools.combinations(extent, 2):
-            if images.get(a, set()) & images.get(b, set()):
-                disjoint_bad.append(f"{a},{b}/R{ri}")
+                color_bad.append(f"{x}/R{ri}: {low} images below color {c}")
+        disjoint_bad += (f"{keys[a][0]},{keys[b][0]}/R{ri}" for a, b in _clashes(keys, images))
     rb.check(f"{tag}.color-monotone", not color_bad, "; ".join(color_bad[:3]))
     rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
 
 
 def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
-    sub1, sub2 = params["sub1"], params["sub2"]
-    depth = params["depth"]
-    fan_out = params["fan_out"]
-    rels = params["rels"]
-    images = [_triple_index(spec.ternary.get(r, ())) for r in rels]
-    pairs = [
-        (x1, x2) for x1 in sorted(spec.extent(sub1)) for x2 in sorted(spec.extent(sub2))
-    ]
-    split_bad: list[str] = []
-    contain_bad: list[str] = []
-    for x1, x2 in pairs:
-        eff = _pair_eff(spec.color(x1), spec.color(x2), depth)
-        img0 = images[0].get((x1, x2), set())
-        for i in range(1, depth + 1):
-            extra = images[i].get((x1, x2), set()) - img0
-            if extra:
-                contain_bad.append(f"({x1},{x2}): R{i} outside R0")
-            if i > eff and images[i].get((x1, x2)):
-                split_bad.append(f"({x1},{x2}): min color {eff} but R{i} nonempty")
-        sizes = _block_sizes(img0, [images[i].get((x1, x2), ()) for i in range(1, eff + 1)])
-        for block in range(2**eff):
-            if sizes[block] < fan_out:
-                bits = [(block >> i) & 1 for i in range(eff)]
-                split_bad.append(f"({x1},{x2}): block {bits} has {sizes[block]}, need {fan_out}")
-    rb.check(f"{tag}.splits", not split_bad, "; ".join(split_bad[:3]))
-    rb.check(f"{tag}.containment", not contain_bad, "; ".join(contain_bad[:3]))
-    # each witness lists the pairs whose image holds it, layer by layer;
-    # two pairs sharing a witness but no coordinate break disjointness
-    clashes = set()
-    for i, idx in enumerate(images):
-        owners: dict[str, list[int]] = {}
-        for p, key in enumerate(pairs):
-            for z in idx.get(key, ()):
-                owners.setdefault(z, []).append(p)
-        for ps in owners.values():
-            for a, b in itertools.combinations(ps, 2):
-                if pairs[a][0] != pairs[b][0] and pairs[a][1] != pairs[b][1]:
-                    clashes.add((a, b, i))
-    shown = []
-    for a, b, i in sorted(clashes)[:3]:
-        (a1, a2), (b1, b2) = pairs[a], pairs[b]
-        shown.append(f"({a1},{a2})~({b1},{b2})/R{i}")
+    keys, images = _split_images(spec, params, (params["sub1"], params["sub2"]))
+    _check_splits(spec, rb, tag, params, keys, images)
+    clashes = sorted((a, b, i) for i, index in enumerate(images) for a, b in _clashes(keys, index))
+    shown = [f"{_label(keys[a])}~{_label(keys[b])}/R{i}" for a, b, i in clashes[:3]]
     rb.check(f"{tag}.disjoint-images", not clashes, "; ".join(shown))
 
 

@@ -250,28 +250,42 @@ def brute_instantiate(system, alphabet: int, max_len: int) -> list:
     return list(out)
 
 
-def brute_bu_disjoint(spec, params) -> list[str]:
-    """Every disjoint-images violation of a bu record, in the order of pair
-    a, pair b, layer: each two extent pairs sharing no coordinate are
-    compared on each layer."""
+def brute_disjoint(spec, op, params) -> list[str]:
+    """Every disjoint-images violation of an icp, css or bu record: each two
+    keys of the record (elements of its extent, or pairs of elements of its
+    two extents) that share no coordinate are compared on each layer the
+    check reads, R0 for icp and every layer otherwise.  Listed in the order
+    of layer, key a, key b for css and of key a, key b, layer for icp and bu."""
+    subs = (params["sub1"], params["sub2"]) if op == "bu" else (params["sub"],)
+    table = spec.ternary if op == "bu" else spec.binary
+    rels = params["rels"][:1] if op == "icp" else params["rels"]
     images = []
-    for rel in params["rels"]:
+    for rel in rels:
         index: dict = {}
-        for x1, x2, z in spec.ternary.get(rel, ()):
-            index.setdefault((x1, x2), set()).add(z)
+        for row in table.get(rel, ()):
+            index.setdefault(row[:-1], set()).add(row[-1])
         images.append(index)
-    pairs = [
-        (x1, x2)
-        for x1 in sorted(spec.extent(params["sub1"]))
-        for x2 in sorted(spec.extent(params["sub2"]))
-    ]
-    bad = []
-    for (a1, a2), (b1, b2) in itertools.combinations(pairs, 2):
-        if a1 == b1 or a2 == b2:
+    keys = list(itertools.product(*(sorted(spec.extent(sub)) for sub in subs)))
+    found = []
+    for a, b in itertools.combinations(range(len(keys)), 2):
+        if any(u == v for u, v in zip(keys[a], keys[b])):
             continue
         for i, index in enumerate(images):
-            if index.get((a1, a2), set()) & index.get((b1, b2), set()):
-                bad.append(f"({a1},{a2})~({b1},{b2})/R{i}")
+            if index.get(keys[a], set()) & index.get(keys[b], set()):
+                found.append((i, a, b) if op == "css" else (a, b, i))
+
+    def label(key):
+        return key[0] if len(key) == 1 else "(" + ",".join(key) + ")"
+
+    bad = []
+    for entry in sorted(found):
+        i, a, b = entry if op == "css" else (entry[2], entry[0], entry[1])
+        if op == "icp":
+            bad.append(f"{label(keys[a])},{label(keys[b])}")
+        elif op == "css":
+            bad.append(f"{label(keys[a])},{label(keys[b])}/R{i}")
+        else:
+            bad.append(f"{label(keys[a])}~{label(keys[b])}/R{i}")
     return bad
 
 

@@ -443,8 +443,15 @@ ELEMENT_CAP_ERROR = "300000000 elements exceed the element cap 1000000"
          "300000002 elements exceed the universe cap 250000"),
         (("apply", "--pipeline", "{path}"), "base colors=1 parts=1000000 per_color=1000\n",
          "1001000000 elements exceed the universe cap 250000"),
+        # 200,002 elements, but about 5*10^9 q-edge pairs
+        (("apply", "--pipeline", "{path}"), "base colors=100000 parts=2 per_color=1\nqedge low=0 high=1\n",
+         "5000050001 q-edge pairs exceed the universe cap 250000"),
+        # 2000 discrete parts: a bu step per two of them
+        (("build", "--spec", "{path}", "--out", "{path}.pipe"),
+         "elements: 2000\nmode: finite\n" + "".join(f"f: {{{i}}} = 0\n" for i in range(2000)),
+         "2001001 icp, css and bu steps exceed the universe cap 250000"),
     ],
-    ids=["preorder", "build", "apply-deep", "apply-fan", "apply-base"],
+    ids=["preorder", "build", "apply-deep", "apply-fan", "apply-base", "apply-qedge", "build-steps"],
 )
 def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, text, message):
     path = tmp_path / "huge.txt"

@@ -113,6 +113,15 @@ def test_normal_form_examples():
     assert normal_form(lmt(fin(2)), nf, 4, alphabet=3) == nf
 
 
+def test_roots_do_not_fold_over_letters():
+    # 0.1.3 ~ 0.3 at L=4, yet 0.1.3.4 and 0.3.4 lie in different classes:
+    # root(x.c) = root(root(x).c) fails, so one map per class cannot grow a level
+    sysw = lmt(OMEGA)
+    assert normal_form(sysw, (0, 1, 3), 4, alphabet=5) == (0, 3)
+    assert normal_form(sysw, (0, 1, 3, 4), 4, alphabet=5) == (0, 1, 3, 4)
+    assert normal_form(sysw, (0, 3, 4), 4, alphabet=5) == (0, 3, 4)
+
+
 def test_normal_form_characterizes_classes():
     sys2 = lms(3, fin(2))
     _, classes = brute_congruence_count(instantiate(sys2, 3, 3), 3, 3)
@@ -316,6 +325,9 @@ MIXED_SYSTEMS = [
         ),
         (4, 4),
     ),
+    # pair_to_run with no idem_all: its left side f.(f+s) is an old word at k > 2
+    (IdentitySystem("lmt", (Schema("pair_to_run"),), OMEGA), (4, 4)),
+    (IdentitySystem("lmt", (Schema("idem_below", 1), Schema("pair_to_run")), OMEGA), (4, 4)),
 ]
 
 
@@ -331,7 +343,8 @@ def test_mixed_schemas_match_brute_classes():
     "sys_",
     [sys_ for _, _, sys_ in all_systems()] + [lms(3, OMEGA, reading="geq"), FREE_SYSTEM]
     + [sys_ for sys_, _ in MIXED_SYSTEMS],
-    ids=[f"{k}-{n}" for k, n, _ in all_systems()] + ["lms-w-geq", "free", "mixed-1", "mixed-2", "mixed-3"],
+    ids=[f"{k}-{n}" for k, n, _ in all_systems()] + ["lms-w-geq", "free"]
+    + [f"mixed-{i}" for i in range(1, len(MIXED_SYSTEMS) + 1)],
 )
 def test_stabilization_counts_next_level_without_its_table(sys_):
     # the L+1 count read from the merge equals the L+1 table's count and,

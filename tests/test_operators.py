@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import brute_bu_disjoint
+from oracles import brute_disjoint
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, parse_card
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
@@ -207,47 +207,66 @@ def test_mutation_detected():
             assert not verify_schemes(mutated, "icp").ok
 
 
-def _mutate_bu(spec, rng):
-    """Copy witnesses between joint images, drop triples and add stray ones
-    on the layers of the last bu record."""
-    params = spec.history[-1].params
-    rels = params["rels"]
+def _mutate_layers(spec, rng):
+    """Copy witnesses between keys, drop rows and add stray ones on the
+    layers of icp, css and bu records chosen at random."""
+    binary = {r: list(t) for r, t in spec.binary.items()}
     ternary = {r: list(t) for r, t in spec.ternary.items()}
     for _ in range(rng.randint(1, 8)):
-        rel = rng.choice(rels)
-        triples = ternary[rel]
+        rec = rng.choice(spec.history)
+        params = rec.params
+        subs = (params["sub1"], params["sub2"]) if rec.op == "bu" else (params["sub"],)
+        rows = (ternary if rec.op == "bu" else binary)[rng.choice(params["rels"])]
         move = rng.random()
-        if move < 0.5 and triples:
-            _, _, z = rng.choice(triples)
-            for x1, x2, _ in rng.sample(triples, min(len(triples), rng.randint(1, 3))):
-                triples.append((x1, x2, z))
-        elif move < 0.8 and triples:
-            del triples[rng.randrange(len(triples))]
+        if move < 0.5 and rows:
+            witness = rng.choice(rows)[-1]
+            for row in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                rows.append(row[:-1] + (witness,))
+        elif move < 0.8 and rows:
+            del rows[rng.randrange(len(rows))]
         else:
-            x1, x2 = rng.choice(spec.extent(params["sub1"])), rng.choice(spec.extent(params["sub2"]))
-            triples.append((x1, x2, rng.choice(spec.universe)))
-    return replace(spec, ternary={r: tuple(t) for r, t in ternary.items()})
+            rows.append(tuple(rng.choice(spec.extent(sub)) for sub in subs) + (rng.choice(spec.universe),))
+    return replace(
+        spec,
+        binary={r: tuple(t) for r, t in binary.items()},
+        ternary={r: tuple(t) for r, t in ternary.items()},
+    )
 
 
 def test_bu_disjoint_images_match_pairwise_oracle():
-    # the indexed check reports what comparing every two pairs reports,
-    # down to the first three violations
+    # for icp, css and bu alike the indexed check reports what comparing
+    # every two keys reports, down to the first three violations
     rng = random.Random(11)
-    failing = 0
+    failing = dict.fromkeys(("icp", "css", "bu"), 0)
     for trial in range(60):
         colors = rng.randint(1, 3)
         depth = max(1, colors - 1 + rng.randint(0, 1))
         fan = rng.randint(1, 2)
         spec = colored_base(2, colors, per_color=rng.randint(1, 2))
+        spec = icp(spec, "P0", icp_need(spec, "P0", depth, fan), depth, fan)
+        spec = css(spec, [n.name for n in spec.registry.stubs_of(pnode("P0"))], "P1", fan)
         spec = bu(spec, "P0", "P1", bu_need(spec, "P0", "P1", depth, fan), depth, fan)
         for _ in range(5):
-            mutated = _mutate_bu(spec, rng)
-            entry = {e.code: e for e in verify_schemes(mutated, "bu").entries}["app0.disjoint-images"]
-            expected = brute_bu_disjoint(mutated, mutated.history[-1].params)
-            assert entry.ok == (not expected)
-            assert entry.detail == "; ".join(expected[:3])
-            failing += not entry.ok
-    assert failing >= 50
+            mutated = _mutate_layers(spec, rng)
+            for index, rec in enumerate(mutated.history):
+                entries = {e.code: e for e in verify_schemes(mutated, rec.op).entries}
+                entry = entries[f"app{index}.disjoint-images"]
+                expected = brute_disjoint(mutated, rec.op, rec.params)
+                assert entry.ok == (not expected)
+                assert entry.detail == "; ".join(expected[:3])
+                failing[rec.op] += not entry.ok
+    assert min(failing.values()) >= 50
+
+
+def test_css_uncolored_image_is_reported():
+    # an image with no color fails color-monotone; it does not raise
+    spec = run_pipeline(parse_pipeline("base parts=1 colors=1\nicp sub=P0\ncss sub=P0 source=P0\n", "plan.pipe"))
+    rel = "P0.css1.R0"
+    mutated = replace(spec, binary={**spec.binary, rel: spec.binary[rel] + (("a0c0", "Y0s0_0"),)})
+    entries = {e.code: e for e in verify_schemes(mutated, "css").entries}
+    assert not entries["app1.color-monotone"].ok
+    assert "Y0s0_0 is uncolored" in entries["app1.color-monotone"].detail
+
 
 def test_verify_schemes_needs_matching_record():
     spec = base2()
@@ -330,17 +349,16 @@ def test_checked_pipeline_verifies_each_record_once(monkeypatch):
 
 
 def test_auto_sizes_are_computed_once_per_step(monkeypatch):
-    calls = {"icp_need": 0, "bu_need": 0}
-    for name in calls:
-        real = getattr(operators, name)
+    arities = []  # the number of extents each sizing call reads
+    real = operators._split_need
 
-        def counted(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(spec, subs, *args):
+        arities.append(len(subs))
+        return real(spec, subs, *args)
 
-        monkeypatch.setattr(operators, name, counted)
+    monkeypatch.setattr(operators, "_split_need", counted)
     run_pipeline(PIPE + [PipelineStep("bu", {"sub1": "P1", "sub2": "P0"})])
-    assert calls == {"icp_need": 1, "bu_need": 2}
+    assert arities == [1, 2, 2]
 
 
 @pytest.mark.parametrize(
