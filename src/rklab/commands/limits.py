@@ -39,7 +39,7 @@ def run(args: argparse.Namespace) -> int:
         if system.kind == "lms" and system.n is None:
             out.append(f"side-condition reading: {system.reading}")
         out.append(f"L={info['L']}: {info['count']} classes")
-        over = f"over the word budget ({info['words_next']} > {info['budget']})"
+        over = f"over the node budget ({info['nodes_next']} > {info['budget']})"
         out.append(f"L={info['L'] + 1}: " + (f"{info['count_next']} classes" if known else over))
         out.append(f"stable: {info['stable'] if known else 'unknown'}")
         reps = ", ".join(render_word(w) for w in info["representatives"])

@@ -27,6 +27,13 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: expected {expected}, got {got!r}")
 
 
+def _ints(words: Iterable[str], path: str, no: int, expected: str, got: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, words))
+    except ValueError:
+        raise ParseError(path, no, expected, got) from None
+
+
 def _lines(text: str) -> list[tuple[int, str]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -43,17 +50,18 @@ def parse_preorder(text: str, path: str = "<preorder>") -> Preorder:
 
     The file lists generators; the parsed preorder is the closure.
     """
+    return _preorder(_lines(text), path)
+
+
+def _preorder(lines: list[tuple[int, str]], path: str) -> Preorder:
+    """The preorder block of a file, from its numbered content lines."""
     from .preorder import close, from_pairs
 
-    lines = _lines(text)
     if not lines or not lines[0][1].startswith("elements:"):
         got = lines[0][1] if lines else "<empty file>"
         raise ParseError(path, lines[0][0] if lines else 1, "'elements: <k>'", got)
     first_no, first = lines[0]
-    try:
-        n = int(first.split(":", 1)[1].strip())
-    except ValueError:
-        raise ParseError(path, first_no, "integer element count", first) from None
+    (n,) = _ints([first.split(":", 1)[1]], path, first_no, "integer element count", first)
     if n > ELEMENT_CAP:
         raise BudgetError(f"{n} elements exceed the element cap {ELEMENT_CAP}")
     pairs = []
@@ -61,10 +69,7 @@ def parse_preorder(text: str, path: str = "<preorder>") -> Preorder:
         parts = line.split("<=")
         if len(parts) != 2:
             raise ParseError(path, no, "'<i> <= <j>'", line)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, no, "integer pair '<i> <= <j>'", line) from None
+        i, j = _ints(parts, path, no, "integer pair '<i> <= <j>'", line)
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(path, no, f"indices below {n}", line)
         pairs.append((i, j))
@@ -260,7 +265,7 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
             rest.append((no, line))
         else:
             pre_lines.append((no, line))
-    order = parse_preorder("\n".join(l for _, l in pre_lines), path)
+    order = _preorder(pre_lines, path)
     if mode not in ("finite", "countable-truncated"):
         raise ParseError(path, 1, "'mode: finite|countable-truncated'", str(mode))
     class_values: dict = {}
@@ -271,7 +276,8 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
             words = line.split(":", 1)[1].split()
             if len(words) != 2 or words[1] not in ("P", "NPL"):
                 raise ParseError(path, no, "'partition: <elem> P|NPL'", line)
-            partition[int(words[0])] = words[1]
+            (elem,) = _ints(words[:1], path, no, "an integer partition element", words[0])
+            partition[elem] = words[1]
             continue
         body = line.split(":", 1)[1].strip()
         key_s, sep, value_s = body.partition("=")
@@ -285,16 +291,13 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
         if key_s.startswith("{"):
             if not key_s.endswith("}"):
                 raise ParseError(path, no, "'{i,j,...}' class key", key_s)
-            members = frozenset(int(x) for x in key_s[1:-1].split(",") if x.strip())
-            class_values[members] = value
+            elems = _ints(filter(str.strip, key_s[1:-1].split(",")), path, no, "'{i,j,...}' class key", key_s)
+            class_values[frozenset(elems)] = value
         else:
             extendable = key_s.endswith("<...")
             if extendable:
                 key_s = key_s[: -len("<...")]
-            try:
-                entries = tuple(int(x) for x in key_s.split("<"))
-            except ValueError:
-                raise ParseError(path, no, "'i<j<k' sequence key", key_s) from None
+            entries = _ints(key_s.split("<"), path, no, "'i<j<k' sequence key", key_s)
             seq_values[SeqKey(entries, extendable)] = value
     try:
         if mode == "finite":

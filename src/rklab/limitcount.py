@@ -11,7 +11,6 @@ application would leave the bound are skipped in both directions, so
 small-L counts can carry truncation artifacts; the stabilization check
 (compare L against L+1) is the supported evidence, and the symbolic
 target attached to a system is displayed, never asserted, at finite L.
-
 The empty word is excluded: the sequences being factored are infinite
 paths, approximated here by their nonempty prefixes.
 """
@@ -19,15 +18,17 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, islice, product
+from typing import Iterable, Iterator
 
 from .cardinal import CONTINUUM, OMEGA, Card, fin, render
 from .record import record
 from .report import BudgetError
 
 Word = tuple[int, ...]
+Run = tuple[int, int, int]
 
-WORD_BUDGET = 200_000
+NODE_BUDGET = 200_000
 SHOWN_REPRESENTATIVES = 20
 
 
@@ -66,22 +67,10 @@ def lmt(lam: Card) -> IdentitySystem:
         n = lam.value
         if n < 1:
             raise ValueError("the finite case needs at least one limit model")
-        return IdentitySystem(
-            "lmt",
-            (
-                Schema("single_rename", n),
-                Schema("idem_below", n),
-                Schema("drop_to_min"),
-            ),
-            fin(n),
-            n=n,
-        )
+        schemas = (Schema("single_rename", n), Schema("idem_below", n), Schema("drop_to_min"))
+        return IdentitySystem("lmt", schemas, fin(n), n=n)
     if lam == OMEGA:
-        return IdentitySystem(
-            "lmt",
-            (Schema("idem_all"), Schema("drop_to_min"), Schema("pair_to_run")),
-            OMEGA,
-        )
+        return IdentitySystem("lmt", (Schema("idem_all"), Schema("drop_to_min"), Schema("pair_to_run")), OMEGA)
     raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
 
 
@@ -95,68 +84,22 @@ def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
         n = lam.value
         if n < 1:
             raise ValueError("the finite case needs at least one limit model")
-        return IdentitySystem(
-            "lms",
-            (Schema("single_rename", n), Schema("ascend_to_power")),
-            fin(n),
-            n=n,
-            seq_len=q_len,
-        )
+        schemas = (Schema("single_rename", n), Schema("ascend_to_power"))
+        return IdentitySystem("lms", schemas, fin(n), n=n, seq_len=q_len)
     if lam == OMEGA:
-        return IdentitySystem(
-            "lms",
-            (
-                Schema("ascend_to_power"),
-                Schema("ascend_to_run"),
-                Schema("ascend_to_capped_run"),
-            ),
-            OMEGA,
-            reading=reading,
-            seq_len=q_len,
-        )
+        schemas = (Schema("ascend_to_power"), Schema("ascend_to_run"), Schema("ascend_to_capped_run"))
+        return IdentitySystem("lms", schemas, OMEGA, reading=reading, seq_len=q_len)
     raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
 
 
-def _sizes(alphabet: int, max_len: int, budget: float = float("inf")) -> list[int]:
-    """sizes[k] counts the nonempty words of length at most k, k = 0 .. max_len.
-    The list stops once it passes alphabet * (budget + 1), the most words one
-    level past a table within the budget can have, so a long bound costs nothing."""
-    sizes = [0]
-    while len(sizes) <= max_len and sizes[-1] <= alphabet * (budget + 1):
-        sizes.append(alphabet * (sizes[-1] + 1))
-    return sizes
-
-
-def _run_code(first: int, last: int, alphabet: int, length: int) -> int:
-    """The code of first, first+1, .., last padded with copies of last to
-    ``length`` letters: a run, a capped run, or (first == last) a power."""
-    n = 0
-    for letter in range(first, first + length):
-        n = n * alphabet + (letter if letter < last else last) + 1
-    return n - 1
-
-
-def _codes_over(letters: range, length: int, alphabet: int) -> list[int]:
-    """The codes of the words of the given length over ``letters``, in code order."""
-    codes = [-1]
-    for _ in range(length):
-        codes = [alphabet * (x + 1) + c for x in codes for c in letters]
-    return codes
-
-
-def _level_blocks(
-    sys: IdentitySystem, alphabet: int, k: int, sizes: list[int]
-) -> Iterator[tuple[Sequence[int], int, int]]:
+def _level_blocks(sys: IdentitySystem, alphabet: int, k: int) -> Iterator[tuple[tuple[str, object], int, Run]]:
     """The ground instances whose longer side has exactly k letters, in
-    blocks (prefixes, last, rhs): each word u.last, u in the codes
-    ``prefixes`` (-1 is the empty word), is equated with the word ``rhs``.
-
-    A word-scanning schema appends a letter to a prefix u of k-1 letters,
-    and u.c has code A(u+1)+c.  Which letters are admissible depends on
-    u's minimum (drop_to_min), maximum (ascend_to_power) or first letter
-    (the runs), so the prefixes come as words over a letter range or as the
-    code range of one first letter.  A block may repeat an instance or
-    join a word to itself.
+    blocks (prefixes, last, run): each word u.last, u in the prefix family,
+    is equated with the run.  A family is one word ("word", u), or the words
+    of k-1 letters whose letters all lie above t ("above", t) or below t
+    ("below", t), or that start with f ("from", f).  A run (f, top, n) is f,
+    f+1, .., top padded with copies of top to n letters.  A block may repeat
+    an instance or join a word to itself.
     """
     a, s = alphabet, k - 1
     for schema in sys.schemas:
@@ -164,37 +107,31 @@ def _level_blocks(
         if kind == "single_rename":
             # n-1 ~ m for every m >= n
             if k == 1:
-                yield from (((-1,), n - 1, m) for m in range(n, a))
+                yield from ((("word", ()), n - 1, (m, m, 1)) for m in range(n, a))
         elif kind in ("idem_below", "idem_all"):
             if k == 2:
-                yield from (((m,), m, m) for m in range(a if n is None else min(n, a)))
+                yield from ((("word", (m,)), m, (m, m, 1)) for m in range(a if n is None else min(n, a)))
         elif kind == "pair_to_run":
-            # a jump up fills in as the full ascending run
+            # a jump up fills in as the run f..f+s, the first k letters of the run from f up
             if k >= 2:
-                yield from (((f,), f + s, _run_code(f, f + s, a, k)) for f in range(a - s))
+                yield from ((("word", (f,)), f + s, (f, a - 1, k)) for f in range(a - s))
         elif kind == "drop_to_min":
             # a strictly higher prefix collapses onto its last letter
             if k >= 2:
-                for last in range(a - 1):
-                    yield _codes_over(range(last + 1, a), s, a), last, last
+                yield from ((("above", last), last, (last, last, 1)) for last in range(a - 1))
         elif kind == "ascend_to_power":
             # a word topped by a strict maximum collapses to that letter repeated
             if k >= 2:
-                for last in range(1, a):
-                    yield _codes_over(range(last), s, a), last, _run_code(last, last, a, k)
+                yield from ((("below", last), last, (last, last, k)) for last in range(1, a))
         elif kind in ("ascend_to_run", "ascend_to_capped_run"):
             # the capped run's first side condition is read as first+s > last
             # ("gt") or >= ("geq"); combined with last = first + t and s > t
             # both readings coincide
             if k >= 2:
-                block = a ** (s - 1)
                 for f in range(a):
-                    # the prefixes that start with f hold one block of codes
-                    lo = sizes[s - 1] + f * block
+                    # a plain run stops at f+s <= last, before the cap
                     lasts = range(f + s, a) if kind == "ascend_to_run" else range(f + 1, min(f + s, a))
-                    for last in lasts:
-                        # a plain run stops at f+s <= last, before the cap
-                        yield range(lo, lo + block), last, _run_code(f, last, a, k)
+                    yield from ((("from", f), last, (f, last, k)) for last in lasts)
         else:
             raise ValueError(f"unknown schema kind {kind!r}")
 
@@ -204,174 +141,237 @@ def instantiate(sys: IdentitySystem, alphabet: int, max_len: int) -> list[tuple[
     level by level: the decoded blocks of ``_level_blocks`` for k = 1 .. max_len."""
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
-    sizes = _sizes(alphabet, max_len)
     out: dict[tuple[Word, Word], None] = {}
     for k in range(1, max_len + 1):
-        for prefixes, last, rhs in _level_blocks(sys, alphabet, k, sizes):
+        for (kind, p), last, (f, top, n) in _level_blocks(sys, alphabet, k):
+            if kind == "word":
+                prefixes: Iterable[Word] = (p,)
+            elif kind == "from":
+                prefixes = ((p, *u) for u in product(range(alphabet), repeat=k - 2))
+            else:
+                prefixes = product(range(p + 1, alphabet) if kind == "above" else range(p), repeat=k - 1)
+            rhs = tuple(min(f + i, top) for i in range(n))
             for u in prefixes:
-                lhs = alphabet * (u + 1) + last
-                if lhs != rhs:
-                    out[_decode(lhs, alphabet), _decode(rhs, alphabet)] = None
+                if (*u, last) != rhs:
+                    out[(*u, last), rhs] = None
     return list(out)
 
 
-def _code(w: Word, alphabet: int) -> int:
-    """The bijective base-A numeral of w (digits letter + 1), minus one: code
-    order is length-lex order, the words of length at most k hold the first
-    codes, x.c has code A(x+1)+c and c.x has x+(c+1)A^|x|."""
-    n = 0
-    for letter in w:
-        n = n * alphabet + letter + 1
-    return n - 1
-
-
-def _decode(code: int, alphabet: int) -> Word:
-    letters = []
-    n = code + 1
-    while n:
-        n, letter = divmod(n - 1, alphabet)
-        letters.append(letter)
-    return tuple(reversed(letters))
-
-
-def _merge(
-    sys: IdentitySystem, a: int, k: int, roots: array, mus: Iterable[int], merged: Iterable[int],
-    sizes: list[int],
-) -> tuple[dict[int, int], dict[int, Sequence[int]], int]:
-    """Level k over nodes, from the table for k-1, ``mus``, the roots at k-2
-    of the words of k-2 letters that have k-2 letters themselves, and
-    ``merged``, the roots at k-2 that merged at k-1.  A new word x.c starts
-    at r.c, r the root of x, so the nodes are the old roots and r.c for each
-    root r of k-1 letters.  Returns the root of each node that merged, the
-    nodes q.c of each root q of a word of k-1 letters, and the classes added.
-    """
-    low, top = sizes[k - 2] if k > 1 else -1, sizes[k - 1]
-    up = roots.__getitem__ if k > 1 else int  # a prefix's root; int keeps the empty word, -1
-    # the nodes q.c for the roots q of the words of k-1 letters: old words unless q has k-1 letters
-    rows = {q: roots[a * q + a : a * q + 2 * a] if q < low else range(a * q + a, a * q + 2 * a)
-            for q in set(roots[low:] if k > 1 else (-1,))}
-
-    def node(w: int) -> int:
-        return rows[up(w // a - 1)][w % a] if w >= top else roots[w]
-
-    pairs: list[tuple[int, int]] = []
-    # c.x ~ c.r for the words x = y.d new at k-1, r the root of x.  The root
-    # mu of y at k-2 fixes the roots of c.y and x, so one pair per (c, mu, d)
-    # stands for every such y; none is needed if x = mu.d is a root, or if
-    # mu is shorter than y (c.y.d ~ c.mu.d ~ c.r follow from the rest)
-    for mu in mus:
-        pm = a ** bisect_right(sizes, mu)
-        heads = roots[mu + pm : mu + (a + 1) * pm : pm]  # the roots of c.mu and c.y
-        for d in range(a):
-            x = a * (mu + 1) + d
-            r = roots[x]
-            if r < x:
-                pr = a ** bisect_right(sizes, r)
-                for c in range(a):
-                    pairs.append((rows[heads[c]][d], node(r + (c + 1) * pr)))
-    # c.x ~ c.r and x.c ~ r.c for the roots x at k-2 that merged at k-1; any
-    # other word reaches its root through its root at k-2
-    for x in merged:
-        r = roots[x]
-        px, pr = a ** bisect_right(sizes, x), a ** bisect_right(sizes, r)
-        pairs += zip(roots[x + px : x + (a + 1) * px : px], roots[r + pr : r + (a + 1) * pr : pr])
-        pairs += zip(roots[a * x + a : a * x + 2 * a], roots[a * r + a : a * r + 2 * a])
-    for prefixes, last, rhs in _level_blocks(sys, a, k, sizes):
-        # one pair per distinct node of the words u.last, not per word
-        j = node(rhs)
-        if isinstance(prefixes, range):
-            heads = {rows[q][last] for q in set(roots[prefixes.start : prefixes.stop])}
-        else:  # listed prefixes may be shorter than k-1 letters (pair_to_run)
-            heads = {node(a * (u + 1) + last) for u in prefixes}
-        pairs += ((i, j) for i in heads)
-    parent: dict[int, int] = {}  # unions point at the smaller node
-    for i, j in pairs:
-        while i in parent:
-            p = parent[i]
-            parent[i] = i = parent.get(p, p)
-        while j in parent:
-            p = parent[j]
-            parent[j] = j = parent.get(p, p)
-        if i != j:
-            parent[max(i, j)] = min(i, j)
-    for i in sorted(parent):
-        parent[i] = parent.get(parent[i], parent[i])
-    return parent, rows, a * sum(q >= low for q in rows) - len(parent)
-
-
-# the last level built per (system, alphabet): L, its roots, and what level L+1
-# reads besides them, the roots of the words of L letters that have L letters
-# themselves (its mus) and the roots at L-1 that merged at L; at most 64 entries,
-# the least recently used dropped (the table does not depend on the budget)
-_LEVELS: dict[tuple[IdentitySystem, int], tuple[int, array, list[int], list[int]]] = {}
-
-
-def _class_table(
-    sys: IdentitySystem, alphabet: int, max_len: int, budget: int
-) -> tuple[array, list[int], list[int]]:
-    """Every word's root, the code of its class's length-lex minimum, with
-    the mus and merged roots ``_merge`` reads for level L+1.
+class _Automaton:
+    """The classes of E_1, E_2, .. for one system over one alphabet.
 
     E_k, the congruence on words of length at most k, is generated by
     E_(k-1), by c.x ~ c.r and x.c ~ r.c for each word x with E_(k-1) root r
-    and letter c, and by the instances whose longer side has length k: an
-    instance in a nonempty context is c.g or g.c for a generator g of
-    E_(k-1).  So the table for L is the one for L-1 plus level L, which
-    ``_merge`` unites per class, not per word, toward smaller codes.  A
-    bound above the kept level continues from it; one below starts again at
-    level 1.  A level that merges nothing grows the table in place, so a
-    caller must not keep the array past its call.
+    and letter c, and by the instances whose longer side has k letters.  A
+    word x.c of k letters lies in the class of r.c, r the root of x at k-1,
+    so level k adds a row of nodes q.c only for each root q of k-1 letters:
+    node 0 is the empty word and q.c is ``first[q] + c``.  Unions point at
+    the smaller node, so a class's root is its length-lex least word, and a
+    level costs its classes, not its words.  Roots do not fold over letters
+    (root_L(x.c) = root_L(root_(L-1)(x).c) holds, root_L(root_L(x).c) may
+    not), so a level reads the roots as they stood one level down: ``lvl``
+    and ``log`` keep the level a node merged at (0 while a root) and its root
+    there, and ``left[first[q] + c]`` the root of c.q at level |q|+1.
     """
+
+    def __init__(self, sys: IdentitySystem, alphabet: int) -> None:
+        self.sys, self.a = sys, alphabet
+        # per node: its prefix's root, its row's first node (-1: no row), left, lvl and log
+        self.pre, self.first, self.left, self.lvl, self.log = (array("i", [v]) for v in (0, -1, 0, 0, 0))
+        self.made, self.counts = array("i", [1]), array("i", [0])  # nodes (with the empty word), classes
+        self.fresh, self.rows = [0], []  # the roots of the last level's length, and the last rows
+        self.merged: list[int] = []  # the nodes that merged at the last level, their roots logged
+        self.families: dict[object, tuple[int, dict[int, int]]] = {}  # level, {root: letter statistic}
+        self.runs: dict[tuple[int, int], tuple[int, int]] = {}  # level, the root of the run's prefix
+
+    def root(self, n: int, level: int) -> int:
+        while 0 < self.lvl[n] <= level:
+            n = self.log[n]
+        return n
+
+    def walk(self, w: Word) -> int:
+        """The root of w at level |w|: each prefix's node, rooted at its own length."""
+        r = 0
+        for j, c in enumerate(w, 1):
+            r = self.root(self.first[r] + c, j)
+        return r
+
+    def word(self, n: int) -> Word:
+        letters = []
+        while n:
+            letters.append(n - self.first[self.pre[n]])
+            n = self.pre[n]
+        return tuple(reversed(letters))
+
+    def roots(self, level: int) -> Iterator[int]:  # the classes at a level, in length-lex order
+        return (n for n in range(1, self.made[level]) if not 0 < self.lvl[n] <= level)
+
+    def grow(self, max_len: int, budget: int) -> None:
+        """Build the levels up to ``max_len``, each checked against the node budget before it
+        allocates; a level counts at least one node per letter, so a long bound is refused at once."""
+        if self.a * max_len > budget:
+            raise BudgetError(f"the nodes of length at most {max_len} exceed the budget {budget}")
+        known = min(max_len + 1, len(self.made))
+        over = bisect_right(self.made, budget + 1, 0, known)  # the first built level over the budget
+        if over < known:
+            raise BudgetError(f"{self.made[over] - 1} nodes exceed the budget {budget}")
+        for k in range(len(self.made), max_len + 1):
+            nodes = len(self.pre) - 1 + self.a * len(self.fresh)
+            if nodes > budget:
+                raise BudgetError(f"{nodes} nodes exceed the budget {budget}")
+            self._level(k)
+
+    def _family(self, key: object, level: int) -> dict[int, int]:
+        """The roots at ``level`` of the family's words of that many letters, each with a statistic
+        of the class's words: the least greatest letter for "below", else the greatest least letter."""
+        fold, pick = (max, min) if key == "below" else (min, max)
+        have, state = self.families.get(key, (0, {}))
+        if not have:
+            # the letters' roots at level 1; a later letter overwrites an earlier one
+            lvl, log = self.lvl, self.log
+            letters = [key[1]] if isinstance(key, tuple) else range(self.a)[:: -1 if key == "below" else 1]
+            have, state = 1, {(log[1 + c] if lvl[1 + c] == 1 else 1 + c): c for c in letters}
+        for i in range(have + 1, level + 1):
+            # the words u.c of i letters lie in the classes of the nodes q.c
+            grown: dict[int, int] = {}
+            for q, v in state.items():
+                for c in range(self.a):
+                    r, w = self.root(self.first[q] + c, i), fold(v, c)
+                    grown[r] = pick(grown.get(r, w), w)
+            state = grown
+        self.families[key] = level, state
+        return state
+
+    def _run_node(self, f: int, top: int, n: int) -> int:
+        """The node of the run (f, top, n) at level n; each run keeps its prefix's root."""
+        have, r = self.runs.get((f, top), (0, 0))
+        for i in range(have + 1, n):
+            r = self.root(self.first[r] + min(f + i - 1, top), i)
+        self.runs[f, top] = n - 1, r
+        return self.first[r] + min(f + n - 1, top)
+
+    def _level(self, k: int) -> None:
+        a, pre, first, left, lvl, log = self.a, self.pre, self.first, self.left, self.lvl, self.log
+        # the last rows' left roots, c.q at level k-1, read before this level's unions
+        for q in self.rows:
+            fq, pq = first[q], first[pre[q]]
+            row = list(range(fq, fq + a)) if q == 0 else [first[u] + q - pq for u in left[pq : pq + a]]
+            while any(map(lvl.__getitem__, row)):
+                row = [log[n] if lvl[n] else n for n in row]
+            left[fq : fq + a] = array("i", row)
+        self.rows = rows = self.fresh
+        start, grown = len(pre), a * len(rows)
+        if rows:
+            for i, q in enumerate(rows):
+                first[q] = start + a * i
+            pre.extend(q for q in rows for _ in range(a))
+            first.extend(array("i", [-1]) * grown)
+            for arr in (left, lvl, log):
+                arr.extend(array("i", bytes(4 * grown)))
+        ii, jj = array("i"), array("i")  # the pairs of nodes to unite
+        # c.x ~ c.r and, below k-1 letters, x.c ~ r.c for each node x that
+        # merged at k-1 into r; any other word reaches its class through these.
+        # c.x is the node first[left[px + c]] + x - px, px = first[pre[x]], so
+        # the merges with the same two prefixes share their distinct left roots
+        merges: dict[tuple[int, int], array] = {}
+        for x in self.merged:
+            r = log[x]
+            key = first[pre[x]], first[pre[r]]
+            if key not in merges:
+                merges[key] = array("i")
+            merges[key].append(x)
+            if first[x] >= 0:
+                ii.extend(range(first[x], first[x] + a))
+                jj.extend(range(first[r], first[r] + a))
+        for (px, pr), xs in merges.items():
+            for u, v in set(zip(left[px : px + a], left[pr : pr + a])):
+                ii.extend(map((first[u] - px).__add__, xs))
+                jj.extend(map((first[v] - pr).__add__, map(log.__getitem__, xs)))
+        # one pair per class of a family's words, not per word: a family's blocks wait for its
+        # roots as (letter bound, last, run node); the words from a letter are bounded by -1
+        blocks: dict[object, array] = {}
+        for (kind, p), last, (f, top, n) in _level_blocks(self.sys, a, k):
+            j = 1 + f if n == 1 else self._run_node(f, top, n)
+            if kind == "word":
+                ii.append(first[self.walk(p)] + last)
+                jj.append(j)
+                continue
+            key = ("from", p) if kind == "from" else kind
+            if key not in blocks:
+                blocks[key] = array("i")
+            blocks[key].extend((-1 if kind == "from" else p, last, j))
+        for key, triples in blocks.items():
+            bounds, lasts, js = triples[::3], triples[1::3], triples[2::3]
+            for q, v in self._family(key, k - 1).items():
+                # "above t" holds for the classes with v > t, "below t" for v < t
+                fits = list(map(v.__lt__ if key == "below" else v.__gt__, bounds))
+                ii.extend(compress(map(first[q].__add__, lasts), fits))
+                jj.extend(compress(js, fits))
+        # unions point at the smaller node; a loser logs level k and its parent, halved within the level
+        xs: list[int] = []
+        for i, j in zip(ii, jj):
+            while lvl[i]:
+                p = log[i]
+                if lvl[p] == k == lvl[i]:
+                    log[i] = p = log[p]
+                i = p
+            while lvl[j]:
+                p = log[j]
+                if lvl[p] == k == lvl[j]:
+                    log[j] = p = log[p]
+                j = p
+            if i != j:
+                i, j = max(i, j), min(i, j)
+                lvl[i], log[i] = k, j
+                xs.append(i)
+        xs.sort()  # ascending, a parent's root is final before its children's
+        for x in xs:
+            if lvl[log[x]] == k:
+                log[x] = log[log[x]]
+        self.merged = xs
+        self.counts.append(self.counts[-1] + grown - len(xs))
+        self.made.append(len(pre))
+        self.fresh = [n for n in range(start, len(pre)) if not lvl[n]]
+
+
+# the automaton per (system, alphabet), grown to the longest bound asked for;
+# at most 64, the least recently used dropped (none depends on the budget)
+_AUTOMATA: dict[tuple[IdentitySystem, int], _Automaton] = {}
+
+
+def _automaton(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) -> _Automaton:
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
-    sizes = _sizes(alphabet, max_len, budget)
-    if sizes[-1] > alphabet * (budget + 1):
-        raise BudgetError(f"the words of length at most {max_len} exceed the budget {budget}")
-    if sizes[-1] > budget:
-        raise BudgetError(f"{sizes[-1]} words exceed the budget {budget}")
-    start = 0, array("I"), [], []
-    k, roots, mus, merged = _LEVELS.pop((sys, alphabet), start)
-    if k > max_len:
-        k, roots, mus, merged = start
-    while k < max_len:
-        k += 1
-        parent, rows, _ = _merge(sys, alphabet, k, roots, mus, merged, sizes)
-        low = sizes[k - 2] if k > 1 else -1
-        table = array("I", map(parent.get, roots, roots)) if parent else roots
-        fresh = {q: array("I", map(parent.get, row, row) if parent else row).tobytes() for q, row in rows.items()}
-        table.frombytes(b"".join(map(fresh.__getitem__, roots[low:] if k > 1 else (-1,))))
-        roots, mus, merged = table, [q for q in rows if q >= low], [x for x in parent if x < sizes[k - 1]]
-    while len(_LEVELS) >= 64:
-        del _LEVELS[next(iter(_LEVELS))]
-    _LEVELS[sys, alphabet] = k, roots, mus, merged
-    return roots, mus, merged
+    auto = _AUTOMATA.pop((sys, alphabet), None) or _Automaton(sys, alphabet)
+    auto.grow(max_len, budget)
+    while len(_AUTOMATA) >= 64:
+        del _AUTOMATA[next(iter(_AUTOMATA))]
+    _AUTOMATA[sys, alphabet] = auto
+    return auto
 
 
 def count_classes(
-    sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
+    sys: IdentitySystem, alphabet: int, max_len: int, budget: int = NODE_BUDGET
 ) -> tuple[int, list[Word]]:
-    """Class count plus length-lex minimal representatives, the distinct roots."""
-    reps = [_decode(c, alphabet) for c in sorted(set(_class_table(sys, alphabet, max_len, budget)[0]))]
+    """Class count plus length-lex minimal representatives, the roots at the bound."""
+    auto = _automaton(sys, alphabet, max_len, budget)
+    reps = [auto.word(n) for n in auto.roots(max_len)]
     return len(reps), reps
 
 
 def normal_form(
-    sys: IdentitySystem,
-    w: Word,
-    max_len: int,
-    alphabet: int | None = None,
-    budget: int = WORD_BUDGET,
+    sys: IdentitySystem, w: Word, max_len: int, alphabet: int | None = None, budget: int = NODE_BUDGET
 ) -> Word:
     """Length-lex minimum of w's class at the given bound; idempotent."""
     if not w:
         raise ValueError("words are nonempty")
     if len(w) > max_len:
         raise ValueError("word exceeds the length bound")
-    if alphabet is None:
-        alphabet = max(w) + 1
+    alphabet = max(w) + 1 if alphabet is None else alphabet
     if any(not (0 <= letter < alphabet) for letter in w):
         raise ValueError("letter outside the alphabet")
-    return _decode(_class_table(sys, alphabet, max_len, budget)[0][_code(w, alphabet)], alphabet)
+    auto = _automaton(sys, alphabet, max_len, budget)
+    return auto.word(auto.root(auto.walk(w), max_len))
 
 
 def render_word(w: Word) -> str:
@@ -379,25 +379,19 @@ def render_word(w: Word) -> str:
 
 
 def stabilization(
-    sys: IdentitySystem, alphabet: int, max_len: int, budget: int = WORD_BUDGET
+    sys: IdentitySystem, alphabet: int, max_len: int, budget: int = NODE_BUDGET
 ) -> dict[str, object]:
-    """Counts at L and L+1 with the agreement flag the CLI reports, and the
-    first ``SHOWN_REPRESENTATIVES`` representatives; the L+1 figures are None
-    when only that table is over the word budget."""
-    roots, mus, merged = _class_table(sys, alphabet, max_len, budget)
-    classes = sorted(set(roots))
-    sizes = _sizes(alphabet, max_len + 1, budget)
-    count_next = None
-    if sizes[-1] <= budget:
-        # level L+1 on the kept level, counted without building its table
-        count_next = len(classes) + _merge(sys, alphabet, max_len + 1, roots, mus, merged, sizes)[2]
-    return {
-        "L": max_len,
-        "count": len(classes),
-        "count_next": count_next,
-        "stable": None if count_next is None else len(classes) == count_next,
-        "words_next": sizes[-1],
-        "budget": budget,
-        "representatives": [_decode(c, alphabet) for c in classes[:SHOWN_REPRESENTATIVES]],
-        "target": sys.target,
-    }
+    """Counts at L and L+1 with the agreement flag the CLI reports, and the first
+    ``SHOWN_REPRESENTATIVES`` representatives; the L+1 figures are None if only L+1 is over the budget."""
+    auto = _automaton(sys, alphabet, max_len, budget)
+    count, count_next = auto.counts[max_len], None
+    built = len(auto.made) > max_len + 1  # the nodes of level L+1, counted before it allocates
+    nodes = auto.made[max_len + 1] if built else len(auto.pre) + alphabet * len(auto.fresh)
+    nodes_next = max(nodes - 1, alphabet * (max_len + 1))
+    if nodes_next <= budget:
+        auto.grow(max_len + 1, budget)
+        count_next = auto.counts[max_len + 1]
+    reps = [auto.word(n) for n in islice(auto.roots(max_len), SHOWN_REPRESENTATIVES)]
+    stable = None if count_next is None else count == count_next
+    return {"L": max_len, "count": count, "count_next": count_next, "stable": stable, "nodes_next": nodes_next,
+            "budget": budget, "representatives": reps, "target": sys.target}

@@ -667,6 +667,9 @@ def _verify_css(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: M
             c = spec.color(x)
             img = images.get(key, set())
             if c is None:
+                finite = sorted(y for y in img if spec.coloring.get(y, 0) is not None)
+                if finite:
+                    color_bad.append(f"{x}/R{ri}: image {finite[0]} is not of infinite color")
                 if len(img) < fan_out:
                     color_bad.append(f"{x}/R{ri}: {len(img)} images, need {fan_out}")
                 continue

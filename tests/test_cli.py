@@ -317,32 +317,71 @@ def test_dominate_dot_export(tmp_path, capsys):
 
 
 def test_limits_next_table_over_budget(capsys):
-    # the L=8 table fits the word budget, the L=9 one does not
+    # 1000 letters: the 1000 level-1 roots would give level 2 a million nodes
+    argv = ["limits", "--system", "lmt", "--lam", "w", "--alphabet", "1000", "--len", "1"]
+    code, out, err = run_cli(*argv, "--machine", capsys=capsys)
+    assert code == 0 and err == ""
+    rec = dict(line.split("=", 1) for line in out.splitlines())
+    assert rec["classes"] == "1000"
+    assert rec["classes_next"] == "unknown" and rec["stable"] == "unknown"
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert "L=1: 1000 classes\nL=2: over the node budget (1001000 > 200000)\nstable: unknown\n" in out
+    code, out, err = run_cli(*argv[:-1], "2", capsys=capsys)
+    assert code == 3 and out == ""
+    assert err == "error: 1001000 nodes exceed the budget 200000\n"
+
+
+def test_limits_next_level_counted_per_class(capsys):
+    # level 9 holds 349524 words but only 352 nodes
     argv = ["limits", "--system", "lms", "--lam", "w", "--alphabet", "4", "--len", "8"]
     code, out, err = run_cli(*argv, "--machine", capsys=capsys)
     assert code == 0 and err == ""
     rec = dict(line.split("=", 1) for line in out.splitlines())
-    assert rec["classes"] == "87"
-    assert rec["classes_next"] == "unknown" and rec["stable"] == "unknown"
+    assert (rec["classes"], rec["classes_next"], rec["stable"]) == ("87", "103", "false")
     code, out, _ = run_cli(*argv, capsys=capsys)
-    assert code == 0
-    assert "L=8: 87 classes\nL=9: over the word budget (349524 > 200000)\nstable: unknown\n" in out
-    code, out, err = run_cli(*argv[:-1], "9", capsys=capsys)
-    assert code == 3 and out == ""
-    assert err == "error: 349524 words exceed the budget 200000\n"
+    assert "L=8: 87 classes\nL=9: 103 classes\nstable: False\n" in out
 
 
 def test_limits_long_bound_refused_quickly(capsys):
-    for length in ("100000", "3000000"):
-        start = time.perf_counter()
-        code, out, err = run_cli(
-            "limits", "--system", "lmt", "--n", "1", "--alphabet", "2", "--len", length,
-            capsys=capsys,
-        )
-        elapsed = time.perf_counter() - start
-        assert code == 3 and out == ""
-        assert err == f"error: the words of length at most {length} exceed the budget 200000\n"
-        assert elapsed < 0.5, f"--len {length} took {elapsed:.2f}s"
+    code, out, err = run_cli(
+        "limits", "--system", "lmt", "--n", "1", "--alphabet", "2", "--len", "100000", "--machine",
+        capsys=capsys,
+    )
+    assert code == 0 and err == ""
+    assert "classes=1\n" in out
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "limits", "--system", "lmt", "--n", "1", "--alphabet", "2", "--len", "3000000", capsys=capsys
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3 and out == ""
+    assert err == "error: the nodes of length at most 3000000 exceed the budget 200000\n"
+    assert elapsed < 0.5, f"--len 3000000 took {elapsed:.2f}s"
+
+
+def test_limits_huge_alphabet(capsys):
+    # a level costs its classes times the alphabet, not the words: one class
+    # of 100000 letters, and 1000 letter classes whose level 2 is refused;
+    # timed in CPU seconds, which a busy host does not stretch
+    for argv, classes in (
+        (("--n", "1", "--alphabet", "100000", "--len", "1"), "1"),
+        (("--lam", "w", "--alphabet", "1000", "--len", "1"), "1000"),
+    ):
+        start = time.process_time()
+        code, out, err = run_cli("limits", "--system", "lmt", *argv, "--machine", capsys=capsys)
+        elapsed = time.process_time() - start
+        assert code == 0 and err == ""
+        assert f"classes={classes}\n" in out
+        assert elapsed < 1, f"{argv} took {elapsed:.2f}s"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "limits", "--system", "lmt", "--n", "1", "--alphabet", "100000", "--len", "4", capsys=capsys
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3 and out == ""
+    assert err == "error: the nodes of length at most 4 exceed the budget 200000\n"
+    assert elapsed < 0.5, f"--len 4 took {elapsed:.2f}s"
 
 
 def test_limits_one_letter_long_bound_fits_in_memory():

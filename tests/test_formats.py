@@ -230,6 +230,28 @@ def test_parse_errors_name_position_and_expectation():
         formats.parse_pipeline("warp sub=P0\n")
 
 
+def test_distribution_preorder_errors_cite_file_lines():
+    # the preorder block is read from the file's own numbered lines
+    text = "elements: 2\n# a comment\n\n0 <= 1\nmode: finite\n1 <= x\nf: {0} = 1\n"
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_distribution(text, "a.ds")
+    assert (err.value.path, err.value.line_no, err.value.got) == ("a.ds", 6, "1 <= x")
+
+
+def test_distribution_partition_element_must_be_an_integer():
+    text = "elements: 2\n0 <= 1\nmode: finite\nf: {0} = 1\nf: {1} = 1\npartition: x P\n"
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_distribution(text, "b.ds")
+    assert str(err.value) == "b.ds:6: expected an integer partition element, got 'x'"
+
+
+def test_distribution_class_key_members_must_be_integers():
+    text = "elements: 2\n0 <= 1\nmode: finite\nf: {0,a} = 0\n"
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_distribution(text, "c.ds")
+    assert str(err.value) == "c.ds:4: expected '{i,j,...}' class key, got '{0,a}'"
+
+
 def test_quotient_dot_output():
     q = sim_quotient(close(from_pairs(3, [(0, 1), (1, 2)])))
     dot = formats.quotient_dot(q)

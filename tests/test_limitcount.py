@@ -8,7 +8,7 @@ from oracles import brute_congruence_count, brute_instantiate
 from rklab import limitcount
 from rklab.cardinal import OMEGA, fin
 from rklab.limitcount import (
-    _LEVELS,
+    _AUTOMATA,
     FREE_SYSTEM,
     IdentitySystem,
     Schema,
@@ -260,18 +260,26 @@ def test_engine_matches_brute_classes(name, sys_):
 
 
 def test_stabilization_next_table_over_budget():
-    sys1 = lmt(fin(2))
-    words = {3: 3 + 9 + 27, 4: 3 + 9 + 27 + 81}
-    info = stabilization(sys1, 3, 3, budget=words[3])
+    # lms w over 3 letters: 3, 12, 27, 45 and 66 nodes of at most 1 .. 5 letters
+    sysw = lms(3, OMEGA)
+    info = stabilization(sysw, 3, 4, budget=45)
     assert info["count_next"] is None and info["stable"] is None
-    assert info["words_next"] == words[4] and info["budget"] == words[3]
-    assert info["count"] == count_classes(sys1, 3, 3)[0]
-    assert info["representatives"] == count_classes(sys1, 3, 3)[1]
-    full = stabilization(sys1, 3, 3, budget=words[4])
-    assert full["count_next"] == count_classes(sys1, 3, 4)[0]
-    assert full["stable"] == (full["count"] == full["count_next"])
-    with pytest.raises(ValueError, match="39 words exceed the budget 38"):
-        stabilization(sys1, 3, 3, budget=words[3] - 1)
+    assert info["nodes_next"] == 66 and info["budget"] == 45
+    assert info["count"] == count_classes(sysw, 3, 4)[0] == 21
+    assert info["representatives"] == count_classes(sysw, 3, 4)[1][:20]
+    full = stabilization(sysw, 3, 4, budget=66)
+    assert full["count_next"] == count_classes(sysw, 3, 5)[0] == 29
+    assert full["stable"] is False
+    with pytest.raises(ValueError, match="^45 nodes exceed the budget 44$"):
+        stabilization(sysw, 3, 4, budget=44)
+    _AUTOMATA.clear()  # the same refusal before level 4 is built
+    with pytest.raises(ValueError, match="^45 nodes exceed the budget 44$"):
+        stabilization(sysw, 3, 4, budget=44)
+    # each level is charged one node per letter at least
+    info = stabilization(lmt(fin(2)), 3, 4, budget=14)
+    assert info["count_next"] is None and info["nodes_next"] == 15
+    with pytest.raises(ValueError, match="^the nodes of length at most 5 exceed the budget 14$"):
+        stabilization(lmt(fin(2)), 3, 5, budget=14)
 
 
 @pytest.mark.parametrize("name,sys_", SCHEMA_KINDS, ids=[k for k, _ in SCHEMA_KINDS])
@@ -287,14 +295,15 @@ def test_instantiate_matches_word_scanning_oracle(name, sys_):
 
 def test_stabilization_builds_each_level_once(monkeypatch):
     calls = []
-    merge = limitcount._merge
-    monkeypatch.setattr(limitcount, "_merge", lambda *args: calls.append(args[2]) or merge(*args))
+    level = limitcount._Automaton._level
+    monkeypatch.setattr(limitcount._Automaton, "_level", lambda self, k: calls.append(k) or level(self, k))
     for _, _, sys_ in all_systems():
         for alphabet, length in ((1, 40), (2, 1), (2, 6), (3, 4), (4, 5)):
-            _LEVELS.clear()
+            _AUTOMATA.clear()
             calls.clear()
-            stabilization(sys_, alphabet, length)
-            # levels 1..L, then the L+1 count read from its merge, with no table
+            for bound in range(1, length + 1):
+                stabilization(sys_, alphabet, bound)
+            # levels 1..L and the L+1 count, each level built once across the bounds
             assert calls == list(range(1, length + 2)), (sys_.kind, alphabet, length)
 
 
@@ -309,9 +318,9 @@ def test_level_tables_independent_of_build_order():
     for _, _, sys_ in all_systems() + [("free", None, FREE_SYSTEM)]:
         for alphabet in (1, 2, 3):
             for length in (1, 2, 3, 4, 5):
-                _LEVELS.clear()
+                _AUTOMATA.clear()
                 up = _snapshot(sys_, alphabet, length + 1), _snapshot(sys_, alphabet, length)
-                _LEVELS.clear()
+                _AUTOMATA.clear()
                 down = _snapshot(sys_, alphabet, length), _snapshot(sys_, alphabet, length + 1)
                 assert up == down[::-1], (sys_.kind, alphabet, length)
 
@@ -351,9 +360,20 @@ def test_stabilization_counts_next_level_without_its_table(sys_):
     # where the words are few enough, the brute-force oracle's
     for alphabet in (1, 2, 3, 4):
         for length in range(1, 7):
-            _LEVELS.clear()
+            _AUTOMATA.clear()
             got = stabilization(sys_, alphabet, length)["count_next"]
             assert got == count_classes(sys_, alphabet, length + 1)[0], (alphabet, length)
             if alphabet ** (length + 1) <= 729:
                 eqs = instantiate(sys_, alphabet, length + 1)
                 assert got == brute_congruence_count(eqs, alphabet, length + 1)[0], (alphabet, length)
+
+
+def test_class_counts_far_past_the_word_count():
+    # about 1.6e10 and 2e60 words, counted per class; the census rules predict the values
+    sysw = lmt(OMEGA)
+    assert count_classes(sysw, 7, 12)[0] == 28 == 7 * 8 // 2
+    info = stabilization(lms(3, OMEGA), 4, 100)
+    assert info["count"] == 5745 and info["count_next"] == 5853
+    # lms w grows by L + 2^(A-1) - 1 at each L >= A-1
+    counts = [count_classes(lms(3, OMEGA), 4, length)[0] for length in range(8, 21)]
+    assert [b - a for a, b in zip(counts, counts[1:])] == [length + 7 for length in range(9, 21)]

@@ -268,6 +268,19 @@ def test_css_uncolored_image_is_reported():
     assert "Y0s0_0 is uncolored" in entries["app1.color-monotone"].detail
 
 
+def test_css_infinite_color_source_needs_infinite_color_images():
+    # a0inf may map only to infinite-color elements: an uncolored or a
+    # color-0 image fails color-monotone and names the image
+    spec = run_pipeline(parse_pipeline("base parts=1 colors=1\nicp sub=P0\ncss sub=P0 source=P0\n", "plan.pipe"))
+    rel = "P0.css1.R0"
+    assert verify_schemes(spec, "css").ok
+    for image in ("Y0s0_0", "a0c0"):
+        mutated = replace(spec, binary={**spec.binary, rel: spec.binary[rel] + (("a0inf", image),)})
+        entry = {e.code: e for e in verify_schemes(mutated, "css").entries}["app1.color-monotone"]
+        assert not entry.ok
+        assert f"a0inf/R0: image {image} is not of infinite color" in entry.detail
+
+
 def test_verify_schemes_needs_matching_record():
     spec = base2()
     with pytest.raises(ValueError):
