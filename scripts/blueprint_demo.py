@@ -12,6 +12,7 @@ from rklab.distribution import (
     BuildConfig,
     build_blueprint,
     finite_spec,
+    key_label,
     replay_blueprint,
     replayed_il,
     replayed_prime_preorder,
@@ -39,7 +40,7 @@ def main() -> None:
     print("drawn preorder:")
     print(serialize_preorder(order))
     for key, value in sorted(values.items(), key=lambda kv: sorted(kv[0])):
-        print(f"f{{{','.join(str(x) for x in sorted(key))}}} = {render(value)}")
+        print(f"f{key_label(key)} = {render(value)}")
     cfg = BuildConfig(colors=1, per_color=1, depth=1, fan_out=1)
     bp = build_blueprint(spec, "t77", cfg)
     print("\nplan:", " -> ".join(step.op for step in bp.operator_plan))
@@ -49,7 +50,7 @@ def main() -> None:
     # replay keeps the labels (P_i is element i), so equality is the check
     print("isomorphic to the drawn preorder:", po == order)
     for key, value in sorted(replayed_il(struct, spec).items(), key=lambda kv: sorted(kv[0])):
-        print(f"IL{{{','.join(str(x) for x in sorted(key))}}} = {render(value)}")
+        print(f"IL{key_label(key)} = {render(value)}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(quotient_dot(sim_quotient(po)))

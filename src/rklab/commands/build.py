@@ -19,6 +19,7 @@ def run(args: argparse.Namespace) -> int:
     from ..distribution import (
         BuildConfig,
         build_blueprint,
+        key_label,
         replay_blueprint,
         replayed_il,
         replayed_prime_preorder,
@@ -53,7 +54,7 @@ def run(args: argparse.Namespace) -> int:
         q = sim_quotient(po)
         out.append(f"rk_classes={q.size}" if mk else f"rk quotient classes: {q.size}")
         for key, value in sorted(replayed_il(struct, spec).items(), key=lambda kv: sorted(kv[0])):
-            label = "{" + ",".join(str(x) for x in sorted(key)) + "}"
+            label = key_label(key)
             out.append(f"il.{label}={render(value)}" if mk else f"IL{label} = {render(value)}")
     _emit(out)
     return 0

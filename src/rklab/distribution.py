@@ -198,10 +198,9 @@ class SeqKey:
 class DistributionSpec:
     order: Preorder
     mode: str  # "finite" | "countable-truncated"
-    class_values: tuple[tuple[frozenset[int], Card], ...] | None = None
-    seq_values: tuple[tuple[SeqKey, Card], ...] | None = None
+    # f, sorted by key: per class (a frozenset) in finite mode, per SeqKey otherwise
+    values: tuple[tuple[frozenset[int] | SeqKey, Card], ...] = ()
     partition: tuple[tuple[int, str], ...] | None = None
-    extendable: bool = False
     npl_residual: Card | None = None
     triple: Cm3Triple | None = None
 
@@ -213,17 +212,21 @@ class DistributionSpec:
         object.__setattr__(self, "quotient", sim_quotient(self.order))
         if self.mode not in ("finite", "countable-truncated"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "finite":
-            if self.class_values is None:
-                raise ValueError("finite mode needs per-class values")
-            expected = {frozenset(c) for c in self.quotient.classes}
-            got = {k for k, _ in self.class_values}
-            if expected != got:
+        finite = self.mode == "finite"
+        for key, _ in self.values:
+            if not isinstance(key, frozenset if finite else SeqKey):
+                kind = "class" if finite else "sequence"
+                raise ValueError(f"{self.mode} mode keys f by {kind}, got {key!r}")
+        keys = {key for key, _ in self.values}
+        if len(keys) != len(self.values):
+            raise ValueError("f gives each key one value")
+        by = (lambda kv: sorted(kv[0])) if finite else (lambda kv: kv[0].render())
+        object.__setattr__(self, "values", tuple(sorted(self.values, key=by)))
+        if finite:
+            if keys != {frozenset(c) for c in self.quotient.classes}:
                 raise ValueError("class values must cover exactly the quotient classes")
         else:
-            if self.seq_values is None:
-                raise ValueError("countable-truncated mode needs per-sequence values")
-            for key, _ in self.seq_values:
+            for key, _ in self.values:
                 if not key.entries:
                     raise ValueError("empty sequence key")
                 for a in key.entries:
@@ -240,16 +243,17 @@ class DistributionSpec:
                 raise ValueError("partition labels are P or NPL")
 
     def class_map(self) -> dict[frozenset[int], Card]:
-        assert self.class_values is not None
-        return dict(self.class_values)
+        """f per class, of a finite-mode spec."""
+        assert self.mode == "finite"
+        return dict(self.values)
 
-    def seq_map(self) -> dict[SeqKey, Card]:
-        assert self.seq_values is not None
-        return dict(self.seq_values)
 
-    def partition_map(self) -> dict[int, str]:
-        assert self.partition is not None
-        return dict(self.partition)
+def key_label(key: frozenset[int] | SeqKey) -> str:
+    """A key of f as spec files, reports and the CLI write it: ``{i,j}``
+    for a class, ``i<j`` for a sequence."""
+    if isinstance(key, SeqKey):
+        return key.render()
+    return "{" + ",".join(str(x) for x in sorted(key)) + "}"
 
 
 def finite_spec(
@@ -262,8 +266,8 @@ def finite_spec(
     return DistributionSpec(
         order,
         "finite",
-        class_values=tuple(sorted(values.items(), key=lambda kv: sorted(kv[0]))),
-        partition=tuple(sorted(partition.items())) if partition else None,
+        tuple(values.items()),
+        tuple(sorted(partition.items())) if partition else None,
         **fields,
     )
 
@@ -272,16 +276,14 @@ def sequence_spec(
     order: Preorder,
     values: dict[SeqKey, Card],
     partition: dict[int, str] | None = None,
-    extendable: bool = True,
     **fields,
 ) -> DistributionSpec:
     """A sequence-mode spec; ``fields`` sets the remaining ``DistributionSpec`` fields."""
     return DistributionSpec(
         order,
         "countable-truncated",
-        seq_values=tuple(sorted(values.items(), key=lambda kv: kv[0].render())),
-        partition=tuple(sorted(partition.items())) if partition else None,
-        extendable=extendable,
+        tuple(values.items()),
+        tuple(sorted(partition.items())) if partition else None,
         **fields,
     )
 
@@ -337,20 +339,20 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
         raise ValueError(f"unknown profile {profile!r}")
     rb = ReportBuilder(f"f-validation:{profile}:{spec.mode}")
     q = spec.quotient
+    for key, v in spec.values:
+        rb.check(
+            f"value-range:{key_label(key)}",
+            _value_buildable(v),
+            f"f = {render(v)}; {_BUILDABLE_VALUES}",
+        )
 
     if spec.mode == "finite":
         values = spec.class_map()
-        for key, v in sorted(values.items(), key=lambda kv: sorted(kv[0])):
-            rb.check(
-                f"value-range:{_class_label(key)}",
-                _value_buildable(v),
-                f"f = {render(v)}; {_BUILDABLE_VALUES}",
-            )
-        for ci, members in enumerate(q.classes):
+        for members in q.classes:
             key = frozenset(members)
             if len(members) > 1:
                 rb.check(
-                    f"fat-class-positive:{_class_label(key)}",
+                    f"fat-class-positive:{key_label(key)}",
                     card_le(fin(1), values[key], ch=False),
                     f"class has {len(members)} elements, f = {render(values[key])}",
                 )
@@ -376,18 +378,11 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
                     )
         return rb.done()
 
-    values = spec.seq_map()
-    for key, v in values.items():
-        rb.check(
-            f"value-range:{key.render()}",
-            _value_buildable(v),
-            f"f = {render(v)}; {_BUILDABLE_VALUES}",
-        )
     if profile == "small":
         least = q.least()
         rb.check("least-class-exists", least is not None)
         least_members = set(q.classes[least]) if least is not None else set()
-        for key in values:
+        for key, v in spec.values:
             rb.check(
                 f"avoids-least:{key.render()}",
                 not (set(key.entries) & least_members),
@@ -400,20 +395,17 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
             if cofinal:
                 rb.check(
                     f"cofinal-positive:{key.render()}",
-                    card_le(fin(1), values[key], ch=False),
-                    f"cofinal sequence has f = {render(values[key])}",
+                    card_le(fin(1), v, ch=False),
+                    f"cofinal sequence has f = {render(v)}",
                 )
-    for key, v in values.items():
+    for key, v in spec.values:
         if nonrepeating_cofinite(key):
             rb.check(
                 f"growing-positive:{key.render()}",
                 card_le(fin(1), v, ch=False),
                 f"strictly growing sequence has f = {render(v)}",
             )
-    items = sorted(values.items(), key=lambda kv: kv[0].render())
-    for (k1, v1), (k2, v2) in itertools.permutations(items, 2):
-        if k1 == k2:
-            continue
+    for (k1, v1), (k2, v2) in itertools.permutations(spec.values, 2):
         if subsequence_of(k2, k1):
             rb.check(
                 f"subsequence-monotone:{k1.render()}>={k2.render()}",
@@ -427,10 +419,6 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
                 f"{render(v1)} vs {render(v2)} on tail-equal sequences",
             )
     return rb.done()
-
-
-def _class_label(key: frozenset[int]) -> str:
-    return "{" + ",".join(str(x) for x in sorted(key)) + "}"
 
 
 def limit_obligations(g: DominationGraph) -> dict[frozenset[str], bool]:
@@ -460,6 +448,8 @@ class BuildConfig:
     fan_out: int = 2
 
     def __post_init__(self) -> None:
+        if self.colors < 1:
+            raise ValueError("colors must be positive")
         if self.depth < max(1, self.colors - 1):
             raise ValueError("split depth must cover the finite colors")
         if self.fan_out < 1:
@@ -469,16 +459,12 @@ class BuildConfig:
 @record
 class TheoryBlueprint:
     predicates: tuple[str, ...]
-    q_edges: tuple[tuple[int, int, bool], ...]
     pipeline: tuple[PipelineStep, ...]  # base, one qedge per q edge, operator steps
     config: BuildConfig
-    partition: tuple[tuple[int, str], ...] | None
-    variant: str
-    notes: tuple[str, ...] = ()
 
     @property
     def operator_plan(self) -> tuple[PipelineStep, ...]:
-        return self.pipeline[1 + len(self.q_edges):]
+        return tuple(step for step in self.pipeline if step.op not in ("base", "qedge"))
 
 
 def _components(q: QuotientPoset) -> list[tuple[list[int], list[int]]]:
@@ -543,18 +529,9 @@ def build_blueprint(
     rank = ranks(q)
     comps = _components(q)
 
-    q_edges: list[tuple[int, int, bool]] = []
-    for members in q.classes:
-        ring = sorted(members)
-        if len(ring) > 1:
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                q_edges.append((a, b, False))
-    for ca, cb in q.covers():
-        q_edges.append((min(q.classes[ca]), min(q.classes[cb]), True))
-
-    partition = spec.partition_map() if spec.partition is not None else None
-    p_elems = [i for i in range(m) if partition is None or partition[i] == "P"]
-    npl_elems = [i for i in range(m) if partition is not None and partition[i] == "NPL"]
+    labels = dict(spec.partition or ())
+    p_elems = [i for i in range(m) if labels.get(i, "P") == "P"]
+    npl_elems = [i for i in range(m) if labels.get(i) == "NPL"]
 
     def elem_sort(elems: list[int]) -> list[int]:
         return sorted(elems, key=lambda e: (rank[q.class_of(e)], e))
@@ -572,18 +549,21 @@ def build_blueprint(
             "bu", {"sub1": f"P{a}", "sub2": f"P{b}", "depth": depth, "fan": fan, "z": "auto"}
         )
 
+    def qedge_step(low: int, high: int, principal: str) -> PipelineStep:
+        return PipelineStep("qedge", {"low": str(low), "high": str(high), "principal": principal})
+
     plan = [
         PipelineStep(
             "base",
             {"parts": str(m), "colors": str(config.colors), "per_color": str(config.per_color)},
         )
     ]
-    for low, high, principal in q_edges:
-        plan.append(
-            PipelineStep(
-                "qedge", {"low": str(low), "high": str(high), "principal": str(principal).lower()}
-            )
-        )
+    # a ring of q edges through each class of two or more, a principal one per cover
+    for members in q.classes:
+        ring = sorted(members)
+        if len(ring) > 1:
+            plan += (qedge_step(a, b, "false") for a, b in zip(ring, ring[1:] + ring[:1]))
+    plan += (qedge_step(min(q.classes[a]), min(q.classes[b]), "true") for a, b in q.covers())
     # the partition and allocation steps, as (operator, part) in plan order
     if variant in ("t77", "t84"):
         source = 0
@@ -610,40 +590,26 @@ def build_blueprint(
         for a, b in itertools.combinations(reps, 2):
             plan.append(bu_step(a, b))
 
+    # a limit target per class of nonzero f (finite mode), or per sequence
     if spec.mode == "finite":
-        for members in q.classes:
-            f_val = spec.class_map()[frozenset(members)]
-            if not card_eq(f_val, ZERO, ch=False):
-                node = pnode(f"P{min(members)}")
-                plan.append(PipelineStep("lmt", {"node": node, "lam": render(f_val)}))
+        values = spec.class_map()
+        targets = [("lmt", "node", [min(c)], values[frozenset(c)]) for c in q.classes]
     else:
-        for key, f_val in sorted(spec.seq_map().items(), key=lambda kv: kv[0].render()):
-            if not card_eq(f_val, ZERO, ch=False):
-                nodes = ",".join(pnode(f"P{e}") for e in key.entries)
-                plan.append(PipelineStep("lms", {"nodes": nodes, "lam": render(f_val)}))
+        targets = [("lms", "nodes", key.entries, f_val) for key, f_val in spec.values]
+    for op, arg, elems, f_val in targets:
+        if not card_eq(f_val, ZERO, ch=False):
+            nodes = ",".join(pnode(f"P{e}") for e in elems)
+            plan.append(PipelineStep(op, {arg: nodes, "lam": render(f_val)}))
 
-    notes: list[str] = []
     if variant == "t92":
-        if spec.npl_residual is not None and card_eq(
-            spec.npl_residual, CONTINUUM, ch=False
-        ):
-            notes.append("residual continuum of types kept prime-less")
-        else:
-            notes.append(
-                "allocation over tuples gives prime models over the residual types"
-            )
         # a pipeline argument is one token
-        plan.append(PipelineStep("note", {"text": notes[-1].replace(" ", "_")}))
+        if spec.npl_residual is not None and card_eq(spec.npl_residual, CONTINUUM, ch=False):
+            note = "residual_continuum_of_types_kept_prime-less"
+        else:
+            note = "allocation_over_tuples_gives_prime_models_over_the_residual_types"
+        plan.append(PipelineStep("note", {"text": note}))
 
-    return TheoryBlueprint(
-        predicates,
-        tuple(q_edges),
-        tuple(plan),
-        config,
-        spec.partition,
-        variant,
-        tuple(notes),
-    )
+    return TheoryBlueprint(predicates, tuple(plan), config)
 
 
 def replay_blueprint(
@@ -752,9 +718,5 @@ def target_triple(spec: DistributionSpec) -> Cm3Triple:
     """The distribution triple the spec is built to realize."""
     if spec.triple is not None:
         return spec.triple
-    p = OMEGA if spec.extendable else fin(spec.order.n)
-    if spec.mode == "finite":
-        l = card_sum_all(v for _, v in spec.class_values or ())
-    else:
-        l = card_sum_all(v for _, v in spec.seq_values or ())
-    return Cm3Triple(p, l, CONTINUUM)
+    p = fin(spec.order.n) if spec.mode == "finite" else OMEGA
+    return Cm3Triple(p, card_sum_all(v for _, v in spec.values), CONTINUUM)

@@ -61,12 +61,6 @@ class DominationGraph:
     def index(self) -> dict[str, int]:
         return {n.name: i for i, n in enumerate(self.nodes)}
 
-    def node(self, name: str) -> TypeNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
 
 def rk_preorder(g: DominationGraph) -> Preorder:
     """Closure of the certificates, in <= orientation over g.nodes order.

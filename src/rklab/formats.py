@@ -249,8 +249,9 @@ def serialize_modelspec(spec) -> str:
 # -- distribution spec files --------------------------------------------------
 
 def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
-    """Preorder block, then ``mode:``, ``f:`` value lines, and optional
-    ``partition:`` lines."""
+    """Preorder block, then one ``mode:`` line, ``f:`` value lines, and
+    optional ``partition:`` lines; each key of f and each partitioned
+    element appears once."""
     from .distribution import SeqKey, finite_spec, sequence_spec
 
     lines = _lines(text)
@@ -259,6 +260,8 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
     mode = None
     for no, line in lines:
         if line.startswith("mode:"):
+            if mode is not None:
+                raise ParseError(path, no, "one 'mode:' line", line)
             mode = line.split(":", 1)[1].strip()
             continue
         if line.startswith(("f:", "partition:")):
@@ -268,8 +271,7 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
     order = _preorder(pre_lines, path)
     if mode not in ("finite", "countable-truncated"):
         raise ParseError(path, 1, "'mode: finite|countable-truncated'", str(mode))
-    class_values: dict = {}
-    seq_values: dict = {}
+    values: dict = {}
     partition: dict[int, str] = {}
     for no, line in rest:
         if line.startswith("partition:"):
@@ -277,6 +279,8 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
             if len(words) != 2 or words[1] not in ("P", "NPL"):
                 raise ParseError(path, no, "'partition: <elem> P|NPL'", line)
             (elem,) = _ints(words[:1], path, no, "an integer partition element", words[0])
+            if elem in partition:
+                raise ParseError(path, no, "one 'partition:' line per element", line)
             partition[elem] = words[1]
             continue
         body = line.split(":", 1)[1].strip()
@@ -288,37 +292,34 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
             value = parse_card(value_s)
         except ValueError:
             raise ParseError(path, no, "a cardinal token", value_s.strip()) from None
-        if key_s.startswith("{"):
-            if not key_s.endswith("}"):
-                raise ParseError(path, no, "'{i,j,...}' class key", key_s)
-            elems = _ints(filter(str.strip, key_s[1:-1].split(",")), path, no, "'{i,j,...}' class key", key_s)
-            class_values[frozenset(elems)] = value
+        # class keys belong to finite mode, chain keys to countable-truncated mode
+        if mode == "finite":
+            expected = "'{i,j,...}' class key"
+            if not (key_s.startswith("{") and key_s.endswith("}")):
+                raise ParseError(path, no, expected, key_s)
+            key = frozenset(_ints(filter(str.strip, key_s[1:-1].split(",")), path, no, expected, key_s))
         else:
-            extendable = key_s.endswith("<...")
-            if extendable:
-                key_s = key_s[: -len("<...")]
-            entries = _ints(key_s.split("<"), path, no, "'i<j<k' sequence key", key_s)
-            seq_values[SeqKey(entries, extendable)] = value
+            chain = key_s.removesuffix("<...")
+            entries = _ints(chain.split("<"), path, no, "'i<j<k' sequence key", chain)
+            key = SeqKey(entries, chain != key_s)
+        if key in values:
+            raise ParseError(path, no, "one 'f:' line per key", line)
+        values[key] = value
     try:
         if mode == "finite":
-            return finite_spec(order, class_values, partition or None)
-        return sequence_spec(order, seq_values, partition or None)
+            return finite_spec(order, values, partition or None)
+        return sequence_spec(order, values, partition or None)
     except ValueError as exc:
         raise ParseError(path, 1, "a well-formed distribution spec", str(exc)) from None
 
 
 def serialize_distribution(spec: DistributionSpec) -> str:
+    from .distribution import key_label
+
     lines = [serialize_preorder(spec.order).rstrip(), f"mode: {spec.mode}"]
-    if spec.mode == "finite":
-        for key, value in spec.class_values or ():
-            body = "{" + ",".join(str(x) for x in sorted(key)) + "}"
-            lines.append(f"f: {body} = {render(value)}")
-    else:
-        for key, value in spec.seq_values or ():
-            lines.append(f"f: {key.render()} = {render(value)}")
+    lines.extend(f"f: {key_label(key)} = {render(value)}" for key, value in spec.values)
     if spec.partition is not None:
-        for elem, label in spec.partition:
-            lines.append(f"partition: {elem} {label}")
+        lines.extend(f"partition: {elem} {label}" for elem, label in spec.partition)
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ from .report import BudgetError, Report, ReportBuilder
 Color = int | None  # None is the infinite color
 
 # the most elements the operators may grow a structure to, checked before each
-# step allocates; the costliest plan within it takes about 480 MB (README)
+# step allocates; the costliest plan within it peaks at about 350 MB (README)
 UNIVERSE_CAP = 250_000
 
 
@@ -737,6 +737,17 @@ class PipelineStep:
     args: dict[str, str]
 
 
+class _Args(dict):
+    """A step's arguments; a missing required one is an input error naming the step."""
+
+    def __init__(self, step: PipelineStep):
+        super().__init__(step.args)
+        self.op = step.op
+
+    def __missing__(self, key: str) -> str:
+        raise ValueError(f"{self.op} step needs {key}=")
+
+
 def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSpec:
     """Apply a pipeline to the colored base it declares.
 
@@ -752,9 +763,9 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
     qedges: list[tuple[int, int, bool]] = []
     for step in steps:
         if step.op == "base":
-            base = step.args
+            base = _Args(step)
         elif step.op == "qedge":
-            a = step.args
+            a = _Args(step)
             qedges.append(
                 (int(a["low"]), int(a["high"]), a.get("principal", "false") == "true")
             )
@@ -766,7 +777,7 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
     for step in steps:
         if step.op in ("base", "qedge"):
             continue
-        a = step.args
+        a = _Args(step)
         fan = int(a.get("fan", "2"))
         depth = int(a.get("depth", "1"))
         if step.op == "icp":
@@ -775,8 +786,10 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
         elif step.op in ("css", "bd"):
             if "source" in a:
                 stubs = w.stubs_of(pnode(a["source"]))
-            else:
+            elif "stubs" in a:
                 stubs = a["stubs"].split(",")
+            else:
+                raise ValueError(f"{step.op} step needs source= or stubs=")
             _css(w, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
         elif step.op == "bu":
             z = a.get("z", "auto")

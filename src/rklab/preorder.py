@@ -353,15 +353,10 @@ def check_premodel(profile: PremodelProfile) -> Report:
             exact(profile.height, OMEGA),
             f"height = {render(profile.height)}, must be w",
         )
-    report = rb.done()
-    if report.ok:
-        rb2 = ReportBuilder("premodel")
-        for e in report.entries:
-            rb2.check(e.code, e.ok, e.detail)
-        rb2.fact("width", render(CONTINUUM))
-        rb2.fact("upward-directed", "confirmed")
-        return rb2.done()
-    return report
+    if rb.done().ok:
+        rb.fact("width", render(CONTINUUM))
+        rb.fact("upward-directed", "confirmed")
+    return rb.done()
 
 
 # -- helpers used by tests and the demo script ------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -247,20 +248,21 @@ def test_build_refuses_fan_out_below_one(tmp_path, capsys, fan):
 
 
 def test_build_without_replay_refuses_fan_out_below_one(tmp_path, capsys):
-    # the config is checked where it is given, so no pipeline of fan=0
-    # steps is written for apply to refuse later
+    # the config is checked where it is given, so no pipeline of fan=0 or
+    # colors=0 steps is written for apply to refuse later
     ds = tmp_path / "spec.ds"
     ds.write_text(
         "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
         "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
     )
     pipe = tmp_path / "zero.pipe"
-    result = run_cli(
-        "build", "--spec", str(ds), "--variant", "t77", "--fan-out", "0", "--out", str(pipe),
-        capsys=capsys,
-    )
-    assert result == (2, "", "error: fan-out must be positive\n")
-    assert not pipe.exists()
+    for option, message in (("--fan-out", "fan-out"), ("--colors", "colors")):
+        result = run_cli(
+            "build", "--spec", str(ds), "--variant", "t77", option, "0", "--out", str(pipe),
+            capsys=capsys,
+        )
+        assert result == (2, "", f"error: {message} must be positive\n")
+        assert not pipe.exists()
 
 
 @pytest.mark.parametrize(
@@ -277,6 +279,27 @@ def test_apply_refuses_fan_out_below_one(tmp_path, capsys, steps):
     pipe.write_text("base colors=1 parts=2 per_color=1\n" + steps)
     result = run_cli("apply", "--pipeline", str(pipe), "--verify", "--machine", capsys=capsys)
     assert result == (2, "", "error: fan-out must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("base colors=1", "base step needs parts="),
+        ("qedge low=0", "qedge step needs high="),
+        ("icp depth=1", "icp step needs sub="),
+        ("css sub=P0", "css step needs source= or stubs="),
+        ("bd sub=P1", "bd step needs source= or stubs="),
+        ("bu sub1=P0", "bu step needs sub2="),
+        ("lmt lam=1", "lmt step needs node="),
+        ("lms nodes=p(P0)", "lms step needs lam="),
+    ],
+    ids=["base", "qedge", "icp", "css", "bd", "bu", "lmt", "lms"],
+)
+def test_apply_names_a_missing_step_argument(tmp_path, capsys, step, message):
+    pipe = tmp_path / "p.pipe"
+    pipe.write_text(("" if step.startswith("base") else "base colors=1 parts=2\n") + step + "\n")
+    result = run_cli("apply", "--pipeline", str(pipe), capsys=capsys)
+    assert result == (2, "", f"error: {message}\n")
 
 
 def test_types_dense_flag(capsys):
@@ -709,6 +732,105 @@ def test_mutated_readme_examples_exit_cleanly(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert code in (0, 2, 3), argv
     assert slowest[0] < 10, slowest
+
+
+# one input file of each format, and the commands that read it
+FUZZ_FILES = {
+    "order.po": ("elements: 6\n0 <= 1\n1 <= 2\n2 <= 0\n3 <= 4\n4 <= 5\n",
+                 [["preorder", "--in", "order.po", "--quotient", "--height", "--width", "--directed"]]),
+    "graph.dg": ("type p0 prime\ntype p1 prime\ntype p2\np1 dominates p0 via Q principal\n"
+                 "p2 dominates p1 via R\n", [["dominate", "--in", "graph.dg", "--rkt"]]),
+    "finite.ds": ("elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+                  "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n",
+                  [["build", "--spec", "finite.ds", "--variant", "t91", "--replay", "--out", "out.pipe"],
+                   ["apply", "--pipeline", "out.pipe", "--verify"]]),
+    "seq.ds": ("elements: 4\n0 <= 1\n1 <= 2\nmode: countable-truncated\nf: 0<1<2<... = c\nf: 1<2 = 2\n",
+               [["build", "--spec", "seq.ds", "--variant", "t84", "--replay", "--out", "out.pipe"],
+                ["apply", "--pipeline", "out.pipe", "--verify"]]),
+    "plan.pipe": ("base colors=2 parts=3 per_color=1\nqedge high=1 low=0 principal=true\n"
+                  "icp depth=2 fan=2 sub=P0 y=auto\ncss fan=2 source=P0 sub=P1\n"
+                  "bu depth=1 fan=1 sub1=P1 sub2=P2 z=auto\nlmt lam=2 node=p(P1)\n"
+                  "lms lam=w nodes=p(P0),p(P1)\n", [["apply", "--pipeline", "plan.pipe", "--verify"]]),
+    "space.ts": ("family: colored\nm: 2\ndepth: 3\n", [["types", "--in", "space.ts", "--prime"]]),
+}
+
+# runs each [directory, argv] of the JSON list on stdin and prints the exit
+# statuses, or the traceback of a run that raised
+_FUZZ_CHILD = """
+import contextlib, io, json, os, sys, traceback
+from rklab.cli import main
+codes = []
+for cwd, argv in json.load(sys.stdin):
+    os.chdir(cwd)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        except Exception:
+            codes.append(traceback.format_exc())
+print(json.dumps(codes))
+"""
+
+
+def _mutate_file(rng, text):
+    """Change a number (times 10^1..7, negated, zeroed or off by one), swap,
+    drop or duplicate a line, or write an f: key in the other mode's form;
+    one or two of these."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        op, i, j = rng.randrange(5), rng.randrange(len(lines)), rng.randrange(len(lines))
+        numbers = [(k, m) for k, line in enumerate(lines) for m in re.finditer(r"\d+", line)]
+        if op == 0 and numbers:
+            k, m = rng.choice(numbers)
+            n = int(m.group())
+            new = rng.choice([n * 10 ** rng.randint(1, 7), -n, 0, n + 1, n - 1])
+            lines[k] = lines[k][: m.start()] + str(new) + lines[k][m.end():]
+        elif op == 1:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 2 and len(lines) > 1:
+            del lines[i]
+        elif op == 3:
+            lines.insert(i, lines[i])
+        elif op == 4 and any(line.startswith("f:") for line in lines):
+            i = rng.choice([k for k, line in enumerate(lines) if line.startswith("f:")])
+            key, _, value = lines[i][2:].partition("=")
+            key = key.strip()
+            if key.startswith("{"):
+                key = key[1:-1].replace(",", "<")
+            else:
+                key = "{" + key.removesuffix("<...").replace("<", ",") + "}"
+            lines[i] = f"f: {key} ={value}"
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_input_files_exit_cleanly(tmp_path):
+    # every command on every mutated file ends in exit 0, 2 or 3, in one
+    # process capped at 1 GB of address space: no traceback, no memory kill
+    rng = random.Random(1)
+    runs = []
+    for k in range(60):
+        for name, (text, commands) in FUZZ_FILES.items():
+            case = tmp_path / f"{name}.{k}"
+            case.mkdir()
+            (case / name).write_text(_mutate_file(rng, text))
+            runs += [[str(case), argv] for argv in commands]
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _FUZZ_CHILD], input=json.dumps(runs), capture_output=True,
+        text=True, env=_subprocess_env(), timeout=120, preexec_fn=cap_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    bad = [(run, code) for run, code in zip(runs, codes) if code not in (0, 2, 3)]
+    assert not bad, bad[:3]
+    assert len(codes) == len(runs) and {0, 2} <= set(codes)
+    assert elapsed < 10, elapsed
 
 
 def _full_parser():

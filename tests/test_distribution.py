@@ -222,6 +222,19 @@ def test_spec_validation_errors():
         DistributionSpec(from_pairs(2, [(0, 1)]), "finite")  # not closed
 
 
+def test_spec_keys_match_the_mode():
+    order = close(from_pairs(2, [(0, 1)]))
+    with pytest.raises(ValueError, match="countable-truncated mode keys f by sequence"):
+        DistributionSpec(order, "countable-truncated", ((frozenset({0}), ZERO),))
+    with pytest.raises(ValueError, match="finite mode keys f by class"):
+        DistributionSpec(order, "finite", ((SeqKey((0, 1)), ZERO),))
+    with pytest.raises(ValueError, match="each key one value"):
+        DistributionSpec(order, "countable-truncated", ((SeqKey((0, 1)), ZERO), (SeqKey((0, 1)), ZERO)))
+    # values are kept sorted: classes by their members, sequences by their text
+    spec = DistributionSpec(order, "finite", ((frozenset({1}), ZERO), (frozenset({0}), fin(1))))
+    assert spec.values == ((frozenset({0}), fin(1)), (frozenset({1}), ZERO))
+
+
 # -- blueprints and replay ----------------------------------------------------
 
 def test_blueprint_example_shape():
@@ -230,7 +243,8 @@ def test_blueprint_example_shape():
     q = sim_quotient(order)
     spec = finite_spec(order, {frozenset(c): ZERO for c in q.classes})
     bp = build_blueprint(spec, "t77", CFG)
-    assert bp.q_edges == ((0, 1, True),)
+    qedges = [step.args for step in bp.pipeline if step.op == "qedge"]
+    assert qedges == [{"low": "0", "high": "1", "principal": "true"}]
     struct = replay_blueprint(bp, CFG)
     po = replayed_prime_preorder(struct, bp.predicates)
     assert po.le(0, 1) and not po.le(1, 0)
@@ -416,9 +430,8 @@ def test_corollary_c93():
     assert flags[0] and flags[1] and flags[2]
     cont = realize_corollary("c93", (CONTINUUM,))
     assert cont.npl_residual == CONTINUUM
-    assert any(
-        "prime-less" in n for n in build_blueprint(cont, "t92", CFG).notes
-    )
+    notes = [step for step in build_blueprint(cont, "t92", CFG).pipeline if step.op == "note"]
+    assert any("prime-less" in step.args["text"] for step in notes)
 
 
 def _old_corollary(kind, lam):

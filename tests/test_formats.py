@@ -109,8 +109,7 @@ def test_distribution_round_trip():
         parsed = formats.parse_distribution(text)
         assert formats.serialize_distribution(parsed) == text
         assert parsed.order == spec.order
-        assert parsed.class_values == spec.class_values
-        assert parsed.seq_values == spec.seq_values
+        assert parsed.values == spec.values
         assert parsed.partition == spec.partition
 
 
@@ -250,6 +249,37 @@ def test_distribution_class_key_members_must_be_integers():
     with pytest.raises(formats.ParseError) as err:
         formats.parse_distribution(text, "c.ds")
     assert str(err.value) == "c.ds:4: expected '{i,j,...}' class key, got '{0,a}'"
+
+
+SPEC_HEAD = "elements: 2\n0 <= 1\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # a key of the other mode's kind
+        ("mode: countable-truncated\nf: 0<1 = 1\nf: {0} = 5\n",
+         "d.ds:5: expected 'i<j<k' sequence key, got '{0}'"),
+        ("mode: finite\nf: {0} = 1\nf: {1} = 0\nf: 0<1 = 7\n",
+         "d.ds:6: expected '{i,j,...}' class key, got '0<1'"),
+        # a key, an element or the mode given twice
+        ("mode: finite\nf: {0} = 1\nf: {1} = 0\nf: {0} = 2\n",
+         "d.ds:6: expected one 'f:' line per key, got 'f: {0} = 2'"),
+        ("mode: countable-truncated\nf: 0<1 = 1\nf: 0<1<... = 2\nf: 0<1 = 1\n",
+         "d.ds:6: expected one 'f:' line per key, got 'f: 0<1 = 1'"),
+        ("mode: finite\nf: {0} = 1\nf: {1} = 0\npartition: 0 P\npartition: 1 P\npartition: 0 NPL\n",
+         "d.ds:8: expected one 'partition:' line per element, got 'partition: 0 NPL'"),
+        ("mode: finite\nf: {0} = 1\nf: {1} = 0\nmode: countable-truncated\n",
+         "d.ds:6: expected one 'mode:' line, got 'mode: countable-truncated'"),
+    ],
+    ids=["class-key-in-sequence-mode", "chain-key-in-finite-mode", "repeated-class-key",
+         "repeated-chain-key", "repeated-partition-element", "second-mode"],
+)
+def test_distribution_lines_that_would_be_dropped_are_refused(body, message):
+    # each was dropped or overwritten without a message before
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_distribution(SPEC_HEAD + body, "d.ds")
+    assert str(err.value) == message
 
 
 def test_quotient_dot_output():
