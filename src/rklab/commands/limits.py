@@ -18,7 +18,9 @@ def run(args: argparse.Namespace) -> int:
     from ..cardinal import parse_card, render
     from ..limitcount import lmt, lms, render_word, stabilization
 
-    lam = parse_card(args.lam or str(args.n))
+    if (args.n is None) == (args.lam is None):
+        raise ValueError("limits takes exactly one of --n and --lam")
+    lam = parse_card(str(args.n) if args.lam is None else args.lam)
     system = lmt(lam) if args.system == "lmt" else lms(args.seq_len, lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
     known = info["count_next"] is not None

@@ -29,39 +29,9 @@ def _space_from_args(args: argparse.Namespace) -> TypeSpace:
     return TypeSpace(args.family, args.depth, args.m)
 
 
-def _parse_literals(ts: TypeSpace, text: str) -> FormulaLit:
-    from ..typespace import FormulaLit
-
-    lits = {}
-    for chunk in text.split(","):
-        tok = chunk.strip()
-        sign = not tok.startswith("!")
-        tok = tok.lstrip("!")
-        if ts.family == "iup" and tok.startswith("P"):
-            atom = ("P", int(tok[1:]))
-        elif ts.family == "sdup" and tok.startswith("S"):
-            path = tok[1:]
-            atom = ("S", "" if path == "e" else path)
-        elif ts.family == "colored" and tok.startswith("P"):
-            atom = ("P", int(tok[1:]))
-        elif ts.family == "colored" and tok.startswith("C"):
-            atom = ("C", int(tok[1:]))
-        else:
-            raise ValueError(f"bad literal {chunk!r} for family {ts.family}")
-        lits[atom] = sign
-    return FormulaLit.of(lits)
-
-
 def run(args: argparse.Namespace) -> int:
-    from ..typespace import (
-        classify_formula,
-        enumerate_types,
-        has_prime_model,
-        is_dense,
-        is_principal,
-        parse_cell,
-        render_cell,
-    )
+    from ..typespace import classify_formula, enumerate_types, has_prime_model, is_dense
+    from ..typespace import is_principal, parse_cell, parse_formula, render_cell
 
     ts = _space_from_args(args)
     mk = args.machine
@@ -74,7 +44,7 @@ def run(args: argparse.Namespace) -> int:
             name = render_cell(cell)
             out.append(f"cell.{name}={tag}" if mk else f"  {name}  [{tag}]")
     if args.classify:
-        phi = _parse_literals(ts, args.classify)
+        phi = parse_formula(ts, args.classify)
         verdict = classify_formula(ts, phi).value
         out.append(f"formula={verdict}" if mk else f"formula class: {verdict}")
     if args.prime:

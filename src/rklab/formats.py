@@ -156,27 +156,49 @@ def serialize_domination(g: DominationGraph) -> str:
 
 # -- type-space files ---------------------------------------------------------
 
-def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
+def _header(
+    lines: list[tuple[int, str]], path: str, keys: tuple[str, ...], expected: str
+) -> dict[str, tuple[int, str]]:
+    """The ``<key>: <value>`` lines of a header, each key among ``keys`` and
+    given once; maps each key to its line number and value."""
+    fields: dict[str, tuple[int, str]] = {}
+    for no, line in lines:
+        key, sep, value = line.partition(":")
+        key = key.strip()
+        if not sep:
+            raise ParseError(path, no, expected, line)
+        if key not in keys:
+            raise ParseError(path, no, "a key among " + ", ".join(keys), line)
+        if key in fields:
+            raise ParseError(path, no, f"one '{key}:' line", line)
+        fields[key] = (no, value.strip())
+    return fields
+
+
+def _typespace(fields: dict[str, tuple[int, str]], path: str, text: str) -> TypeSpace:
+    """The type space a header's ``family:``, ``depth:`` and ``m:`` fields
+    give; a refusal of the combination cites the ``family:`` line, since
+    the family decides which depths and part counts are valid."""
     from .typespace import TypeSpace
 
-    fields: dict[str, str] = {}
-    for no, line in _lines(text):
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(path, no, "'<key>: <value>'", line)
-        fields[key.strip()] = value.strip()
     if "family" not in fields or "depth" not in fields:
         raise ParseError(path, 1, "'family:' and 'depth:' entries", text[:40])
-    family = fields["family"]
+    numbers = {}
+    for key in ("depth", "m"):
+        if key in fields:
+            no, value = fields[key]
+            (numbers[key],) = _ints([value], path, no, f"integer {key}", value)
+    no, family = fields["family"]
     try:
-        depth = int(fields["depth"])
-        parts = int(fields["m"]) if "m" in fields else None
+        return TypeSpace(family, numbers["depth"], numbers.get("m"))
     except ValueError as exc:
-        raise ParseError(path, 1, "integer depth/m", str(exc)) from None
-    try:
-        return TypeSpace(family, depth, parts)
-    except ValueError as exc:
-        raise ParseError(path, 1, "a valid type space", str(exc)) from None
+        raise ParseError(path, no, "a valid type space", str(exc)) from None
+
+
+def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
+    """Grammar: ``family:``, ``m:`` (colored only) and ``depth:`` lines, each once."""
+    fields = _header(_lines(text), path, ("family", "m", "depth"), "'<key>: <value>'")
+    return _typespace(fields, path, text)
 
 
 def serialize_typespace(ts: TypeSpace) -> str:
@@ -191,31 +213,22 @@ def serialize_typespace(ts: TypeSpace) -> str:
 
 def parse_modelspec(text: str, path: str = "<modelspec>"):
     from .models import ModelSpec
-    from .typespace import parse_cell, render_cell
+    from .typespace import parse_cell
 
     lines = _lines(text)
-    header: dict[str, str] = {}
-    edits: list[tuple[str, int]] = []
-    body_start = None
-    for idx, (no, line) in enumerate(lines):
-        if line.startswith(("+", "-")):
-            body_start = idx
-            break
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(path, no, "header '<key>: <value>' or an edit line", line)
-        header[key.strip()] = value.strip()
+    body = next((i for i, (_, line) in enumerate(lines) if line.startswith(("+", "-"))), len(lines))
+    header = _header(
+        lines[:body], path, ("family", "m", "depth", "base"),
+        "header '<key>: <value>' or an edit line",
+    )
     if "base" not in header:
         raise ParseError(path, 1, "'base: all|none'", text[:40])
-    ts = parse_typespace(
-        "\n".join(f"{k}: {v}" for k, v in header.items() if k in ("family", "depth", "m")),
-        path,
-    )
-    if header["base"] not in ("all", "none"):
-        raise ParseError(path, 1, "'base: all|none'", header["base"])
-    base_all = header["base"] == "all"
+    ts = _typespace(header, path, text)
+    base_no, base = header["base"]
+    if base not in ("all", "none"):
+        raise ParseError(path, base_no, "'base: all|none'", base)
     deltas: dict = {}
-    for no, line in lines[body_start:] if body_start is not None else []:
+    for no, line in lines[body:]:
         words = line.split()
         if words[0] not in ("+", "-") or len(words) not in (2, 3):
             raise ParseError(path, no, "'+ <cell> [count]' or '- <cell> [count]'", line)
@@ -226,11 +239,8 @@ def parse_modelspec(text: str, path: str = "<modelspec>"):
             raise ParseError(path, no, "a valid cell address", str(exc)) from None
         sign = 1 if words[0] == "+" else -1
         deltas[cell] = deltas.get(cell, 0) + sign * count
-    edits_t = tuple(
-        sorted(((c, d) for c, d in deltas.items() if d != 0), key=lambda cd: render_cell(cd[0]))
-    )
     try:
-        return ModelSpec(ts, base_all, edits_t)
+        return ModelSpec(ts, base == "all", tuple(deltas.items()))
     except ValueError as exc:
         raise ParseError(path, 1, "a consistent model spec", str(exc)) from None
 

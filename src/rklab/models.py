@@ -74,6 +74,9 @@ class ModelSpec:
                 raise ValueError(f"edit magnitude exceeds cap {COUNT_CAP}")
             if not self.base_all and delta < 0:
                 raise ValueError("negative count on an explicit spec")
+        # one form per spec: the nonzero edits, sorted by rendered cell
+        edits = sorted(((c, d) for c, d in self.edits if d != 0), key=lambda cd: render_cell(cd[0]))
+        object.__setattr__(self, "edits", tuple(edits))
         if self.space.family == "iup" and not is_dense(
             self.space, self.support(), self.space.depth
         ):
@@ -86,9 +89,7 @@ class ModelSpec:
         return 0
 
     def count(self, cell: Cell) -> CellCount:
-        if self.base_all:
-            return CellCount(True, self.delta(cell))
-        return CellCount(False, self.delta(cell))
+        return CellCount(self.base_all, self.delta(cell))
 
     def counts(self) -> dict[Cell, CellCount]:
         return {cell: self.count(cell) for cell in enumerate_types(self.space)}
@@ -103,13 +104,7 @@ class ModelSpec:
     def with_delta(self, cell: Cell, change: int) -> "ModelSpec":
         edits = dict(self.edits)
         edits[cell] = edits.get(cell, 0) + change
-        cleaned = tuple(
-            sorted(
-                ((c, d) for c, d in edits.items() if d != 0),
-                key=lambda cd: render_cell(cd[0]),
-            )
-        )
-        return ModelSpec(self.space, self.base_all, cleaned)
+        return ModelSpec(self.space, self.base_all, tuple(edits.items()))
 
 
 def full_base(ts: TypeSpace) -> ModelSpec:
@@ -117,13 +112,7 @@ def full_base(ts: TypeSpace) -> ModelSpec:
 
 
 def explicit(ts: TypeSpace, counts: Mapping[Cell, int]) -> ModelSpec:
-    edits = tuple(
-        sorted(
-            ((c, k) for c, k in counts.items() if k != 0),
-            key=lambda cd: render_cell(cd[0]),
-        )
-    )
-    return ModelSpec(ts, base_all=False, edits=edits)
+    return ModelSpec(ts, base_all=False, edits=tuple(counts.items()))
 
 
 def cm_dominates(m1: ModelSpec, m2: ModelSpec) -> bool:

@@ -92,17 +92,13 @@ class FormulaLit:
 
     @staticmethod
     def of(signed_atoms: dict[Atom, bool] | Iterable[tuple[Atom, bool]]) -> "FormulaLit":
-        if isinstance(signed_atoms, dict):
-            items = signed_atoms.items()
-        else:
-            items = list(signed_atoms)
-            keys = [a for a, _ in items]
-            if len(set(keys)) != len(keys):
-                raise ValueError("an atom appears with both signs")
-        return FormulaLit(tuple(sorted(items, key=lambda kv: repr(kv[0]))))
-
-    def as_dict(self) -> dict[Atom, bool]:
-        return dict(self.literals)
+        """The conjunction of the signed atoms; an atom given with both signs is refused."""
+        items = signed_atoms.items() if isinstance(signed_atoms, dict) else signed_atoms
+        signs: dict[Atom, bool] = {}
+        for atom, sign in items:
+            if signs.setdefault(atom, sign) != sign:
+                raise ValueError(f"atom {atom!r} appears with both signs")
+        return FormulaLit(tuple(sorted(signs.items(), key=lambda kv: repr(kv[0]))))
 
 
 class FormulaClass(enum.Enum):
@@ -133,12 +129,8 @@ def enumerate_types(ts: TypeSpace) -> tuple[Cell, ...]:
         )
         return tuple(cells)
     assert ts.parts is not None
-    cells = []
-    for part in range(ts.parts):
-        for color in range(ts.depth + 1):
-            cells.append(ColorCell(part, color))
-        cells.append(ColorCell(part, None))
-    return tuple(cells)
+    colors = [*range(ts.depth + 1), None]
+    return tuple(ColorCell(part, color) for part in range(ts.parts) for color in colors)
 
 
 def is_principal(ts: TypeSpace, cell: Cell) -> bool:
@@ -216,45 +208,53 @@ def atoms(ts: TypeSpace) -> list[Atom]:
     return out
 
 
-def satisfies(ts: TypeSpace, cell: Cell, phi: FormulaLit) -> bool:
-    lits = phi.as_dict()
+def cell_atoms(ts: TypeSpace, cell: Cell) -> frozenset[Atom]:
+    """The atoms true in a cell, the one family rule that satisfaction and
+    coverage read: P_k for each set bit of an iup cell, S_q for every
+    prefix q of an sdup path (the root included), and a colored cell's
+    part P and, unless it is infinite, its color C."""
     if ts.family == "iup":
-        assert isinstance(cell, IupCell)
-        for (tag, k), sign in lits.items():
-            if tag != "P" or not isinstance(k, int) or not (0 <= k < ts.depth):
-                raise ValueError(f"atom {(tag, k)!r} invalid for iup depth {ts.depth}")
-            if (cell.bits[k] == 1) != sign:
-                return False
-        return True
+        return frozenset(("P", k) for k, bit in enumerate(cell.bits) if bit)
     if ts.family == "sdup":
-        assert isinstance(cell, SdupCell)
-        prefixes = {cell.path[:i] for i in range(len(cell.path) + 1)}
-        for (tag, p), sign in lits.items():
-            if tag != "S" or not isinstance(p, str) or len(p) > ts.depth:
-                raise ValueError(f"atom {(tag, p)!r} invalid for sdup depth {ts.depth}")
-            if (p in prefixes) != sign:
-                return False
-        return True
-    assert isinstance(cell, ColorCell)
-    for (tag, k), sign in lits.items():
-        if tag == "P":
-            assert ts.parts is not None
-            if not isinstance(k, int) or not (0 <= k < ts.parts):
-                raise ValueError(f"part atom {(tag, k)!r} out of range")
-            if (cell.part == k) != sign:
-                return False
-        elif tag == "C":
-            if not isinstance(k, int) or not (0 <= k <= ts.depth):
-                raise ValueError(f"color atom {(tag, k)!r} out of range")
-            if (cell.color == k) != sign:
-                return False
-        else:
-            raise ValueError(f"unknown atom tag {tag!r}")
-    return True
+        return frozenset(("S", cell.path[:i]) for i in range(len(cell.path) + 1))
+    finite = () if cell.color is None else (("C", cell.color),)
+    return frozenset((("P", cell.part), *finite))
+
+
+def _check_atoms(ts: TypeSpace, phi: FormulaLit) -> None:
+    known = set(atoms(ts))
+    for atom, _ in phi.literals:
+        if atom not in known:
+            raise ValueError(f"atom {atom!r} invalid for {ts.family} depth {ts.depth}")
+
+
+def _holds(true: frozenset[Atom], phi: FormulaLit) -> bool:
+    return all((atom in true) == sign for atom, sign in phi.literals)
+
+
+def satisfies(ts: TypeSpace, cell: Cell, phi: FormulaLit) -> bool:
+    _check_atoms(ts, phi)
+    return _holds(cell_atoms(ts, cell), phi)
 
 
 def consistent(ts: TypeSpace, phi: FormulaLit) -> bool:
-    return any(satisfies(ts, cell, phi) for cell in enumerate_types(ts))
+    _check_atoms(ts, phi)
+    return any(_holds(cell_atoms(ts, cell), phi) for cell in enumerate_types(ts))
+
+
+def parse_formula(ts: TypeSpace, text: str) -> FormulaLit:
+    """A comma-separated conjunction of literals, each an optional ``!``
+    then an atom's name: its tag and its index or path (``P3``, ``C0``,
+    ``S01``, and ``Se`` for the empty path)."""
+    names = {f"{tag}{'e' if arg == '' else arg}": (tag, arg) for tag, arg in atoms(ts)}
+    literals = []
+    for chunk in text.split(","):
+        tok = chunk.strip()
+        atom = names.get(tok.removeprefix("!"))
+        if atom is None:
+            raise ValueError(f"bad literal {chunk!r} for family {ts.family}")
+        literals.append((atom, not tok.startswith("!")))
+    return FormulaLit.of(literals)
 
 
 def enumerate_formulas(
@@ -267,12 +267,12 @@ def enumerate_formulas(
         raise BudgetError(
             f"formula enumeration needs {total} candidates, budget is {budget}"
         )
-    cells = enumerate_types(ts)
+    tables = [cell_atoms(ts, cell) for cell in enumerate_types(ts)]
     for assignment in itertools.product((None, True, False), repeat=len(alphabet)):
         phi = FormulaLit.of(
             {a: s for a, s in zip(alphabet, assignment) if s is not None}
         )
-        if any(satisfies(ts, cell, phi) for cell in cells):
+        if any(_holds(true, phi) for true in tables):
             yield phi
 
 
@@ -281,15 +281,12 @@ def classify_formula(ts: TypeSpace, phi: FormulaLit) -> FormulaClass:
 
     iup has no isolated types at all; in sdup every consistent literal
     conjunction is realized by a stopped element (``cont:p`` and
-    ``stop:p`` satisfy the same atoms); in colored no finite conjunction
-    can exclude all the finite colors.
+    ``stop:p`` satisfy the same atoms); in colored a conjunction names
+    finitely many colors, so a deeper finite color satisfies it even when
+    only the infinite color does at this depth.
     """
     if not consistent(ts, phi):
         raise ValueError("formula is inconsistent in this space")
-    # colored: a literal conjunction mentions finitely many colors and the
-    # family always has deeper finite colors, so a consistent formula is
-    # compatible with some finite-color (isolated) type even when only the
-    # infinite-color cell witnesses it at this truncation depth
     return FormulaClass.NI if ts.family == "iup" else FormulaClass.I
 
 
@@ -306,23 +303,17 @@ def has_prime_model(ts: TypeSpace) -> bool:
 # -- density ------------------------------------------------------------------
 
 def coverage_groups(ts: TypeSpace) -> list[frozenset[Cell]]:
-    """Groups of cells such that hitting every group equals hitting every
-    consistent formula's class at this depth.
+    """The cells grouped by the atoms they make true, in enumeration order.
 
-    For iup and colored every cell is pinned by its own complete
-    description.  For sdup a frontier node's stopped and continuing
-    cells satisfy exactly the same depth-bounded atoms, so either one
-    covers that node's formulas.
+    A group's complete description holds in its cells alone, and a
+    formula that holds in one of them holds in all, so hitting every
+    group equals hitting every consistent formula at this depth.  In sdup
+    a frontier node's stopped and continuing cells share a group.
     """
-    if ts.family != "sdup":
-        return [frozenset((cell,)) for cell in enumerate_types(ts)]
-    groups: list[frozenset[Cell]] = []
-    for p in _tree_nodes(ts.depth - 1):
-        groups.append(frozenset((SdupCell("stop", p),)))
-    for bits in itertools.product("01", repeat=ts.depth):
-        p = "".join(bits)
-        groups.append(frozenset((SdupCell("stop", p), SdupCell("cont", p))))
-    return groups
+    groups: dict[frozenset[Atom], list[Cell]] = {}
+    for cell in enumerate_types(ts):
+        groups.setdefault(cell_atoms(ts, cell), []).append(cell)
+    return [frozenset(cells) for cells in groups.values()]
 
 
 def covers_all_formulas(ts: TypeSpace, cells: Iterable[Cell]) -> bool:

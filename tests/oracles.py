@@ -297,20 +297,36 @@ def _principal_cells_below(ts):
     return deeper, [cell for cell in enumerate_types(deeper) if is_principal(deeper, cell)]
 
 
+def brute_satisfies(ts, cell, phi) -> bool:
+    """The family rule literal by literal, apart from the library's atom
+    table: an iup cell has P_k when bit k is set, an sdup cell has S_q when
+    q is a prefix of its path, a colored cell has its own part and color."""
+    for (tag, k), sign in phi.literals:
+        if ts.family == "iup":
+            true = cell.bits[k] == 1
+        elif ts.family == "sdup":
+            true = cell.path.startswith(k)
+        else:
+            true = (cell.part if tag == "P" else cell.color) == k
+        if true != sign:
+            return False
+    return True
+
+
 def brute_classify(ts, phi):
     """I when some isolated type of the family contains phi, by scanning
     the principal cells one level deeper than the space: a colored
     formula that only the infinite color satisfies at depth d holds in
     the finite color d + 1."""
-    from rklab.typespace import FormulaClass, satisfies
+    from rklab.typespace import FormulaClass
 
     deeper, cells = _principal_cells_below(ts)
-    isolated = any(satisfies(deeper, cell, phi) for cell in cells)
+    isolated = any(brute_satisfies(deeper, cell, phi) for cell in cells)
     return FormulaClass.I if isolated else FormulaClass.NI
 
 
-def brute_dense(space, cells, formulas, satisfies) -> bool:
+def brute_dense(space, cells, formulas) -> bool:
     """Density by direct quantification over every consistent formula."""
     return all(
-        any(satisfies(space, cell, phi) for cell in cells) for phi in formulas
+        any(brute_satisfies(space, cell, phi) for cell in cells) for phi in formulas
     )

@@ -94,6 +94,37 @@ def test_types_command(capsys):
     assert "formula=ni-formula" in out
 
 
+@pytest.mark.parametrize(
+    "family, depth, literals, message",
+    [
+        ("iup", "3", "P0,!P0", "atom ('P', 0) appears with both signs"),
+        ("sdup", "2", "!S2", "bad literal '!S2' for family sdup"),
+        ("sdup", "2", "S", "bad literal 'S' for family sdup"),
+        ("iup", "3", "P01", "bad literal 'P01' for family iup"),
+        ("iup", "3", "!!P0", "bad literal '!!P0' for family iup"),
+        ("iup", "3", "P3", "bad literal 'P3' for family iup"),
+    ],
+    ids=["both-signs", "not-an-atom", "bare-S", "leading-zero", "double-bang", "out-of-range"],
+)
+def test_types_classify_refuses_literals_outside_the_grammar(capsys, family, depth, literals, message):
+    result = run_cli("types", "--family", family, "--depth", depth, "--classify", literals, capsys=capsys)
+    assert result == (2, "", f"error: {message}\n")
+
+
+def test_types_refuses_a_repeated_type_space_key(tmp_path, capsys):
+    ts = tmp_path / "twice.ts"
+    ts.write_text("family: iup\ndepth: 3\ndepth: 4\n")
+    result = run_cli("types", "--in", str(ts), "--prime", capsys=capsys)
+    assert result == (2, "", f"error: {ts}:3: expected one 'depth:' line, got 'depth: 4'\n")
+
+
+@pytest.mark.parametrize("options", [(), ("--n", "1", "--lam", "w")], ids=["neither", "both"])
+def test_limits_takes_exactly_one_of_n_and_lam(capsys, options):
+    argv = ("limits", "--system", "lmt", "--alphabet", "3", "--len", "4") + options
+    result = run_cli(*argv, capsys=capsys)
+    assert result == (2, "", "error: limits takes exactly one of --n and --lam\n")
+
+
 def test_dominate_command(tmp_path, capsys):
     dg = tmp_path / "g.dg"
     dg.write_text(

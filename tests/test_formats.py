@@ -229,6 +229,29 @@ def test_parse_errors_name_position_and_expectation():
         formats.parse_pipeline("warp sub=P0\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, line_no, expected",
+    [
+        (formats.parse_typespace, "family: iup\ndepth: 3\ndepth: 4\n", 3, "one 'depth:' line"),
+        (formats.parse_typespace, "family: iup\nfoo: 1\ndepth: 3\n", 2, "a key among family, m, depth"),
+        (formats.parse_typespace, "# space\nfamily: iup\n\ndepth: x\n", 4, "integer depth"),
+        (formats.parse_typespace, "depth: 2\nm: two\nfamily: colored\n", 2, "integer m"),
+        (formats.parse_typespace, "# space\nfamily: iup\ndepth: 17\n", 2, "a valid type space"),
+        (formats.parse_modelspec, "family: iup\ndepth: 2\nbase: all\nbase: none\n", 4, "one 'base:' line"),
+        (formats.parse_modelspec, "family: iup\nfamily: sdup\ndepth: 2\nbase: all\n", 2, "one 'family:' line"),
+        (formats.parse_modelspec, "family: iup\ndepth: 2\nbase: all\nedits: 0\n", 4,
+         "a key among family, m, depth, base"),
+        (formats.parse_modelspec, "family: iup\ndepth: 2\n\nbase: some\n", 4, "'base: all|none'"),
+    ],
+    ids=["ts-repeat", "ts-unknown", "ts-depth", "ts-m", "ts-space", "ms-base-repeat",
+         "ms-family-repeat", "ms-unknown", "ms-base-value"],
+)
+def test_header_keys_appear_once_and_errors_cite_their_line(parse, text, line_no, expected):
+    with pytest.raises(formats.ParseError) as err:
+        parse(text, "h.txt")
+    assert (err.value.line_no, err.value.expected) == (line_no, expected)
+
+
 def test_distribution_preorder_errors_cite_file_lines():
     # the preorder block is read from the file's own numbered lines
     text = "elements: 2\n# a comment\n\n0 <= 1\nmode: finite\n1 <= x\nf: {0} = 1\n"

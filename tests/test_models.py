@@ -196,3 +196,13 @@ def test_sequence_respects_graph():
     assert not sequence_respects_graph(RkSequence((hi, lo), ("Q",)), g, [])
     missing = RkSequence((lo, CELLS3[2]), ("Q",))
     assert not sequence_respects_graph(missing, g, [])
+
+
+def test_spec_edits_have_one_form():
+    # ModelSpec drops zero edits and sorts the rest by rendered cell itself
+    cells = enumerate_types(TypeSpace("sdup", 2))
+    edits = ((cells[5], 2), (cells[0], 0), (cells[2], 1))
+    spec = ModelSpec(TypeSpace("sdup", 2), False, edits)
+    assert spec.edits == ((cells[2], 1), (cells[5], 2))
+    assert spec == explicit(TypeSpace("sdup", 2), dict(edits))
+    assert full_base(IUP3).with_delta(CELLS3[1], 1).with_delta(CELLS3[1], -1) == full_base(IUP3)

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from oracles import brute_classify, brute_dense
+from oracles import brute_classify, brute_dense, brute_satisfies
 from rklab.models import explicit, full_base
 from rklab.typespace import (
     ColorCell,
@@ -9,6 +11,7 @@ from rklab.typespace import (
     IupCell,
     SdupCell,
     TypeSpace,
+    atoms,
     classify_formula,
     consistent,
     coverage_groups,
@@ -19,6 +22,7 @@ from rklab.typespace import (
     is_principal,
     npl_zero_check,
     parse_cell,
+    parse_formula,
     render_cell,
     satisfies,
     valid_cell,
@@ -93,7 +97,7 @@ def test_consistency_rules():
     assert not consistent(sdup, FormulaLit.of({("S", "00"): True, ("S", "0"): False}))
     assert not consistent(sdup, FormulaLit.of({("S", "00"): True, ("S", "01"): True}))
     assert consistent(sdup, FormulaLit.of({("S", "0"): True, ("S", "01"): False}))
-    colored = TypeSpace("colored", 2, 1)
+    colored = TypeSpace("colored", 2, 2)
     assert not consistent(colored, FormulaLit.of({("P", 0): False, ("P", 1): False}))
     assert not consistent(colored, FormulaLit.of({("C", 0): True, ("C", 1): True}))
     assert consistent(colored, FormulaLit.of({("C", 0): False, ("C", 1): False}))
@@ -159,9 +163,81 @@ def test_density_matches_formula_enumeration_oracle():
             cells[::2],
         ]
         for sample in samples:
-            assert is_dense(ts, sample, ts.depth) == brute_dense(
-                ts, sample, formulas, satisfies
-            )
+            assert is_dense(ts, sample, ts.depth) == brute_dense(ts, sample, formulas)
+
+
+def test_atom_table_matches_the_family_rule_oracle():
+    # satisfaction, consistency, coverage groups and formula enumeration
+    # all read cell_atoms; the oracle reads each family's rule directly
+    spaces = (
+        [TypeSpace("iup", d) for d in range(1, 7)]
+        + [TypeSpace("sdup", d) for d in (1, 2)]
+        + [TypeSpace("colored", d, m) for m in (1, 2) for d in (1, 2, 3)]
+    )
+    for ts in spaces:
+        alphabet = atoms(ts)
+        cells = enumerate_types(ts)
+        for cell, atom, sign in itertools.product(cells, alphabet, (True, False)):
+            phi = FormulaLit.of({atom: sign})
+            assert satisfies(ts, cell, phi) == brute_satisfies(ts, cell, phi), (ts, cell, phi)
+        expected = []
+        for assignment in itertools.product((None, True, False), repeat=len(alphabet)):
+            phi = FormulaLit.of({a: s for a, s in zip(alphabet, assignment) if s is not None})
+            truth = any(brute_satisfies(ts, cell, phi) for cell in cells)
+            assert consistent(ts, phi) == truth, (ts, phi)
+            if truth:
+                expected.append(phi)
+        assert list(enumerate_formulas(ts)) == expected, ts
+        groups: dict = {}
+        for cell in cells:
+            signature = tuple(brute_satisfies(ts, cell, FormulaLit.of({a: True})) for a in alphabet)
+            groups.setdefault(signature, []).append(cell)
+        assert coverage_groups(ts) == [frozenset(g) for g in groups.values()], ts
+
+
+def test_atoms_outside_the_space_are_refused():
+    # out-of-range atoms raise before any cell is read, whichever literal
+    # would have settled the answer first
+    cases = [
+        (TypeSpace("sdup", 2), {("S", "2"): True}),
+        (TypeSpace("sdup", 2), {("S", "000"): False}),
+        (TypeSpace("iup", 3), {("P", 3): True}),
+        (TypeSpace("iup", 3), {("S", ""): True}),
+        (TypeSpace("colored", 2, 1), {("P", 0): False, ("P", 1): False}),
+        (TypeSpace("colored", 2, 2), {("C", 3): True}),
+        (TypeSpace("colored", 2, 2), {("X", 0): True}),
+    ]
+    def satisfies_first_cell(ts, phi):
+        return satisfies(ts, enumerate_types(ts)[0], phi)
+
+    for ts, lits in cases:
+        for check in (consistent, classify_formula, satisfies_first_cell):
+            with pytest.raises(ValueError, match="invalid for"):
+                check(ts, FormulaLit.of(lits))
+
+
+def test_parse_formula_reads_atom_names():
+    sdup = TypeSpace("sdup", 2)
+    assert parse_formula(sdup, "Se, !S0,!S01") == FormulaLit.of(
+        {("S", ""): True, ("S", "0"): False, ("S", "01"): False}
+    )
+    colored = TypeSpace("colored", 2, 3)
+    assert parse_formula(colored, "P2,!C0,C2") == FormulaLit.of(
+        {("P", 2): True, ("C", 0): False, ("C", 2): True}
+    )
+    assert parse_formula(TypeSpace("iup", 3), "P0,P0") == FormulaLit.of({("P", 0): True})
+    # the command-line tests cover both signs, non-atoms and non-canonical names
+    for ts, text in [
+        (TypeSpace("iup", 3), "p0"),
+        (TypeSpace("iup", 3), ""),
+        (sdup, "S0,!S0"),
+        (colored, "C4"),
+        (colored, "Cinf"),
+    ]:
+        with pytest.raises(ValueError):
+            parse_formula(ts, text)
+    # a repeated literal is one literal, as in dict input
+    assert FormulaLit.of([(("P", 1), True), (("P", 1), True)]) == FormulaLit.of({("P", 1): True})
 
 
 def test_coverage_groups_shape():
