@@ -10,7 +10,6 @@ def arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", default=None, help="cardinal token, e.g. w")
     p.add_argument("--alphabet", type=int, required=True)
     p.add_argument("--len", dest="length", type=int, required=True)
-    p.add_argument("--seq-len", type=int, default=3)
     p.add_argument("--reading", choices=("gt", "geq"), default="gt")
 
 
@@ -21,7 +20,7 @@ def run(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.lam is None):
         raise ValueError("limits takes exactly one of --n and --lam")
     lam = parse_card(str(args.n) if args.lam is None else args.lam)
-    system = lmt(lam) if args.system == "lmt" else lms(args.seq_len, lam, args.reading)
+    system = lmt(lam) if args.system == "lmt" else lms(1, lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
     known = info["count_next"] is not None
     mk = args.machine

@@ -3,7 +3,9 @@
 Edges are syntactic certificates: an edge q -> p with a formula label
 says p is dominated by q, and the edge may carry a principal-witness
 flag.  Nothing here inspects type contents; the graph is the record of
-certificates the caller (or the operator pipeline) supplies.
+certificates the caller supplies.  The operator registry is built from
+these node and edge records, so this module imports ``preorder`` only
+in the functions that close a graph.
 
 Strong equivalence is computed on the principal-witness subrelation,
 closed transitively: principal certificates compose, so mutual
@@ -15,15 +17,25 @@ over.
 """
 from __future__ import annotations
 
-from .preorder import Preorder, QuotientPoset, close, from_pairs, induced, sim_quotient
 from .record import record
 
 
 @record
 class TypeNode:
+    """A type.  The operator registry marks the continuation stubs an icp
+    step registers with ``stub_of`` and ``stub_bits``, and a css step sets
+    ``realized`` on those it realizes."""
+
     name: str
     principal: bool = False
     prime: bool = False
+    stub_of: str | None = None
+    stub_bits: str = ""
+    realized: bool = False
+
+    def __post_init__(self) -> None:
+        if self.principal and not self.prime:
+            raise ValueError(f"principal node {self.name} must have a prime model")
 
 
 @record
@@ -49,11 +61,6 @@ class DominationGraph:
         for e in self.edges:
             if e.src not in known or e.dst not in known:
                 raise ValueError(f"edge {e.src} -> {e.dst} references unknown node")
-        for n in self.nodes:
-            if n.principal and not n.prime:
-                raise ValueError(
-                    f"principal node {n.name} must have a prime model"
-                )
 
     def names(self) -> list[str]:
         return [n.name for n in self.nodes]
@@ -62,19 +69,16 @@ class DominationGraph:
         return {n.name: i for i, n in enumerate(self.nodes)}
 
 
-def rk_preorder(g: DominationGraph) -> Preorder:
-    """Closure of the certificates, in <= orientation over g.nodes order.
+def rk_preorder(g: DominationGraph, principal: bool = False) -> Preorder:
+    """Closure of the certificates, in <= orientation over g.nodes order;
+    with ``principal`` set, of the principal certificates only.
 
     ``le(p, q)`` holds when p is dominated by q.
     """
-    idx = g.index()
-    pairs = [(idx[e.dst], idx[e.src]) for e in g.edges]
-    return close(from_pairs(len(g.nodes), pairs))
+    from .preorder import close, from_pairs
 
-
-def _principal_closure(g: DominationGraph) -> Preorder:
     idx = g.index()
-    pairs = [(idx[e.dst], idx[e.src]) for e in g.edges if e.principal]
+    pairs = [(idx[e.dst], idx[e.src]) for e in g.edges if e.principal or not principal]
     return close(from_pairs(len(g.nodes), pairs))
 
 
@@ -90,21 +94,28 @@ def strong_equiv(g: DominationGraph, p: str, q: str) -> bool:
         raise KeyError(f"unknown node in ({p!r}, {q!r})")
     if p == q:
         return True
-    pc = _principal_closure(g)
-    return pc.sim(idx[p], idx[q])
+    return rk_preorder(g, principal=True).sim(idx[p], idx[q])
+
+
+def prime_node_order(g: DominationGraph) -> list[str]:
+    return [n.name for n in g.nodes if n.prime]
+
+
+def _prime_quotient(g: DominationGraph, order: Preorder) -> QuotientPoset:
+    """The quotient of ``order`` restricted to the prime-model nodes, with
+    classes indexed against prime_node_order(g)."""
+    from .preorder import induced, sim_quotient
+
+    idx = g.index()
+    return sim_quotient(induced(order, [idx[name] for name in prime_node_order(g)]))
 
 
 def iso_classes(g: DominationGraph) -> list[frozenset[str]]:
     """Isomorphism classes of prime-model nodes under strong equivalence,
     in the order of their first members."""
     prime = prime_node_order(g)
-    idx = g.index()
-    q = sim_quotient(induced(_principal_closure(g), [idx[name] for name in prime]))
+    q = _prime_quotient(g, rk_preorder(g, principal=True))
     return [frozenset(prime[a] for a in members) for members in q.classes]
-
-
-def prime_node_order(g: DominationGraph) -> list[str]:
-    return [n.name for n in g.nodes if n.prime]
 
 
 def rk_structure(g: DominationGraph) -> QuotientPoset:
@@ -114,9 +125,7 @@ def rk_structure(g: DominationGraph) -> QuotientPoset:
     nodes land in one class (strong equivalence refines mutual
     domination), and the induced order is a partial order.
     """
-    idx = g.index()
-    order = rk_preorder(g)
-    return sim_quotient(induced(order, [idx[name] for name in prime_node_order(g)]))
+    return _prime_quotient(g, rk_preorder(g))
 
 
 def rk_size(g: DominationGraph) -> int:

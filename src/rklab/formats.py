@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .cardinal import Card, parse_card, render  # other layers: imported where used
+from .cardinal import parse_card, render  # other layers: imported where used
 from .report import BudgetError
 
 # the most elements a preorder or distribution-spec file may declare; a
@@ -102,55 +102,82 @@ def quotient_dot(q: QuotientPoset, labels: list[str] | None = None) -> str:
 
 # -- domination graph files ---------------------------------------------------
 
-def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
-    """Grammar: ``type <id> [principal] [prime]`` node lines and
-    ``<q> dominates <p> via <label> [principal]`` edge lines."""
-    from .domination import DomEdge, DominationGraph, TypeNode
+_NODE_WORDS = "<id> [principal] [prime] [stub-of <id> bits <bits|->] [realized]"
+_EDGE_WORDS = "<q> dominates <p> via <label> [principal]"
 
-    nodes: list[TypeNode] = []
-    edges: list[DomEdge] = []
+
+def _node_words(n: TypeNode) -> str:
+    """A node line's words after its keyword, in ``_NODE_WORDS`` order."""
+    words = [n.name] + [flag for flag in ("principal", "prime") if getattr(n, flag)]
+    if n.stub_of is not None:
+        words += ["stub-of", n.stub_of, "bits", n.stub_bits or "-"]
+    return " ".join(words + ["realized"] * n.realized)
+
+
+def _edge_words(e: DomEdge) -> str:
+    return f"{e.src} dominates {e.dst} via {e.label}" + (" principal" if e.principal else "")
+
+
+def _read_node(nodes: dict, keyword: str, words: list[str], path: str, no: int, line: str) -> None:
+    """Add to ``nodes`` the node a line declares in its words after ``keyword``."""
+    from .domination import TypeNode
+
+    rest = words[1:]
+    flags = []
+    for flag in ("principal", "prime"):
+        flags.append(rest[:1] == [flag])
+        rest = rest[flags[-1]:]
+    stub_of, bits = None, ""
+    if rest[:1] == ["stub-of"] and rest[2:3] == ["bits"] and len(rest) >= 4:
+        stub_of, bits, rest = rest[1], rest[3], rest[4:]
+    if not words or rest not in ([], ["realized"]) or not (bits == "-" or set(bits) <= {"0", "1"}):
+        raise ParseError(path, no, f"'{keyword} {_NODE_WORDS}'", line)
+    if words[0] in nodes:
+        raise ParseError(path, no, "one line per node", line)
+    try:
+        nodes[words[0]] = TypeNode(words[0], *flags, stub_of, bits.strip("-"), bool(rest))
+    except ValueError as exc:
+        raise ParseError(path, no, "a well-formed node", str(exc)) from None
+
+
+def _read_edge(prefix: str, words: list[str], path: str, no: int, line: str) -> DomEdge:
+    """The edge a line certifies in its words after ``prefix``."""
+    from .domination import DomEdge
+
+    if len(words) not in (5, 6) or words[1:4:2] != ["dominates", "via"] or words[5:] not in ([], ["principal"]):
+        raise ParseError(path, no, f"'{prefix}{_EDGE_WORDS}'", line)
+    return DomEdge(words[0], words[2], words[4], len(words) == 6)
+
+
+def _declared(nodes: dict, edges: list[tuple[int, str, DomEdge]], path: str) -> tuple[DomEdge, ...]:
+    """The edges of ``(line number, line, edge)`` entries, if ``nodes`` holds their ends."""
+    for no, line, e in edges:
+        if e.src not in nodes or e.dst not in nodes:
+            raise ParseError(path, no, "an edge between declared nodes", line)
+    return tuple(e for _, _, e in edges)
+
+
+def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
+    """Grammar: ``type <_NODE_WORDS>`` node lines and ``<_EDGE_WORDS>`` edge
+    lines; each node is declared once, before or after its edges."""
+    from .domination import DominationGraph
+
+    nodes: dict[str, TypeNode] = {}
+    edges: list[tuple[int, str, DomEdge]] = []
     for no, line in _lines(text):
         words = line.split()
         if words[0] == "type":
-            if len(words) < 2:
-                raise ParseError(path, no, "'type <id> [principal] [prime]'", line)
-            flags = set(words[2:])
-            if not flags <= {"principal", "prime"}:
-                raise ParseError(path, no, "flags among {principal, prime}", line)
-            nodes.append(
-                TypeNode(words[1], principal="principal" in flags, prime="prime" in flags)
-            )
-        elif len(words) >= 5 and words[1] == "dominates" and words[3] == "via":
-            principal = False
-            if len(words) == 6 and words[5] == "principal":
-                principal = True
-            elif len(words) != 5:
-                raise ParseError(
-                    path, no, "'<q> dominates <p> via <label> [principal]'", line
-                )
-            edges.append(DomEdge(words[0], words[2], words[4], principal))
+            _read_node(nodes, "type", words[1:], path, no, line)
+        elif words[1:2] == ["dominates"]:
+            edges.append((no, line, _read_edge("", words, path, no, line)))
         else:
             raise ParseError(path, no, "a 'type' or 'dominates' line", line)
-    try:
-        return DominationGraph(tuple(nodes), tuple(edges))
-    except ValueError as exc:
-        raise ParseError(path, len(_lines(text)), "a well-formed graph", str(exc)) from None
+    return DominationGraph(tuple(nodes.values()), _declared(nodes, edges, path))
 
 
 def serialize_domination(g: DominationGraph) -> str:
-    lines = []
-    for n in g.nodes:
-        line = f"type {n.name}"
-        if n.principal:
-            line += " principal"
-        if n.prime:
-            line += " prime"
-        lines.append(line)
-    for e in g.edges:
-        line = f"{e.src} dominates {e.dst} via {e.label}"
-        if e.principal:
-            line += " principal"
-        lines.append(line)
+    lines = [f"type {_node_words(n)}" for n in g.nodes]
+    lines.extend(_edge_words(e) for e in g.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -212,7 +239,7 @@ def serialize_typespace(ts: TypeSpace) -> str:
 # -- model spec files ---------------------------------------------------------
 
 def parse_modelspec(text: str, path: str = "<modelspec>"):
-    from .models import ModelSpec
+    from .models import ModelSpec, check_edit
     from .typespace import parse_cell
 
     lines = _lines(text)
@@ -228,6 +255,7 @@ def parse_modelspec(text: str, path: str = "<modelspec>"):
     if base not in ("all", "none"):
         raise ParseError(path, base_no, "'base: all|none'", base)
     deltas: dict = {}
+    last_no: dict = {}  # each cell's last edit line
     for no, line in lines[body:]:
         words = line.split()
         if words[0] not in ("+", "-") or len(words) not in (2, 3):
@@ -239,10 +267,16 @@ def parse_modelspec(text: str, path: str = "<modelspec>"):
             raise ParseError(path, no, "a valid cell address", str(exc)) from None
         sign = 1 if words[0] == "+" else -1
         deltas[cell] = deltas.get(cell, 0) + sign * count
+        last_no[cell] = no
+    # a refused edit cites its cell's last edit line, a refused support the base line
     try:
+        for cell, delta in deltas.items():
+            no = last_no[cell]
+            check_edit(base == "all", delta)
+        no = base_no
         return ModelSpec(ts, base == "all", tuple(deltas.items()))
     except ValueError as exc:
-        raise ParseError(path, 1, "a consistent model spec", str(exc)) from None
+        raise ParseError(path, no, "a consistent model spec", str(exc)) from None
 
 
 def serialize_modelspec(spec) -> str:
@@ -361,23 +395,8 @@ def serialize_struct(spec: StructSpec) -> str:
     for name in sorted(spec.ternary):
         triples = " ".join(f"({a},{b},{c})" for a, b, c in spec.ternary[name])
         lines.append(f"rel3 {name}: {triples}")
-    for name in sorted(spec.registry.nodes):
-        n = spec.registry.nodes[name]
-        line = f"node {n.name}"
-        if n.principal:
-            line += " principal"
-        if n.prime:
-            line += " prime"
-        if n.stub_of is not None:
-            line += f" stub-of {n.stub_of} bits {n.stub_bits or '-'}"
-        if n.realized:
-            line += " realized"
-        lines.append(line)
-    for e in spec.registry.edges:
-        line = f"edge {e.src} dominates {e.dst} via {e.label}"
-        if e.principal:
-            line += " principal"
-        lines.append(line)
+    lines.extend(f"node {_node_words(spec.registry.nodes[name])}" for name in sorted(spec.registry.nodes))
+    lines.extend(f"edge {_edge_words(e)}" for e in spec.registry.edges)
     for key in sorted(spec.registry.limit_targets):
         lines.append(f"target {key} = {render(spec.registry.limit_targets[key])}")
     for note in spec.registry.notes:
@@ -392,91 +411,83 @@ def serialize_struct(spec: StructSpec) -> str:
 
 
 def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
-    from .operators import OpRecord, RegEdge, RegNode, Registry, StructSpec
+    """Grammar: one ``universe:`` line; ``unary``, ``color``, ``rel2``,
+    ``rel3`` and ``target`` lines, one per name; ``note`` and ``applied``
+    lines; and the registry as domination-graph lines behind the keywords
+    ``node`` and ``edge``."""
+    from .operators import OpRecord, Registry, StructSpec
 
-    universe: tuple[str, ...] = ()
-    unary: dict[str, tuple[str, ...]] = {}
-    coloring: dict[str, int | None] = {}
-    binary: dict[str, tuple[tuple[str, str], ...]] = {}
-    ternary: dict[str, tuple[tuple[str, str, str], ...]] = {}
-    nodes: dict[str, RegNode] = {}
-    edges: list[RegEdge] = []
-    targets: dict[str, Card] = {}
+    universe: tuple[str, ...] | None = None
+    tables: dict[str, dict] = {"unary": {}, "color": {}, "rel2": {}, "rel3": {}, "target": {}}
+    nodes: dict[str, TypeNode] = {}
+    edges: list[tuple[int, str, DomEdge]] = []
     notes: list[str] = []
     history: list[OpRecord] = []
 
-    def tuples_of(body: str, no: int, arity: int):
+    def relation(keyword: str, line: str, no: int, arity: int) -> tuple[str, tuple]:
+        """The name and entries of a ``unary``, ``rel2`` or ``rel3`` line."""
+        head, sep, body = line.partition(":")
+        words = head.split()
+        if not sep or len(words) != 2:
+            raise ParseError(path, no, f"'{keyword} <name>: ...'", line)
+        if arity == 1:
+            return words[1], tuple(body.split())
         out = []
         for chunk in body.split():
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ParseError(path, no, "parenthesised tuples", chunk)
-            items = tuple(chunk[1:-1].split(","))
-            if len(items) != arity:
-                raise ParseError(path, no, f"{arity}-tuples", chunk)
-            out.append(items)
-        return tuple(out)
+            out.append(tuple(chunk[1:-1].split(",")))
+            if chunk[:1] + chunk[-1:] != "()" or len(out[-1]) != arity:
+                raise ParseError(path, no, f"parenthesised {arity}-tuples", chunk)
+        return words[1], tuple(out)
 
     for no, line in _lines(text):
+        words = line.split()
+        keyword = words[0]
         if line.startswith("universe:"):
+            if universe is not None:
+                raise ParseError(path, no, "one 'universe:' line", line)
             universe = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("unary "):
-            head, _, body = line.partition(":")
-            unary[head.split()[1]] = tuple(body.split())
-        elif line.startswith("color "):
-            words = line.split()
-            if len(words) != 4 or words[2] != "=":
-                raise ParseError(path, no, "'color <el> = <n|inf>'", line)
-            coloring[words[1]] = None if words[3] == "inf" else int(words[3])
-        elif line.startswith("rel2 "):
-            head, _, body = line.partition(":")
-            binary[head.split()[1]] = tuples_of(body, no, 2)  # type: ignore[assignment]
-        elif line.startswith("rel3 "):
-            head, _, body = line.partition(":")
-            ternary[head.split()[1]] = tuples_of(body, no, 3)  # type: ignore[assignment]
-        elif line.startswith("node "):
-            words = line.split()
-            name = words[1]
-            rest = words[2:]
-            principal = "principal" in rest
-            prime = "prime" in rest
-            realized = "realized" in rest
-            stub_of = None
-            stub_bits = ""
-            if "stub-of" in rest:
-                i = rest.index("stub-of")
-                stub_of = rest[i + 1]
-                if i + 3 <= len(rest) and rest[i + 2] == "bits":
-                    stub_bits = "" if rest[i + 3] == "-" else rest[i + 3]
-            nodes[name] = RegNode(name, principal, prime, stub_of, stub_bits, realized)
-        elif line.startswith("edge "):
-            words = line.split()
-            if len(words) < 6 or words[2] != "dominates" or words[4] != "via":
-                raise ParseError(path, no, "'edge <q> dominates <p> via <label>'", line)
-            edges.append(RegEdge(words[1], words[3], words[5], words[-1] == "principal"))
-        elif line.startswith("target "):
-            body = line[len("target "):]
-            key, sep, value = body.rpartition("=")
-            if not sep:
-                raise ParseError(path, no, "'target <key> = <cardinal>'", line)
-            targets[key.strip()] = parse_card(value)
-        elif line.startswith("note "):
+            continue
+        if keyword == "node":
+            _read_node(nodes, "node", words[1:], path, no, line)
+            continue
+        if keyword == "edge":
+            edges.append((no, line, _read_edge("edge ", words[1:], path, no, line)))
+            continue
+        if keyword == "note":
             notes.append(line[len("note "):])
-        elif line.startswith("applied "):
+            continue
+        if keyword == "applied":
             try:
                 payload = json.loads(line[len("applied "):])
-                history.append(
-                    OpRecord(
-                        payload["op"],
-                        {k: _params_from_json(v) for k, v in payload["params"].items()},
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
+                op, params = payload["op"], dict(payload["params"])
+            except (ValueError, LookupError, TypeError) as exc:
                 raise ParseError(path, no, "an 'applied' JSON payload", str(exc)) from None
+            history.append(OpRecord(op, {k: _params_from_json(v) for k, v in params.items()}))
+            continue
+        # the lines that each give one entry of a table
+        if keyword in ("unary", "rel2", "rel3"):
+            key, value = relation(keyword, line, no, {"unary": 1, "rel2": 2, "rel3": 3}[keyword])
+        elif keyword == "color":
+            if len(words) != 4 or words[2] != "=" or not (words[3] == "inf" or words[3].isdecimal()):
+                raise ParseError(path, no, "'color <el> = <n|inf>'", line)
+            key, value = words[1], None if words[3] == "inf" else int(words[3])
+        elif keyword == "target":
+            key, sep, value = line[len("target"):].rpartition("=")
+            try:
+                key, value = key.strip(), parse_card(value if sep else "")
+            except ValueError:
+                raise ParseError(path, no, "'target <key> = <cardinal>'", line) from None
         else:
             raise ParseError(path, no, "a structure spec line", line)
-    registry = Registry(nodes, tuple(edges), targets, tuple(notes))
+        if key in tables[keyword]:
+            raise ParseError(path, no, f"one '{keyword}' line per name", line)
+        tables[keyword][key] = value
+    registry = Registry(nodes, _declared(nodes, edges, path), tables["target"], tuple(notes))
     try:
-        return StructSpec(universe, unary, coloring, binary, ternary, registry, tuple(history))
+        return StructSpec(
+            universe or (), tables["unary"], tables["color"], tables["rel2"], tables["rel3"],
+            registry, tuple(history),
+        )
     except ValueError as exc:
         raise ParseError(path, 1, "a consistent structure spec", str(exc)) from None
 

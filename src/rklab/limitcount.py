@@ -47,7 +47,6 @@ class IdentitySystem:
     target: Card
     n: int | None = None
     reading: str = "gt"
-    seq_len: int | None = None
 
     def describe(self) -> str:
         tag = self.kind
@@ -75,7 +74,8 @@ def lmt(lam: Card) -> IdentitySystem:
 
 
 def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
-    """Identity family sizing the limit models over a domination sequence."""
+    """Identity family sizing the limit models over a domination sequence
+    of ``q_len`` types; the family is the same for every length."""
     if q_len < 1:
         raise ValueError("sequence length must be positive")
     if reading not in ("gt", "geq"):
@@ -85,10 +85,10 @@ def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
         if n < 1:
             raise ValueError("the finite case needs at least one limit model")
         schemas = (Schema("single_rename", n), Schema("ascend_to_power"))
-        return IdentitySystem("lms", schemas, fin(n), n=n, seq_len=q_len)
+        return IdentitySystem("lms", schemas, fin(n), n=n)
     if lam == OMEGA:
         schemas = (Schema("ascend_to_power"), Schema("ascend_to_run"), Schema("ascend_to_capped_run"))
-        return IdentitySystem("lms", schemas, OMEGA, reading=reading, seq_len=q_len)
+        return IdentitySystem("lms", schemas, OMEGA, reading=reading)
     raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
 
 

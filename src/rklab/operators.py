@@ -26,6 +26,7 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from .cardinal import CONTINUUM, Card, card_eq, parse_card, render
+from .domination import DomEdge, DominationGraph, TypeNode
 from .limitcount import FREE_SYSTEM, IdentitySystem, lmt, lms
 from .record import factory, record, replace
 from .report import BudgetError, Report, ReportBuilder
@@ -52,53 +53,26 @@ def joint_name(p1: str, p2: str) -> str:
 # -- registry -----------------------------------------------------------------
 
 @record
-class RegNode:
-    name: str
-    principal: bool = False
-    prime: bool = False
-    stub_of: str | None = None
-    stub_bits: str = ""
-    realized: bool = False
-
-
-@record
-class RegEdge:
-    src: str
-    dst: str
-    label: str
-    principal: bool = False
-
-
-@record
 class Registry:
-    nodes: dict[str, RegNode] = factory(dict)
-    edges: tuple[RegEdge, ...] = ()
+    nodes: dict[str, TypeNode] = factory(dict)
+    edges: tuple[DomEdge, ...] = ()
     limit_targets: dict[str, Card] = factory(dict)
     notes: tuple[str, ...] = ()
 
-    def stubs_of(self, p: str) -> list[RegNode]:
+    def stubs_of(self, p: str) -> list[TypeNode]:
         return sorted(
             (n for n in self.nodes.values() if n.stub_of == p),
             key=lambda n: n.name,
         )
 
-    def realized_stubs(self) -> list[RegNode]:
+    def realized_stubs(self) -> list[TypeNode]:
         return sorted(
             (n for n in self.nodes.values() if n.stub_of is not None and n.realized),
             key=lambda n: n.name,
         )
 
     def to_domination_graph(self) -> DominationGraph:
-        from .domination import DomEdge, DominationGraph, TypeNode
-
-        nodes = tuple(
-            TypeNode(n.name, principal=n.principal, prime=n.prime)
-            for n in sorted(self.nodes.values(), key=lambda n: n.name)
-        )
-        edges = tuple(
-            DomEdge(e.src, e.dst, e.label, e.principal) for e in self.edges
-        )
-        return DominationGraph(nodes, edges)
+        return DominationGraph(tuple(sorted(self.nodes.values(), key=lambda n: n.name)), self.edges)
 
 
 # -- structure specs ----------------------------------------------------------
@@ -162,7 +136,7 @@ class _Work:
         self.coloring = dict(spec.coloring)
         self.binary = dict(spec.binary)
         self.ternary = dict(spec.ternary)
-        self.nodes: dict[str, RegNode] = {}
+        self.nodes: dict[str, TypeNode] = {}
         self.stubs: dict[str, dict[str, None]] = {}  # stub_of -> stub names
         for node in spec.registry.nodes.values():
             self.put_node(node)
@@ -177,14 +151,14 @@ class _Work:
         self.names.update(names)
         self.universe.extend(names)
 
-    def put_node(self, node: RegNode) -> None:
+    def put_node(self, node: TypeNode) -> None:
         self.nodes[node.name] = node
         if node.stub_of is not None:
             self.stubs.setdefault(node.stub_of, {})[node.name] = None
 
     def set_node(self, name: str, **changes) -> None:
         """Apply ``changes`` to the named node, created bare if it is new."""
-        node = self.nodes.get(name) or RegNode(name)
+        node = self.nodes.get(name) or TypeNode(name)
         self.put_node(replace(node, **changes) if changes else node)
 
     def stubs_of(self, p: str) -> list[str]:
@@ -221,7 +195,7 @@ def colored_base(
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
-    nodes: dict[str, RegNode] = {}
+    nodes: dict[str, TypeNode] = {}
     for i in range(parts):
         extent: list[str] = []
         for c in range(colors):
@@ -234,9 +208,9 @@ def colored_base(
         coloring[el] = None
         universe.extend(extent)
         unary[f"P{i}"] = tuple(extent)
-        nodes[pnode(f"P{i}")] = RegNode(pnode(f"P{i}"), prime=True)
+        nodes[pnode(f"P{i}")] = TypeNode(pnode(f"P{i}"), prime=True)
     binary: dict[str, tuple[tuple[str, str], ...]] = {}
-    edges: dict[RegEdge, None] = {}  # an insertion-ordered set
+    edges: dict[DomEdge, None] = {}  # an insertion-ordered set
     for low, high, principal in q_edges:
         if not (0 <= low < parts and 0 <= high < parts) or low == high:
             raise ValueError(f"bad q edge ({low},{high})")
@@ -249,7 +223,7 @@ def colored_base(
                 pairs.append((x, y))
         pairs.append((f"a{low}inf", f"a{high}inf"))
         binary[qname] = tuple(pairs)
-        edges[RegEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal)] = None
+        edges[DomEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal)] = None
     registry = Registry(nodes, tuple(edges))
     return StructSpec(tuple(universe), unary, coloring, binary, {}, registry)
 
@@ -390,7 +364,7 @@ def _icp(w: _Work, sub: str, fresh_y: int | None, depth: int, fan_out: int) -> N
     w.set_node(p, prime=False)
     for bits in itertools.product("01", repeat=depth):
         b = "".join(bits)
-        w.put_node(RegNode(stub_name(sub, b), stub_of=p, stub_bits=b))
+        w.put_node(TypeNode(stub_name(sub, b), stub_of=p, stub_bits=b))
     w.notes.append(f"icp on {sub}: no prime model over {p}")
     w.history.append(OpRecord("icp", {
         "sub": sub, "depth": depth, "fan_out": fan_out,
@@ -497,9 +471,9 @@ def _bu(w: _Work, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out
     for p in (p1, p2):
         w.set_node(p)
     joint = joint_name(p1, p2)
-    w.put_node(RegNode(joint, prime=False))
-    w.edges[RegEdge(joint, p1, "x=y1", principal=True)] = None
-    w.edges[RegEdge(joint, p2, "x=y2", principal=True)] = None
+    w.put_node(TypeNode(joint))
+    w.edges[DomEdge(joint, p1, "x=y1", principal=True)] = None
+    w.edges[DomEdge(joint, p2, "x=y2", principal=True)] = None
     w.notes.append(f"bu on {sub1},{sub2}: no prime models over joint types {joint}")
     w.history.append(OpRecord("bu", {
         "sub1": sub1, "sub2": sub2, "depth": depth, "fan_out": fan_out,

@@ -125,6 +125,14 @@ def test_limits_takes_exactly_one_of_n_and_lam(capsys, options):
     assert result == (2, "", "error: limits takes exactly one of --n and --lam\n")
 
 
+def test_limits_has_no_seq_len_option(capsys):
+    argv = ["limits", "--system", "lms", "--n", "2", "--alphabet", "3", "--len", "4", "--seq-len", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seq-len 3" in capsys.readouterr().err
+
+
 def test_dominate_command(tmp_path, capsys):
     dg = tmp_path / "g.dg"
     dg.write_text(
@@ -677,8 +685,8 @@ def bare_std():
         (("preorder", "--in", "{dir}/chain.po", "--quotient", "--height", "--width"),
          {"distribution", "operators", "typespace", "limitcount"}),
         (("dominate", "--in", "{dir}/graph.dg"), {"distribution", "operators", "typespace", "limitcount"}),
-        (("apply", "--pipeline", "{dir}/plan.pipe"), {"distribution", "domination", "typespace"}),
-        (("build", "--spec", "{dir}/spec.ds"), {"typespace", "domination"}),
+        (("apply", "--pipeline", "{dir}/plan.pipe"), {"distribution", "preorder", "typespace"}),
+        (("build", "--spec", "{dir}/spec.ds"), {"typespace"}),
     ],
     ids=["help", "classify", "decompose", "types", "limits", "preorder", "dominate", "apply", "build"],
 )

@@ -115,7 +115,7 @@ def test_distribution_round_trip():
 
 def random_struct(rng: random.Random):
     from rklab.cardinal import parse_card
-    from rklab.operators import OpRecord, RegEdge, RegNode, Registry, StructSpec
+    from rklab.operators import OpRecord, Registry, StructSpec
 
     n = rng.randint(1, 8)
     universe = tuple(f"e{i}" for i in range(n))
@@ -143,12 +143,12 @@ def random_struct(rng: random.Random):
     nodes = {}
     for name in names:
         prime = rng.random() < 0.6
-        nodes[name] = RegNode(name, prime and rng.random() < 0.4, prime)
+        nodes[name] = TypeNode(name, prime and rng.random() < 0.4, prime)
     if names and rng.random() < 0.5:
         stub = f"{names[0]}[01]"
-        nodes[stub] = RegNode(stub, stub_of=names[0], stub_bits="01", realized=True)
+        nodes[stub] = TypeNode(stub, stub_of=names[0], stub_bits="01", realized=True)
     edges = tuple(
-        RegEdge(rng.choice(names), rng.choice(names), f"w{i}", rng.random() < 0.5)
+        DomEdge(rng.choice(names), rng.choice(names), f"w{i}", rng.random() < 0.5)
         for i in range(rng.randint(0, 2))
         if names
     )
@@ -181,6 +181,122 @@ def test_struct_round_trip():
         struct = random_struct(rng)
         text = formats.serialize_struct(struct)
         assert formats.parse_struct(text) == struct
+
+
+def test_registry_graph_round_trips_through_a_dg_file():
+    # a .dg file carries the registry's stub words, so nothing is dropped
+    pipe = "base parts=2 colors=1\nqedge low=0 high=1\nicp sub=P0 depth=2\ncss source=P0 sub=P1\n"
+    g = operators.run_pipeline(formats.parse_pipeline(pipe)).registry.to_domination_graph()
+    assert any(n.stub_of is not None and n.realized for n in g.nodes)
+    assert formats.parse_domination(formats.serialize_domination(g)) == g
+
+
+def test_struct_with_an_empty_note_round_trips():
+    # "note " is read back as "note" once its trailing blank is stripped
+    spec = operators.run_pipeline(formats.parse_pipeline("base parts=1 colors=1\nnote\n"))
+    assert formats.parse_struct(formats.serialize_struct(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# graph\n\ntype a\ntype c\n\nb dominates a via f\n",
+         "bad.dg:6: expected an edge between declared nodes, got 'b dominates a via f'"),
+        ("type a principal\n# b\ntype b prime\n",
+         "bad.dg:1: expected a well-formed node, got 'principal node a must have a prime model'"),
+        ("type a\n\ntype b\ntype a prime\n", "bad.dg:4: expected one line per node, got 'type a prime'"),
+    ],
+    ids=["undeclared-end-node", "principal-without-prime", "repeated-node"],
+)
+def test_domination_refusals_cite_the_line_at_fault(text, message):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_domination(text, "bad.dg")
+    assert str(err.value) == message
+
+
+NODE_GRAMMAR = "<id> [principal] [prime] [stub-of <id> bits <bits|->] [realized]"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("color a = x", "s.struct:3: expected 'color <el> = <n|inf>', got 'color a = x'"),
+        ("unary : a", "s.struct:3: expected 'unary <name>: ...', got 'unary : a'"),
+        ("node n stub-of", f"s.struct:3: expected 'node {NODE_GRAMMAR}', got 'node n stub-of'"),
+        ("node n garbage", f"s.struct:3: expected 'node {NODE_GRAMMAR}', got 'node n garbage'"),
+        ("edge n dominates m via L junk",
+         "s.struct:3: expected 'edge <q> dominates <p> via <label> [principal]', "
+         "got 'edge n dominates m via L junk'"),
+        ("edge n dominates z via L",
+         "s.struct:3: expected an edge between declared nodes, got 'edge n dominates z via L'"),
+    ],
+    ids=["color-value", "unary-head", "stub-of-cut-short", "node-junk", "edge-junk", "undeclared-end-node"],
+)
+def test_parse_struct_refuses_with_parse_errors(line, message):
+    text = f"universe: a b\nnode n\n{line}\nnode m\n"
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_struct(text, "s.struct")
+    assert str(err.value) == message
+
+
+README_SPEC = (
+    "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+    "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
+)
+
+
+def test_mutated_struct_files_parse_or_raise_parse_errors(tmp_path, monkeypatch, capsys):
+    from rklab.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.ds").write_text(README_SPEC)
+    assert main("build --spec spec.ds --variant t77 --out build.pipe".split()) == 0
+    assert main("apply --pipeline build.pipe --out out.struct".split()) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out.struct").read_text().splitlines()
+    pool = sorted({w for line in lines for w in line.split()}) + ["x", "-", "-1", "[]", "{}"]
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(1500):
+        mutant = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            op, i, j = rng.randrange(5), rng.randrange(len(mutant)), rng.randrange(len(mutant))
+            words = mutant[i].split()
+            if op == 0:
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+            elif op == 1 and len(mutant) > 1:
+                del mutant[i]
+            elif op == 2:
+                mutant.insert(j, mutant[i])
+            elif op == 3 and words:
+                del words[rng.randrange(len(words))]
+                mutant[i] = " ".join(words)
+            elif op == 4 and words:
+                words[rng.randrange(len(words))] = rng.choice(pool)
+                mutant[i] = " ".join(words)
+        try:
+            formats.parse_struct("\n".join(mutant) + "\n", "m.struct")
+            outcomes.add("parsed")
+        except formats.ParseError:
+            outcomes.add("refused")
+    assert outcomes == {"parsed", "refused"}
+
+
+@pytest.mark.parametrize(
+    "text, line_no, got",
+    [
+        ("# c\nfamily: iup\ndepth: 2\nbase: none\n+ 00 9\n", 5, "edit magnitude exceeds cap 8"),
+        ("family: iup\ndepth: 2\nbase: all\n+ 00 5\n+ 01 1\n+ 00 4\n", 6, "edit magnitude exceeds cap 8"),
+        ("family: iup\ndepth: 2\nbase: none\n+ 00 1\n- 01 1\n+ 10 1\n", 5,
+         "negative count on an explicit spec"),
+        ("family: iup\n\ndepth: 2\nbase: none\n+ 00 1\n", 4, "support of an iup spec must be dense"),
+    ],
+    ids=["over-cap", "over-cap-summed", "negative-on-explicit", "not-dense"],
+)
+def test_modelspec_refusals_cite_the_line_that_caused_them(text, line_no, got):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_modelspec(text, "m.txt")
+    assert (err.value.line_no, err.value.expected, err.value.got) == (line_no, "a consistent model spec", got)
 
 
 def test_pipeline_random_round_trip():

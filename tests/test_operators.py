@@ -307,7 +307,7 @@ def test_lmt_systems():
 
 def test_lms_systems():
     sys2 = lms(4, fin(2))
-    assert sys2.seq_len == 4 and sys2.target == fin(2)
+    assert sys2.target == fin(2)
     assert [s.kind for s in sys2.schemas] == ["single_rename", "ascend_to_power"]
     sysw = lms(4, OMEGA)
     assert [s.kind for s in sysw.schemas] == [
