@@ -423,6 +423,7 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
     edges: list[tuple[int, str, DomEdge]] = []
     notes: list[str] = []
     history: list[OpRecord] = []
+    mentions: list[tuple[int, str, str]] = []  # (line, element, what names it)
 
     def relation(keyword: str, line: str, no: int, arity: int) -> tuple[str, tuple]:
         """The name and entries of a ``unary``, ``rel2`` or ``rel3`` line."""
@@ -446,6 +447,8 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
             if universe is not None:
                 raise ParseError(path, no, "one 'universe:' line", line)
             universe = tuple(line.split(":", 1)[1].split())
+            if len(set(universe)) != len(universe):
+                raise ParseError(path, no, "a consistent structure spec", "duplicate universe elements")
             continue
         if keyword == "node":
             _read_node(nodes, "node", words[1:], path, no, line)
@@ -481,15 +484,20 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
             raise ParseError(path, no, "a structure spec line", line)
         if key in tables[keyword]:
             raise ParseError(path, no, f"one '{keyword}' line per name", line)
+        if keyword == "unary":
+            mentions.extend((no, el, f"{key} contains") for el in value)
+        elif keyword == "color":
+            mentions.append((no, key, "coloring mentions"))
         tables[keyword][key] = value
+    known = set(universe or ())
+    for no, el, what in mentions:
+        if el not in known:
+            raise ParseError(path, no, "a consistent structure spec", f"{what} unknown element {el!r}")
     registry = Registry(nodes, _declared(nodes, edges, path), tables["target"], tuple(notes))
-    try:
-        return StructSpec(
-            universe or (), tables["unary"], tables["color"], tables["rel2"], tables["rel3"],
-            registry, tuple(history),
-        )
-    except ValueError as exc:
-        raise ParseError(path, 1, "a consistent structure spec", str(exc)) from None
+    return StructSpec(
+        universe or (), tables["unary"], tables["color"], tables["rel2"], tables["rel3"],
+        registry, tuple(history),
+    )
 
 
 # -- pipeline files -----------------------------------------------------------

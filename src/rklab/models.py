@@ -23,11 +23,8 @@ from .typespace import (
     Cell,
     TypeSpace,
     covers_all_formulas,
-    enumerate_formulas,
     enumerate_types,
-    is_dense,
     render_cell,
-    satisfies,
     space_at,
     valid_cell,
 )
@@ -41,9 +38,6 @@ class CellCount:
 
     infinite: bool
     k: int
-
-    def positive(self) -> bool:
-        return self.infinite or self.k > 0
 
     def __le__(self, other: "CellCount") -> bool:  # type: ignore[override]
         if self.infinite and not other.infinite:
@@ -82,16 +76,12 @@ class ModelSpec:
         # one form per spec: the nonzero edits, sorted by rendered cell
         edits = sorted(((c, d) for c, d in self.edits if d != 0), key=lambda cd: render_cell(cd[0]))
         object.__setattr__(self, "edits", tuple(edits))
-        if self.space.family == "iup" and not is_dense(
-            self.space, self.support(), self.space.depth
-        ):
+        object.__setattr__(self, "_deltas", dict(edits))
+        if self.space.family == "iup" and not covers_all_formulas(self.space, self.support()):
             raise ValueError("support of an iup spec must be dense")
 
     def delta(self, cell: Cell) -> int:
-        for c, d in self.edits:
-            if c == cell:
-                return d
-        return 0
+        return self._deltas.get(cell, 0)
 
     def count(self, cell: Cell) -> CellCount:
         return CellCount(self.base_all, self.delta(cell))
@@ -100,11 +90,9 @@ class ModelSpec:
         return {cell: self.count(cell) for cell in enumerate_types(self.space)}
 
     def support(self) -> frozenset[Cell]:
-        return frozenset(
-            cell
-            for cell in enumerate_types(self.space)
-            if self.count(cell).positive()
-        )
+        if self.base_all:
+            return frozenset(enumerate_types(self.space))
+        return frozenset(self._deltas)  # an explicit spec's edits are positive
 
     def with_delta(self, cell: Cell, change: int) -> "ModelSpec":
         edits = dict(self.edits)
@@ -229,32 +217,21 @@ def construct_model(
     seq: RkSequence,
     lower_cones: Sequence[Iterable[Cell]],
     depth: int,
-    budget: int = 30000,
 ) -> ModelSpec:
-    """Build the witness model over a covering sequence.
+    """Build the witness model over a covering sequence: one realization
+    for each cell of the union of the lower cones.
 
-    Follows the enumeration discipline of the underlying construction:
-    consistent formulas are enumerated (each formula conceptually owning
-    infinitely many slots), and every slot draws its witness from the
-    dominated cells only, round-robin so counts stay balanced.  The
-    support of the result is exactly the union of the lower cones.
+    A formula holds in a cell exactly when it holds in every cell of that
+    cell's coverage group, so every consistent formula has a witness in
+    the union exactly when every group meets the union, which is what
+    ``is_elementary_submodel_sequence`` checks.  One realization per cell
+    of the union therefore witnesses every formula, the support is the
+    union, and every count is within ``COUNT_CAP``.
     """
-    if not is_elementary_submodel_sequence(ts, seq, lower_cones, depth):
+    cones = [list(cone) for cone in lower_cones]
+    if not is_elementary_submodel_sequence(ts, seq, cones, depth):
         raise ValueError("sequence is not elementary-submodel at this depth")
-    space = space_at(ts, depth)
-    union: list[Cell] = sorted(
-        {cell for cone in lower_cones for cell in cone}, key=render_cell
-    )
-    counts: dict[Cell, int] = {cell: 0 for cell in union}
-    for phi in enumerate_formulas(space, budget):
-        candidates = [cell for cell in union if satisfies(space, cell, phi)]
-        pick = min(candidates, key=lambda c: (counts[c], render_cell(c)))
-        if counts[pick] < COUNT_CAP:
-            counts[pick] += 1
-    for cell in union:
-        if counts[cell] == 0:
-            counts[cell] = 1
-    return explicit(space, counts)
+    return explicit(space_at(ts, depth), {cell: 1 for cone in cones for cell in cone})
 
 
 def sum_iq(parts: Sequence[Card], continuum_many_parts: bool = False) -> tuple[Card, bool]:

@@ -21,17 +21,16 @@ everything.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .record import record
-from .report import BudgetError
 
 # every family's cell count stays within the 2^16 cells of the deepest iup space
 IUP_DEPTH_CAP = 16
 SDUP_DEPTH_CAP = 14  # 3 * 2^14 - 1 cells
 CELL_CAP = 2**IUP_DEPTH_CAP
-FORMULA_BUDGET = 30000
 
 
 class IupCell(NamedTuple):
@@ -148,7 +147,7 @@ def valid_cell(ts: TypeSpace, cell: Cell) -> bool:
         return (
             isinstance(cell, IupCell)
             and len(cell.bits) == ts.depth
-            and all(b in (0, 1) for b in cell.bits)
+            and set(cell.bits) <= {0, 1}
         )
     if ts.family == "sdup":
         if not isinstance(cell, SdupCell) or any(ch not in "01" for ch in cell.path):
@@ -166,7 +165,7 @@ def valid_cell(ts: TypeSpace, cell: Cell) -> bool:
 
 def render_cell(cell: Cell) -> str:
     if isinstance(cell, IupCell):
-        return "".join(str(b) for b in cell.bits)
+        return "".join(map(str, cell.bits))
     if isinstance(cell, SdupCell):
         return f"{cell.kind}:{cell.path or 'e'}"
     color = "inf" if cell.color is None else str(cell.color)
@@ -197,28 +196,40 @@ def parse_cell(ts: TypeSpace, text: str) -> Cell:
 
 # -- formulas -----------------------------------------------------------------
 
-def atoms(ts: TypeSpace) -> list[Atom]:
+@functools.lru_cache(maxsize=8)
+def atoms(ts: TypeSpace) -> tuple[Atom, ...]:
+    """The space's atoms, cached so that cells share them: iup's P_k by k,
+    sdup's S_q by tree node in breadth-first order, and colored's parts P
+    then colors C."""
     if ts.family == "iup":
-        return [("P", k) for k in range(ts.depth)]
+        return tuple(("P", k) for k in range(ts.depth))
     if ts.family == "sdup":
-        return [("S", p) for p in _tree_nodes(ts.depth)]
+        return tuple(("S", p) for p in _tree_nodes(ts.depth))
     assert ts.parts is not None
-    out: list[Atom] = [("P", i) for i in range(ts.parts)]
-    out.extend(("C", j) for j in range(ts.depth + 1))
-    return out
+    return (*(("P", i) for i in range(ts.parts)), *(("C", j) for j in range(ts.depth + 1)))
 
 
-def cell_atoms(ts: TypeSpace, cell: Cell) -> frozenset[Atom]:
+def cell_atoms(ts: TypeSpace, cell: Cell) -> tuple[Atom, ...]:
     """The atoms true in a cell, the one family rule that satisfaction and
     coverage read: P_k for each set bit of an iup cell, S_q for every
     prefix q of an sdup path (the root included), and a colored cell's
-    part P and, unless it is infinite, its color C."""
+    part P and, unless it is infinite, its color C.
+
+    The atoms are the space's own objects in ``atoms(ts)`` order, so two
+    cells with the same true atoms give equal tuples."""
+    own = atoms(ts)
     if ts.family == "iup":
-        return frozenset(("P", k) for k, bit in enumerate(cell.bits) if bit)
+        return tuple(itertools.compress(own, cell.bits))
     if ts.family == "sdup":
-        return frozenset(("S", cell.path[:i]) for i in range(len(cell.path) + 1))
-    finite = () if cell.color is None else (("C", cell.color),)
-    return frozenset((("P", cell.part), *finite))
+        # breadth-first order puts node i's children at 2i + 1 and 2i + 2
+        true, i = [own[0]], 0
+        for ch in cell.path:
+            i = 2 * i + 1 + (ch == "1")
+            true.append(own[i])
+        return tuple(true)
+    if cell.color is None:
+        return (own[cell.part],)
+    return (own[cell.part], own[ts.parts + cell.color])
 
 
 def _check_atoms(ts: TypeSpace, phi: FormulaLit) -> None:
@@ -228,12 +239,14 @@ def _check_atoms(ts: TypeSpace, phi: FormulaLit) -> None:
             raise ValueError(f"atom {atom!r} invalid for {ts.family} depth {ts.depth}")
 
 
-def _holds(true: frozenset[Atom], phi: FormulaLit) -> bool:
+def _holds(true: tuple[Atom, ...], phi: FormulaLit) -> bool:
     return all((atom in true) == sign for atom, sign in phi.literals)
 
 
 def satisfies(ts: TypeSpace, cell: Cell, phi: FormulaLit) -> bool:
     _check_atoms(ts, phi)
+    if not valid_cell(ts, cell):
+        raise ValueError(f"cell {cell!r} invalid for {ts.family} depth {ts.depth}")
     return _holds(cell_atoms(ts, cell), phi)
 
 
@@ -255,25 +268,6 @@ def parse_formula(ts: TypeSpace, text: str) -> FormulaLit:
             raise ValueError(f"bad literal {chunk!r} for family {ts.family}")
         literals.append((atom, not tok.startswith("!")))
     return FormulaLit.of(literals)
-
-
-def enumerate_formulas(
-    ts: TypeSpace, budget: int = FORMULA_BUDGET
-) -> Iterator[FormulaLit]:
-    """Every consistent signed-atom conjunction, including the empty one."""
-    alphabet = atoms(ts)
-    total = 3 ** len(alphabet)
-    if total > budget:
-        raise BudgetError(
-            f"formula enumeration needs {total} candidates, budget is {budget}"
-        )
-    tables = [cell_atoms(ts, cell) for cell in enumerate_types(ts)]
-    for assignment in itertools.product((None, True, False), repeat=len(alphabet)):
-        phi = FormulaLit.of(
-            {a: s for a, s in zip(alphabet, assignment) if s is not None}
-        )
-        if any(_holds(true, phi) for true in tables):
-            yield phi
 
 
 def classify_formula(ts: TypeSpace, phi: FormulaLit) -> FormulaClass:
@@ -310,15 +304,17 @@ def coverage_groups(ts: TypeSpace) -> list[frozenset[Cell]]:
     group equals hitting every consistent formula at this depth.  In sdup
     a frontier node's stopped and continuing cells share a group.
     """
-    groups: dict[frozenset[Atom], list[Cell]] = {}
+    groups: dict[tuple[Atom, ...], list[Cell]] = {}
     for cell in enumerate_types(ts):
         groups.setdefault(cell_atoms(ts, cell), []).append(cell)
     return [frozenset(cells) for cells in groups.values()]
 
 
 def covers_all_formulas(ts: TypeSpace, cells: Iterable[Cell]) -> bool:
-    have = set(cells)
-    return all(group & have for group in coverage_groups(ts))
+    """Whether the cells meet every coverage group: whether each cell of
+    the space makes true the same atoms as one of them."""
+    hit = {cell_atoms(ts, cell) for cell in cells}
+    return all(cell_atoms(ts, cell) in hit for cell in enumerate_types(ts))
 
 
 def is_dense(ts: TypeSpace, x: Iterable[Cell], depth: int) -> bool:

@@ -8,8 +8,9 @@ of saturated principal reachability for the isomorphism classes of prime
 models, a saturating union-find over explicit word lists for the bounded
 congruence, the identity schemas' ground instances built as word
 tuples, a comparison of every two extent pairs for the bu
-disjoint-images check, and direct formula enumeration for density and
-classification.
+disjoint-images check, direct formula enumeration over all 3^atoms
+signed conjunctions for density and classification, and the
+formula-by-formula round-robin witness construction for submodels.
 They share no code with the library paths they certify.
 """
 from __future__ import annotations
@@ -330,3 +331,46 @@ def brute_dense(space, cells, formulas) -> bool:
     return all(
         any(brute_satisfies(space, cell, phi) for cell in cells) for phi in formulas
     )
+
+
+def enumerate_formulas(ts):
+    """Every consistent signed-atom conjunction, including the empty one, in
+    the order of all 3^atoms candidates: a candidate is consistent when its
+    literals are among those the family rule gives one cell."""
+    from rklab.typespace import FormulaLit, atoms, enumerate_types
+
+    alphabet = atoms(ts)
+    consistent = set()
+    for cell in enumerate_types(ts):
+        full = [(a, brute_satisfies(ts, cell, FormulaLit.of({a: True}))) for a in alphabet]
+        for keep in itertools.product((False, True), repeat=len(full)):
+            consistent.add(frozenset(itertools.compress(full, keep)))
+    for assignment in itertools.product((None, True, False), repeat=len(alphabet)):
+        literals = frozenset((a, s) for a, s in zip(alphabet, assignment) if s is not None)
+        if literals in consistent:
+            yield FormulaLit.of(literals)
+
+
+def round_robin_counts(ts, cells, formulas, cap: int) -> dict | None:
+    """Witness counts by formula: each formula in turn gives one realization
+    to the least-used of the cells that satisfy each of its literals (ties
+    to the least rendered name) while that cell is under the cap; a cell no
+    formula picked gets one.  None when some formula has no witness."""
+    from rklab.typespace import FormulaLit, atoms, render_cell
+
+    order = sorted(set(cells), key=render_cell)
+    where = {
+        (a, s): {i for i, cell in enumerate(order) if brute_satisfies(ts, cell, FormulaLit.of({a: s}))}
+        for a in atoms(ts)
+        for s in (True, False)
+    }
+    every = set(range(len(order)))
+    counts = [0] * len(order)
+    for phi in formulas:
+        witnesses = every.intersection(*(where[lit] for lit in phi.literals))
+        if not witnesses:
+            return None
+        pick = min(witnesses, key=lambda i: (counts[i], i))
+        if counts[pick] < cap:
+            counts[pick] += 1
+    return {cell: k or 1 for cell, k in zip(order, counts)}

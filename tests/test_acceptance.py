@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from oracles import brute_congruence_count, brute_height, brute_width, matrix
+from oracles import brute_congruence_count, brute_height, brute_width, enumerate_formulas, matrix
 from rklab.cardinal import (
     CONTINUUM,
     OMEGA,
@@ -60,7 +60,6 @@ from rklab.typespace import (
     FormulaClass,
     TypeSpace,
     classify_formula,
-    enumerate_formulas,
     enumerate_types,
     has_prime_model,
     is_dense,

@@ -229,14 +229,36 @@ NODE_GRAMMAR = "<id> [principal] [prime] [stub-of <id> bits <bits|->] [realized]
          "got 'edge n dominates m via L junk'"),
         ("edge n dominates z via L",
          "s.struct:3: expected an edge between declared nodes, got 'edge n dominates z via L'"),
+        ("unary P0: a c",
+         "s.struct:3: expected a consistent structure spec, got \"P0 contains unknown element 'c'\""),
+        ("color c = 1",
+         "s.struct:3: expected a consistent structure spec, got \"coloring mentions unknown element 'c'\""),
     ],
-    ids=["color-value", "unary-head", "stub-of-cut-short", "node-junk", "edge-junk", "undeclared-end-node"],
+    ids=[
+        "color-value", "unary-head", "stub-of-cut-short", "node-junk", "edge-junk", "undeclared-end-node",
+        "unary-unknown-element", "color-unknown-element",
+    ],
 )
 def test_parse_struct_refuses_with_parse_errors(line, message):
     text = f"universe: a b\nnode n\n{line}\nnode m\n"
     with pytest.raises(formats.ParseError) as err:
         formats.parse_struct(text, "s.struct")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, line_no, got",
+    [
+        ("# s\nuniverse: a b a\n", 2, "duplicate universe elements"),
+        ("node n\nunary P0: b\nuniverse: a\n", 2, "P0 contains unknown element 'b'"),
+        ("node n\ncolor b = inf\nuniverse: a\n", 2, "coloring mentions unknown element 'b'"),
+    ],
+    ids=["repeated-universe-element", "unary-before-universe", "color-before-universe"],
+)
+def test_struct_element_refusals_cite_their_line(text, line_no, got):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_struct(text, "s.struct")
+    assert (err.value.line_no, err.value.expected, err.value.got) == (line_no, "a consistent structure spec", got)
 
 
 README_SPEC = (

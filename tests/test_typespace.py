@@ -1,9 +1,17 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from oracles import brute_classify, brute_dense, brute_satisfies
-from rklab.models import explicit, full_base
+from oracles import (
+    brute_classify,
+    brute_dense,
+    brute_satisfies,
+    enumerate_formulas,
+    round_robin_counts,
+)
+from rklab.models import COUNT_CAP, RkSequence, cm_dominates, construct_model, explicit, full_base
 from rklab.typespace import (
     ColorCell,
     FormulaClass,
@@ -12,10 +20,10 @@ from rklab.typespace import (
     SdupCell,
     TypeSpace,
     atoms,
+    cell_atoms,
     classify_formula,
     consistent,
     coverage_groups,
-    enumerate_formulas,
     enumerate_types,
     has_prime_model,
     is_dense,
@@ -107,25 +115,73 @@ def test_prime_model_family_answers():
     assert has_prime_model(TypeSpace("iup", 6)) is False
     assert has_prime_model(TypeSpace("sdup", 2)) is True
     assert has_prime_model(TypeSpace("colored", 3, 3)) is True
-    # spaces past the formula budget get the same family answer
+    # spaces past exhaustive enumeration get the same family answer
     assert has_prime_model(TypeSpace("iup", 16)) is False
     assert has_prime_model(TypeSpace("sdup", 3)) is True
     assert has_prime_model(TypeSpace("colored", 6, 3)) is True
 
 
+# every space whose 3^atoms candidate formulas number at most 30,000
+ENUMERABLE_SPACES = (
+    [TypeSpace("iup", d) for d in range(1, 10)]
+    + [TypeSpace("sdup", d) for d in (1, 2)]
+    + [TypeSpace("colored", d, m) for m in range(1, 8) for d in range(1, 9 - m)]
+)
+
+
 def test_prime_model_agrees_with_exhaustive_classification():
-    # every space whose 3^atoms candidates fit the formula budget; the
-    # slowest take about 1.2 s each to enumerate and classify
-    spaces = (
-        [TypeSpace("iup", d) for d in range(1, 10)]
-        + [TypeSpace("sdup", d) for d in (1, 2)]
-        + [TypeSpace("colored", d, m) for m in range(1, 8) for d in range(1, 9 - m)]
-    )
-    for ts in spaces:
+    for ts in ENUMERABLE_SPACES:
         exhaustive = all(
             brute_classify(ts, phi) is FormulaClass.I for phi in enumerate_formulas(ts)
         )
         assert has_prime_model(ts) == exhaustive, ts
+
+
+def test_construct_model_agrees_with_the_round_robin_oracle():
+    # all cells, or all but one, split at random into one to three cones:
+    # the union covers every formula exactly when the oracle says so
+    rng = random.Random(21)
+    outcomes = set()
+    for ts in ENUMERABLE_SPACES:
+        formulas = list(enumerate_formulas(ts))
+        cells = list(enumerate_types(ts))
+        for drop in (None, rng.choice(cells)):
+            kept = [c for c in cells if c != drop]
+            # None unless every formula has a witness among the kept cells
+            oracle = round_robin_counts(ts, kept, formulas, COUNT_CAP)
+            for _ in range(3):
+                cones = [[] for _ in range(rng.randint(1, 3))]
+                for cell in kept:
+                    rng.choice(cones).append(cell)
+                cones = [cone or [rng.choice(kept)] for cone in cones]
+                seq = RkSequence(tuple(rng.choice(kept) for _ in cones))
+                if oracle is None:
+                    with pytest.raises(ValueError):
+                        construct_model(ts, seq, cones, ts.depth)
+                    outcomes.add("refused")
+                    continue
+                spec = construct_model(ts, seq, cones, ts.depth)
+                assert spec.support() == frozenset(oracle) == frozenset(kept), (ts, drop)
+                assert all(1 <= spec.count(c).k <= COUNT_CAP for c in kept), (ts, drop)
+                assert all(1 <= k <= COUNT_CAP for k in oracle.values()), (ts, drop)
+                outcomes.add("built")
+    assert outcomes == {"built", "refused"}
+
+
+@pytest.mark.parametrize(
+    "ts", [TypeSpace("iup", 16), TypeSpace("sdup", 14), TypeSpace("colored", 2, 16382)],
+    ids=["iup-d16", "sdup-d14", "colored-m16382-d2"],
+)
+def test_construct_model_answers_the_largest_spaces(ts):
+    # each takes well under 2 s in process; the bound leaves room for slow hosts
+    cells = enumerate_types(ts)
+    half = len(cells) // 2
+    start = time.perf_counter()
+    spec = construct_model(ts, RkSequence(cells[:2]), [cells[:half], cells[half:]], ts.depth)
+    assert spec.support() == frozenset(cells)
+    assert cm_dominates(spec, spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"{ts} took {elapsed:.2f}s"
 
 
 def test_dense_examples():
@@ -167,8 +223,8 @@ def test_density_matches_formula_enumeration_oracle():
 
 
 def test_atom_table_matches_the_family_rule_oracle():
-    # satisfaction, consistency, coverage groups and formula enumeration
-    # all read cell_atoms; the oracle reads each family's rule directly
+    # satisfaction, consistency and coverage groups all read cell_atoms;
+    # the oracles, formula enumeration among them, read each family's rule
     spaces = (
         [TypeSpace("iup", d) for d in range(1, 7)]
         + [TypeSpace("sdup", d) for d in (1, 2)]
@@ -177,6 +233,11 @@ def test_atom_table_matches_the_family_rule_oracle():
     for ts in spaces:
         alphabet = atoms(ts)
         cells = enumerate_types(ts)
+        for cell in cells:
+            # the space's own atom objects, in their order
+            true = tuple(a for a in alphabet if brute_satisfies(ts, cell, FormulaLit.of({a: True})))
+            assert cell_atoms(ts, cell) == true, (ts, cell)
+            assert all(a is alphabet[alphabet.index(a)] for a in cell_atoms(ts, cell)), (ts, cell)
         for cell, atom, sign in itertools.product(cells, alphabet, (True, False)):
             phi = FormulaLit.of({atom: sign})
             assert satisfies(ts, cell, phi) == brute_satisfies(ts, cell, phi), (ts, cell, phi)
@@ -214,6 +275,13 @@ def test_atoms_outside_the_space_are_refused():
         for check in (consistent, classify_formula, satisfies_first_cell):
             with pytest.raises(ValueError, match="invalid for"):
                 check(ts, FormulaLit.of(lits))
+    # so are cells outside the space, which have no row in its atom table
+    colored, phi = TypeSpace("colored", 2, 2), FormulaLit.of({("C", 2): True})
+    for cell in (ColorCell(-1, 2), ColorCell(2, 0), ColorCell(0, 3)):
+        with pytest.raises(ValueError, match="invalid for"):
+            satisfies(colored, cell, phi)
+    with pytest.raises(ValueError, match="invalid for"):
+        satisfies(TypeSpace("sdup", 1), SdupCell("cont", "01"), FormulaLit.of({("S", "1"): False}))
 
 
 def test_parse_formula_reads_atom_names():
