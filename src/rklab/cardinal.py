@@ -125,6 +125,6 @@ def parse_card(text: str) -> Card:
     tok = text.strip()
     if tok in _TOKENS:
         return _TOKENS[tok]
-    if tok.isdigit():
+    if tok.isdecimal():
         return fin(int(tok))
     raise ValueError(f"not a cardinal token: {text!r}")

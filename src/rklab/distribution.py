@@ -635,7 +635,7 @@ def replayed_prime_preorder(struct: StructSpec, predicates: tuple[str, ...]) -> 
     from .operators import pnode
     from .preorder import induced
 
-    g = struct.registry.to_domination_graph()
+    g = struct.to_domination_graph()
     idx = g.index()
     return induced(rk_preorder(g), [idx[pnode(p)] for p in predicates])
 
@@ -644,7 +644,7 @@ def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[in
     """Read the per-class limit targets back out of the replayed registry."""
     from .operators import pnode
 
-    targets = struct.registry.limit_targets
+    targets = struct.limit_targets
     out: dict[frozenset[int], Card] = {}
     for members in spec.quotient.classes:
         rep = min(members)
@@ -656,7 +656,7 @@ def replayed_prime_flags(struct: StructSpec, predicates: tuple[str, ...]) -> dic
     from .operators import pnode
 
     return {
-        i: struct.registry.nodes[pnode(p)].prime for i, p in enumerate(predicates)
+        i: struct.nodes[pnode(p)].prime for i, p in enumerate(predicates)
     }
 
 

@@ -395,11 +395,11 @@ def serialize_struct(spec: StructSpec) -> str:
     for name in sorted(spec.ternary):
         triples = " ".join(f"({a},{b},{c})" for a, b, c in spec.ternary[name])
         lines.append(f"rel3 {name}: {triples}")
-    lines.extend(f"node {_node_words(spec.registry.nodes[name])}" for name in sorted(spec.registry.nodes))
-    lines.extend(f"edge {_edge_words(e)}" for e in spec.registry.edges)
-    for key in sorted(spec.registry.limit_targets):
-        lines.append(f"target {key} = {render(spec.registry.limit_targets[key])}")
-    for note in spec.registry.notes:
+    lines.extend(f"node {_node_words(spec.nodes[name])}" for name in sorted(spec.nodes))
+    lines.extend(f"edge {_edge_words(e)}" for e in spec.edges)
+    for key in sorted(spec.limit_targets):
+        lines.append(f"target {key} = {render(spec.limit_targets[key])}")
+    for note in spec.notes:
         lines.append(f"note {note}")
     for rec in spec.history:
         payload = json.dumps(
@@ -414,13 +414,14 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
     """Grammar: one ``universe:`` line; ``unary``, ``color``, ``rel2``,
     ``rel3`` and ``target`` lines, one per name; ``note`` and ``applied``
     lines; and the registry as domination-graph lines behind the keywords
-    ``node`` and ``edge``."""
-    from .operators import OpRecord, Registry, StructSpec
+    ``node`` and ``edge``, one per node and one per edge."""
+    from .operators import OpRecord, StructSpec
 
     universe: tuple[str, ...] | None = None
     tables: dict[str, dict] = {"unary": {}, "color": {}, "rel2": {}, "rel3": {}, "target": {}}
     nodes: dict[str, TypeNode] = {}
     edges: list[tuple[int, str, DomEdge]] = []
+    seen_edges: set[DomEdge] = set()
     notes: list[str] = []
     history: list[OpRecord] = []
     mentions: list[tuple[int, str, str]] = []  # (line, element, what names it)
@@ -454,7 +455,11 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
             _read_node(nodes, "node", words[1:], path, no, line)
             continue
         if keyword == "edge":
-            edges.append((no, line, _read_edge("edge ", words[1:], path, no, line)))
+            edge = _read_edge("edge ", words[1:], path, no, line)
+            if edge in seen_edges:
+                raise ParseError(path, no, "one line per edge", line)
+            seen_edges.add(edge)
+            edges.append((no, line, edge))
             continue
         if keyword == "note":
             notes.append(line[len("note "):])
@@ -493,10 +498,9 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
     for no, el, what in mentions:
         if el not in known:
             raise ParseError(path, no, "a consistent structure spec", f"{what} unknown element {el!r}")
-    registry = Registry(nodes, _declared(nodes, edges, path), tables["target"], tuple(notes))
     return StructSpec(
         universe or (), tables["unary"], tables["color"], tables["rel2"], tables["rel3"],
-        registry, tuple(history),
+        nodes.values(), _declared(nodes, edges, path), tables["target"], notes, history,
     )
 
 

@@ -15,8 +15,9 @@ semi-isolate backwards.
 
 ``run_pipeline`` is the one interpreter of operator pipelines, whether
 they come from a pipeline file or from a blueprint builder.  It grows
-one working structure through the operator cores (``_icp`` and the
-rest), which each public operator runs on a thawed copy of its spec.
+one ``StructSpec`` in place through the operator cores (``_icp`` and the
+rest); each public operator runs its core on a copy of its spec, so its
+input is left unchanged.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from .cardinal import CONTINUUM, Card, card_eq, parse_card, render
 from .domination import DomEdge, DominationGraph, TypeNode
 from .limitcount import FREE_SYSTEM, IdentitySystem, lmt, lms
-from .record import factory, record, replace
+from .record import record, replace
 from .report import BudgetError, Report, ReportBuilder
 
 Color = int | None  # None is the infinite color
@@ -50,31 +51,6 @@ def joint_name(p1: str, p2: str) -> str:
     return f"q({p1},{p2})"
 
 
-# -- registry -----------------------------------------------------------------
-
-@record
-class Registry:
-    nodes: dict[str, TypeNode] = factory(dict)
-    edges: tuple[DomEdge, ...] = ()
-    limit_targets: dict[str, Card] = factory(dict)
-    notes: tuple[str, ...] = ()
-
-    def stubs_of(self, p: str) -> list[TypeNode]:
-        return sorted(
-            (n for n in self.nodes.values() if n.stub_of == p),
-            key=lambda n: n.name,
-        )
-
-    def realized_stubs(self) -> list[TypeNode]:
-        return sorted(
-            (n for n in self.nodes.values() if n.stub_of is not None and n.realized),
-            key=lambda n: n.name,
-        )
-
-    def to_domination_graph(self) -> DominationGraph:
-        return DominationGraph(tuple(sorted(self.nodes.values(), key=lambda n: n.name)), self.edges)
-
-
 # -- structure specs ----------------------------------------------------------
 
 @record
@@ -83,27 +59,66 @@ class OpRecord:
     params: dict[str, object]
 
 
-@record
 class StructSpec:
-    universe: tuple[str, ...]
-    unary: dict[str, tuple[str, ...]]
-    coloring: dict[str, Color]
-    binary: dict[str, tuple[tuple[str, str], ...]]
-    ternary: dict[str, tuple[tuple[str, str, str], ...]]
-    registry: Registry = factory(Registry)
-    history: tuple[OpRecord, ...] = ()
+    """A finite structure with its type registry: the one structure the
+    operators grow.
 
-    def __post_init__(self) -> None:
-        known = set(self.universe)
-        if len(known) != len(self.universe):
+    Its fields are the ``universe`` (a list, with ``names`` its set), the
+    ``unary`` extents, the ``coloring``, the ``binary`` and ``ternary``
+    relations, the registry's ``nodes`` (with ``stubs``, each stub
+    parent's stub names), ``edges`` (an insertion-ordered set),
+    ``limit_targets`` and ``notes``, and the ``history`` of operator
+    records.  Building one from parts checks its elements once; the
+    operator cores then grow it in place, each checking only the names it
+    adds, and ``copy`` gives a structure that shares no container.
+    """
+
+    def __init__(
+        self,
+        universe: Iterable[str],
+        unary: Mapping[str, tuple[str, ...]],
+        coloring: Mapping[str, Color],
+        binary: Mapping[str, tuple[tuple[str, str], ...]],
+        ternary: Mapping[str, tuple[tuple[str, str, str], ...]],
+        nodes: Iterable[TypeNode] = (),
+        edges: Iterable[DomEdge] = (),
+        limit_targets: Mapping[str, Card] | None = None,
+        notes: Iterable[str] = (),
+        history: Iterable[OpRecord] = (),
+    ) -> None:
+        self.universe = list(universe)
+        self.names = set(self.universe)
+        if len(self.names) != len(self.universe):
             raise ValueError("duplicate universe elements")
-        for pred, extent in self.unary.items():
+        for pred, extent in unary.items():
             for el in extent:
-                if el not in known:
+                if el not in self.names:
                     raise ValueError(f"{pred} contains unknown element {el!r}")
-        for el in self.coloring:
-            if el not in known:
+        for el in coloring:
+            if el not in self.names:
                 raise ValueError(f"coloring mentions unknown element {el!r}")
+        self.unary = dict(unary)
+        self.coloring = dict(coloring)
+        self.binary = dict(binary)
+        self.ternary = dict(ternary)
+        self.nodes: dict[str, TypeNode] = {}
+        self.stubs: dict[str, dict[str, None]] = {}  # stub_of -> stub names
+        for node in nodes:
+            self.put_node(node)
+        self.edges = dict.fromkeys(edges)
+        self.limit_targets = dict(limit_targets or {})
+        self.notes = list(notes)
+        self.history = list(history)
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if isinstance(other, StructSpec) else NotImplemented
+
+    def copy(self) -> StructSpec:
+        new = StructSpec.__new__(StructSpec)
+        for name, value in vars(self).items():
+            setattr(new, name, value.copy())
+        new.stubs = {p: names.copy() for p, names in self.stubs.items()}
+        return new
 
     def extent(self, pred: str) -> tuple[str, ...]:
         if pred not in self.unary:
@@ -114,36 +129,6 @@ class StructSpec:
         if el not in self.coloring:
             raise KeyError(f"element {el!r} is uncolored")
         return self.coloring[el]
-
-
-class _Work:
-    """The one mutable structure an operator pipeline grows.
-
-    A pipeline thaws it once from the colored base; the operator cores
-    grow it in place, each checking only the names it adds, and it is
-    frozen into a validated ``StructSpec`` once, at the end.  It
-    answers ``extent``, ``color``, ``binary``, ``ternary`` and
-    ``history`` as a spec does, so the scheme verifiers read either.
-    """
-
-    extent = StructSpec.extent
-    color = StructSpec.color
-
-    def __init__(self, spec: StructSpec) -> None:
-        self.universe = list(spec.universe)
-        self.names = set(spec.universe)
-        self.unary = dict(spec.unary)
-        self.coloring = dict(spec.coloring)
-        self.binary = dict(spec.binary)
-        self.ternary = dict(spec.ternary)
-        self.nodes: dict[str, TypeNode] = {}
-        self.stubs: dict[str, dict[str, None]] = {}  # stub_of -> stub names
-        for node in spec.registry.nodes.values():
-            self.put_node(node)
-        self.edges = dict.fromkeys(spec.registry.edges)  # an insertion-ordered set
-        self.targets = dict(spec.registry.limit_targets)
-        self.notes = list(spec.registry.notes)
-        self.history = list(spec.history)
 
     def add_elements(self, names: list[str], kind: str) -> None:
         if not self.names.isdisjoint(names):
@@ -162,14 +147,12 @@ class _Work:
         self.put_node(replace(node, **changes) if changes else node)
 
     def stubs_of(self, p: str) -> list[str]:
+        """The names of the continuation stubs registered over ``p``, sorted."""
         return sorted(self.stubs.get(p, ()))
 
-    def freeze(self) -> StructSpec:
-        registry = Registry(self.nodes, tuple(self.edges), self.targets, tuple(self.notes))
-        return StructSpec(
-            tuple(self.universe), self.unary, self.coloring, self.binary,
-            self.ternary, registry, tuple(self.history),
-        )
+    def to_domination_graph(self) -> DominationGraph:
+        nodes = tuple(sorted(self.nodes.values(), key=lambda n: n.name))
+        return DominationGraph(nodes, tuple(self.edges))
 
 
 def colored_base(
@@ -195,7 +178,7 @@ def colored_base(
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
-    nodes: dict[str, TypeNode] = {}
+    nodes: list[TypeNode] = []
     for i in range(parts):
         extent: list[str] = []
         for c in range(colors):
@@ -208,9 +191,9 @@ def colored_base(
         coloring[el] = None
         universe.extend(extent)
         unary[f"P{i}"] = tuple(extent)
-        nodes[pnode(f"P{i}")] = TypeNode(pnode(f"P{i}"), prime=True)
+        nodes.append(TypeNode(pnode(f"P{i}"), prime=True))
     binary: dict[str, tuple[tuple[str, str], ...]] = {}
-    edges: dict[DomEdge, None] = {}  # an insertion-ordered set
+    edges: list[DomEdge] = []
     for low, high, principal in q_edges:
         if not (0 <= low < parts and 0 <= high < parts) or low == high:
             raise ValueError(f"bad q edge ({low},{high})")
@@ -223,9 +206,8 @@ def colored_base(
                 pairs.append((x, y))
         pairs.append((f"a{low}inf", f"a{high}inf"))
         binary[qname] = tuple(pairs)
-        edges[DomEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal)] = None
-    registry = Registry(nodes, tuple(edges))
-    return StructSpec(tuple(universe), unary, coloring, binary, {}, registry)
+        edges.append(DomEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal))
+    return StructSpec(universe, unary, coloring, binary, {}, nodes, edges)
 
 
 def verify_q_order(spec: StructSpec) -> Report:
@@ -268,7 +250,7 @@ def _reserve(size: int, adding: int, what: str = "elements") -> None:
         raise BudgetError(f"{amount} {what} exceed the universe cap {UNIVERSE_CAP}")
 
 
-def _split_need(spec: StructSpec | _Work, subs: Sequence[str], depth: int, fan_out: int) -> int:
+def _split_need(spec: StructSpec, subs: Sequence[str], depth: int, fan_out: int) -> int:
     # summed over tuples of colors, not of elements: the extents may be long
     counts = [Counter(map(spec.color, spec.extent(sub))).items() for sub in subs]
     total = 0
@@ -278,15 +260,15 @@ def _split_need(spec: StructSpec | _Work, subs: Sequence[str], depth: int, fan_o
     return total * fan_out
 
 
-def icp_need(spec: StructSpec | _Work, sub: str, depth: int, fan_out: int) -> int:
+def icp_need(spec: StructSpec, sub: str, depth: int, fan_out: int) -> int:
     return _split_need(spec, (sub,), depth, fan_out)
 
 
-def bu_need(spec: StructSpec | _Work, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
+def bu_need(spec: StructSpec, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
     return _split_need(spec, (sub1, sub2), depth, fan_out)
 
 
-def _check_colored_extent(spec: StructSpec | _Work, sub: str, ceiling: int) -> None:
+def _check_colored_extent(spec: StructSpec, sub: str, ceiling: int) -> None:
     extent = spec.extent(sub)
     if not extent:
         raise ValueError(f"{sub} has an empty extent")
@@ -301,7 +283,7 @@ def _check_colored_extent(spec: StructSpec | _Work, sub: str, ceiling: int) -> N
 
 
 def _split(
-    w: _Work, op: str, subs: Sequence[str], fresh: int | None, depth: int, fan_out: int,
+    spec: StructSpec, op: str, subs: Sequence[str], fresh: int | None, depth: int, fan_out: int,
     letter: str,
 ) -> tuple[list[str], list[str]]:
     """Give each element, or tuple of elements, of the extents of ``subs``
@@ -310,21 +292,21 @@ def _split(
     every witness; layer Ri, i >= 1, those of the blocks with bit i-1 set.
     Returns the layer names and the witnesses."""
     for sub in subs:
-        _check_colored_extent(w, sub, depth)
+        _check_colored_extent(spec, sub, depth)
     # past depth 64 the need is over the cap however it is counted: 2^depth is not computed
-    need = _split_need(w, subs, min(depth, 64), fan_out)
+    need = _split_need(spec, subs, min(depth, 64), fan_out)
     fresh = need if fresh is None else fresh
-    _reserve(len(w.universe), max(fresh, need))
+    _reserve(len(spec.universe), max(fresh, need))
     if fresh < need:
         raise ValueError(f"{letter} of size {fresh} cannot honor the splits, need {need}")
-    app = len(w.history)
+    app = len(spec.history)
     names = [f"{letter}{app}s0_{k}" for k in range(fresh)]  # "s0": the names files hold
-    w.add_elements(names, letter)
+    spec.add_elements(names, letter)
     rels = ["*".join(subs) + f".{op}{app}.R{i}" for i in range(depth + 1)]
     layers: list[list[tuple[str, ...]]] = [[] for _ in rels]
     cursor = 0
-    for key in itertools.product(*(sorted(w.extent(sub)) for sub in subs)):
-        eff = _split_depth(map(w.color, key), depth)
+    for key in itertools.product(*(sorted(spec.extent(sub)) for sub in subs)):
+        eff = _split_depth(map(spec.color, key), depth)
         for block in range(2**eff):
             rows = [key + (y,) for y in names[cursor : cursor + fan_out]]
             cursor += fan_out
@@ -332,7 +314,7 @@ def _split(
             for i in range(1, eff + 1):
                 if block >> (i - 1) & 1:
                     layers[i] += rows
-    table = w.binary if len(subs) == 1 else w.ternary
+    table = spec.binary if len(subs) == 1 else spec.ternary
     for r, rows in zip(rels, layers):
         table[r] = tuple(rows)
     return rels, names
@@ -349,24 +331,24 @@ def icp(spec: StructSpec, sub: str, fresh_y: int, depth: int, fan_out: int = 3) 
     over the substructure's non-principal type, and registers one
     continuation stub per depth-length bit string.
     """
-    w = _Work(spec)
-    _icp(w, sub, fresh_y, depth, fan_out)
-    return w.freeze()
+    out = spec.copy()
+    _icp(out, sub, fresh_y, depth, fan_out)
+    return out
 
 
-def _icp(w: _Work, sub: str, fresh_y: int | None, depth: int, fan_out: int) -> None:
+def _icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: int) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
-    rels, ys = _split(w, "icp", (sub,), fresh_y, depth, fan_out, "Y")
+    rels, ys = _split(spec, "icp", (sub,), fresh_y, depth, fan_out, "Y")
     p = pnode(sub)
-    w.set_node(p, prime=False)
+    spec.set_node(p, prime=False)
     for bits in itertools.product("01", repeat=depth):
         b = "".join(bits)
-        w.put_node(TypeNode(stub_name(sub, b), stub_of=p, stub_bits=b))
-    w.notes.append(f"icp on {sub}: no prime model over {p}")
-    w.history.append(OpRecord("icp", {
+        spec.put_node(TypeNode(stub_name(sub, b), stub_of=p, stub_bits=b))
+    spec.notes.append(f"icp on {sub}: no prime model over {p}")
+    spec.history.append(OpRecord("icp", {
         "sub": sub, "depth": depth, "fan_out": fan_out,
         "rels": tuple(rels), "ys": tuple(ys), "seed": 0,
     }))
@@ -384,19 +366,21 @@ def css(
     the selected stubs.  With ``linked`` set, the allocation is recorded
     as tied to the type (the downward-ban reading of the same operator).
     """
-    w = _Work(spec)
-    _css(w, q_subset, sub, fan_out, linked)
-    return w.freeze()
+    out = spec.copy()
+    _css(out, q_subset, sub, fan_out, linked)
+    return out
 
 
-def _css(w: _Work, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool = False) -> None:
+def _css(
+    spec: StructSpec, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool = False
+) -> None:
     if not q_subset:
         raise ValueError("q_subset must be nonempty")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
     stubs = []
     for name in q_subset:
-        node = w.nodes.get(name)
+        node = spec.nodes.get(name)
         if node is None or node.stub_of is None:
             raise ValueError(f"{name!r} is not a continuation stub")
         stubs.append(node)
@@ -404,18 +388,18 @@ def _css(w: _Work, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool
     if len(depths) != 1:
         raise ValueError("stubs come from different split depths")
     ceiling = depths.pop()
-    _check_colored_extent(w, sub, ceiling)
+    _check_colored_extent(spec, sub, ceiling)
     # each stub gives an element of color c one target per color c..ceiling
-    per_stub = sum(1 if c is None else ceiling + 1 - c for c in map(w.color, w.extent(sub)))
-    _reserve(len(w.universe), len(stubs) * per_stub * fan_out)
-    app = len(w.history)
+    per_stub = sum(1 if c is None else ceiling + 1 - c for c in map(spec.color, spec.extent(sub)))
+    _reserve(len(spec.universe), len(stubs) * per_stub * fan_out)
+    app = len(spec.history)
     rels = [f"{sub}.css{app}.R{j}" for j in range(len(stubs))]
     tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}
     fresh: list[str] = []
     colors: list[Color] = []
     for j, _stub in enumerate(stubs):
-        for x in sorted(w.extent(sub)):
-            c = w.color(x)
+        for x in sorted(spec.extent(sub)):
+            c = spec.color(x)
             targets: list[Color]
             if c is None:
                 targets = [None] * fan_out
@@ -426,19 +410,19 @@ def _css(w: _Work, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool
                 fresh.append(t)
                 colors.append(tcol)
                 tuples[rels[j]].append((x, t))
-    w.add_elements(fresh, "T")
-    w.coloring.update(zip(fresh, colors))
+    spec.add_elements(fresh, "T")
+    spec.coloring.update(zip(fresh, colors))
     for r in rels:
-        w.binary[r] = tuple(tuples[r])
+        spec.binary[r] = tuple(tuples[r])
     p = pnode(sub)
-    w.set_node(p, prime=True)
+    spec.set_node(p, prime=True)
     for node in stubs:
-        w.set_node(node.name, realized=True)
+        spec.set_node(node.name, realized=True)
     msg = f"css on {sub}: prime model over {p} realizes exactly {len(stubs)} stubs"
     if linked:
         msg += " (linked: removing a realized stub removes the type)"
-    w.notes.append(msg)
-    w.history.append(OpRecord("css", {
+    spec.notes.append(msg)
+    spec.history.append(OpRecord("css", {
         "sub": sub, "stubs": tuple(n.name for n in stubs), "rels": tuple(rels),
         "ceiling": ceiling, "fan_out": fan_out, "linked": linked, "seed": 0,
     }))
@@ -454,28 +438,28 @@ def bu(
     non-principal types lose their prime models while the two types
     themselves keep their flags.
     """
-    w = _Work(spec)
-    _bu(w, sub1, sub2, fresh_z, depth, fan_out)
-    return w.freeze()
+    out = spec.copy()
+    _bu(out, sub1, sub2, fresh_z, depth, fan_out)
+    return out
 
 
-def _bu(w: _Work, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int) -> None:
+def _bu(spec: StructSpec, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
-    if set(w.extent(sub1)) & set(w.extent(sub2)):
+    if set(spec.extent(sub1)) & set(spec.extent(sub2)):
         raise ValueError(f"{sub1} and {sub2} overlap")
-    rels, zs = _split(w, "bu", (sub1, sub2), fresh_z, depth, fan_out, "Z")
+    rels, zs = _split(spec, "bu", (sub1, sub2), fresh_z, depth, fan_out, "Z")
     p1, p2 = pnode(sub1), pnode(sub2)
     for p in (p1, p2):
-        w.set_node(p)
+        spec.set_node(p)
     joint = joint_name(p1, p2)
-    w.put_node(TypeNode(joint))
-    w.edges[DomEdge(joint, p1, "x=y1", principal=True)] = None
-    w.edges[DomEdge(joint, p2, "x=y2", principal=True)] = None
-    w.notes.append(f"bu on {sub1},{sub2}: no prime models over joint types {joint}")
-    w.history.append(OpRecord("bu", {
+    spec.put_node(TypeNode(joint))
+    spec.edges[DomEdge(joint, p1, "x=y1", principal=True)] = None
+    spec.edges[DomEdge(joint, p2, "x=y2", principal=True)] = None
+    spec.notes.append(f"bu on {sub1},{sub2}: no prime models over joint types {joint}")
+    spec.history.append(OpRecord("bu", {
         "sub1": sub1, "sub2": sub2, "depth": depth, "fan_out": fan_out,
         "rels": tuple(rels), "zs": tuple(zs), "seed": 0,
     }))
@@ -492,19 +476,19 @@ def apply_lmt(
     identities); finite and countable targets carry the corresponding
     identity system.
     """
-    w = _Work(spec)
-    system = _apply_lmt(w, p, lam, reading)
-    return w.freeze(), system
+    out = spec.copy()
+    system = _apply_lmt(out, p, lam, reading)
+    return out, system
 
 
-def _apply_lmt(w: _Work, p: str, lam: Card, reading: str = "gt") -> IdentitySystem:
+def _apply_lmt(spec: StructSpec, p: str, lam: Card, reading: str = "gt") -> IdentitySystem:
     system = FREE_SYSTEM if card_eq(lam, CONTINUUM, ch=False) else lmt(lam)
-    w.set_node(p)
-    w.targets[p] = lam
-    w.notes.append(
+    spec.set_node(p)
+    spec.limit_targets[p] = lam
+    spec.notes.append(
         f"lmt over {p}: linking relations entail the type and never semi-isolate back"
     )
-    w.history.append(OpRecord("lmt", {"node": p, "lam": render(lam), "reading": reading}))
+    spec.history.append(OpRecord("lmt", {"node": p, "lam": render(lam), "reading": reading}))
     return system
 
 
@@ -515,23 +499,23 @@ def seq_key(nodes: Sequence[str]) -> str:
 def apply_lms(
     spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = "gt"
 ) -> tuple[StructSpec, IdentitySystem]:
-    w = _Work(spec)
-    system = _apply_lms(w, nodes, lam, reading)
-    return w.freeze(), system
+    out = spec.copy()
+    system = _apply_lms(out, nodes, lam, reading)
+    return out, system
 
 
-def _apply_lms(w: _Work, nodes: Sequence[str], lam: Card, reading: str = "gt") -> IdentitySystem:
+def _apply_lms(spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = "gt") -> IdentitySystem:
     if not nodes:
         raise ValueError("sequence must be nonempty")
     system = FREE_SYSTEM if card_eq(lam, CONTINUUM, ch=False) else lms(len(nodes), lam, reading)
     for p in nodes:
-        w.set_node(p)
+        spec.set_node(p)
     key = seq_key(nodes)
-    w.targets[key] = lam
-    w.notes.append(
+    spec.limit_targets[key] = lam
+    spec.notes.append(
         f"lms over {key}: linking relations step down the sequence, never semi-isolating back"
     )
-    w.history.append(OpRecord("lms", {"nodes": tuple(nodes), "lam": render(lam), "reading": reading}))
+    spec.history.append(OpRecord("lms", {"nodes": tuple(nodes), "lam": render(lam), "reading": reading}))
     return system
 
 
@@ -571,7 +555,7 @@ def _clashes(keys: list[tuple[str, ...]], index: Mapping) -> list[tuple[int, int
 
 
 def _split_images(
-    spec: StructSpec | _Work, params: Mapping, subs: Sequence[str]
+    spec: StructSpec, params: Mapping, subs: Sequence[str]
 ) -> tuple[list[tuple[str, ...]], list[dict]]:
     """The keys a split record covers, the tuples of its extents, and the
     image index of each of its layers."""
@@ -581,7 +565,7 @@ def _split_images(
 
 
 def _check_splits(
-    spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping,
+    spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping,
     keys: list[tuple[str, ...]], images: list[dict],
 ) -> None:
     """Every layer of a key lies inside its R0, none lies past its split
@@ -615,7 +599,7 @@ def _check_splits(
     rb.check(f"{tag}.containment", not contain_bad, "; ".join(contain_bad[:3]))
 
 
-def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+def _verify_icp(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     keys, images = _split_images(spec, params, (params["sub"],))
     fan_out = params["fan_out"]
     base_bad = [
@@ -629,7 +613,7 @@ def _verify_icp(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: M
     rb.check(f"{tag}.disjoint-images", not shown, "; ".join(shown[:3]))
 
 
-def _verify_css(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+def _verify_css(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     ceiling, fan_out = params["ceiling"], params["fan_out"]
     keys = [(x,) for x in sorted(spec.extent(params["sub"]))]
     color_bad: list[str] = []
@@ -664,7 +648,7 @@ def _verify_css(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: M
     rb.check(f"{tag}.disjoint-images", not disjoint_bad, "; ".join(disjoint_bad[:3]))
 
 
-def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Mapping) -> None:
+def _verify_bu(spec: StructSpec, rb: ReportBuilder, tag: str, params: Mapping) -> None:
     keys, images = _split_images(spec, params, (params["sub1"], params["sub2"]))
     _check_splits(spec, rb, tag, params, keys, images)
     clashes = sorted((a, b, i) for i, index in enumerate(images) for a, b in _clashes(keys, index))
@@ -675,7 +659,7 @@ def _verify_bu(spec: StructSpec | _Work, rb: ReportBuilder, tag: str, params: Ma
 _VERIFIERS = {"icp": _verify_icp, "css": _verify_css, "bu": _verify_bu}
 
 
-def _verify_record(spec: StructSpec | _Work, rb: ReportBuilder, index: int) -> None:
+def _verify_record(spec: StructSpec, rb: ReportBuilder, index: int) -> None:
     """Add the ground checks of the history record at ``index`` to ``rb``."""
     rec = spec.history[index]
     tag = f"app{index}"
@@ -730,8 +714,8 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
     ``fan`` defaults to 2, ``depth`` to 1, and ``y``/``z`` to the least
     size that honors the splits; ``bd`` is ``css`` with ``linked=true``.
     With ``check`` set, each icp/css/bu record is verified as soon as it
-    is applied, and a violation raises ``ValueError``.  One working
-    structure carries every step, so each step costs what it adds.
+    is applied, and a violation raises ``ValueError``.  The steps grow
+    one structure in place, so each step costs what it adds.
     """
     base: dict[str, str] | None = None
     qedges: list[tuple[int, int, bool]] = []
@@ -745,9 +729,9 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
             )
     if base is None:
         raise ValueError("pipeline needs a 'base' line")
-    w = _Work(colored_base(
+    spec = colored_base(
         int(base["parts"]), int(base["colors"]), int(base.get("per_color", "1")), qedges
-    ))
+    )
     for step in steps:
         if step.op in ("base", "qedge"):
             continue
@@ -756,33 +740,33 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
         depth = int(a.get("depth", "1"))
         if step.op == "icp":
             y = a.get("y", "auto")
-            _icp(w, a["sub"], None if y == "auto" else int(y), depth, fan)
+            _icp(spec, a["sub"], None if y == "auto" else int(y), depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
-                stubs = w.stubs_of(pnode(a["source"]))
+                stubs = spec.stubs_of(pnode(a["source"]))
             elif "stubs" in a:
                 stubs = a["stubs"].split(",")
             else:
                 raise ValueError(f"{step.op} step needs source= or stubs=")
-            _css(w, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
+            _css(spec, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
         elif step.op == "bu":
             z = a.get("z", "auto")
-            _bu(w, a["sub1"], a["sub2"], None if z == "auto" else int(z), depth, fan)
+            _bu(spec, a["sub1"], a["sub2"], None if z == "auto" else int(z), depth, fan)
         elif step.op == "lmt":
-            _apply_lmt(w, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+            _apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "lms":
-            _apply_lms(w, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
+            _apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "note":
-            w.notes.append(a.get("text", ""))
+            spec.notes.append(a.get("text", ""))
             continue
         else:
             raise ValueError(f"unknown pipeline step {step.op!r}")
-        rec = w.history[-1]
+        rec = spec.history[-1]
         if check and rec.op in _VERIFIERS:
             # steps only append new relations, elements and colors: earlier records cannot change
             rb = ReportBuilder(f"schemes:{rec.op}")
-            _verify_record(w, rb, len(w.history) - 1)
+            _verify_record(spec, rb, len(spec.history) - 1)
             bad = ", ".join(e.code for e in rb.done().violations())
             if bad:
                 raise ValueError(f"scheme violation after {rec.op}: {bad}")
-    return w.freeze()
+    return spec

@@ -18,13 +18,6 @@ class FrozenInstanceError(AttributeError):
     """Raised on assigning to or deleting an attribute of a record."""
 
 
-class factory:
-    """A field default that calls ``make()`` once for each new instance."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def _setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -45,16 +38,12 @@ def record(cls):
     env = {"_set": object.__setattr__}
     params, body = ["self"], []
     for name in fields:
-        value = name
         if name in own:
             env[f"_d_{name}"] = own[name]
             params.append(f"{name}=_d_{name}")
-            if isinstance(own[name], factory):
-                value = f"_d_{name}.make() if {name} is _d_{name} else {name}"
-                delattr(cls, name)
         else:
             params.append(name)
-        body.append(f"_set(self, {name!r}, {value})")
+        body.append(f"_set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "".join(f"self.{name}," for name in fields)

@@ -232,8 +232,13 @@ def cell_atoms(ts: TypeSpace, cell: Cell) -> tuple[Atom, ...]:
     return (own[cell.part], own[ts.parts + cell.color])
 
 
+@functools.lru_cache(maxsize=8)
+def _atom_set(ts: TypeSpace) -> frozenset[Atom]:
+    return frozenset(atoms(ts))
+
+
 def _check_atoms(ts: TypeSpace, phi: FormulaLit) -> None:
-    known = set(atoms(ts))
+    known = _atom_set(ts)
     for atom, _ in phi.literals:
         if atom not in known:
             raise ValueError(f"atom {atom!r} invalid for {ts.family} depth {ts.depth}")

@@ -389,11 +389,8 @@ def test_criterion_10_operator_ground_checks():
             continue
         index = rng.randrange(len(pairs))
         del pairs[index]
-        binary = dict(out.binary)
-        binary[rel] = tuple(pairs)
-        from rklab.record import replace
-
-        mutated = replace(out, binary=binary)
+        mutated = out.copy()
+        mutated.binary[rel] = tuple(pairs)
         if not verify_schemes(mutated, "icp").ok:
             detected += 1
     assert detected == 100

@@ -238,7 +238,7 @@ def test_build_and_apply_round_trip(tmp_path, capsys, variant):
     assert "=> pass" in out
     text = struct_file.read_text()
     parsed = parse_struct(text, str(struct_file))
-    assert parsed.registry.limit_targets["p(P0)"].value == 2
+    assert parsed.limit_targets["p(P0)"].value == 2
     # apply on the written pipeline reproduces build --replay exactly
     cfg = BuildConfig(colors=1, per_color=1, depth=1, fan_out=1)
     spec = parse_distribution(ds.read_text(), str(ds))
@@ -318,6 +318,22 @@ def test_apply_refuses_fan_out_below_one(tmp_path, capsys, steps):
     pipe.write_text("base colors=1 parts=2 per_color=1\n" + steps)
     result = run_cli("apply", "--pipeline", str(pipe), "--verify", "--machine", capsys=capsys)
     assert result == (2, "", "error: fan-out must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--tc", "--triple", "\u00b2,0,0"],
+        ["decompose", "--rk", "2", "--il", "1,\u00b2", "--npl", "0"],
+        ["apply", "--pipeline", "sq.pipe"],
+    ],
+    ids=["classify", "decompose", "apply"],
+)
+def test_a_superscript_digit_is_not_a_cardinal(tmp_path, monkeypatch, capsys, argv):
+    # "\u00b2" passes str.isdigit but int() refuses it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sq.pipe").write_text("base parts=1 colors=1\nlmt node=p(P0) lam=\u00b2\n")
+    assert run_cli(*argv, capsys=capsys) == (2, "", "error: not a cardinal token: '\u00b2'\n")
 
 
 @pytest.mark.parametrize(

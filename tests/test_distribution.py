@@ -347,7 +347,7 @@ def test_blueprint_sequence_mode():
     bp = build_blueprint(spec, "t84", CFG)
     struct = replay_blueprint(bp, CFG)
     key = ">".join(pnode(f"P{i}") for i in (0, 1, 2))
-    assert struct.registry.limit_targets[key] == fin(2)
+    assert struct.limit_targets[key] == fin(2)
     assert replayed_prime_preorder(struct, bp.predicates) == order
 
 
@@ -382,7 +382,7 @@ def test_replay_registry_obligations_match_f_requirements():
     spec = finite_spec(order, {frozenset({0, 1}): fin(1)})
     bp = build_blueprint(spec, "t77", CFG)
     struct = replay_blueprint(bp, CFG)
-    g = struct.registry.to_domination_graph()
+    g = struct.to_domination_graph()
     obligations = limit_obligations(g)
     names = frozenset({pnode("P0"), pnode("P1")})
     assert obligations[names] is True

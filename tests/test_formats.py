@@ -115,7 +115,7 @@ def test_distribution_round_trip():
 
 def random_struct(rng: random.Random):
     from rklab.cardinal import parse_card
-    from rklab.operators import OpRecord, Registry, StructSpec
+    from rklab.operators import OpRecord, StructSpec
 
     n = rng.randint(1, 8)
     universe = tuple(f"e{i}" for i in range(n))
@@ -160,8 +160,9 @@ def random_struct(rng: random.Random):
         OpRecord("icp", {"sub": "P0", "depth": 1, "fan_out": 2, "rels": ("a", "b"), "ys": (), "seed": 0})
         for _ in range(rng.randint(0, 2))
     )
-    registry = Registry(nodes, edges, targets, notes)
-    return StructSpec(universe, unary, coloring, binary, ternary, registry, history)
+    return StructSpec(
+        universe, unary, coloring, binary, ternary, nodes.values(), edges, targets, notes, history
+    )
 
 
 def test_struct_round_trip():
@@ -186,7 +187,7 @@ def test_struct_round_trip():
 def test_registry_graph_round_trips_through_a_dg_file():
     # a .dg file carries the registry's stub words, so nothing is dropped
     pipe = "base parts=2 colors=1\nqedge low=0 high=1\nicp sub=P0 depth=2\ncss source=P0 sub=P1\n"
-    g = operators.run_pipeline(formats.parse_pipeline(pipe)).registry.to_domination_graph()
+    g = operators.run_pipeline(formats.parse_pipeline(pipe)).to_domination_graph()
     assert any(n.stub_of is not None and n.realized for n in g.nodes)
     assert formats.parse_domination(formats.serialize_domination(g)) == g
 
@@ -229,6 +230,8 @@ NODE_GRAMMAR = "<id> [principal] [prime] [stub-of <id> bits <bits|->] [realized]
          "got 'edge n dominates m via L junk'"),
         ("edge n dominates z via L",
          "s.struct:3: expected an edge between declared nodes, got 'edge n dominates z via L'"),
+        ("edge n dominates m via L\nedge n dominates m via L",
+         "s.struct:4: expected one line per edge, got 'edge n dominates m via L'"),
         ("unary P0: a c",
          "s.struct:3: expected a consistent structure spec, got \"P0 contains unknown element 'c'\""),
         ("color c = 1",
@@ -236,6 +239,7 @@ NODE_GRAMMAR = "<id> [principal] [prime] [stub-of <id> bits <bits|->] [realized]
     ],
     ids=[
         "color-value", "unary-head", "stub-of-cut-short", "node-junk", "edge-junk", "undeclared-end-node",
+        "repeated-edge",
         "unary-unknown-element", "color-unknown-element",
     ],
 )

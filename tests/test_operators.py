@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 
@@ -8,9 +9,11 @@ from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, parse_card
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
 from rklab.formats import parse_pipeline, serialize_struct
+from rklab.domination import DomEdge, TypeNode
 from rklab.limitcount import FREE_SYSTEM, lmt, lms
 from rklab.operators import (
     PipelineStep,
+    StructSpec,
     apply_lmt,
     apply_lms,
     bu,
@@ -26,7 +29,6 @@ from rklab.operators import (
     verify_schemes,
 )
 from rklab.preorder import close, from_pairs, sim_quotient
-from rklab.record import replace
 from rklab.report import BudgetError
 
 
@@ -38,9 +40,9 @@ def test_colored_base_shape():
     spec = colored_base(2, 2, q_edges=[(0, 1, True)])
     assert len(spec.universe) == 6
     assert spec.color("a0inf") is None
-    assert spec.registry.nodes[pnode("P0")].prime
+    assert spec.nodes[pnode("P0")].prime
     assert verify_q_order(spec).ok
-    edge = spec.registry.edges[0]
+    [edge] = spec.edges
     assert edge.src == pnode("P1") and edge.dst == pnode("P0") and edge.principal
 
 
@@ -66,10 +68,10 @@ def test_icp_splits_by_color():
 def test_icp_registry_updates():
     spec = base2(colors=1)
     out = icp(spec, "P0", icp_need(spec, "P0", 1, 2), 1, 2)
-    assert out.registry.nodes[pnode("P0")].prime is False
-    stubs = out.registry.stubs_of(pnode("P0"))
-    assert [s.name for s in stubs] == [stub_name("P0", "0"), stub_name("P0", "1")]
-    assert not any(s.realized for s in stubs)
+    assert out.nodes[pnode("P0")].prime is False
+    stubs = out.stubs_of(pnode("P0"))
+    assert stubs == [stub_name("P0", "0"), stub_name("P0", "1")]
+    assert not any(out.nodes[s].realized for s in stubs)
 
 
 def test_icp_errors():
@@ -81,22 +83,26 @@ def test_icp_errors():
     bad = colored_base(1, 3)
     with pytest.raises(ValueError):
         icp(bad, "P0", 100, 1, 2)  # finite colors above the split depth
-    no_inf = replace(spec, coloring={e: 0 for e in spec.universe})
+    no_inf = spec.copy()
+    no_inf.coloring = {e: 0 for e in spec.universe}
     with pytest.raises(ValueError):
         icp(no_inf, "P0", 100, 1, 2)
 
 
 def icp_then_stubs(spec, sub="P0", depth=1, fan=2):
     out = icp(spec, sub, icp_need(spec, sub, depth, fan), depth, fan)
-    return out, [n.name for n in out.registry.stubs_of(pnode(sub))]
+    return out, out.stubs_of(pnode(sub))
+
+
+def realized_stubs(spec):
+    return sorted(n.name for n in spec.nodes.values() if n.stub_of is not None and n.realized)
 
 
 def test_css_restores_prime_and_realizes_exactly_subset():
     spec, stubs = icp_then_stubs(base2(colors=1))
     out = css(spec, stubs, "P0", 2)
-    assert out.registry.nodes[pnode("P0")].prime is True
-    realized = out.registry.realized_stubs()
-    assert [n.name for n in realized] == stubs
+    assert out.nodes[pnode("P0")].prime is True
+    assert realized_stubs(out) == stubs
     assert verify_schemes(out, "css").ok
 
 
@@ -122,13 +128,13 @@ def test_bd_is_linked_css():
     spec, stubs = icp_then_stubs(base2(colors=1))
     out = css(spec, stubs, "P0", 2, linked=True)
     assert out.history[-1].params["linked"] is True
-    assert any("linked" in n for n in out.registry.notes)
+    assert any("linked" in n for n in out.notes)
 
 
 def test_bu_splits_and_registry():
     spec, _ = icp_then_stubs(base2(colors=2), depth=2)
-    before_p0 = spec.registry.nodes[pnode("P0")].prime
-    before_p1 = spec.registry.nodes[pnode("P1")].prime
+    before_p0 = spec.nodes[pnode("P0")].prime
+    before_p1 = spec.nodes[pnode("P1")].prime
     out = bu(spec, "P0", "P1", bu_need(spec, "P0", "P1", 2, 2), 2, 2)
     rels = out.history[-1].params["rels"]
     img = {}
@@ -138,9 +144,9 @@ def test_bu_splits_and_registry():
     assert len(img[("a0c1", "a1c1")]) == 4  # min color 1 -> 2 blocks x 2
     assert len(img[("a0inf", "a1inf")]) == 8  # 2^2 x 2
     joint = f"q({pnode('P0')},{pnode('P1')})"
-    assert out.registry.nodes[joint].prime is False
-    assert out.registry.nodes[pnode("P0")].prime == before_p0
-    assert out.registry.nodes[pnode("P1")].prime == before_p1
+    assert out.nodes[joint].prime is False
+    assert out.nodes[pnode("P0")].prime == before_p0
+    assert out.nodes[pnode("P1")].prime == before_p1
     assert verify_schemes(out, "bu").ok
 
 
@@ -154,10 +160,41 @@ def test_bu_errors():
 
 def test_icp_then_css_invariant():
     spec, stubs = icp_then_stubs(base2(colors=1))
-    assert spec.registry.nodes[pnode("P0")].prime is False
+    assert spec.nodes[pnode("P0")].prime is False
     out = css(spec, stubs, "P0", 2)
-    assert out.registry.nodes[pnode("P0")].prime is True
-    assert len(out.registry.realized_stubs()) == len(stubs)
+    assert out.nodes[pnode("P0")].prime is True
+    assert len(realized_stubs(out)) == len(stubs)
+
+
+def test_public_operators_leave_their_input_unchanged():
+    # each operator grows a copy: one that shared a container with its
+    # input would change the input's text
+    spec, stubs = icp_then_stubs(base2(colors=2), depth=2)
+    spec = apply_lmt(spec, pnode("P0"), fin(2))[0]
+    steps = [
+        lambda s: icp(s, "P1", icp_need(s, "P1", 2, 2), 2, 2),
+        lambda s: css(s, stubs, "P1", 2, linked=True),
+        lambda s: bu(s, "P0", "P1", bu_need(s, "P0", "P1", 2, 2), 2, 2),
+        lambda s: apply_lmt(s, pnode("P1"), OMEGA)[0],
+        lambda s: apply_lms(s, [pnode("P0"), pnode("P1")], fin(3))[0],
+    ]
+    for step in steps:
+        before, whole = serialize_struct(spec), copy.deepcopy(spec)
+        out = step(spec)
+        assert serialize_struct(spec) == before
+        assert serialize_struct(out) != before
+        # and the copy grows apart from the input afterwards too
+        out.put_node(TypeNode(stub_name("P0", "11x"), stub_of=pnode("P0"), stub_bits="11"))
+        out.edges[DomEdge("a", "b", "c")] = None
+        assert serialize_struct(spec) == before and spec.stubs_of(pnode("P0")) == stubs
+        assert spec == whole  # the colors and names of elements the text leaves out too
+    # nor do two structures built with the default registry share one
+    bare = StructSpec([], {}, {}, {}, {})
+    bare.put_node(TypeNode("p"))
+    bare.edges[DomEdge("p", "p", "x")] = None
+    bare.limit_targets["p"] = OMEGA
+    bare.notes.append("n")
+    assert serialize_struct(StructSpec([], {}, {}, {}, {})) == "universe: \n"
 
 
 def test_operator_determinism():
@@ -177,7 +214,7 @@ def test_verify_schemes_on_random_inputs():
         sub = f"P{rng.randrange(parts)}"
         spec = icp(spec, sub, icp_need(spec, sub, depth, fan), depth, fan)
         assert verify_schemes(spec, "icp").ok
-        stubs = [n.name for n in spec.registry.stubs_of(pnode(sub))]
+        stubs = spec.stubs_of(pnode(sub))
         target = f"P{rng.randrange(parts)}"
         spec = css(spec, stubs, target, fan)
         assert verify_schemes(spec, "css").ok
@@ -192,9 +229,9 @@ def test_verify_schemes_on_random_inputs():
 def _delete_one_pair(spec, rel, index=0):
     pairs = list(spec.binary[rel])
     del pairs[index]
-    binary = dict(spec.binary)
-    binary[rel] = tuple(pairs)
-    return replace(spec, binary=binary)
+    mutated = spec.copy()
+    mutated.binary[rel] = tuple(pairs)
+    return mutated
 
 
 def test_mutation_detected():
@@ -226,11 +263,10 @@ def _mutate_layers(spec, rng):
             del rows[rng.randrange(len(rows))]
         else:
             rows.append(tuple(rng.choice(spec.extent(sub)) for sub in subs) + (rng.choice(spec.universe),))
-    return replace(
-        spec,
-        binary={r: tuple(t) for r, t in binary.items()},
-        ternary={r: tuple(t) for r, t in ternary.items()},
-    )
+    mutated = spec.copy()
+    mutated.binary = {r: tuple(t) for r, t in binary.items()}
+    mutated.ternary = {r: tuple(t) for r, t in ternary.items()}
+    return mutated
 
 
 def test_bu_disjoint_images_match_pairwise_oracle():
@@ -244,7 +280,7 @@ def test_bu_disjoint_images_match_pairwise_oracle():
         fan = rng.randint(1, 2)
         spec = colored_base(2, colors, per_color=rng.randint(1, 2))
         spec = icp(spec, "P0", icp_need(spec, "P0", depth, fan), depth, fan)
-        spec = css(spec, [n.name for n in spec.registry.stubs_of(pnode("P0"))], "P1", fan)
+        spec = css(spec, spec.stubs_of(pnode("P0")), "P1", fan)
         spec = bu(spec, "P0", "P1", bu_need(spec, "P0", "P1", depth, fan), depth, fan)
         for _ in range(5):
             mutated = _mutate_layers(spec, rng)
@@ -262,7 +298,8 @@ def test_css_uncolored_image_is_reported():
     # an image with no color fails color-monotone; it does not raise
     spec = run_pipeline(parse_pipeline("base parts=1 colors=1\nicp sub=P0\ncss sub=P0 source=P0\n", "plan.pipe"))
     rel = "P0.css1.R0"
-    mutated = replace(spec, binary={**spec.binary, rel: spec.binary[rel] + (("a0c0", "Y0s0_0"),)})
+    mutated = spec.copy()
+    mutated.binary[rel] += (("a0c0", "Y0s0_0"),)
     entries = {e.code: e for e in verify_schemes(mutated, "css").entries}
     assert not entries["app1.color-monotone"].ok
     assert "Y0s0_0 is uncolored" in entries["app1.color-monotone"].detail
@@ -275,7 +312,8 @@ def test_css_infinite_color_source_needs_infinite_color_images():
     rel = "P0.css1.R0"
     assert verify_schemes(spec, "css").ok
     for image in ("Y0s0_0", "a0c0"):
-        mutated = replace(spec, binary={**spec.binary, rel: spec.binary[rel] + (("a0inf", image),)})
+        mutated = spec.copy()
+        mutated.binary[rel] += (("a0inf", image),)
         entry = {e.code: e for e in verify_schemes(mutated, "css").entries}["app1.color-monotone"]
         assert not entry.ok
         assert f"a0inf/R0: image {image} is not of infinite color" in entry.detail
@@ -327,13 +365,13 @@ def test_apply_limit_operators():
     spec = base2(colors=1)
     spec, system = apply_lmt(spec, pnode("P0"), fin(2))
     assert system.target == fin(2)
-    assert spec.registry.limit_targets[pnode("P0")] == fin(2)
+    assert spec.limit_targets[pnode("P0")] == fin(2)
     spec, system = apply_lmt(spec, pnode("P1"), CONTINUUM)
     assert system is FREE_SYSTEM
     nodes = [pnode("P0"), pnode("P1")]
     spec, system = apply_lms(spec, nodes, OMEGA)
-    assert spec.registry.limit_targets["p(P0)>p(P1)"] == OMEGA
-    assert any("never semi-isolating" in n for n in spec.registry.notes)
+    assert spec.limit_targets["p(P0)>p(P1)"] == OMEGA
+    assert any("never semi-isolating" in n for n in spec.notes)
 
 
 PIPE = [
@@ -424,7 +462,8 @@ def test_checked_pipeline_raises_at_failing_bu_block(monkeypatch):
 
 def test_css_fresh_names_must_not_collide():
     spec, stubs = icp_then_stubs(base2(colors=1))
-    crowded = replace(spec, universe=spec.universe + (f"T{len(spec.history)}s0_0",))
+    crowded = spec.copy()
+    crowded.add_elements([f"T{len(spec.history)}s0_0"], "T")
     with pytest.raises(ValueError, match="^fresh T elements collide with the universe$"):
         css(crowded, stubs, "P0", 2)
 
@@ -448,7 +487,8 @@ def fold_public_operators(steps):
             spec = icp(spec, a["sub"], y, depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
-                stubs = [n.name for n in spec.registry.stubs_of(pnode(a["source"]))]
+                parent = pnode(a["source"])  # a scan of the nodes, not the stub index
+                stubs = sorted(n.name for n in spec.nodes.values() if n.stub_of == parent)
             else:
                 stubs = a["stubs"].split(",")
             linked = step.op == "bd" or a.get("linked") == "true"
@@ -462,8 +502,8 @@ def fold_public_operators(steps):
         elif step.op == "lms":
             spec, _ = apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "note":
-            notes = spec.registry.notes + (a.get("text", ""),)
-            spec = replace(spec, registry=replace(spec.registry, notes=notes))
+            spec = spec.copy()
+            spec.notes.append(a.get("text", ""))
     return spec
 
 

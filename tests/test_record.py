@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from rklab.cardinal import Card, fin
 from rklab.distribution import BuildConfig
-from rklab.operators import Registry, StructSpec
-from rklab.record import factory, record, replace
+from rklab.record import record, replace
 
 
-def _define(decorate, default_factory):
+def _define(decorate):
     """The same record classes, built by ``decorate``."""
 
     @decorate
@@ -43,22 +42,17 @@ def _define(decorate, default_factory):
         pass
 
     @decorate
-    class Table:
-        name: object
-        rows: dict = default_factory(dict)
-
-    @decorate
     class Shown:
         a: object
 
         def __repr__(self):
             return f"<{self.a}>"
 
-    return Pair, Twin, Checked, Single, Empty, Table, Shown
+    return Pair, Twin, Checked, Single, Empty, Shown
 
 
-STD = _define(dataclasses.dataclass(frozen=True), lambda f: dataclasses.field(default_factory=f))
-OURS = _define(record, factory)
+STD = _define(dataclasses.dataclass(frozen=True))
+OURS = _define(record)
 
 values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -68,8 +62,8 @@ values = st.recursive(
 
 
 def _build(classes, a, b, n):
-    pair, twin, checked, single, empty, table, shown = classes
-    return [pair(a), pair(a, b), twin(a, b), checked(n, a), single(b), empty(), table(a), shown(b)]
+    pair, twin, checked, single, empty, shown = classes
+    return [pair(a), pair(a, b), twin(a, b), checked(n, a), single(b), empty(), shown(b)]
 
 
 @given(values, values, st.integers(min_value=0))
@@ -80,8 +74,7 @@ def test_records_compare_hash_and_show_as_dataclasses_do(a, b, n):
         assert (o1 != o2) == (s1 != s2)
     for s, o in zip(std, ours):
         assert repr(o) == repr(s)
-        if not isinstance(s, STD[5]):  # a dict field makes the hash raise
-            assert hash(o) == hash(s)
+        assert hash(o) == hash(s)
     assert hash(OURS[1](a, b)) == hash((a, b)) and hash(OURS[4]()) == hash(())
 
 
@@ -92,7 +85,7 @@ def test_records_of_one_shape_never_compare_equal_across_classes(a, b):
 
 
 def test_records_refuse_assignment_and_deletion():
-    for obj in (OURS[0](1), fin(3), BuildConfig(), Registry()):
+    for obj in (OURS[0](1), fin(3), BuildConfig()):
         with pytest.raises(AttributeError, match="cannot assign to field"):
             obj.a = 2
         with pytest.raises(AttributeError, match="cannot delete field"):
@@ -103,7 +96,7 @@ def test_records_refuse_assignment_and_deletion():
 
 def test_init_matches_dataclass_signature():
     for classes in (STD, OURS):
-        pair, _, checked, _, empty, table, _ = classes
+        pair, _, checked, _, empty, _ = classes
         assert pair(1).b == 0 and pair(b=2, a=1) == pair(1, 2)
         with pytest.raises(TypeError):
             pair()
@@ -113,7 +106,6 @@ def test_init_matches_dataclass_signature():
             empty(1)
         with pytest.raises(ValueError, match="negative"):
             checked(-1)
-        assert table("t", {"x": 1}).rows == {"x": 1}
 
 
 def test_replace_reruns_validation():
@@ -129,16 +121,6 @@ def test_replace_reruns_validation():
             swap(checked, size=2)
 
 
-def test_factory_defaults_are_fresh_per_instance():
-    one, two = Registry(), Registry()
-    assert one.nodes is not two.nodes and one.limit_targets is not two.limit_targets
-    one.nodes["p"] = None
-    assert two.nodes == {} and Registry().nodes == {}
-    spec = StructSpec(universe=(), unary={}, coloring={}, binary={}, ternary={})
-    assert spec.registry == Registry() and spec.registry is not Registry()
-    assert "nodes" not in vars(Registry) and OURS[5]("t").rows == {}
-
-
 def test_card_keeps_its_own_repr_and_the_field_tuple_hash():
-    assert repr(fin(3)) == "Card(3)" and repr(OURS[6](1)) == "<1>"
+    assert repr(fin(3)) == "Card(3)" and repr(OURS[5](1)) == "<1>"
     assert hash(fin(3)) == hash(("fin", 3)) and fin(3) == Card("fin", 3)

@@ -11,6 +11,7 @@ from oracles import (
     enumerate_formulas,
     round_robin_counts,
 )
+from rklab import typespace
 from rklab.models import COUNT_CAP, RkSequence, cm_dominates, construct_model, explicit, full_base
 from rklab.typespace import (
     ColorCell,
@@ -282,6 +283,23 @@ def test_atoms_outside_the_space_are_refused():
             satisfies(colored, cell, phi)
     with pytest.raises(ValueError, match="invalid for"):
         satisfies(TypeSpace("sdup", 1), SdupCell("cont", "01"), FormulaLit.of({("S", "1"): False}))
+
+
+def test_an_atom_outside_the_space_is_refused_by_name_in_each_family():
+    # the known atoms are one cached set per space, however many calls read it
+    cases = [
+        (TypeSpace("iup", 3), ("P", 3), "atom ('P', 3) invalid for iup depth 3"),
+        (TypeSpace("sdup", 2), ("S", "000"), "atom ('S', '000') invalid for sdup depth 2"),
+        (TypeSpace("colored", 2, 2), ("C", 3), "atom ('C', 3) invalid for colored depth 2"),
+    ]
+    for ts, atom, message in cases:
+        cell = enumerate_types(ts)[0]
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                satisfies(ts, cell, FormulaLit.of({atom: True}))
+            assert str(err.value) == message
+        assert typespace._atom_set(ts) is typespace._atom_set(ts)
+        assert typespace._atom_set(ts) == frozenset(atoms(ts))
 
 
 def test_parse_formula_reads_atom_names():
