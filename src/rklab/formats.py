@@ -7,7 +7,6 @@ serializer's output reparses to an equal value.
 """
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from .cardinal import parse_card, render  # other layers: imported where used
@@ -150,8 +149,13 @@ def _read_edge(prefix: str, words: list[str], path: str, no: int, line: str) -> 
 
 
 def _declared(nodes: dict, edges: list[tuple[int, str, DomEdge]], path: str) -> tuple[DomEdge, ...]:
-    """The edges of ``(line number, line, edge)`` entries, if ``nodes`` holds their ends."""
+    """The edges of ``(line number, line, edge)`` entries, if each is given
+    once and ``nodes`` holds its ends."""
+    seen: set[DomEdge] = set()
     for no, line, e in edges:
+        if e in seen:
+            raise ParseError(path, no, "one line per edge", line)
+        seen.add(e)
         if e.src not in nodes or e.dst not in nodes:
             raise ParseError(path, no, "an edge between declared nodes", line)
     return tuple(e for _, _, e in edges)
@@ -159,7 +163,8 @@ def _declared(nodes: dict, edges: list[tuple[int, str, DomEdge]], path: str) -> 
 
 def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
     """Grammar: ``type <_NODE_WORDS>`` node lines and ``<_EDGE_WORDS>`` edge
-    lines; each node is declared once, before or after its edges."""
+    lines; each node is declared once, before or after its edges, and each
+    edge appears once."""
     from .domination import DominationGraph
 
     nodes: dict[str, TypeNode] = {}
@@ -183,31 +188,24 @@ def serialize_domination(g: DominationGraph) -> str:
 
 # -- type-space files ---------------------------------------------------------
 
-def _header(
-    lines: list[tuple[int, str]], path: str, keys: tuple[str, ...], expected: str
-) -> dict[str, tuple[int, str]]:
-    """The ``<key>: <value>`` lines of a header, each key among ``keys`` and
-    given once; maps each key to its line number and value."""
+def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
+    """Grammar: ``family:``, ``m:`` (colored only) and ``depth:`` lines, each
+    once.  A refusal of the combination cites the ``family:`` line, since
+    the family decides which depths and part counts are valid."""
+    from .typespace import TypeSpace
+
+    keys = ("family", "m", "depth")
     fields: dict[str, tuple[int, str]] = {}
-    for no, line in lines:
+    for no, line in _lines(text):
         key, sep, value = line.partition(":")
         key = key.strip()
         if not sep:
-            raise ParseError(path, no, expected, line)
+            raise ParseError(path, no, "'<key>: <value>'", line)
         if key not in keys:
             raise ParseError(path, no, "a key among " + ", ".join(keys), line)
         if key in fields:
             raise ParseError(path, no, f"one '{key}:' line", line)
         fields[key] = (no, value.strip())
-    return fields
-
-
-def _typespace(fields: dict[str, tuple[int, str]], path: str, text: str) -> TypeSpace:
-    """The type space a header's ``family:``, ``depth:`` and ``m:`` fields
-    give; a refusal of the combination cites the ``family:`` line, since
-    the family decides which depths and part counts are valid."""
-    from .typespace import TypeSpace
-
     if "family" not in fields or "depth" not in fields:
         raise ParseError(path, 1, "'family:' and 'depth:' entries", text[:40])
     numbers = {}
@@ -222,71 +220,11 @@ def _typespace(fields: dict[str, tuple[int, str]], path: str, text: str) -> Type
         raise ParseError(path, no, "a valid type space", str(exc)) from None
 
 
-def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
-    """Grammar: ``family:``, ``m:`` (colored only) and ``depth:`` lines, each once."""
-    fields = _header(_lines(text), path, ("family", "m", "depth"), "'<key>: <value>'")
-    return _typespace(fields, path, text)
-
-
 def serialize_typespace(ts: TypeSpace) -> str:
     lines = [f"family: {ts.family}"]
     if ts.parts is not None:
         lines.append(f"m: {ts.parts}")
     lines.append(f"depth: {ts.depth}")
-    return "\n".join(lines) + "\n"
-
-
-# -- model spec files ---------------------------------------------------------
-
-def parse_modelspec(text: str, path: str = "<modelspec>"):
-    from .models import ModelSpec, check_edit
-    from .typespace import parse_cell
-
-    lines = _lines(text)
-    body = next((i for i, (_, line) in enumerate(lines) if line.startswith(("+", "-"))), len(lines))
-    header = _header(
-        lines[:body], path, ("family", "m", "depth", "base"),
-        "header '<key>: <value>' or an edit line",
-    )
-    if "base" not in header:
-        raise ParseError(path, 1, "'base: all|none'", text[:40])
-    ts = _typespace(header, path, text)
-    base_no, base = header["base"]
-    if base not in ("all", "none"):
-        raise ParseError(path, base_no, "'base: all|none'", base)
-    deltas: dict = {}
-    last_no: dict = {}  # each cell's last edit line
-    for no, line in lines[body:]:
-        words = line.split()
-        if words[0] not in ("+", "-") or len(words) not in (2, 3):
-            raise ParseError(path, no, "'+ <cell> [count]' or '- <cell> [count]'", line)
-        try:
-            cell = parse_cell(ts, words[1])
-            count = int(words[2]) if len(words) == 3 else 1
-        except ValueError as exc:
-            raise ParseError(path, no, "a valid cell address", str(exc)) from None
-        sign = 1 if words[0] == "+" else -1
-        deltas[cell] = deltas.get(cell, 0) + sign * count
-        last_no[cell] = no
-    # a refused edit cites its cell's last edit line, a refused support the base line
-    try:
-        for cell, delta in deltas.items():
-            no = last_no[cell]
-            check_edit(base == "all", delta)
-        no = base_no
-        return ModelSpec(ts, base == "all", tuple(deltas.items()))
-    except ValueError as exc:
-        raise ParseError(path, no, "a consistent model spec", str(exc)) from None
-
-
-def serialize_modelspec(spec) -> str:
-    from .typespace import render_cell
-
-    lines = [serialize_typespace(spec.space).rstrip()]
-    lines.append(f"base: {'all' if spec.base_all else 'none'}")
-    for cell, delta in spec.edits:
-        sign = "+" if delta > 0 else "-"
-        lines.append(f"{sign} {render_cell(cell)} {abs(delta)}")
     return "\n".join(lines) + "\n"
 
 
@@ -382,6 +320,8 @@ def _params_from_json(value):
 
 
 def serialize_struct(spec: StructSpec) -> str:
+    import json
+
     lines = ["universe: " + " ".join(spec.universe)]
     for pred in sorted(spec.unary):
         lines.append(f"unary {pred}: " + " ".join(spec.unary[pred]))
@@ -415,13 +355,14 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
     ``rel3`` and ``target`` lines, one per name; ``note`` and ``applied``
     lines; and the registry as domination-graph lines behind the keywords
     ``node`` and ``edge``, one per node and one per edge."""
+    import json
+
     from .operators import OpRecord, StructSpec
 
     universe: tuple[str, ...] | None = None
     tables: dict[str, dict] = {"unary": {}, "color": {}, "rel2": {}, "rel3": {}, "target": {}}
     nodes: dict[str, TypeNode] = {}
     edges: list[tuple[int, str, DomEdge]] = []
-    seen_edges: set[DomEdge] = set()
     notes: list[str] = []
     history: list[OpRecord] = []
     mentions: list[tuple[int, str, str]] = []  # (line, element, what names it)
@@ -455,11 +396,7 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
             _read_node(nodes, "node", words[1:], path, no, line)
             continue
         if keyword == "edge":
-            edge = _read_edge("edge ", words[1:], path, no, line)
-            if edge in seen_edges:
-                raise ParseError(path, no, "one line per edge", line)
-            seen_edges.add(edge)
-            edges.append((no, line, edge))
+            edges.append((no, line, _read_edge("edge ", words[1:], path, no, line)))
             continue
         if keyword == "note":
             notes.append(line[len("note "):])
@@ -507,20 +444,23 @@ def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
 # -- pipeline files -----------------------------------------------------------
 
 def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
-    """Grammar: one operator invocation per line, ``<op> key=value ...``."""
-    from .operators import PipelineStep
+    """Grammar: one operator invocation per line, ``<op> key=value ...``,
+    each key among those ``operators.STEP_KEYS`` gives the operator."""
+    from .operators import STEP_KEYS, PipelineStep
 
     steps = []
-    known = {"base", "qedge", "icp", "css", "bd", "bu", "lmt", "lms", "note"}
     for no, line in _lines(text):
         words = line.split()
-        if words[0] not in known:
-            raise ParseError(path, no, f"an operator among {sorted(known)}", words[0])
+        keys = STEP_KEYS.get(words[0])
+        if keys is None:
+            raise ParseError(path, no, f"an operator among {sorted(STEP_KEYS)}", words[0])
         args: dict[str, str] = {}
         for chunk in words[1:]:
             key, sep, value = chunk.partition("=")
             if not sep:
                 raise ParseError(path, no, "'key=value' arguments", chunk)
+            if key not in keys:
+                raise ParseError(path, no, f"a key of '{words[0]}' among {', '.join(keys)}", chunk)
             args[key] = value
         steps.append(PipelineStep(words[0], args))
     return steps

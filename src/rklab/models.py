@@ -50,14 +50,6 @@ class CellCount:
         return self.__le__(other) and self != other
 
 
-def check_edit(base_all: bool, delta: int) -> None:
-    """Refuse a cell's edit past the count cap, or negative on an explicit spec."""
-    if abs(delta) > COUNT_CAP:
-        raise ValueError(f"edit magnitude exceeds cap {COUNT_CAP}")
-    if not base_all and delta < 0:
-        raise ValueError("negative count on an explicit spec")
-
-
 @record
 class ModelSpec:
     space: TypeSpace
@@ -72,7 +64,10 @@ class ModelSpec:
             if cell in seen:
                 raise ValueError(f"duplicate edit for cell {cell!r}")
             seen.add(cell)
-            check_edit(self.base_all, delta)
+            if abs(delta) > COUNT_CAP:
+                raise ValueError(f"edit magnitude exceeds cap {COUNT_CAP}")
+            if not self.base_all and delta < 0:
+                raise ValueError("negative count on an explicit spec")
         # one form per spec: the nonzero edits, sorted by rendered cell
         edits = sorted(((c, d) for c, d in self.edits if d != 0), key=lambda cd: render_cell(cd[0]))
         object.__setattr__(self, "edits", tuple(edits))

@@ -706,6 +706,20 @@ class _Args(dict):
         raise ValueError(f"{self.op} step needs {key}=")
 
 
+# the keys each pipeline operator reads; a pipeline file may give no other
+STEP_KEYS: dict[str, tuple[str, ...]] = {
+    "base": ("parts", "colors", "per_color"),
+    "qedge": ("low", "high", "principal"),
+    "icp": ("sub", "depth", "fan", "y"),
+    "css": ("sub", "source", "stubs", "fan", "linked"),
+    "bd": ("sub", "source", "stubs", "fan", "linked"),
+    "bu": ("sub1", "sub2", "depth", "fan", "z"),
+    "lmt": ("node", "lam", "reading"),
+    "lms": ("nodes", "lam", "reading"),
+    "note": ("text",),
+}
+
+
 def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSpec:
     """Apply a pipeline to the colored base it declares.
 

@@ -394,6 +394,22 @@ def test_dominate_dot_export(tmp_path, capsys):
     assert text.startswith("digraph") and "{a}" in text and "{b}" in text
 
 
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("g.dg", "type a prime\ntype b prime\nb dominates a via Q\nb dominates a via Q\n", ["dominate", "--in"],
+         "g.dg:4: expected one line per edge, got 'b dominates a via Q'"),
+        ("p.pipe", "base parts=1 colors=1\nicp sub=P0 dpth=2\n", ["apply", "--pipeline"],
+         "p.pipe:2: expected a key of 'icp' among sub, depth, fan, y, got 'dpth=2'"),
+    ],
+    ids=["repeated-dg-edge", "unknown-pipeline-key"],
+)
+def test_input_refusals_exit_2_citing_the_line(tmp_path, monkeypatch, capsys, name, text, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert run_cli(*argv, name, capsys=capsys) == (2, "", f"error: {message}\n")
+
+
 def test_limits_next_table_over_budget(capsys):
     # 1000 letters: the 1000 level-1 roots would give level 2 a million nodes
     argv = ["limits", "--system", "lmt", "--lam", "w", "--alphabet", "1000", "--len", "1"]

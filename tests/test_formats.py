@@ -13,9 +13,8 @@ from rklab.distribution import (
     sequence_spec,
 )
 from rklab.domination import DomEdge, DominationGraph, TypeNode
-from rklab.models import ModelSpec, explicit, full_base
 from rklab.preorder import close, random_preorder, sim_quotient, from_pairs
-from rklab.typespace import TypeSpace, enumerate_types
+from rklab.typespace import TypeSpace
 
 
 def random_graph(rng: random.Random) -> DominationGraph:
@@ -41,18 +40,6 @@ def random_space(rng: random.Random) -> TypeSpace:
     return TypeSpace(family, depth, rng.randint(1, 3) if family == "colored" else None)
 
 
-def random_modelspec(rng: random.Random) -> ModelSpec:
-    ts = TypeSpace("iup", rng.randint(1, 3))
-    cells = enumerate_types(ts)
-    if rng.random() < 0.5:
-        spec = full_base(ts)
-        for cell in cells:
-            if rng.random() < 0.4:
-                spec = spec.with_delta(cell, rng.randint(-2, 2))
-        return spec
-    return explicit(ts, {c: rng.randint(1, 4) for c in cells})
-
-
 def test_preorder_round_trip():
     rng = random.Random(1)
     for _ in range(200):
@@ -72,13 +59,6 @@ def test_typespace_round_trip():
     for _ in range(200):
         ts = random_space(rng)
         assert formats.parse_typespace(formats.serialize_typespace(ts)) == ts
-
-
-def test_modelspec_round_trip():
-    rng = random.Random(4)
-    for _ in range(200):
-        spec = random_modelspec(rng)
-        assert formats.parse_modelspec(formats.serialize_modelspec(spec)) == spec
 
 
 def test_distribution_round_trip():
@@ -206,8 +186,10 @@ def test_struct_with_an_empty_note_round_trips():
         ("type a principal\n# b\ntype b prime\n",
          "bad.dg:1: expected a well-formed node, got 'principal node a must have a prime model'"),
         ("type a\n\ntype b\ntype a prime\n", "bad.dg:4: expected one line per node, got 'type a prime'"),
+        ("type a\ntype b\nb dominates a via f\n# again\nb dominates a via f\n",
+         "bad.dg:5: expected one line per edge, got 'b dominates a via f'"),
     ],
-    ids=["undeclared-end-node", "principal-without-prime", "repeated-node"],
+    ids=["undeclared-end-node", "principal-without-prime", "repeated-node", "repeated-edge"],
 )
 def test_domination_refusals_cite_the_line_at_fault(text, message):
     with pytest.raises(formats.ParseError) as err:
@@ -308,34 +290,16 @@ def test_mutated_struct_files_parse_or_raise_parse_errors(tmp_path, monkeypatch,
     assert outcomes == {"parsed", "refused"}
 
 
-@pytest.mark.parametrize(
-    "text, line_no, got",
-    [
-        ("# c\nfamily: iup\ndepth: 2\nbase: none\n+ 00 9\n", 5, "edit magnitude exceeds cap 8"),
-        ("family: iup\ndepth: 2\nbase: all\n+ 00 5\n+ 01 1\n+ 00 4\n", 6, "edit magnitude exceeds cap 8"),
-        ("family: iup\ndepth: 2\nbase: none\n+ 00 1\n- 01 1\n+ 10 1\n", 5,
-         "negative count on an explicit spec"),
-        ("family: iup\n\ndepth: 2\nbase: none\n+ 00 1\n", 4, "support of an iup spec must be dense"),
-    ],
-    ids=["over-cap", "over-cap-summed", "negative-on-explicit", "not-dense"],
-)
-def test_modelspec_refusals_cite_the_line_that_caused_them(text, line_no, got):
-    with pytest.raises(formats.ParseError) as err:
-        formats.parse_modelspec(text, "m.txt")
-    assert (err.value.line_no, err.value.expected, err.value.got) == (line_no, "a consistent model spec", got)
-
-
 def test_pipeline_random_round_trip():
     rng = random.Random(7)
-    ops_pool = ["base", "qedge", "icp", "css", "bu", "lmt", "lms", "note"]
+    ops_pool = sorted(operators.STEP_KEYS)
     for _ in range(200):
-        steps = [
-            operators.PipelineStep(
-                rng.choice(ops_pool),
-                {f"k{j}": f"v{rng.randrange(9)}" for j in range(rng.randint(0, 3))},
-            )
-            for _ in range(rng.randint(1, 6))
-        ]
+        steps = []
+        for _ in range(rng.randint(1, 6)):
+            op = rng.choice(ops_pool)
+            keys = operators.STEP_KEYS[op]
+            picked = rng.sample(keys, rng.randint(0, min(3, len(keys))))
+            steps.append(operators.PipelineStep(op, {k: f"v{rng.randrange(9)}" for k in picked}))
         text = formats.serialize_pipeline(steps)
         assert formats.parse_pipeline(text) == steps
 
@@ -351,6 +315,24 @@ def test_pipeline_round_trip():
     steps = formats.parse_pipeline(text)
     assert formats.serialize_pipeline(steps) == text
     assert steps[0].op == "base" and steps[2].args["sub"] == "P0"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("base parts=1 colors=1\nicp sub=P0 dpth=3\n",
+         "p.pipe:2: expected a key of 'icp' among sub, depth, fan, y, got 'dpth=3'"),
+        ("base parts=2 colors=1\n# sub P1\ncss sub=P1 source=P0 depth=2\n",
+         "p.pipe:3: expected a key of 'css' among sub, source, stubs, fan, linked, got 'depth=2'"),
+        ("base parts=1 colors=1 per-color=2\n",
+         "p.pipe:1: expected a key of 'base' among parts, colors, per_color, got 'per-color=2'"),
+    ],
+    ids=["misspelled-depth", "depth-on-css", "misspelled-per-color"],
+)
+def test_pipeline_keys_its_operator_does_not_read_are_refused(text, message):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_pipeline(text, "p.pipe")
+    assert str(err.value) == message
 
 
 def test_parse_errors_name_position_and_expectation():
@@ -372,25 +354,19 @@ def test_parse_errors_name_position_and_expectation():
 
 
 @pytest.mark.parametrize(
-    "parse, text, line_no, expected",
+    "text, line_no, expected",
     [
-        (formats.parse_typespace, "family: iup\ndepth: 3\ndepth: 4\n", 3, "one 'depth:' line"),
-        (formats.parse_typespace, "family: iup\nfoo: 1\ndepth: 3\n", 2, "a key among family, m, depth"),
-        (formats.parse_typespace, "# space\nfamily: iup\n\ndepth: x\n", 4, "integer depth"),
-        (formats.parse_typespace, "depth: 2\nm: two\nfamily: colored\n", 2, "integer m"),
-        (formats.parse_typespace, "# space\nfamily: iup\ndepth: 17\n", 2, "a valid type space"),
-        (formats.parse_modelspec, "family: iup\ndepth: 2\nbase: all\nbase: none\n", 4, "one 'base:' line"),
-        (formats.parse_modelspec, "family: iup\nfamily: sdup\ndepth: 2\nbase: all\n", 2, "one 'family:' line"),
-        (formats.parse_modelspec, "family: iup\ndepth: 2\nbase: all\nedits: 0\n", 4,
-         "a key among family, m, depth, base"),
-        (formats.parse_modelspec, "family: iup\ndepth: 2\n\nbase: some\n", 4, "'base: all|none'"),
+        ("family: iup\ndepth: 3\ndepth: 4\n", 3, "one 'depth:' line"),
+        ("family: iup\nfoo: 1\ndepth: 3\n", 2, "a key among family, m, depth"),
+        ("# space\nfamily: iup\n\ndepth: x\n", 4, "integer depth"),
+        ("depth: 2\nm: two\nfamily: colored\n", 2, "integer m"),
+        ("# space\nfamily: iup\ndepth: 17\n", 2, "a valid type space"),
     ],
-    ids=["ts-repeat", "ts-unknown", "ts-depth", "ts-m", "ts-space", "ms-base-repeat",
-         "ms-family-repeat", "ms-unknown", "ms-base-value"],
+    ids=["ts-repeat", "ts-unknown", "ts-depth", "ts-m", "ts-space"],
 )
-def test_header_keys_appear_once_and_errors_cite_their_line(parse, text, line_no, expected):
+def test_header_keys_appear_once_and_errors_cite_their_line(text, line_no, expected):
     with pytest.raises(formats.ParseError) as err:
-        parse(text, "h.txt")
+        formats.parse_typespace(text, "h.txt")
     assert (err.value.line_no, err.value.expected) == (line_no, expected)
 
 

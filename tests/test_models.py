@@ -206,3 +206,27 @@ def test_spec_edits_have_one_form():
     assert spec.edits == ((cells[2], 1), (cells[5], 2))
     assert spec == explicit(TypeSpace("sdup", 2), dict(edits))
     assert full_base(IUP3).with_delta(CELLS3[1], 1).with_delta(CELLS3[1], -1) == full_base(IUP3)
+
+
+IUP2 = TypeSpace("iup", 2)
+CELLS2 = enumerate_types(IUP2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: full_base(IUP2).with_delta(CELLS2[0], 9), "edit magnitude exceeds cap 8"),
+        (lambda: full_base(IUP2).with_delta(CELLS2[0], 5).with_delta(CELLS2[1], 1).with_delta(CELLS2[0], 4),
+         "edit magnitude exceeds cap 8"),
+        (lambda: explicit(IUP2, {CELLS2[0]: 1, CELLS2[1]: -1, CELLS2[2]: 1}), "negative count on an explicit spec"),
+        (lambda: explicit(IUP2, {CELLS2[0]: 1}), "support of an iup spec must be dense"),
+        (lambda: ModelSpec(IUP2, True, ((CELLS2[0], 1), (CELLS2[0], 1))),
+         "duplicate edit for cell IupCell(bits=(0, 0))"),
+        (lambda: ModelSpec(IUP2, True, ((CELLS3[0], 1),)), "edit on invalid cell IupCell(bits=(0, 0, 0))"),
+    ],
+    ids=["over-cap", "over-cap-summed", "negative-on-explicit", "not-dense", "duplicate-cell", "invalid-cell"],
+)
+def test_model_spec_refusals(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
