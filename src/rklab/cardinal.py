@@ -9,7 +9,7 @@ here) ``w1`` and ``c`` compare equal, though they are always kept
 distinct as stored values.
 
 There is deliberately no product or exponentiation; every formula in
-scope uses only sums and suprema.
+scope uses only sums.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ OMEGA1 = Card("w1")
 CONTINUUM = Card("c")
 
 ZERO = fin(0)
-ONE = fin(1)
 
 
 def _rank(a: Card, ch: bool) -> int:
@@ -91,25 +90,6 @@ def card_sum_all(xs: Iterable[Card]) -> Card:
     for x in xs:
         total = card_sum(total, x)
     return total
-
-
-def card_sup(xs: Iterable[Card], unbounded_finite: bool = False) -> Card:
-    """Least upper bound of a nonempty list.
-
-    A finite list of finite values has a finite supremum; the
-    ``unbounded_finite`` flag states that the listed finite values are a
-    sample from an unbounded family, forcing the supremum up to w.
-    """
-    xs = list(xs)
-    if not xs:
-        raise ValueError("supremum of an empty list")
-    best = xs[0]
-    for x in xs[1:]:
-        if not card_le(x, best, ch=False):
-            best = x
-    if unbounded_finite and best.finite:
-        return OMEGA
-    return best
 
 
 _TOKENS = {"w": OMEGA, "w1": OMEGA1, "c": CONTINUUM}

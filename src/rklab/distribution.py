@@ -421,23 +421,6 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
     return rb.done()
 
 
-def limit_obligations(g: DominationGraph) -> dict[frozenset[str], bool]:
-    """Per mutual-domination class of prime nodes: does it force a limit
-    model (two or more isomorphism types in one class)?"""
-    from .domination import iso_classes, prime_node_order, rk_structure
-
-    prime = prime_node_order(g)
-    q = rk_structure(g)
-    iso = iso_classes(g)
-    iso_of = {name: i for i, cls in enumerate(iso) for name in cls}
-    out: dict[frozenset[str], bool] = {}
-    for members in q.classes:
-        names = frozenset(prime[i] for i in members)
-        kinds = {iso_of[n] for n in names}
-        out[names] = len(kinds) > 1
-    return out
-
-
 # -- blueprints ---------------------------------------------------------------
 
 @record
@@ -650,14 +633,6 @@ def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[in
         rep = min(members)
         out[frozenset(members)] = targets.get(pnode(f"P{rep}"), ZERO)
     return out
-
-
-def replayed_prime_flags(struct: StructSpec, predicates: tuple[str, ...]) -> dict[int, bool]:
-    from .operators import pnode
-
-    return {
-        i: struct.nodes[pnode(p)].prime for i, p in enumerate(predicates)
-    }
 
 
 # -- corollary witnesses ------------------------------------------------------

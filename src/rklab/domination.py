@@ -7,13 +7,12 @@ certificates the caller supplies.  The operator registry is built from
 these node and edge records, so this module imports ``preorder`` only
 in the functions that close a graph.
 
-Strong equivalence is computed on the principal-witness subrelation,
-closed transitively: principal certificates compose, so mutual
-principal reachability is the working notion and it is an equivalence
-by construction.  Restricted to nodes with prime models it groups the
-isomorphism types; the coarser mutual-domination quotient on top of it
-is the partially ordered structure the decomposition formulas range
-over.
+Strong equivalence is mutual reachability through principal
+certificates, closed transitively: principal certificates compose, so
+it is an equivalence by construction.  Restricted to nodes with prime
+models it groups the isomorphism types (``iso_classes``); the coarser
+mutual-domination quotient on top of it (``rk_structure``) is the
+partially ordered structure the decomposition formulas range over.
 """
 from __future__ import annotations
 
@@ -82,21 +81,6 @@ def rk_preorder(g: DominationGraph, principal: bool = False) -> Preorder:
     return close(from_pairs(len(g.nodes), pairs))
 
 
-def strong_equiv(g: DominationGraph, p: str, q: str) -> bool:
-    """Principal-witness domination in both directions.
-
-    Identity counts: a node is strongly equivalent to itself via the
-    equality formula.  When both nodes carry prime models this is the
-    isomorphism criterion for those models.
-    """
-    idx = g.index()
-    if p not in idx or q not in idx:
-        raise KeyError(f"unknown node in ({p!r}, {q!r})")
-    if p == q:
-        return True
-    return rk_preorder(g, principal=True).sim(idx[p], idx[q])
-
-
 def prime_node_order(g: DominationGraph) -> list[str]:
     return [n.name for n in g.nodes if n.prime]
 
@@ -126,51 +110,3 @@ def rk_structure(g: DominationGraph) -> QuotientPoset:
     domination), and the induced order is a partial order.
     """
     return _prime_quotient(g, rk_preorder(g))
-
-
-def rk_size(g: DominationGraph) -> int:
-    """Number of isomorphism types of prime models over tuples."""
-    return len(iso_classes(g))
-
-
-# -- limit models over a single type -----------------------------------------
-
-@record
-class RealEdge:
-    """src isolates / semi-isolates dst among realizations of one type."""
-
-    src: str
-    dst: str
-    principal: bool = False
-    semi_isolates: bool = False
-
-    def __post_init__(self) -> None:
-        if self.principal and not self.semi_isolates:
-            raise ValueError("a principal edge always semi-isolates")
-
-
-@record
-class RealizationDigraph:
-    prime: bool
-    nodes: tuple[str, ...]
-    edges: tuple[RealEdge, ...]
-
-    def __post_init__(self) -> None:
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
-            raise ValueError("duplicate realization names")
-        for e in self.edges:
-            if e.src not in known or e.dst not in known:
-                raise ValueError(f"edge {e.src} -> {e.dst} references unknown node")
-
-
-def limit_exists_over(r: RealizationDigraph) -> bool:
-    """Non-symmetry criterion: some principal step whose reverse does not
-    semi-isolate.  Requires the prime model over the type to exist."""
-    if not r.prime:
-        raise ValueError("limit criterion needs the prime model over the type")
-    semi = {(e.src, e.dst) for e in r.edges if e.semi_isolates}
-    for e in r.edges:
-        if e.principal and (e.dst, e.src) not in semi:
-            return True
-    return False

@@ -2,8 +2,9 @@
 
 All formats are line oriented UTF-8; blank lines and lines starting
 with '#' are ignored.  Parsers raise ParseError carrying the file name,
-line number, and the grammar production they expected, and every
-serializer's output reparses to an equal value.
+line number, and the grammar production they expected.  Structure
+files are written and never read; every other serializer's output
+reparses to an equal value.
 """
 from __future__ import annotations
 
@@ -117,8 +118,8 @@ def _edge_words(e: DomEdge) -> str:
     return f"{e.src} dominates {e.dst} via {e.label}" + (" principal" if e.principal else "")
 
 
-def _read_node(nodes: dict, keyword: str, words: list[str], path: str, no: int, line: str) -> None:
-    """Add to ``nodes`` the node a line declares in its words after ``keyword``."""
+def _read_node(nodes: dict, words: list[str], path: str, no: int, line: str) -> None:
+    """Add to ``nodes`` the node a ``type`` line declares in its later words."""
     from .domination import TypeNode
 
     rest = words[1:]
@@ -130,7 +131,7 @@ def _read_node(nodes: dict, keyword: str, words: list[str], path: str, no: int, 
     if rest[:1] == ["stub-of"] and rest[2:3] == ["bits"] and len(rest) >= 4:
         stub_of, bits, rest = rest[1], rest[3], rest[4:]
     if not words or rest not in ([], ["realized"]) or not (bits == "-" or set(bits) <= {"0", "1"}):
-        raise ParseError(path, no, f"'{keyword} {_NODE_WORDS}'", line)
+        raise ParseError(path, no, f"'type {_NODE_WORDS}'", line)
     if words[0] in nodes:
         raise ParseError(path, no, "one line per node", line)
     try:
@@ -139,18 +140,24 @@ def _read_node(nodes: dict, keyword: str, words: list[str], path: str, no: int, 
         raise ParseError(path, no, "a well-formed node", str(exc)) from None
 
 
-def _read_edge(prefix: str, words: list[str], path: str, no: int, line: str) -> DomEdge:
-    """The edge a line certifies in its words after ``prefix``."""
-    from .domination import DomEdge
+def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
+    """Grammar: ``type <_NODE_WORDS>`` node lines and ``<_EDGE_WORDS>`` edge
+    lines; each node is declared once, before or after its edges, and each
+    edge appears once."""
+    from .domination import DomEdge, DominationGraph
 
-    if len(words) not in (5, 6) or words[1:4:2] != ["dominates", "via"] or words[5:] not in ([], ["principal"]):
-        raise ParseError(path, no, f"'{prefix}{_EDGE_WORDS}'", line)
-    return DomEdge(words[0], words[2], words[4], len(words) == 6)
-
-
-def _declared(nodes: dict, edges: list[tuple[int, str, DomEdge]], path: str) -> tuple[DomEdge, ...]:
-    """The edges of ``(line number, line, edge)`` entries, if each is given
-    once and ``nodes`` holds its ends."""
+    nodes: dict[str, TypeNode] = {}
+    edges: list[tuple[int, str, DomEdge]] = []
+    for no, line in _lines(text):
+        words = line.split()
+        if words[0] == "type":
+            _read_node(nodes, words[1:], path, no, line)
+        elif words[1:2] == ["dominates"]:
+            if len(words) not in (5, 6) or words[3] != "via" or words[5:] not in ([], ["principal"]):
+                raise ParseError(path, no, f"'{_EDGE_WORDS}'", line)
+            edges.append((no, line, DomEdge(words[0], words[2], words[4], len(words) == 6)))
+        else:
+            raise ParseError(path, no, "a 'type' or 'dominates' line", line)
     seen: set[DomEdge] = set()
     for no, line, e in edges:
         if e in seen:
@@ -158,32 +165,7 @@ def _declared(nodes: dict, edges: list[tuple[int, str, DomEdge]], path: str) -> 
         seen.add(e)
         if e.src not in nodes or e.dst not in nodes:
             raise ParseError(path, no, "an edge between declared nodes", line)
-    return tuple(e for _, _, e in edges)
-
-
-def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
-    """Grammar: ``type <_NODE_WORDS>`` node lines and ``<_EDGE_WORDS>`` edge
-    lines; each node is declared once, before or after its edges, and each
-    edge appears once."""
-    from .domination import DominationGraph
-
-    nodes: dict[str, TypeNode] = {}
-    edges: list[tuple[int, str, DomEdge]] = []
-    for no, line in _lines(text):
-        words = line.split()
-        if words[0] == "type":
-            _read_node(nodes, "type", words[1:], path, no, line)
-        elif words[1:2] == ["dominates"]:
-            edges.append((no, line, _read_edge("", words, path, no, line)))
-        else:
-            raise ParseError(path, no, "a 'type' or 'dominates' line", line)
-    return DominationGraph(tuple(nodes.values()), _declared(nodes, edges, path))
-
-
-def serialize_domination(g: DominationGraph) -> str:
-    lines = [f"type {_node_words(n)}" for n in g.nodes]
-    lines.extend(_edge_words(e) for e in g.edges)
-    return "\n".join(lines) + "\n"
+    return DominationGraph(tuple(nodes.values()), tuple(e for _, _, e in edges))
 
 
 # -- type-space files ---------------------------------------------------------
@@ -218,14 +200,6 @@ def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
         return TypeSpace(family, numbers["depth"], numbers.get("m"))
     except ValueError as exc:
         raise ParseError(path, no, "a valid type space", str(exc)) from None
-
-
-def serialize_typespace(ts: TypeSpace) -> str:
-    lines = [f"family: {ts.family}"]
-    if ts.parts is not None:
-        lines.append(f"m: {ts.parts}")
-    lines.append(f"depth: {ts.depth}")
-    return "\n".join(lines) + "\n"
 
 
 # -- distribution spec files --------------------------------------------------
@@ -295,31 +269,13 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
         raise ParseError(path, 1, "a well-formed distribution spec", str(exc)) from None
 
 
-def serialize_distribution(spec: DistributionSpec) -> str:
-    from .distribution import key_label
-
-    lines = [serialize_preorder(spec.order).rstrip(), f"mode: {spec.mode}"]
-    lines.extend(f"f: {key_label(key)} = {render(value)}" for key, value in spec.values)
-    if spec.partition is not None:
-        lines.extend(f"partition: {elem} {label}" for elem, label in spec.partition)
-    return "\n".join(lines) + "\n"
-
-
 # -- structure spec files -----------------------------------------------------
 
-def _params_to_json(value):
-    if isinstance(value, tuple):
-        return [_params_to_json(v) for v in value]
-    return value
-
-
-def _params_from_json(value):
-    if isinstance(value, list):
-        return tuple(_params_from_json(v) for v in value)
-    return value
-
-
 def serialize_struct(spec: StructSpec) -> str:
+    """Grammar: one ``universe:`` line; ``unary``, ``color``, ``rel2``,
+    ``rel3`` and ``target`` lines, one per name; ``note`` lines; the
+    registry as domination-graph lines behind the keywords ``node`` and
+    ``edge``; and one ``applied`` JSON line per operator record."""
     import json
 
     lines = ["universe: " + " ".join(spec.universe)]
@@ -342,110 +298,16 @@ def serialize_struct(spec: StructSpec) -> str:
     for note in spec.notes:
         lines.append(f"note {note}")
     for rec in spec.history:
-        payload = json.dumps(
-            {"op": rec.op, "params": {k: _params_to_json(v) for k, v in rec.params.items()}},
-            sort_keys=True,
-        )
-        lines.append(f"applied {payload}")
+        lines.append("applied " + json.dumps({"op": rec.op, "params": rec.params}, sort_keys=True))
     return "\n".join(lines) + "\n"
-
-
-def parse_struct(text: str, path: str = "<struct>") -> StructSpec:
-    """Grammar: one ``universe:`` line; ``unary``, ``color``, ``rel2``,
-    ``rel3`` and ``target`` lines, one per name; ``note`` and ``applied``
-    lines; and the registry as domination-graph lines behind the keywords
-    ``node`` and ``edge``, one per node and one per edge."""
-    import json
-
-    from .operators import OpRecord, StructSpec
-
-    universe: tuple[str, ...] | None = None
-    tables: dict[str, dict] = {"unary": {}, "color": {}, "rel2": {}, "rel3": {}, "target": {}}
-    nodes: dict[str, TypeNode] = {}
-    edges: list[tuple[int, str, DomEdge]] = []
-    notes: list[str] = []
-    history: list[OpRecord] = []
-    mentions: list[tuple[int, str, str]] = []  # (line, element, what names it)
-
-    def relation(keyword: str, line: str, no: int, arity: int) -> tuple[str, tuple]:
-        """The name and entries of a ``unary``, ``rel2`` or ``rel3`` line."""
-        head, sep, body = line.partition(":")
-        words = head.split()
-        if not sep or len(words) != 2:
-            raise ParseError(path, no, f"'{keyword} <name>: ...'", line)
-        if arity == 1:
-            return words[1], tuple(body.split())
-        out = []
-        for chunk in body.split():
-            out.append(tuple(chunk[1:-1].split(",")))
-            if chunk[:1] + chunk[-1:] != "()" or len(out[-1]) != arity:
-                raise ParseError(path, no, f"parenthesised {arity}-tuples", chunk)
-        return words[1], tuple(out)
-
-    for no, line in _lines(text):
-        words = line.split()
-        keyword = words[0]
-        if line.startswith("universe:"):
-            if universe is not None:
-                raise ParseError(path, no, "one 'universe:' line", line)
-            universe = tuple(line.split(":", 1)[1].split())
-            if len(set(universe)) != len(universe):
-                raise ParseError(path, no, "a consistent structure spec", "duplicate universe elements")
-            continue
-        if keyword == "node":
-            _read_node(nodes, "node", words[1:], path, no, line)
-            continue
-        if keyword == "edge":
-            edges.append((no, line, _read_edge("edge ", words[1:], path, no, line)))
-            continue
-        if keyword == "note":
-            notes.append(line[len("note "):])
-            continue
-        if keyword == "applied":
-            try:
-                payload = json.loads(line[len("applied "):])
-                op, params = payload["op"], dict(payload["params"])
-            except (ValueError, LookupError, TypeError) as exc:
-                raise ParseError(path, no, "an 'applied' JSON payload", str(exc)) from None
-            history.append(OpRecord(op, {k: _params_from_json(v) for k, v in params.items()}))
-            continue
-        # the lines that each give one entry of a table
-        if keyword in ("unary", "rel2", "rel3"):
-            key, value = relation(keyword, line, no, {"unary": 1, "rel2": 2, "rel3": 3}[keyword])
-        elif keyword == "color":
-            if len(words) != 4 or words[2] != "=" or not (words[3] == "inf" or words[3].isdecimal()):
-                raise ParseError(path, no, "'color <el> = <n|inf>'", line)
-            key, value = words[1], None if words[3] == "inf" else int(words[3])
-        elif keyword == "target":
-            key, sep, value = line[len("target"):].rpartition("=")
-            try:
-                key, value = key.strip(), parse_card(value if sep else "")
-            except ValueError:
-                raise ParseError(path, no, "'target <key> = <cardinal>'", line) from None
-        else:
-            raise ParseError(path, no, "a structure spec line", line)
-        if key in tables[keyword]:
-            raise ParseError(path, no, f"one '{keyword}' line per name", line)
-        if keyword == "unary":
-            mentions.extend((no, el, f"{key} contains") for el in value)
-        elif keyword == "color":
-            mentions.append((no, key, "coloring mentions"))
-        tables[keyword][key] = value
-    known = set(universe or ())
-    for no, el, what in mentions:
-        if el not in known:
-            raise ParseError(path, no, "a consistent structure spec", f"{what} unknown element {el!r}")
-    return StructSpec(
-        universe or (), tables["unary"], tables["color"], tables["rel2"], tables["rel3"],
-        nodes.values(), _declared(nodes, edges, path), tables["target"], notes, history,
-    )
 
 
 # -- pipeline files -----------------------------------------------------------
 
 def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
     """Grammar: one operator invocation per line, ``<op> key=value ...``,
-    each key among those ``operators.STEP_KEYS`` gives the operator."""
+    each key once and among those ``operators.STEP_KEYS`` gives the
+    operator."""
     from .operators import STEP_KEYS, PipelineStep
 
     steps = []
@@ -461,6 +323,8 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
                 raise ParseError(path, no, "'key=value' arguments", chunk)
             if key not in keys:
                 raise ParseError(path, no, f"a key of '{words[0]}' among {', '.join(keys)}", chunk)
+            if key in args:
+                raise ParseError(path, no, f"one '{key}=' per step", chunk)
             args[key] = value
         steps.append(PipelineStep(words[0], args))
     return steps

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .cardinal import CONTINUUM, Card, card_eq, card_sum_all
 from .record import record
 from .typespace import (
     Cell,
@@ -165,22 +164,6 @@ class RkSequence:
             raise ValueError("need one witness per adjacent pair")
 
 
-def sequence_respects_graph(seq: RkSequence, graph, names: Sequence[str]) -> bool:
-    """Check q_n <= q_{n+1} against a domination graph (by rendered name)."""
-    from .domination import rk_preorder
-
-    order = rk_preorder(graph)
-    index = {name: i for i, name in enumerate(n.name for n in graph.nodes)}
-    rendered = [render_cell(c) for c in seq.entries]
-    for name in rendered:
-        if name not in index:
-            return False
-    return all(
-        order.le(index[rendered[i]], index[rendered[i + 1]])
-        for i in range(len(rendered) - 1)
-    )
-
-
 def is_elementary_submodel_sequence(
     ts: TypeSpace,
     seq: RkSequence,
@@ -227,17 +210,3 @@ def construct_model(
     if not is_elementary_submodel_sequence(ts, seq, cones, depth):
         raise ValueError("sequence is not elementary-submodel at this depth")
     return explicit(space_at(ts, depth), {cell: 1 for cone in cones for cell in cone})
-
-
-def sum_iq(parts: Sequence[Card], continuum_many_parts: bool = False) -> tuple[Card, bool]:
-    """Fold the per-sequence counts; flag whether the total is the continuum.
-
-    ``continuum_many_parts`` is the symbolic marker for a continuum-sized
-    family of parts, which forces the total regardless of the sample.
-    """
-    if not parts and not continuum_many_parts:
-        raise ValueError("need at least one part")
-    total = card_sum_all(parts)
-    if continuum_many_parts:
-        total = CONTINUUM
-    return total, card_eq(total, CONTINUUM, ch=False)

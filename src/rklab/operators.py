@@ -210,28 +210,6 @@ def colored_base(
     return StructSpec(universe, unary, coloring, binary, {}, nodes, edges)
 
 
-def verify_q_order(spec: StructSpec) -> Report:
-    """Ground check of the color-monotone link conditions on Q predicates."""
-    rb = ReportBuilder("q-order")
-    for qname, pairs in sorted(spec.binary.items()):
-        if not qname.startswith("Q"):
-            continue
-        bad = [
-            (x, y)
-            for x, y in pairs
-            if spec.color(x) is not None
-            and spec.color(y) is not None
-            and spec.color(x) < spec.color(y)
-        ]
-        rb.check(
-            f"{qname}.monotone",
-            not bad,
-            f"{len(bad)} pairs go up in color" if bad else "",
-        )
-        rb.check(f"{qname}.nonempty", bool(pairs))
-    return rb.done()
-
-
 # -- sizing helpers -----------------------------------------------------------
 
 def _split_depth(colors: Iterable[Color], depth: int) -> int:
@@ -262,10 +240,6 @@ def _split_need(spec: StructSpec, subs: Sequence[str], depth: int, fan_out: int)
 
 def icp_need(spec: StructSpec, sub: str, depth: int, fan_out: int) -> int:
     return _split_need(spec, (sub,), depth, fan_out)
-
-
-def bu_need(spec: StructSpec, sub1: str, sub2: str, depth: int, fan_out: int) -> int:
-    return _split_need(spec, (sub1, sub2), depth, fan_out)
 
 
 def _check_colored_extent(spec: StructSpec, sub: str, ceiling: int) -> None:
@@ -429,14 +403,15 @@ def _css(
 
 
 def bu(
-    spec: StructSpec, sub1: str, sub2: str, fresh_z: int, depth: int, fan_out: int = 3
+    spec: StructSpec, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int = 3
 ) -> StructSpec:
     """Ban for upward movement between two designated substructures.
 
     Joint images of element pairs split into 2^min(color, color) blocks
     (2^depth when both colors are infinite); the joint types over both
     non-principal types lose their prime models while the two types
-    themselves keep their flags.
+    themselves keep their flags.  ``fresh_z`` None takes the least count
+    of witnesses that honors the splits.
     """
     out = spec.copy()
     _bu(out, sub1, sub2, fresh_z, depth, fan_out)
@@ -712,7 +687,7 @@ STEP_KEYS: dict[str, tuple[str, ...]] = {
     "qedge": ("low", "high", "principal"),
     "icp": ("sub", "depth", "fan", "y"),
     "css": ("sub", "source", "stubs", "fan", "linked"),
-    "bd": ("sub", "source", "stubs", "fan", "linked"),
+    "bd": ("sub", "source", "stubs", "fan"),
     "bu": ("sub1", "sub2", "depth", "fan", "z"),
     "lmt": ("node", "lam", "reading"),
     "lms": ("nodes", "lam", "reading"),

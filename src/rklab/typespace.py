@@ -248,13 +248,6 @@ def _holds(true: tuple[Atom, ...], phi: FormulaLit) -> bool:
     return all((atom in true) == sign for atom, sign in phi.literals)
 
 
-def satisfies(ts: TypeSpace, cell: Cell, phi: FormulaLit) -> bool:
-    _check_atoms(ts, phi)
-    if not valid_cell(ts, cell):
-        raise ValueError(f"cell {cell!r} invalid for {ts.family} depth {ts.depth}")
-    return _holds(cell_atoms(ts, cell), phi)
-
-
 def consistent(ts: TypeSpace, phi: FormulaLit) -> bool:
     _check_atoms(ts, phi)
     return any(_holds(cell_atoms(ts, cell), phi) for cell in enumerate_types(ts))
@@ -301,23 +294,15 @@ def has_prime_model(ts: TypeSpace) -> bool:
 
 # -- density ------------------------------------------------------------------
 
-def coverage_groups(ts: TypeSpace) -> list[frozenset[Cell]]:
-    """The cells grouped by the atoms they make true, in enumeration order.
-
-    A group's complete description holds in its cells alone, and a
-    formula that holds in one of them holds in all, so hitting every
-    group equals hitting every consistent formula at this depth.  In sdup
-    a frontier node's stopped and continuing cells share a group.
-    """
-    groups: dict[tuple[Atom, ...], list[Cell]] = {}
-    for cell in enumerate_types(ts):
-        groups.setdefault(cell_atoms(ts, cell), []).append(cell)
-    return [frozenset(cells) for cells in groups.values()]
-
-
 def covers_all_formulas(ts: TypeSpace, cells: Iterable[Cell]) -> bool:
     """Whether the cells meet every coverage group: whether each cell of
-    the space makes true the same atoms as one of them."""
+    the space makes true the same atoms as one of them.
+
+    A coverage group is the cells that make the same atoms true.  A
+    formula that holds in one cell of a group holds in all of them, so
+    meeting every group is meeting every consistent formula at this
+    depth.  In sdup a frontier node's stopped and continuing cells share
+    a group."""
     hit = {cell_atoms(ts, cell) for cell in cells}
     return all(cell_atoms(ts, cell) in hit for cell in enumerate_types(ts))
 
@@ -331,21 +316,3 @@ def is_dense(ts: TypeSpace, x: Iterable[Cell], depth: int) -> bool:
         if not valid_cell(space, cell):
             raise ValueError(f"cell {cell!r} invalid at depth {depth}")
     return covers_all_formulas(space, members)
-
-
-def npl_zero_check(ts: TypeSpace, spec, depth: int) -> bool:
-    """Truncated rendering of the prime-or-limit criterion.
-
-    True when every tuple over the realized cells extends, within the
-    realized cells, to one over which every consistent one-variable
-    formula is an i-formula.  The represented families are unary, so a
-    formula's class does not depend on the parameter tuple: the empty
-    extension decides, and the check holds exactly when every formula is
-    an i-formula or no cell is realized.
-    """
-    if spec.space.family != ts.family or (
-        ts.family == "colored" and spec.space.parts != ts.parts
-    ):
-        raise ValueError("model spec belongs to a different family")
-    space = space_at(ts, depth)
-    return has_prime_model(space) or not spec.support()

@@ -12,6 +12,11 @@ disjoint-images check, direct formula enumeration over all 3^atoms
 signed conjunctions for density and classification, and the
 formula-by-formula round-robin witness construction for submodels.
 They share no code with the library paths they certify.
+
+The last section holds what only tests call: writers of the formats
+rklab reads and never writes, a reader of the structure format it
+writes and never reads, and two read-backs of a replayed registry.
+They build the library's own records.
 """
 from __future__ import annotations
 
@@ -374,3 +379,104 @@ def round_robin_counts(ts, cells, formulas, cap: int) -> dict | None:
         if counts[pick] < cap:
             counts[pick] += 1
     return {cell: k or 1 for cell, k in zip(order, counts)}
+
+
+# -- writers, a reader and read-backs that only tests call -------------------
+
+def serialize_domination(g) -> str:
+    from rklab.formats import _edge_words, _node_words
+
+    lines = [f"type {_node_words(n)}" for n in g.nodes]
+    lines.extend(_edge_words(e) for e in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def serialize_typespace(ts) -> str:
+    lines = [f"family: {ts.family}"]
+    if ts.parts is not None:
+        lines.append(f"m: {ts.parts}")
+    lines.append(f"depth: {ts.depth}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_distribution(spec) -> str:
+    from rklab.cardinal import render
+    from rklab.distribution import key_label
+    from rklab.formats import serialize_preorder
+
+    lines = [serialize_preorder(spec.order).rstrip(), f"mode: {spec.mode}"]
+    lines.extend(f"f: {key_label(key)} = {render(value)}" for key, value in spec.values)
+    if spec.partition is not None:
+        lines.extend(f"partition: {elem} {label}" for elem, label in spec.partition)
+    return "\n".join(lines) + "\n"
+
+
+def _tuples(value):
+    """A JSON value with its lists read back as the tuples they were written from."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def read_struct(text: str):
+    """The structure a ``serialize_struct`` text describes.  It checks
+    nothing: the node and edge lines go through ``parse_domination`` as
+    the domination-graph lines they are behind their keywords."""
+    import json
+
+    from rklab.cardinal import parse_card
+    from rklab.formats import parse_domination
+    from rklab.operators import OpRecord, StructSpec
+
+    universe: tuple[str, ...] = ()
+    tables: dict[str, dict] = {"unary": {}, "color": {}, "rel2": {}, "rel3": {}, "target": {}}
+    graph, notes, history = [], [], []
+    for line in text.splitlines():
+        keyword, _, rest = line.partition(" ")
+        if keyword == "universe:":
+            universe = tuple(rest.split())
+        elif keyword in ("unary", "rel2", "rel3"):
+            name, _, body = rest.partition(":")
+            words = body.split()
+            tables[keyword][name] = tuple(words) if keyword == "unary" else tuple(
+                tuple(chunk[1:-1].split(",")) for chunk in words
+            )
+        elif keyword == "color":
+            el, _, value = rest.partition(" = ")
+            tables["color"][el] = None if value == "inf" else int(value)
+        elif keyword == "target":
+            key, _, value = rest.rpartition(" = ")
+            tables["target"][key] = parse_card(value)
+        elif keyword == "node":
+            graph.append(f"type {rest}")
+        elif keyword == "edge":
+            graph.append(rest)
+        elif keyword == "note":
+            notes.append(rest)
+        elif keyword == "applied":
+            payload = json.loads(rest)
+            history.append(OpRecord(payload["op"], {k: _tuples(v) for k, v in payload["params"].items()}))
+    g = parse_domination("\n".join(graph))
+    return StructSpec(
+        universe, tables["unary"], tables["color"], tables["rel2"], tables["rel3"],
+        g.nodes, g.edges, tables["target"], notes, history,
+    )
+
+
+def limit_obligations(g) -> dict[frozenset[str], bool]:
+    """Per mutual-domination class of prime nodes: does it force a limit
+    model (two or more isomorphism types in one class)?"""
+    from rklab.domination import iso_classes, prime_node_order, rk_structure
+
+    prime = prime_node_order(g)
+    iso_of = {name: i for i, cls in enumerate(iso_classes(g)) for name in cls}
+    out: dict[frozenset[str], bool] = {}
+    for members in rk_structure(g).classes:
+        names = frozenset(prime[i] for i in members)
+        out[names] = len({iso_of[n] for n in names}) > 1
+    return out
+
+
+def replayed_prime_flags(struct, predicates: tuple[str, ...]) -> dict[int, bool]:
+    """Whether each part's type node has a prime model after replay."""
+    from rklab.operators import pnode
+
+    return {i: struct.nodes[pnode(p)].prime for i, p in enumerate(predicates)}

@@ -28,9 +28,11 @@ from rklab.distribution import (
     classify_triple,
     decompose_tc,
     finite_spec,
+    realize_corollary,
     replay_blueprint,
     replayed_il,
     replayed_prime_preorder,
+    target_triple,
 )
 from rklab.limitcount import count_classes, instantiate, lmt, lms
 from rklab.models import (
@@ -312,7 +314,17 @@ def test_criterion_08_triple_classification():
         == "continuum-primes-force-continuum-limits"
     )
     assert checked >= 1458
-    report(8, f"({checked} classifications)")
+    # the realizability corollaries: each witness's target triple is
+    # admissible under tc and decomposes to the continuum
+    lams = [ZERO, fin(1), fin(3), OMEGA, CONTINUUM]
+    witnesses = [realize_corollary("c78", (fin(2), lam)) for lam in lams]
+    witnesses += [realize_corollary(kind, (lam,)) for kind in ("c85", "c93") for lam in lams]
+    for spec in witnesses:
+        triple = target_triple(spec)
+        assert classify_triple(triple, "tc").admissible, triple.render()
+        total, ok = decompose_tc(triple.p, [triple.l], triple.npl)
+        assert ok, triple.render()
+    report(8, f"({checked} classifications, {len(witnesses)} corollary witnesses)")
 
 
 def test_criterion_09_builder_round_trip():

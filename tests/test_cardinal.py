@@ -13,7 +13,6 @@ from rklab.cardinal import (
     card_eq,
     card_le,
     card_sum,
-    card_sup,
     fin,
     parse_card,
     render,
@@ -40,14 +39,6 @@ def test_sum_commutative_associative_exhaustive():
 def test_continuum_absorbs():
     for a in SYMBOLS:
         assert card_sum(a, CONTINUUM) == CONTINUUM
-
-
-def test_sup_examples():
-    assert card_sup([fin(1), fin(4), fin(2)]) == fin(4)
-    assert card_sup([fin(3), OMEGA]) == OMEGA
-    assert card_sup([fin(1)], unbounded_finite=True) == OMEGA
-    with pytest.raises(ValueError):
-        card_sup([])
 
 
 def test_le_examples():
@@ -78,13 +69,6 @@ def test_sum_upper_bound(a, b):
     total = card_sum(a, b)
     assert card_le(a, total, ch=False)
     assert card_le(b, total, ch=False)
-
-
-@given(st.lists(cards, min_size=1, max_size=6))
-def test_sup_is_least_upper_bound(xs):
-    s = card_sup(xs)
-    assert all(card_le(x, s, ch=False) for x in xs)
-    assert any(card_eq(x, s, ch=False) for x in xs)
 
 
 def test_render_parse_round_trip():

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import read_struct
 from rklab import cli
 from rklab.cli import COMMANDS, build_parser, main
 from rklab.distribution import BuildConfig, build_blueprint, replay_blueprint
-from rklab.formats import parse_distribution, parse_struct, serialize_struct
+from rklab.formats import parse_distribution, serialize_struct
 
 
 COMMAND_NAMES = [name for name, _ in COMMANDS]
@@ -237,7 +238,7 @@ def test_build_and_apply_round_trip(tmp_path, capsys, variant):
     assert code == 0
     assert "=> pass" in out
     text = struct_file.read_text()
-    parsed = parse_struct(text, str(struct_file))
+    parsed = read_struct(text)
     assert parsed.limit_targets["p(P0)"].value == 2
     # apply on the written pipeline reproduces build --replay exactly
     cfg = BuildConfig(colors=1, per_color=1, depth=1, fan_out=1)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import brute_components, matrix
+from oracles import brute_components, limit_obligations, matrix, replayed_prime_flags
 from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, card_eq, fin, render
 from rklab.distribution import (
     BuildConfig,
@@ -16,12 +16,10 @@ from rklab.distribution import (
     decompose,
     decompose_tc,
     finite_spec,
-    limit_obligations,
     nonrepeating_cofinite,
     realize_corollary,
     replay_blueprint,
     replayed_il,
-    replayed_prime_flags,
     replayed_prime_preorder,
     sequence_spec,
     subsequence_of,
@@ -467,22 +465,6 @@ def test_corollary_builds_one_quotient(monkeypatch, kind, lam):
     assert len(quotients) == 1
     monkeypatch.undo()
     assert spec == _old_corollary(kind, lam)
-
-
-def test_corollaries_all_accepted_and_decompose_to_continuum():
-    finite_values = [ZERO, fin(1), fin(3), OMEGA, CONTINUUM]
-    witnesses = []
-    for lam2 in finite_values:
-        witnesses.append(realize_corollary("c78", (fin(2), lam2)))
-    for lam in finite_values:
-        witnesses.append(realize_corollary("c85", (lam,)))
-        witnesses.append(realize_corollary("c93", (lam,)))
-    for spec in witnesses:
-        triple = target_triple(spec)
-        verdict = classify_triple(triple, "tc")
-        assert verdict.admissible, triple.render()
-        total, ok = decompose_tc(triple.p, [triple.l], triple.npl)
-        assert ok, triple.render()
 
 
 def test_builder_worst_case_universe_budget():

@@ -6,16 +6,11 @@ from oracles import brute_iso_classes
 from rklab.domination import (
     DomEdge,
     DominationGraph,
-    RealEdge,
-    RealizationDigraph,
     TypeNode,
     iso_classes,
-    limit_exists_over,
     prime_node_order,
     rk_preorder,
-    rk_size,
     rk_structure,
-    strong_equiv,
 )
 from rklab.preorder import sim_quotient
 
@@ -60,11 +55,14 @@ def test_strong_equiv():
             DomEdge("r", "q", "k", principal=False),
         ],
     )
-    assert strong_equiv(g, "p", "q")
-    assert not strong_equiv(g, "q", "r")  # mutual but not principal
-    assert strong_equiv(g, "p", "p")
-    with pytest.raises(KeyError):
-        strong_equiv(g, "p", "zz")
+    # principal witnesses both ways make p and q one isomorphism type; q and
+    # r dominate each other without one, so they stay apart, though all
+    # three share a mutual-domination class
+    assert iso_classes(g) == [frozenset("pq"), frozenset("r")]
+    assert rk_structure(g).classes == ((0, 1, 2),)
+    # a node with no certificate is strongly equivalent to itself alone
+    lone = graph([TypeNode("p", prime=True)], [])
+    assert iso_classes(lone) == [frozenset("p")]
 
 
 def test_strong_equiv_is_equivalence_and_refines_sim():
@@ -77,15 +75,25 @@ def test_strong_equiv_is_equivalence_and_refines_sim():
         ],
     )
     # principal cycle: all pairs strongly equivalent via composition
-    for x in "abc":
-        for y in "abc":
-            assert strong_equiv(g, x, y)
-    p = rk_preorder(g)
-    names = g.names()
-    for x in "abc":
-        for y in "abc":
-            if strong_equiv(g, x, y):
-                assert p.sim(names.index(x), names.index(y))
+    assert iso_classes(g) == [frozenset("abc")]
+    # on random graphs the isomorphism classes partition the prime nodes,
+    # each inside one mutual-domination class
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        nodes = [TypeNode(f"t{i}", prime=rng.random() < 0.7) for i in range(n)]
+        edges = [
+            DomEdge(f"t{i}", f"t{j}", f"e{i}{j}", rng.random() < 0.5)
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < 0.3
+        ]
+        g = graph(nodes, edges)
+        prime = prime_node_order(g)
+        iso = iso_classes(g)
+        assert sorted(name for cls in iso for name in cls) == sorted(prime)
+        sim = [frozenset(prime[i] for i in members) for members in rk_structure(g).classes]
+        assert all(sum(cls <= s for s in sim) == 1 for cls in iso), (nodes, edges)
 
 
 def test_rk_structure_examples():
@@ -98,7 +106,7 @@ def test_rk_structure_examples():
     # no prime models anywhere: empty structure
     g2 = graph([TypeNode("a"), TypeNode("b")], [DomEdge("b", "a", "f")])
     assert rk_structure(g2).size == 0
-    assert rk_size(g2) == 0
+    assert len(iso_classes(g2)) == 0
     # strongly equivalent prime nodes merge
     g3 = graph(
         [TypeNode("a", prime=True), TypeNode("b", prime=True)],
@@ -108,7 +116,7 @@ def test_rk_structure_examples():
         ],
     )
     assert rk_structure(g3).size == 1
-    assert rk_size(g3) == 1
+    assert len(iso_classes(g3)) == 1
 
 
 def test_iso_classes_vs_sim_classes():
@@ -119,7 +127,7 @@ def test_iso_classes_vs_sim_classes():
         [DomEdge("a", "b", "f"), DomEdge("b", "a", "g")],
     )
     assert rk_structure(g).size == 1
-    assert rk_size(g) == 2
+    assert len(iso_classes(g)) == 2
     assert sorted(len(c) for c in iso_classes(g)) == [1, 1]
 
 
@@ -153,33 +161,6 @@ def test_node_invariants():
         )
     with pytest.raises(ValueError):
         DominationGraph((TypeNode("a"), TypeNode("a")), ())
-
-
-def rdigraph(prime, nodes, edges):
-    return RealizationDigraph(prime, tuple(nodes), tuple(edges))
-
-
-def test_limit_exists_over():
-    r = rdigraph(
-        True,
-        ["a", "b"],
-        [RealEdge("a", "b", principal=True, semi_isolates=True)],
-    )
-    assert limit_exists_over(r)
-    sym = rdigraph(
-        True,
-        ["a", "b"],
-        [
-            RealEdge("a", "b", principal=True, semi_isolates=True),
-            RealEdge("b", "a", principal=False, semi_isolates=True),
-        ],
-    )
-    assert not limit_exists_over(sym)
-    assert not limit_exists_over(rdigraph(True, ["a"], []))
-    with pytest.raises(ValueError):
-        limit_exists_over(rdigraph(False, ["a"], []))
-    with pytest.raises(ValueError):
-        RealEdge("a", "b", principal=True, semi_isolates=False)
 
 
 def test_rk_preorder_idempotent_and_extends_edges():

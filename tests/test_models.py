@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from rklab.cardinal import CONTINUUM, OMEGA, fin
 from rklab.models import (
     COUNT_CAP,
     CellCount,
@@ -14,7 +13,6 @@ from rklab.models import (
     full_base,
     is_elementary_submodel_sequence,
     perturb,
-    sum_iq,
 )
 from rklab.typespace import (
     SdupCell,
@@ -167,35 +165,6 @@ def test_construct_model_random_cones():
         seq = RkSequence(tuple(cells[:k]))
         spec = construct_model(ts, seq, cones, 3)
         assert spec.support() == frozenset().union(*cones)
-
-
-def test_sum_iq():
-    total, flag = sum_iq([fin(1), CONTINUUM])
-    assert total == CONTINUUM and flag
-    total, flag = sum_iq([fin(1), fin(1)])
-    assert total == fin(2) and not flag
-    total, flag = sum_iq([fin(1)], continuum_many_parts=True)
-    assert total == CONTINUUM and flag
-    with pytest.raises(ValueError):
-        sum_iq([])
-    total, flag = sum_iq([OMEGA, fin(3)])
-    assert total == OMEGA and not flag
-
-
-def test_sequence_respects_graph():
-    from rklab.domination import DomEdge, DominationGraph, TypeNode
-    from rklab.models import sequence_respects_graph
-    from rklab.typespace import render_cell
-
-    lo, hi = CELLS3[0], CELLS3[1]
-    g = DominationGraph(
-        (TypeNode(render_cell(lo)), TypeNode(render_cell(hi))),
-        (DomEdge(render_cell(hi), render_cell(lo), "Q"),),
-    )
-    assert sequence_respects_graph(RkSequence((lo, hi), ("Q",)), g, [])
-    assert not sequence_respects_graph(RkSequence((hi, lo), ("Q",)), g, [])
-    missing = RkSequence((lo, CELLS3[2]), ("Q",))
-    assert not sequence_respects_graph(missing, g, [])
 
 
 def test_spec_edits_have_one_form():

@@ -17,7 +17,6 @@ from rklab.operators import (
     apply_lmt,
     apply_lms,
     bu,
-    bu_need,
     colored_base,
     css,
     icp,
@@ -25,7 +24,6 @@ from rklab.operators import (
     pnode,
     run_pipeline,
     stub_name,
-    verify_q_order,
     verify_schemes,
 )
 from rklab.preorder import close, from_pairs, sim_quotient
@@ -41,7 +39,10 @@ def test_colored_base_shape():
     assert len(spec.universe) == 6
     assert spec.color("a0inf") is None
     assert spec.nodes[pnode("P0")].prime
-    assert verify_q_order(spec).ok
+    # the Q link never goes up in color, and pairs the two infinite elements
+    q = spec.binary["Q0_1"]
+    assert all(spec.color(x) is None or spec.color(x) >= spec.color(y) for x, y in q)
+    assert ("a0inf", "a1inf") in q
     [edge] = spec.edges
     assert edge.src == pnode("P1") and edge.dst == pnode("P0") and edge.principal
 
@@ -135,7 +136,7 @@ def test_bu_splits_and_registry():
     spec, _ = icp_then_stubs(base2(colors=2), depth=2)
     before_p0 = spec.nodes[pnode("P0")].prime
     before_p1 = spec.nodes[pnode("P1")].prime
-    out = bu(spec, "P0", "P1", bu_need(spec, "P0", "P1", 2, 2), 2, 2)
+    out = bu(spec, "P0", "P1", None, 2, 2)
     rels = out.history[-1].params["rels"]
     img = {}
     for x, y, z in out.ternary[rels[0]]:
@@ -174,7 +175,7 @@ def test_public_operators_leave_their_input_unchanged():
     steps = [
         lambda s: icp(s, "P1", icp_need(s, "P1", 2, 2), 2, 2),
         lambda s: css(s, stubs, "P1", 2, linked=True),
-        lambda s: bu(s, "P0", "P1", bu_need(s, "P0", "P1", 2, 2), 2, 2),
+        lambda s: bu(s, "P0", "P1", None, 2, 2),
         lambda s: apply_lmt(s, pnode("P1"), OMEGA)[0],
         lambda s: apply_lms(s, [pnode("P0"), pnode("P1")], fin(3))[0],
     ]
@@ -221,7 +222,7 @@ def test_verify_schemes_on_random_inputs():
         if parts >= 2:
             others = [i for i in range(parts) if f"P{i}" != sub]
             s2 = f"P{others[0]}"
-            spec = bu(spec, sub, s2, bu_need(spec, sub, s2, depth, fan), depth, fan)
+            spec = bu(spec, sub, s2, None, depth, fan)
             assert verify_schemes(spec, "bu").ok
         assert len(spec.universe) <= 200
 
@@ -281,7 +282,7 @@ def test_bu_disjoint_images_match_pairwise_oracle():
         spec = colored_base(2, colors, per_color=rng.randint(1, 2))
         spec = icp(spec, "P0", icp_need(spec, "P0", depth, fan), depth, fan)
         spec = css(spec, spec.stubs_of(pnode("P0")), "P1", fan)
-        spec = bu(spec, "P0", "P1", bu_need(spec, "P0", "P1", depth, fan), depth, fan)
+        spec = bu(spec, "P0", "P1", None, depth, fan)
         for _ in range(5):
             mutated = _mutate_layers(spec, rng)
             for index, rec in enumerate(mutated.history):
@@ -491,11 +492,11 @@ def fold_public_operators(steps):
                 stubs = sorted(n.name for n in spec.nodes.values() if n.stub_of == parent)
             else:
                 stubs = a["stubs"].split(",")
-            linked = step.op == "bd" or a.get("linked") == "true"
+            linked = step.op == "bd" or a.get("linked") == "true"  # only css reads linked=
             spec = css(spec, stubs, a["sub"], fan, linked=linked)
         elif step.op == "bu":
             z = a.get("z", "auto")
-            z = bu_need(spec, a["sub1"], a["sub2"], depth, fan) if z == "auto" else int(z)
+            z = None if z == "auto" else int(z)
             spec = bu(spec, a["sub1"], a["sub2"], z, depth, fan)
         elif step.op == "lmt":
             spec, _ = apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
@@ -524,7 +525,10 @@ def random_pipeline(rng):
             y = rng.choice(["auto", "40", "3"])
             steps.append(PipelineStep("icp", {"sub": rng.choice(subs), "depth": depth, "fan": fan, "y": y}))
         elif kind in ("css", "bd"):
-            steps.append(PipelineStep(kind, {"sub": rng.choice(subs), "source": source, "fan": fan}))
+            args = {"sub": rng.choice(subs), "source": source, "fan": fan}
+            if kind == "css":  # bd is always linked and takes no linked=
+                args["linked"] = rng.choice(["true", "false"])
+            steps.append(PipelineStep(kind, args))
         elif kind == "bu":
             a, b = rng.sample(subs, 2)
             steps.append(PipelineStep("bu", {"sub1": a, "sub2": b, "depth": depth, "fan": fan}))

@@ -12,7 +12,7 @@ from oracles import (
     round_robin_counts,
 )
 from rklab import typespace
-from rklab.models import COUNT_CAP, RkSequence, cm_dominates, construct_model, explicit, full_base
+from rklab.models import COUNT_CAP, RkSequence, cm_dominates, construct_model, full_base
 from rklab.typespace import (
     ColorCell,
     FormulaClass,
@@ -24,16 +24,14 @@ from rklab.typespace import (
     cell_atoms,
     classify_formula,
     consistent,
-    coverage_groups,
+    covers_all_formulas,
     enumerate_types,
     has_prime_model,
     is_dense,
     is_principal,
-    npl_zero_check,
     parse_cell,
     parse_formula,
     render_cell,
-    satisfies,
     valid_cell,
 )
 
@@ -239,9 +237,6 @@ def test_atom_table_matches_the_family_rule_oracle():
             true = tuple(a for a in alphabet if brute_satisfies(ts, cell, FormulaLit.of({a: True})))
             assert cell_atoms(ts, cell) == true, (ts, cell)
             assert all(a is alphabet[alphabet.index(a)] for a in cell_atoms(ts, cell)), (ts, cell)
-        for cell, atom, sign in itertools.product(cells, alphabet, (True, False)):
-            phi = FormulaLit.of({atom: sign})
-            assert satisfies(ts, cell, phi) == brute_satisfies(ts, cell, phi), (ts, cell, phi)
         expected = []
         for assignment in itertools.product((None, True, False), repeat=len(alphabet)):
             phi = FormulaLit.of({a: s for a, s in zip(alphabet, assignment) if s is not None})
@@ -254,7 +249,10 @@ def test_atom_table_matches_the_family_rule_oracle():
         for cell in cells:
             signature = tuple(brute_satisfies(ts, cell, FormulaLit.of({a: True})) for a in alphabet)
             groups.setdefault(signature, []).append(cell)
-        assert coverage_groups(ts) == [frozenset(g) for g in groups.values()], ts
+        # a set of cells covers every formula exactly when it meets every group
+        assert covers_all_formulas(ts, [group[0] for group in groups.values()]), ts
+        for group in groups.values():
+            assert not covers_all_formulas(ts, [c for c in cells if c not in group]), (ts, group)
 
 
 def test_atoms_outside_the_space_are_refused():
@@ -269,20 +267,10 @@ def test_atoms_outside_the_space_are_refused():
         (TypeSpace("colored", 2, 2), {("C", 3): True}),
         (TypeSpace("colored", 2, 2), {("X", 0): True}),
     ]
-    def satisfies_first_cell(ts, phi):
-        return satisfies(ts, enumerate_types(ts)[0], phi)
-
     for ts, lits in cases:
-        for check in (consistent, classify_formula, satisfies_first_cell):
+        for check in (consistent, classify_formula):
             with pytest.raises(ValueError, match="invalid for"):
                 check(ts, FormulaLit.of(lits))
-    # so are cells outside the space, which have no row in its atom table
-    colored, phi = TypeSpace("colored", 2, 2), FormulaLit.of({("C", 2): True})
-    for cell in (ColorCell(-1, 2), ColorCell(2, 0), ColorCell(0, 3)):
-        with pytest.raises(ValueError, match="invalid for"):
-            satisfies(colored, cell, phi)
-    with pytest.raises(ValueError, match="invalid for"):
-        satisfies(TypeSpace("sdup", 1), SdupCell("cont", "01"), FormulaLit.of({("S", "1"): False}))
 
 
 def test_an_atom_outside_the_space_is_refused_by_name_in_each_family():
@@ -293,10 +281,9 @@ def test_an_atom_outside_the_space_is_refused_by_name_in_each_family():
         (TypeSpace("colored", 2, 2), ("C", 3), "atom ('C', 3) invalid for colored depth 2"),
     ]
     for ts, atom, message in cases:
-        cell = enumerate_types(ts)[0]
         for _ in range(2):
             with pytest.raises(ValueError) as err:
-                satisfies(ts, cell, FormulaLit.of({atom: True}))
+                consistent(ts, FormulaLit.of({atom: True}))
             assert str(err.value) == message
         assert typespace._atom_set(ts) is typespace._atom_set(ts)
         assert typespace._atom_set(ts) == frozenset(atoms(ts))
@@ -327,27 +314,15 @@ def test_parse_formula_reads_atom_names():
 
 
 def test_coverage_groups_shape():
+    # sdup depth 2: each stopped cell above the frontier is a group of its
+    # own, and each frontier node's stopped and continuing cells share one
     ts = TypeSpace("sdup", 2)
-    groups = coverage_groups(ts)
-    singletons = [g for g in groups if len(g) == 1]
-    pairs = [g for g in groups if len(g) == 2]
-    assert len(singletons) == 3  # stopped cells above the frontier
-    assert len(pairs) == 4  # frontier choice groups
-
-
-def test_npl_zero_check():
-    sdup = TypeSpace("sdup", 2)
-    stopped = {c: 1 for c in enumerate_types(sdup) if c.kind == "stop"}
-    assert npl_zero_check(sdup, explicit(sdup, stopped), 2) is True
-    iup = TypeSpace("iup", 3)
-    assert npl_zero_check(iup, full_base(iup), 3) is False
-    colored = TypeSpace("colored", 2, 3)
-    finite_cells = {c: 1 for c in enumerate_types(colored) if c.color is not None}
-    assert npl_zero_check(colored, explicit(colored, finite_cells), 3) is True
-    with pytest.raises(ValueError):
-        npl_zero_check(sdup, full_base(iup), 2)
-    assert npl_zero_check(iup, full_base(iup), 12) is False
-    assert npl_zero_check(sdup, explicit(sdup, stopped), 4) is True
+    cells = enumerate_types(ts)
+    for cell in cells:
+        rest = [c for c in cells if c != cell]
+        assert covers_all_formulas(ts, rest) == (len(cell.path) == 2), cell
+    assert covers_all_formulas(ts, [c for c in cells if c.kind == "stop"])
+    assert not covers_all_formulas(ts, [c for c in cells if c.kind == "cont"])
 
 
 def test_valid_cell():
