@@ -467,6 +467,22 @@ def test_corollary_builds_one_quotient(monkeypatch, kind, lam):
     assert spec == _old_corollary(kind, lam)
 
 
+def test_corollaries_all_accepted_and_decompose_to_continuum():
+    finite_values = [ZERO, fin(1), fin(3), OMEGA, CONTINUUM]
+    witnesses = []
+    for lam2 in finite_values:
+        witnesses.append(realize_corollary("c78", (fin(2), lam2)))
+    for lam in finite_values:
+        witnesses.append(realize_corollary("c85", (lam,)))
+        witnesses.append(realize_corollary("c93", (lam,)))
+    for spec in witnesses:
+        triple = target_triple(spec)
+        verdict = classify_triple(triple, "tc")
+        assert verdict.admissible, triple.render()
+        total, ok = decompose_tc(triple.p, [triple.l], triple.npl)
+        assert ok, triple.render()
+
+
 def test_builder_worst_case_universe_budget():
     # 6 singleton components maximizes the upward-ban applications;
     # six 2-cycles maximizes elements at the 6-class bound
