@@ -108,3 +108,12 @@ def parse_card(text: str) -> Card:
     if tok.isdecimal():
         return fin(int(tok))
     raise ValueError(f"not a cardinal token: {text!r}")
+
+
+def check_limit_count(lam: Card) -> None:
+    """Refuse a number of limit models outside 1..w, the counts the lmt and
+    lms identity families size."""
+    if lam.finite and lam.value < 1:
+        raise ValueError("the finite case needs at least one limit model")
+    if not lam.finite and lam != OMEGA:
+        raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")

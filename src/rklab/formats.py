@@ -304,10 +304,20 @@ def serialize_struct(spec: StructSpec) -> str:
 
 # -- pipeline files -----------------------------------------------------------
 
+# each kind of pipeline value (operators.STEP_KEYS): its grammar and its test
+PIPELINE_VALUES = {
+    "text": ("<text>", lambda v: True),
+    "integer": ("<integer>", lambda v: v.removeprefix("-").isdecimal()),
+    "integer-or-auto": ("<integer>|auto", lambda v: v == "auto" or v.removeprefix("-").isdecimal()),
+    "flag": ("true|false", lambda v: v in ("true", "false")),
+    "reading": ("gt|geq", lambda v: v in ("gt", "geq")),
+}
+
+
 def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
     """Grammar: one operator invocation per line, ``<op> key=value ...``,
     each key once and among those ``operators.STEP_KEYS`` gives the
-    operator."""
+    operator, each value of the kind it gives the key."""
     from .operators import STEP_KEYS, PipelineStep
 
     steps = []
@@ -325,6 +335,9 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
                 raise ParseError(path, no, f"a key of '{words[0]}' among {', '.join(keys)}", chunk)
             if key in args:
                 raise ParseError(path, no, f"one '{key}=' per step", chunk)
+            grammar, fits = PIPELINE_VALUES[keys[key]]
+            if not fits(value):
+                raise ParseError(path, no, f"'{key}={grammar}'", chunk)
             args[key] = value
         steps.append(PipelineStep(words[0], args))
     return steps

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from itertools import compress, islice, product
 from typing import Iterable, Iterator
 
-from .cardinal import CONTINUUM, OMEGA, Card, fin, render
+from .cardinal import OMEGA, Card, check_limit_count, fin, render
 from .record import record
 from .report import BudgetError
 
@@ -42,35 +42,25 @@ class Schema:
 
 @record
 class IdentitySystem:
-    kind: str  # "lmt" | "lms" | "free"
+    kind: str  # "lmt" | "lms"
     schemas: tuple[Schema, ...]
     target: Card
     n: int | None = None
     reading: str = "gt"
 
     def describe(self) -> str:
-        tag = self.kind
-        if self.n is not None:
-            tag += f" n={self.n}"
-        elif self.kind != "free":
-            tag += " w-case"
-        return f"{tag}, target {render(self.target)}"
-
-
-FREE_SYSTEM = IdentitySystem("free", (), CONTINUUM)
+        tag = " w-case" if self.n is None else f" n={self.n}"
+        return f"{self.kind}{tag}, target {render(self.target)}"
 
 
 def lmt(lam: Card) -> IdentitySystem:
     """Identity family sizing the limit models over a single type."""
+    check_limit_count(lam)
     if lam.finite:
         n = lam.value
-        if n < 1:
-            raise ValueError("the finite case needs at least one limit model")
         schemas = (Schema("single_rename", n), Schema("idem_below", n), Schema("drop_to_min"))
         return IdentitySystem("lmt", schemas, fin(n), n=n)
-    if lam == OMEGA:
-        return IdentitySystem("lmt", (Schema("idem_all"), Schema("drop_to_min"), Schema("pair_to_run")), OMEGA)
-    raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
+    return IdentitySystem("lmt", (Schema("idem_all"), Schema("drop_to_min"), Schema("pair_to_run")), OMEGA)
 
 
 def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
@@ -80,16 +70,13 @@ def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
         raise ValueError("sequence length must be positive")
     if reading not in ("gt", "geq"):
         raise ValueError("reading must be 'gt' or 'geq'")
+    check_limit_count(lam)
     if lam.finite:
         n = lam.value
-        if n < 1:
-            raise ValueError("the finite case needs at least one limit model")
         schemas = (Schema("single_rename", n), Schema("ascend_to_power"))
         return IdentitySystem("lms", schemas, fin(n), n=n)
-    if lam == OMEGA:
-        schemas = (Schema("ascend_to_power"), Schema("ascend_to_run"), Schema("ascend_to_capped_run"))
-        return IdentitySystem("lms", schemas, OMEGA, reading=reading)
-    raise ValueError(f"limit-model count must be in w+1, got {render(lam)}")
+    schemas = (Schema("ascend_to_power"), Schema("ascend_to_run"), Schema("ascend_to_capped_run"))
+    return IdentitySystem("lms", schemas, OMEGA, reading=reading)
 
 
 def _level_blocks(sys: IdentitySystem, alphabet: int, k: int) -> Iterator[tuple[tuple[str, object], int, Run]]:

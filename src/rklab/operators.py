@@ -7,17 +7,18 @@ configured fan-out of witnesses per required class; the fan-out is
 recorded in the application history so the scheme checker re-evaluates
 against the same figure.
 
-The limit operators do not materialise relations at all: they emit
-identity systems (consumed by the word-congruence engine) plus registry
-annotations recording the intended number of limit models over a type
-or a sequence, and the fact that the linking relations never
-semi-isolate backwards.
+The limit operators do not materialise relations at all: they record
+in the registry the intended number of limit models over a type or a
+sequence, and the fact that the linking relations never semi-isolate
+backwards.  The identity systems that count those models are
+``limitcount``'s, behind the ``limits`` command.
 
-``run_pipeline`` is the one interpreter of operator pipelines, whether
-they come from a pipeline file or from a blueprint builder.  It grows
-one ``StructSpec`` in place through the operator cores (``_icp`` and the
-rest); each public operator runs its core on a copy of its spec, so its
-input is left unchanged.
+Every operator grows the ``StructSpec`` it is given in place and
+returns that same object; ``StructSpec.copy`` gives a structure to grow
+apart.  ``run_pipeline`` is the one interpreter of operator pipelines,
+whether they come from a pipeline file or from a blueprint builder: it
+grows one structure through the operators, so each step costs what it
+adds.
 """
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from .cardinal import CONTINUUM, Card, card_eq, parse_card, render
+from .cardinal import CONTINUUM, Card, check_limit_count, parse_card, render
 from .domination import DomEdge, DominationGraph, TypeNode
-from .limitcount import FREE_SYSTEM, IdentitySystem, lmt, lms
 from .record import record, replace
 from .report import BudgetError, Report, ReportBuilder
 
@@ -69,7 +69,7 @@ class StructSpec:
     parent's stub names), ``edges`` (an insertion-ordered set),
     ``limit_targets`` and ``notes``, and the ``history`` of operator
     records.  Building one from parts checks its elements once; the
-    operator cores then grow it in place, each checking only the names it
+    operators then grow it in place, each checking only the names it
     adds, and ``copy`` gives a structure that shares no container.
     """
 
@@ -296,21 +296,16 @@ def _split(
 
 # -- the operators ------------------------------------------------------------
 
-def icp(spec: StructSpec, sub: str, fresh_y: int, depth: int, fan_out: int = 3) -> StructSpec:
+def icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: int = 3) -> StructSpec:
     """Continual partition over the designated substructure.
 
     Splits each colored element's image set into 2^color nonempty
     disjoint blocks (2^depth for the infinite-color element, the
     truncated stand-in for the continuum split), kills the prime model
     over the substructure's non-principal type, and registers one
-    continuation stub per depth-length bit string.
+    continuation stub per depth-length bit string.  ``fresh_y`` None
+    takes the least count of witnesses that honors the splits.
     """
-    out = spec.copy()
-    _icp(out, sub, fresh_y, depth, fan_out)
-    return out
-
-
-def _icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: int) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
@@ -326,6 +321,7 @@ def _icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: i
         "sub": sub, "depth": depth, "fan_out": fan_out,
         "rels": tuple(rels), "ys": tuple(ys), "seed": 0,
     }))
+    return spec
 
 
 def css(
@@ -340,14 +336,6 @@ def css(
     the selected stubs.  With ``linked`` set, the allocation is recorded
     as tied to the type (the downward-ban reading of the same operator).
     """
-    out = spec.copy()
-    _css(out, q_subset, sub, fan_out, linked)
-    return out
-
-
-def _css(
-    spec: StructSpec, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool = False
-) -> None:
     if not q_subset:
         raise ValueError("q_subset must be nonempty")
     if fan_out < 1:
@@ -400,6 +388,7 @@ def _css(
         "sub": sub, "stubs": tuple(n.name for n in stubs), "rels": tuple(rels),
         "ceiling": ceiling, "fan_out": fan_out, "linked": linked, "seed": 0,
     }))
+    return spec
 
 
 def bu(
@@ -413,12 +402,6 @@ def bu(
     themselves keep their flags.  ``fresh_z`` None takes the least count
     of witnesses that honors the splits.
     """
-    out = spec.copy()
-    _bu(out, sub1, sub2, fresh_z, depth, fan_out)
-    return out
-
-
-def _bu(spec: StructSpec, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int) -> None:
     if depth < 1:
         raise ValueError("depth must be positive")
     if fan_out < 1:
@@ -438,60 +421,41 @@ def _bu(spec: StructSpec, sub1: str, sub2: str, fresh_z: int | None, depth: int,
         "sub1": sub1, "sub2": sub2, "depth": depth, "fan_out": fan_out,
         "rels": tuple(rels), "zs": tuple(zs), "seed": 0,
     }))
+    return spec
 
 
 # -- limit-model operators ----------------------------------------------------
 
-def apply_lmt(
-    spec: StructSpec, p: str, lam: Card, reading: str = "gt"
-) -> tuple[StructSpec, IdentitySystem]:
-    """Record the limit target over a type in the registry.
-
-    A continuum target means the extension tree is left free (no
-    identities); finite and countable targets carry the corresponding
-    identity system.
-    """
-    out = spec.copy()
-    system = _apply_lmt(out, p, lam, reading)
-    return out, system
-
-
-def _apply_lmt(spec: StructSpec, p: str, lam: Card, reading: str = "gt") -> IdentitySystem:
-    system = FREE_SYSTEM if card_eq(lam, CONTINUUM, ch=False) else lmt(lam)
+def apply_lmt(spec: StructSpec, p: str, lam: Card, reading: str = "gt") -> StructSpec:
+    """Record the limit target over a type in the registry: a count in
+    1..w, or a continuum, which leaves the extension tree free."""
+    if lam != CONTINUUM:
+        check_limit_count(lam)
     spec.set_node(p)
     spec.limit_targets[p] = lam
     spec.notes.append(
         f"lmt over {p}: linking relations entail the type and never semi-isolate back"
     )
     spec.history.append(OpRecord("lmt", {"node": p, "lam": render(lam), "reading": reading}))
-    return system
+    return spec
 
 
-def seq_key(nodes: Sequence[str]) -> str:
-    return ">".join(nodes)
-
-
-def apply_lms(
-    spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = "gt"
-) -> tuple[StructSpec, IdentitySystem]:
-    out = spec.copy()
-    system = _apply_lms(out, nodes, lam, reading)
-    return out, system
-
-
-def _apply_lms(spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = "gt") -> IdentitySystem:
+def apply_lms(spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = "gt") -> StructSpec:
+    """Record the limit target over a domination sequence, as ``apply_lmt``
+    does over a type."""
     if not nodes:
         raise ValueError("sequence must be nonempty")
-    system = FREE_SYSTEM if card_eq(lam, CONTINUUM, ch=False) else lms(len(nodes), lam, reading)
+    if lam != CONTINUUM:
+        check_limit_count(lam)
     for p in nodes:
         spec.set_node(p)
-    key = seq_key(nodes)
+    key = ">".join(nodes)
     spec.limit_targets[key] = lam
     spec.notes.append(
         f"lms over {key}: linking relations step down the sequence, never semi-isolating back"
     )
     spec.history.append(OpRecord("lms", {"nodes": tuple(nodes), "lam": render(lam), "reading": reading}))
-    return system
+    return spec
 
 
 # -- ground scheme verification -----------------------------------------------
@@ -681,17 +645,18 @@ class _Args(dict):
         raise ValueError(f"{self.op} step needs {key}=")
 
 
-# the keys each pipeline operator reads; a pipeline file may give no other
-STEP_KEYS: dict[str, tuple[str, ...]] = {
-    "base": ("parts", "colors", "per_color"),
-    "qedge": ("low", "high", "principal"),
-    "icp": ("sub", "depth", "fan", "y"),
-    "css": ("sub", "source", "stubs", "fan", "linked"),
-    "bd": ("sub", "source", "stubs", "fan"),
-    "bu": ("sub1", "sub2", "depth", "fan", "z"),
-    "lmt": ("node", "lam", "reading"),
-    "lms": ("nodes", "lam", "reading"),
-    "note": ("text",),
+# the keys each pipeline operator reads, each with the kind of value it takes
+# (formats.PIPELINE_VALUES); a pipeline file may give no other key or value
+STEP_KEYS: dict[str, dict[str, str]] = {
+    "base": {"parts": "integer", "colors": "integer", "per_color": "integer"},
+    "qedge": {"low": "integer", "high": "integer", "principal": "flag"},
+    "icp": {"sub": "text", "depth": "integer", "fan": "integer", "y": "integer-or-auto"},
+    "css": {"sub": "text", "source": "text", "stubs": "text", "fan": "integer", "linked": "flag"},
+    "bd": {"sub": "text", "source": "text", "stubs": "text", "fan": "integer"},
+    "bu": {"sub1": "text", "sub2": "text", "depth": "integer", "fan": "integer", "z": "integer-or-auto"},
+    "lmt": {"node": "text", "lam": "text", "reading": "reading"},
+    "lms": {"nodes": "text", "lam": "text", "reading": "reading"},
+    "note": {"text": "text"},
 }
 
 
@@ -729,7 +694,7 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
         depth = int(a.get("depth", "1"))
         if step.op == "icp":
             y = a.get("y", "auto")
-            _icp(spec, a["sub"], None if y == "auto" else int(y), depth, fan)
+            icp(spec, a["sub"], None if y == "auto" else int(y), depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
                 stubs = spec.stubs_of(pnode(a["source"]))
@@ -737,14 +702,14 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
                 stubs = a["stubs"].split(",")
             else:
                 raise ValueError(f"{step.op} step needs source= or stubs=")
-            _css(spec, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
+            css(spec, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
         elif step.op == "bu":
             z = a.get("z", "auto")
-            _bu(spec, a["sub1"], a["sub2"], None if z == "auto" else int(z), depth, fan)
+            bu(spec, a["sub1"], a["sub2"], None if z == "auto" else int(z), depth, fan)
         elif step.op == "lmt":
-            _apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+            apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "lms":
-            _apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
+            apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "note":
             spec.notes.append(a.get("text", ""))
             continue

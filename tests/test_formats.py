@@ -206,6 +206,16 @@ def test_domination_refusals_cite_the_line_at_fault(text, message):
     assert str(err.value) == message
 
 
+# a random value of each kind a pipeline key takes (operators.STEP_KEYS)
+PIPELINE_VALUE_OF = {
+    "text": lambda rng: f"v{rng.randrange(9)}",
+    "integer": lambda rng: str(rng.randrange(-1, 9)),
+    "integer-or-auto": lambda rng: rng.choice(["auto", str(rng.randrange(9))]),
+    "flag": lambda rng: rng.choice(["true", "false"]),
+    "reading": lambda rng: rng.choice(["gt", "geq"]),
+}
+
+
 def test_pipeline_random_round_trip():
     rng = random.Random(7)
     ops_pool = sorted(operators.STEP_KEYS)
@@ -214,8 +224,8 @@ def test_pipeline_random_round_trip():
         for _ in range(rng.randint(1, 6)):
             op = rng.choice(ops_pool)
             keys = operators.STEP_KEYS[op]
-            picked = rng.sample(keys, rng.randint(0, min(3, len(keys))))
-            steps.append(operators.PipelineStep(op, {k: f"v{rng.randrange(9)}" for k in picked}))
+            picked = rng.sample(sorted(keys), rng.randint(0, min(3, len(keys))))
+            steps.append(operators.PipelineStep(op, {k: PIPELINE_VALUE_OF[keys[k]](rng) for k in picked}))
         text = formats.serialize_pipeline(steps)
         assert formats.parse_pipeline(text) == steps
 
@@ -246,8 +256,20 @@ def test_pipeline_round_trip():
          "p.pipe:2: expected one 'depth=' per step, got 'depth=1'"),
         ("base parts=1 colors=1\nicp sub=P0\nbd sub=P0 source=P0 linked=false\n",
          "p.pipe:3: expected a key of 'bd' among sub, source, stubs, fan, got 'linked=false'"),
+        ("base parts=2 colors=1\nicp sub=P0\ncss sub=P1 source=P0 linked=yes\n",
+         "p.pipe:3: expected 'linked=true|false', got 'linked=yes'"),
+        ("base parts=2 colors=1\nqedge low=0 high=1 principal=yes\n",
+         "p.pipe:2: expected 'principal=true|false', got 'principal=yes'"),
+        ("base parts=1 colors=1\nlmt node=p(P0) lam=2 reading=xyz\n",
+         "p.pipe:2: expected 'reading=gt|geq', got 'reading=xyz'"),
+        ("base parts=1 colors=1\nicp sub=P0 fan=x\n",
+         "p.pipe:2: expected 'fan=<integer>', got 'fan=x'"),
+        ("base parts=2 colors=1\nbu sub1=P0 sub2=P1 z=least\n",
+         "p.pipe:2: expected 'z=<integer>|auto', got 'z=least'"),
+        ("base parts=1 colors=\n", "p.pipe:1: expected 'colors=<integer>', got 'colors='"),
     ],
-    ids=["misspelled-depth", "depth-on-css", "misspelled-per-color", "repeated-depth", "linked-on-bd"],
+    ids=["misspelled-depth", "depth-on-css", "misspelled-per-color", "repeated-depth", "linked-on-bd",
+         "linked-yes", "principal-yes", "reading-xyz", "fan-x", "z-word", "colors-empty"],
 )
 def test_pipeline_keys_its_operator_does_not_read_are_refused(text, message):
     with pytest.raises(formats.ParseError) as err:

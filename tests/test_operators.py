@@ -5,12 +5,12 @@ import re
 import pytest
 
 from oracles import brute_disjoint
-from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, parse_card
+from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, fin, parse_card
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
 from rklab.formats import parse_pipeline, serialize_struct
 from rklab.domination import DomEdge, TypeNode
-from rklab.limitcount import FREE_SYSTEM, lmt, lms
+from rklab.limitcount import lmt, lms
 from rklab.operators import (
     PipelineStep,
     StructSpec,
@@ -167,28 +167,39 @@ def test_icp_then_css_invariant():
     assert len(realized_stubs(out)) == len(stubs)
 
 
-def test_public_operators_leave_their_input_unchanged():
-    # each operator grows a copy: one that shared a container with its
-    # input would change the input's text
-    spec, stubs = icp_then_stubs(base2(colors=2), depth=2)
-    spec = apply_lmt(spec, pnode("P0"), fin(2))[0]
+def test_operators_return_the_structure_they_grow():
+    spec = base2(colors=2)
     steps = [
-        lambda s: icp(s, "P1", icp_need(s, "P1", 2, 2), 2, 2),
-        lambda s: css(s, stubs, "P1", 2, linked=True),
+        lambda s: icp(s, "P0", None, 2, 2),
+        lambda s: css(s, s.stubs_of(pnode("P0")), "P1", 2),
         lambda s: bu(s, "P0", "P1", None, 2, 2),
-        lambda s: apply_lmt(s, pnode("P1"), OMEGA)[0],
-        lambda s: apply_lms(s, [pnode("P0"), pnode("P1")], fin(3))[0],
+        lambda s: apply_lmt(s, pnode("P1"), OMEGA),
+        lambda s: apply_lms(s, [pnode("P0"), pnode("P1")], fin(3)),
     ]
     for step in steps:
-        before, whole = serialize_struct(spec), copy.deepcopy(spec)
-        out = step(spec)
-        assert serialize_struct(spec) == before
-        assert serialize_struct(out) != before
-        # and the copy grows apart from the input afterwards too
-        out.put_node(TypeNode(stub_name("P0", "11x"), stub_of=pnode("P0"), stub_bits="11"))
-        out.edges[DomEdge("a", "b", "c")] = None
-        assert serialize_struct(spec) == before and spec.stubs_of(pnode("P0")) == stubs
-        assert spec == whole  # the colors and names of elements the text leaves out too
+        before = len(spec.history)
+        assert step(spec) is spec
+        assert len(spec.history) == before + 1
+
+
+def test_copy_shares_no_container():
+    # a copy that shared a container with its original would change the
+    # original's text as it grows
+    spec, stubs = icp_then_stubs(base2(colors=2), depth=2)
+    apply_lmt(spec, pnode("P0"), fin(2))
+    before, whole = serialize_struct(spec), copy.deepcopy(spec)
+    out = spec.copy()
+    assert out == spec
+    icp(out, "P1", None, 2, 2)
+    css(out, stubs, "P1", 2, linked=True)
+    bu(out, "P0", "P1", None, 2, 2)
+    apply_lmt(out, pnode("P1"), OMEGA)
+    apply_lms(out, [pnode("P0"), pnode("P1")], fin(3))
+    out.put_node(TypeNode(stub_name("P0", "11x"), stub_of=pnode("P0"), stub_bits="11"))
+    out.edges[DomEdge("a", "b", "c")] = None
+    out.unary["P9"] = ()
+    assert serialize_struct(spec) == before and spec.stubs_of(pnode("P0")) == stubs
+    assert spec == whole  # the colors and names of elements the text leaves out too
     # nor do two structures built with the default registry share one
     bare = StructSpec([], {}, {}, {}, {})
     bare.put_node(TypeNode("p"))
@@ -364,15 +375,25 @@ def test_lms_systems():
 
 def test_apply_limit_operators():
     spec = base2(colors=1)
-    spec, system = apply_lmt(spec, pnode("P0"), fin(2))
-    assert system.target == fin(2)
+    apply_lmt(spec, pnode("P0"), fin(2))
     assert spec.limit_targets[pnode("P0")] == fin(2)
-    spec, system = apply_lmt(spec, pnode("P1"), CONTINUUM)
-    assert system is FREE_SYSTEM
+    apply_lmt(spec, pnode("P1"), CONTINUUM)
+    assert spec.limit_targets[pnode("P1")] == CONTINUUM
     nodes = [pnode("P0"), pnode("P1")]
-    spec, system = apply_lms(spec, nodes, OMEGA)
+    apply_lms(spec, nodes, OMEGA)
     assert spec.limit_targets["p(P0)>p(P1)"] == OMEGA
     assert any("never semi-isolating" in n for n in spec.notes)
+    # a count outside 1..w, other than the continuum, is refused before anything grows
+    for lam, message in [
+        (ZERO, "the finite case needs at least one limit model"),
+        (OMEGA1, "limit-model count must be in w+1, got w1"),
+    ]:
+        grown = serialize_struct(spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_lmt(spec, pnode("P0"), lam)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_lms(spec, nodes, lam)
+        assert serialize_struct(spec) == grown
 
 
 PIPE = [
@@ -434,28 +455,30 @@ def test_plan_past_the_universe_cap_refused(text, amount):
 
 
 def test_checked_pipeline_raises_at_failing_step(monkeypatch):
-    real_css = operators._css
+    real_css = operators.css
 
     def lossy_css(work, *args, **kwargs):
         real_css(work, *args, **kwargs)
         rel = work.history[-1].params["rels"][0]
         work.binary[rel] = work.binary[rel][1:]  # drop one witness
+        return work
 
-    monkeypatch.setattr(operators, "_css", lossy_css)
+    monkeypatch.setattr(operators, "css", lossy_css)
     assert len(run_pipeline(PIPE).history) == 5  # unchecked: nothing notices
     with pytest.raises(ValueError, match=r"^scheme violation after css: app1\.color-monotone"):
         run_pipeline(PIPE, check=True)
 
 
 def test_checked_pipeline_raises_at_failing_bu_block(monkeypatch):
-    real_bu = operators._bu
+    real_bu = operators.bu
 
     def lossy_bu(work, *args, **kwargs):
         real_bu(work, *args, **kwargs)
         rel = work.history[-1].params["rels"][0]
         work.ternary[rel] = work.ternary[rel][1:]  # the first witness lies in block 0 only
+        return work
 
-    monkeypatch.setattr(operators, "_bu", lossy_bu)
+    monkeypatch.setattr(operators, "bu", lossy_bu)
     assert len(run_pipeline(PIPE).history) == 5  # unchecked: nothing notices
     with pytest.raises(ValueError, match=r"^scheme violation after bu: app3\.splits$"):
         run_pipeline(PIPE, check=True)
@@ -470,7 +493,8 @@ def test_css_fresh_names_must_not_collide():
 
 
 def fold_public_operators(steps):
-    """The pipeline's meaning spelled out with the public spec-to-spec operators."""
+    """The pipeline's meaning spelled out with the public operators, each
+    growing the one structure in place."""
     base = [s.args for s in steps if s.op == "base"][-1]
     qedges = [
         (int(a["low"]), int(a["high"]), a.get("principal", "false") == "true")
@@ -485,7 +509,7 @@ def fold_public_operators(steps):
         if step.op == "icp":
             y = a.get("y", "auto")
             y = icp_need(spec, a["sub"], depth, fan) if y == "auto" else int(y)
-            spec = icp(spec, a["sub"], y, depth, fan)
+            icp(spec, a["sub"], y, depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
                 parent = pnode(a["source"])  # a scan of the nodes, not the stub index
@@ -493,17 +517,16 @@ def fold_public_operators(steps):
             else:
                 stubs = a["stubs"].split(",")
             linked = step.op == "bd" or a.get("linked") == "true"  # only css reads linked=
-            spec = css(spec, stubs, a["sub"], fan, linked=linked)
+            css(spec, stubs, a["sub"], fan, linked=linked)
         elif step.op == "bu":
             z = a.get("z", "auto")
             z = None if z == "auto" else int(z)
-            spec = bu(spec, a["sub1"], a["sub2"], z, depth, fan)
+            bu(spec, a["sub1"], a["sub2"], z, depth, fan)
         elif step.op == "lmt":
-            spec, _ = apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+            apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "lms":
-            spec, _ = apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
+            apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
         elif step.op == "note":
-            spec = spec.copy()
             spec.notes.append(a.get("text", ""))
     return spec
 
