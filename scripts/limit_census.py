@@ -39,8 +39,8 @@ def main() -> None:
             row(lmt(fin(n)), f"lmt n={n}", alphabet, lengths)
         row(lmt(OMEGA), "lmt w", alphabet, lengths)
         for n in (1, 2, 3):
-            row(lms(3, fin(n)), f"lms n={n}", alphabet, lengths)
-        row(lms(3, OMEGA), "lms w", alphabet, lengths)
+            row(lms(fin(n)), f"lms n={n}", alphabet, lengths)
+        row(lms(OMEGA), "lms w", alphabet, lengths)
         print()
 
 

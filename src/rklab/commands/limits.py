@@ -20,7 +20,7 @@ def run(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.lam is None):
         raise ValueError("limits takes exactly one of --n and --lam")
     lam = parse_card(str(args.n) if args.lam is None else args.lam)
-    system = lmt(lam) if args.system == "lmt" else lms(1, lam, args.reading)
+    system = lmt(lam) if args.system == "lmt" else lms(lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
     known = info["count_next"] is not None
     mk = args.machine

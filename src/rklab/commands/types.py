@@ -52,7 +52,7 @@ def run(args: argparse.Namespace) -> int:
         out.append(f"prime_model={str(hp).lower()}" if mk else f"prime model: {hp}")
     if args.dense is not None:
         members = [parse_cell(ts, tok) for tok in args.dense.split(";") if tok]
-        d = is_dense(ts, members, ts.depth)
+        d = is_dense(ts, members)
         out.append(f"dense={str(d).lower()}" if mk else f"dense: {d}")
     _emit(out)
     return 0

@@ -327,18 +327,10 @@ def nonrepeating_cofinite(y: SeqKey) -> bool:
     return y.extendable
 
 
-def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
-    """Check the limit-count function against its buildability conditions.
-
-    ``profile`` is "tc" for the continuum-types builder conditions and
-    "small" for the stricter small-theory list (least element excluded
-    from sequences, zero at the bottom, positive at the top and on fat
-    classes, cofinal sequences positive).
-    """
-    if profile not in ("tc", "small"):
-        raise ValueError(f"unknown profile {profile!r}")
-    rb = ReportBuilder(f"f-validation:{profile}:{spec.mode}")
-    q = spec.quotient
+def validate_f(spec: DistributionSpec) -> Report:
+    """Check the limit-count function against the continuum-types builder
+    conditions."""
+    rb = ReportBuilder(f"f-validation:tc:{spec.mode}")
     for key, v in spec.values:
         rb.check(
             f"value-range:{key_label(key)}",
@@ -348,7 +340,7 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
 
     if spec.mode == "finite":
         values = spec.class_map()
-        for members in q.classes:
+        for members in spec.quotient.classes:
             key = frozenset(members)
             if len(members) > 1:
                 rb.check(
@@ -356,48 +348,8 @@ def validate_f(spec: DistributionSpec, profile: str = "tc") -> Report:
                     card_le(fin(1), values[key], ch=False),
                     f"class has {len(members)} elements, f = {render(values[key])}",
                 )
-        if profile == "small":
-            least = q.least()
-            rb.check("least-class-exists", least is not None)
-            if least is not None:
-                lkey = frozenset(q.classes[least])
-                rb.check(
-                    "least-class-zero",
-                    card_eq(values[lkey], ZERO, ch=False),
-                    f"f at the least class is {render(values[lkey])}",
-                )
-            greatest = q.greatest()
-            if spec.order.n > 1:
-                rb.check("greatest-class-exists", greatest is not None)
-                if greatest is not None:
-                    gkey = frozenset(q.classes[greatest])
-                    rb.check(
-                        "greatest-class-positive",
-                        card_le(fin(1), values[gkey], ch=False),
-                        f"f at the greatest class is {render(values[gkey])}",
-                    )
         return rb.done()
 
-    if profile == "small":
-        least = q.least()
-        rb.check("least-class-exists", least is not None)
-        least_members = set(q.classes[least]) if least is not None else set()
-        for key, v in spec.values:
-            rb.check(
-                f"avoids-least:{key.render()}",
-                not (set(key.entries) & least_members),
-                "sequences range over the non-least elements",
-            )
-            cofinal = all(
-                any(spec.order.le(x, e) for e in key.entries)
-                for x in range(spec.order.n)
-            )
-            if cofinal:
-                rb.check(
-                    f"cofinal-positive:{key.render()}",
-                    card_le(fin(1), v, ch=False),
-                    f"cofinal sequence has f = {render(v)}",
-                )
     for key, v in spec.values:
         if nonrepeating_cofinite(key):
             rb.check(
@@ -501,7 +453,7 @@ def build_blueprint(
         raise ValueError("the finite builder needs a finite-mode spec")
     if variant in ("t91", "t92") and spec.partition is None:
         raise ValueError(f"{variant} needs the P/NPL partition")
-    report = validate_f(spec, "tc")
+    report = validate_f(spec)
     if not report.ok:
         bad = ", ".join(e.code for e in report.violations())
         raise ValueError(f"f validation failed: {bad}")

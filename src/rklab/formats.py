@@ -311,13 +311,14 @@ PIPELINE_VALUES = {
     "integer-or-auto": ("<integer>|auto", lambda v: v == "auto" or v.removeprefix("-").isdecimal()),
     "flag": ("true|false", lambda v: v in ("true", "false")),
     "reading": ("gt|geq", lambda v: v in ("gt", "geq")),
+    "cardinal": ("<integer>|w|w1|c", lambda v: v in ("w", "w1", "c") or v.isdecimal()),
 }
 
 
 def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
     """Grammar: one operator invocation per line, ``<op> key=value ...``,
     each key once and among those ``operators.STEP_KEYS`` gives the
-    operator, each value of the kind it gives the key."""
+    operator, each value of the kind it gives the key; one ``base`` line."""
     from .operators import STEP_KEYS, PipelineStep
 
     steps = []
@@ -326,6 +327,8 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
         keys = STEP_KEYS.get(words[0])
         if keys is None:
             raise ParseError(path, no, f"an operator among {sorted(STEP_KEYS)}", words[0])
+        if words[0] == "base" and any(step.op == "base" for step in steps):
+            raise ParseError(path, no, "one 'base' line", line)
         args: dict[str, str] = {}
         for chunk in words[1:]:
             key, sep, value = chunk.partition("=")

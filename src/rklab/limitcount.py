@@ -63,11 +63,9 @@ def lmt(lam: Card) -> IdentitySystem:
     return IdentitySystem("lmt", (Schema("idem_all"), Schema("drop_to_min"), Schema("pair_to_run")), OMEGA)
 
 
-def lms(q_len: int, lam: Card, reading: str = "gt") -> IdentitySystem:
-    """Identity family sizing the limit models over a domination sequence
-    of ``q_len`` types; the family is the same for every length."""
-    if q_len < 1:
-        raise ValueError("sequence length must be positive")
+def lms(lam: Card, reading: str = "gt") -> IdentitySystem:
+    """Identity family sizing the limit models over a domination sequence;
+    the family is the same for every sequence length."""
     if reading not in ("gt", "geq"):
         raise ValueError("reading must be 'gt' or 'geq'")
     check_limit_count(lam)

@@ -23,8 +23,8 @@ from .typespace import (
     TypeSpace,
     covers_all_formulas,
     enumerate_types,
+    is_dense,
     render_cell,
-    space_at,
     valid_cell,
 )
 
@@ -79,9 +79,6 @@ class ModelSpec:
 
     def count(self, cell: Cell) -> CellCount:
         return CellCount(self.base_all, self.delta(cell))
-
-    def counts(self) -> dict[Cell, CellCount]:
-        return {cell: self.count(cell) for cell in enumerate_types(self.space)}
 
     def support(self) -> frozenset[Cell]:
         if self.base_all:
@@ -165,14 +162,11 @@ class RkSequence:
 
 
 def is_elementary_submodel_sequence(
-    ts: TypeSpace,
-    seq: RkSequence,
-    lower_cones: Sequence[Iterable[Cell]],
-    depth: int,
+    ts: TypeSpace, seq: RkSequence, lower_cones: Sequence[Iterable[Cell]]
 ) -> bool:
     """Finite-depth rendering of the elementary-submodel condition.
 
-    Every consistent one-variable formula at the given depth must lie in
+    Every consistent one-variable formula of the space must lie in
     some cell dominated by an entry, i.e. in the union of the supplied
     lower cones.  The existential-extension clause is vacuous for the
     literal-conjunction fragment (no quantified formulas are
@@ -180,21 +174,11 @@ def is_elementary_submodel_sequence(
     """
     if len(lower_cones) != len(seq.entries):
         raise ValueError("need one lower cone per sequence entry")
-    space = space_at(ts, depth)
-    union: set[Cell] = set()
-    for cone in lower_cones:
-        for cell in cone:
-            if not valid_cell(space, cell):
-                raise ValueError(f"cone cell {cell!r} invalid at depth {depth}")
-            union.add(cell)
-    return covers_all_formulas(space, union)
+    return is_dense(ts, (cell for cone in lower_cones for cell in cone))
 
 
 def construct_model(
-    ts: TypeSpace,
-    seq: RkSequence,
-    lower_cones: Sequence[Iterable[Cell]],
-    depth: int,
+    ts: TypeSpace, seq: RkSequence, lower_cones: Sequence[Iterable[Cell]]
 ) -> ModelSpec:
     """Build the witness model over a covering sequence: one realization
     for each cell of the union of the lower cones.
@@ -207,6 +191,6 @@ def construct_model(
     union, and every count is within ``COUNT_CAP``.
     """
     cones = [list(cone) for cone in lower_cones]
-    if not is_elementary_submodel_sequence(ts, seq, cones, depth):
+    if not is_elementary_submodel_sequence(ts, seq, cones):
         raise ValueError("sequence is not elementary-submodel at this depth")
-    return explicit(space_at(ts, depth), {cell: 1 for cone in cones for cell in cone})
+    return explicit(ts, {cell: 1 for cone in cones for cell in cone})

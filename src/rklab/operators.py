@@ -9,9 +9,10 @@ against the same figure.
 
 The limit operators do not materialise relations at all: they record
 in the registry the intended number of limit models over a type or a
-sequence, and the fact that the linking relations never semi-isolate
-backwards.  The identity systems that count those models are
-``limitcount``'s, behind the ``limits`` command.
+sequence of types that earlier steps made, and the fact that the
+linking relations never semi-isolate backwards.  The identity systems
+that count those models are ``limitcount``'s, behind the ``limits``
+command.
 
 Every operator grows the ``StructSpec`` it is given in place and
 returns that same object; ``StructSpec.copy`` gives a structure to grow
@@ -122,12 +123,12 @@ class StructSpec:
 
     def extent(self, pred: str) -> tuple[str, ...]:
         if pred not in self.unary:
-            raise KeyError(f"no unary predicate {pred!r}")
+            raise ValueError(f"no unary predicate {pred!r}")
         return self.unary[pred]
 
     def color(self, el: str) -> Color:
         if el not in self.coloring:
-            raise KeyError(f"element {el!r} is uncolored")
+            raise ValueError(f"element {el!r} is uncolored")
         return self.coloring[el]
 
     def add_elements(self, names: list[str], kind: str) -> None:
@@ -142,9 +143,8 @@ class StructSpec:
             self.stubs.setdefault(node.stub_of, {})[node.name] = None
 
     def set_node(self, name: str, **changes) -> None:
-        """Apply ``changes`` to the named node, created bare if it is new."""
-        node = self.nodes.get(name) or TypeNode(name)
-        self.put_node(replace(node, **changes) if changes else node)
+        """Apply ``changes`` to the named node."""
+        self.put_node(replace(self.nodes[name], **changes))
 
     def stubs_of(self, p: str) -> list[str]:
         """The names of the continuation stubs registered over ``p``, sorted."""
@@ -296,7 +296,7 @@ def _split(
 
 # -- the operators ------------------------------------------------------------
 
-def icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: int = 3) -> StructSpec:
+def icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: int) -> StructSpec:
     """Continual partition over the designated substructure.
 
     Splits each colored element's image set into 2^color nonempty
@@ -325,7 +325,7 @@ def icp(spec: StructSpec, sub: str, fresh_y: int | None, depth: int, fan_out: in
 
 
 def css(
-    spec: StructSpec, q_subset: Sequence[str], sub: str, fan_out: int = 3, linked: bool = False
+    spec: StructSpec, q_subset: Sequence[str], sub: str, fan_out: int, linked: bool = False
 ) -> StructSpec:
     """Allocation for a countable subset of the continuum of stubs.
 
@@ -392,7 +392,7 @@ def css(
 
 
 def bu(
-    spec: StructSpec, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int = 3
+    spec: StructSpec, sub1: str, sub2: str, fresh_z: int | None, depth: int, fan_out: int
 ) -> StructSpec:
     """Ban for upward movement between two designated substructures.
 
@@ -410,8 +410,6 @@ def bu(
         raise ValueError(f"{sub1} and {sub2} overlap")
     rels, zs = _split(spec, "bu", (sub1, sub2), fresh_z, depth, fan_out, "Z")
     p1, p2 = pnode(sub1), pnode(sub2)
-    for p in (p1, p2):
-        spec.set_node(p)
     joint = joint_name(p1, p2)
     spec.put_node(TypeNode(joint))
     spec.edges[DomEdge(joint, p1, "x=y1", principal=True)] = None
@@ -427,11 +425,12 @@ def bu(
 # -- limit-model operators ----------------------------------------------------
 
 def apply_lmt(spec: StructSpec, p: str, lam: Card, reading: str = "gt") -> StructSpec:
-    """Record the limit target over a type in the registry: a count in
-    1..w, or a continuum, which leaves the extension tree free."""
+    """Record the limit target over a type a step made: a count in 1..w,
+    or a continuum, which leaves the extension tree free."""
     if lam != CONTINUUM:
         check_limit_count(lam)
-    spec.set_node(p)
+    if p not in spec.nodes:
+        raise ValueError(f"no type node {p!r}")
     spec.limit_targets[p] = lam
     spec.notes.append(
         f"lmt over {p}: linking relations entail the type and never semi-isolate back"
@@ -448,7 +447,8 @@ def apply_lms(spec: StructSpec, nodes: Sequence[str], lam: Card, reading: str = 
     if lam != CONTINUUM:
         check_limit_count(lam)
     for p in nodes:
-        spec.set_node(p)
+        if p not in spec.nodes:
+            raise ValueError(f"no type node {p!r}")
     key = ">".join(nodes)
     spec.limit_targets[key] = lam
     spec.notes.append(
@@ -654,8 +654,8 @@ STEP_KEYS: dict[str, dict[str, str]] = {
     "css": {"sub": "text", "source": "text", "stubs": "text", "fan": "integer", "linked": "flag"},
     "bd": {"sub": "text", "source": "text", "stubs": "text", "fan": "integer"},
     "bu": {"sub1": "text", "sub2": "text", "depth": "integer", "fan": "integer", "z": "integer-or-auto"},
-    "lmt": {"node": "text", "lam": "text", "reading": "reading"},
-    "lms": {"nodes": "text", "lam": "text", "reading": "reading"},
+    "lmt": {"node": "text", "lam": "cardinal", "reading": "reading"},
+    "lms": {"nodes": "text", "lam": "cardinal", "reading": "reading"},
     "note": {"text": "text"},
 }
 
@@ -664,7 +664,7 @@ def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSp
     """Apply a pipeline to the colored base it declares.
 
     The ``base`` and ``qedge`` steps seed the structure wherever they
-    appear, the last ``base`` winning; the other steps run in order.
+    appear; the other steps run in order.
     ``fan`` defaults to 2, ``depth`` to 1, and ``y``/``z`` to the least
     size that honors the splits; ``bd`` is ``css`` with ``linked=true``.
     With ``check`` set, each icp/css/bu record is verified as soon as it

@@ -54,9 +54,6 @@ class Preorder:
     def le(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j if i != j else self.loops >> i) & 1)
 
-    def sim(self, i: int, j: int) -> bool:
-        return self.le(i, j) and self.le(j, i)
-
     def pairs(self) -> list[tuple[int, int]]:
         loops = set(_bits(self.loops))
         return [
@@ -160,15 +157,6 @@ class QuotientPoset:
 
     def maxima(self) -> list[int]:
         return [i for i, row in enumerate(self.above) if not row]
-
-    def least(self) -> int | None:
-        # every class lies above some minimal one, so a sole minimum is least
-        minima = self.minima()
-        return minima[0] if len(minima) == 1 else None
-
-    def greatest(self) -> int | None:
-        maxima = self.maxima()
-        return maxima[0] if len(maxima) == 1 else None
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a < b and nothing strictly between."""

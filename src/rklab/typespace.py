@@ -77,12 +77,6 @@ class TypeSpace:
             raise ValueError("parts only applies to the colored family")
 
 
-def space_at(ts: TypeSpace, depth: int) -> TypeSpace:
-    if depth == ts.depth:
-        return ts
-    return TypeSpace(ts.family, depth, ts.parts)
-
-
 @record
 class FormulaLit:
     """Consistent-conjunction candidate: signed atoms in one free variable."""
@@ -307,12 +301,11 @@ def covers_all_formulas(ts: TypeSpace, cells: Iterable[Cell]) -> bool:
     return all(cell_atoms(ts, cell) in hit for cell in enumerate_types(ts))
 
 
-def is_dense(ts: TypeSpace, x: Iterable[Cell], depth: int) -> bool:
-    """True when every consistent formula at the given depth is contained
-    in some member of x."""
-    space = space_at(ts, depth)
+def is_dense(ts: TypeSpace, x: Iterable[Cell]) -> bool:
+    """True when every consistent formula of the space is contained in
+    some member of x."""
     members = set(x)
     for cell in members:
-        if not valid_cell(space, cell):
-            raise ValueError(f"cell {cell!r} invalid at depth {depth}")
-    return covers_all_formulas(space, members)
+        if not valid_cell(ts, cell):
+            raise ValueError(f"cell {cell!r} invalid at depth {ts.depth}")
+    return covers_all_formulas(ts, members)

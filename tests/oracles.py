@@ -297,9 +297,9 @@ def brute_disjoint(spec, op, params) -> list[str]:
 
 @functools.lru_cache(maxsize=None)
 def _principal_cells_below(ts):
-    from rklab.typespace import enumerate_types, is_principal, space_at
+    from rklab.typespace import TypeSpace, enumerate_types, is_principal
 
-    deeper = space_at(ts, ts.depth + 1)
+    deeper = TypeSpace(ts.family, ts.depth + 1, ts.parts)
     return deeper, [cell for cell in enumerate_types(deeper) if is_principal(deeper, cell)]
 
 

@@ -181,7 +181,7 @@ def test_criterion_05_model_domination():
     for s in specs:
         up = perturb(s, "up")
         assert cm_dominates(s, up) and not cm_dominates(up, s)
-        assert is_dense(ts, up.support(), 4)
+        assert is_dense(ts, up.support())
         strict += 1
         if strict >= 100:
             break
@@ -193,7 +193,7 @@ def test_criterion_05_model_domination():
         except ValueError:
             continue
         assert cm_dominates(down, s) and not cm_dominates(s, down)
-        assert is_dense(ts, down.support(), 4)
+        assert is_dense(ts, down.support())
         down_ok += 1
     assert down_ok >= 50
     report(5)
@@ -210,7 +210,7 @@ def test_criterion_06_submodel_construction():
             cones[rng.randrange(k)].add(cell)
         cones = [cone or {cells[rng.randrange(len(cells))]} for cone in cones]
         seq = RkSequence(tuple(cells[:k]))
-        spec = construct_model(ts, seq, cones, 3)
+        spec = construct_model(ts, seq, cones)
         assert spec.support() == frozenset().union(*cones)
     for _ in range(50):
         k = rng.randint(1, 3)
@@ -222,7 +222,7 @@ def test_criterion_06_submodel_construction():
         ]
         seq = RkSequence(tuple(cells[:k]))
         with pytest.raises(ValueError):
-            construct_model(ts, seq, cones, 3)
+            construct_model(ts, seq, cones)
     report(6)
 
 
@@ -231,9 +231,9 @@ def test_criterion_07_limit_counting():
     systems = []
     for n in (1, 2, 3):
         systems.append(lmt(fin(n)))
-        systems.append(lms(3, fin(n)))
+        systems.append(lms(fin(n)))
     systems.append(lmt(OMEGA))
-    systems.append(lms(3, OMEGA))
+    systems.append(lms(OMEGA))
     for sys_ in systems:
         for alphabet in (2, 3, 4):
             for length in (1, 2, 3, 4):

@@ -322,19 +322,20 @@ def test_apply_refuses_fan_out_below_one(tmp_path, capsys, steps):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["classify", "--tc", "--triple", "\u00b2,0,0"],
-        ["decompose", "--rk", "2", "--il", "1,\u00b2", "--npl", "0"],
-        ["apply", "--pipeline", "sq.pipe"],
+        (["classify", "--tc", "--triple", "\u00b2,0,0"], "not a cardinal token: '\u00b2'"),
+        (["decompose", "--rk", "2", "--il", "1,\u00b2", "--npl", "0"], "not a cardinal token: '\u00b2'"),
+        # a pipeline value is checked by kind as the file is read
+        (["apply", "--pipeline", "sq.pipe"], "sq.pipe:2: expected 'lam=<integer>|w|w1|c', got 'lam=\u00b2'"),
     ],
     ids=["classify", "decompose", "apply"],
 )
-def test_a_superscript_digit_is_not_a_cardinal(tmp_path, monkeypatch, capsys, argv):
+def test_a_superscript_digit_is_not_a_cardinal(tmp_path, monkeypatch, capsys, argv, message):
     # "\u00b2" passes str.isdigit but int() refuses it
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sq.pipe").write_text("base parts=1 colors=1\nlmt node=p(P0) lam=\u00b2\n")
-    assert run_cli(*argv, capsys=capsys) == (2, "", "error: not a cardinal token: '\u00b2'\n")
+    assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -348,8 +349,12 @@ def test_a_superscript_digit_is_not_a_cardinal(tmp_path, monkeypatch, capsys, ar
         ("bu sub1=P0", "bu step needs sub2="),
         ("lmt lam=1", "lmt step needs node="),
         ("lms nodes=p(P0)", "lms step needs lam="),
+        ("icp sub=P9", "no unary predicate 'P9'"),
+        ("lmt node=nosuch lam=2", "no type node 'nosuch'"),
+        ("lms nodes=p(P0),nosuch lam=2", "no type node 'nosuch'"),
     ],
-    ids=["base", "qedge", "icp", "css", "bd", "bu", "lmt", "lms"],
+    ids=["base", "qedge", "icp", "css", "bd", "bu", "lmt", "lms", "icp-unknown-sub", "lmt-unknown-node",
+         "lms-unknown-node"],
 )
 def test_apply_names_a_missing_step_argument(tmp_path, capsys, step, message):
     pipe = tmp_path / "p.pipe"

@@ -116,9 +116,9 @@ def test_validate_f_finite_tc():
     order = close(from_pairs(3, [(0, 1), (1, 0)]))
     q = sim_quotient(order)
     good = finite_spec(order, {frozenset({0, 1}): fin(1), frozenset({2}): ZERO})
-    assert validate_f(good, "tc").ok
+    assert validate_f(good).ok
     bad = finite_spec(order, {frozenset({0, 1}): ZERO, frozenset({2}): ZERO})
-    report = validate_f(bad, "tc")
+    report = validate_f(bad)
     assert not report.ok
     assert any("fat-class-positive" in e.code for e in report.violations())
 
@@ -126,35 +126,14 @@ def test_validate_f_finite_tc():
 def test_validate_f_all_singleton_antichain_zero_passes():
     order = close(from_pairs(3, []))
     spec = finite_spec(order, {frozenset({i}): ZERO for i in range(3)})
-    assert validate_f(spec, "tc").ok
-
-
-def test_validate_f_small_profile():
-    order = close(from_pairs(2, [(0, 1)]))
-    good = finite_spec(order, {frozenset({0}): ZERO, frozenset({1}): fin(1)})
-    assert validate_f(good, "small").ok
-    bad_bottom = finite_spec(order, {frozenset({0}): fin(1), frozenset({1}): fin(1)})
-    assert any(
-        e.code == "least-class-zero" for e in validate_f(bad_bottom, "small").violations()
-    )
-    bad_top = finite_spec(order, {frozenset({0}): ZERO, frozenset({1}): ZERO})
-    assert any(
-        e.code == "greatest-class-positive"
-        for e in validate_f(bad_top, "small").violations()
-    )
-    no_least = finite_spec(
-        close(from_pairs(2, [])), {frozenset({0}): ZERO, frozenset({1}): ZERO}
-    )
-    assert any(
-        e.code == "least-class-exists" for e in validate_f(no_least, "small").violations()
-    )
+    assert validate_f(spec).ok
 
 
 def test_validate_f_value_range():
     order = close(from_pairs(1, []))
     spec = finite_spec(order, {frozenset({0}): OMEGA1})
     assert any(
-        "value-range" in e.code for e in validate_f(spec, "tc").violations()
+        "value-range" in e.code for e in validate_f(spec).violations()
     )
 
 
@@ -179,35 +158,25 @@ def test_validate_f_sequences():
         order,
         {SeqKey((0, 1, 2)): fin(2), SeqKey((1, 2)): fin(2)},
     )
-    assert validate_f(good, "tc").ok
+    assert validate_f(good).ok
     # subsequence monotonicity: f(y) <= f(y') when y' inside y
     bad = sequence_spec(
         order,
         {SeqKey((0, 1, 2)): fin(3), SeqKey((1, 2)): fin(1)},
     )
-    report = validate_f(bad, "tc")
+    report = validate_f(bad)
     assert any("subsequence-monotone" in e.code for e in report.violations())
     # tail equality forces equal values
     bad2 = sequence_spec(
         order,
         {SeqKey((0, 2)): fin(1), SeqKey((1, 2)): fin(2)},
     )
-    assert any("tail-equal" in e.code for e in validate_f(bad2, "tc").violations())
+    assert any("tail-equal" in e.code for e in validate_f(bad2).violations())
     # strictly growing sequences need at least one limit model
     bad3 = sequence_spec(order, {SeqKey((0, 1, 2), extendable=True): ZERO})
     assert any(
-        "growing-positive" in e.code for e in validate_f(bad3, "tc").violations()
+        "growing-positive" in e.code for e in validate_f(bad3).violations()
     )
-
-
-def test_validate_f_sequences_small():
-    order = close(from_pairs(3, [(0, 1), (1, 2)]))
-    touching_least = sequence_spec(order, {SeqKey((0, 1)): fin(1)})
-    report = validate_f(touching_least, "small")
-    assert any("avoids-least" in e.code for e in report.violations())
-    cofinal_zero = sequence_spec(order, {SeqKey((1, 2)): ZERO})
-    report = validate_f(cofinal_zero, "small")
-    assert any("cofinal-positive" in e.code for e in report.violations())
 
 
 def test_spec_validation_errors():
@@ -413,7 +382,7 @@ def test_corollary_c85():
     struct = replay_blueprint(bp, CFG)
     assert len(struct.universe) <= 200
     zero = realize_corollary("c85", (ZERO,))
-    assert validate_f(zero, "tc").ok
+    assert validate_f(zero).ok
 
 
 def test_corollary_c93():

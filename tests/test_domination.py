@@ -149,7 +149,6 @@ def test_minimal_but_not_least_detectable():
     )
     q = sim_quotient(rk_preorder(g))
     assert len(q.minima()) == 2
-    assert q.least() is None
 
 
 def test_node_invariants():

@@ -213,6 +213,7 @@ PIPELINE_VALUE_OF = {
     "integer-or-auto": lambda rng: rng.choice(["auto", str(rng.randrange(9))]),
     "flag": lambda rng: rng.choice(["true", "false"]),
     "reading": lambda rng: rng.choice(["gt", "geq"]),
+    "cardinal": lambda rng: rng.choice(["w", "w1", "c", str(rng.randrange(9))]),
 }
 
 
@@ -222,7 +223,8 @@ def test_pipeline_random_round_trip():
     for _ in range(200):
         steps = []
         for _ in range(rng.randint(1, 6)):
-            op = rng.choice(ops_pool)
+            # a pipeline has one base line
+            op = rng.choice([op for op in ops_pool if op != "base" or all(s.op != "base" for s in steps)])
             keys = operators.STEP_KEYS[op]
             picked = rng.sample(sorted(keys), rng.randint(0, min(3, len(keys))))
             steps.append(operators.PipelineStep(op, {k: PIPELINE_VALUE_OF[keys[k]](rng) for k in picked}))
@@ -267,9 +269,16 @@ def test_pipeline_round_trip():
         ("base parts=2 colors=1\nbu sub1=P0 sub2=P1 z=least\n",
          "p.pipe:2: expected 'z=<integer>|auto', got 'z=least'"),
         ("base parts=1 colors=\n", "p.pipe:1: expected 'colors=<integer>', got 'colors='"),
+        ("base parts=1 colors=1\nlmt node=p(P0) lam=x\n",
+         "p.pipe:2: expected 'lam=<integer>|w|w1|c', got 'lam=x'"),
+        ("base parts=1 colors=1\nlms nodes=p(P0) lam=-1\n",
+         "p.pipe:2: expected 'lam=<integer>|w|w1|c', got 'lam=-1'"),
+        ("base parts=2 colors=1\nbase parts=1 colors=1\nicp sub=P0\n",
+         "p.pipe:2: expected one 'base' line, got 'base parts=1 colors=1'"),
     ],
     ids=["misspelled-depth", "depth-on-css", "misspelled-per-color", "repeated-depth", "linked-on-bd",
-         "linked-yes", "principal-yes", "reading-xyz", "fan-x", "z-word", "colors-empty"],
+         "linked-yes", "principal-yes", "reading-xyz", "fan-x", "z-word", "colors-empty",
+         "lam-x", "lam-negative", "second-base"],
 )
 def test_pipeline_keys_its_operator_does_not_read_are_refused(text, message):
     with pytest.raises(formats.ParseError) as err:

@@ -28,9 +28,9 @@ def all_systems():
     out = []
     for n in (1, 2, 3):
         out.append(("lmt", n, lmt(fin(n))))
-        out.append(("lms", n, lms(3, fin(n))))
+        out.append(("lms", n, lms(fin(n))))
     out.append(("lmt", "w", lmt(OMEGA)))
-    out.append(("lms", "w", lms(3, OMEGA)))
+    out.append(("lms", "w", lms(OMEGA)))
     return out
 
 
@@ -43,7 +43,7 @@ def test_instantiate_lmt_n1_examples():
 
 
 def test_instantiate_lms_n2_examples():
-    sys2 = lms(3, fin(2))
+    sys2 = lms(fin(2))
     eqs = instantiate(sys2, 3, 3)
     assert ((1,), (2,)) in eqs
     assert ((0, 1, 2), (2, 2, 2)) in eqs
@@ -125,7 +125,7 @@ def test_roots_do_not_fold_over_letters():
 
 
 def test_normal_form_characterizes_classes():
-    sys2 = lms(3, fin(2))
+    sys2 = lms(fin(2))
     _, classes = brute_congruence_count(instantiate(sys2, 3, 3), 3, 3)
     for members in classes.values():
         forms = {normal_form(sys2, w, 3, alphabet=3) for w in members}
@@ -163,14 +163,14 @@ def test_stabilization_report():
     info = stabilization(lmt(fin(1)), 3, 4)
     assert info["count"] == 1 and info["stable"]
     assert info["target"] == fin(1)
-    info = stabilization(lms(3, OMEGA), 3, 3)
+    info = stabilization(lms(OMEGA), 3, 3)
     assert info["count_next"] >= info["count"] - 0  # reported, not asserted equal
     assert render_word((0, 1)) == "0.1"
 
 
 def test_lms_reading_flag_instances_coincide_given_equality_constraint():
-    gt = lms(3, OMEGA, reading="gt")
-    geq = lms(3, OMEGA, reading="geq")
+    gt = lms(OMEGA, reading="gt")
+    geq = lms(OMEGA, reading="geq")
     assert gt.reading == "gt" and geq.reading == "geq"
     assert instantiate(gt, 4, 4) == instantiate(geq, 4, 4)
 
@@ -214,7 +214,7 @@ def _bfs_classes(instances, alphabet, max_len):
 
 
 def test_engine_matches_bfs_connectivity():
-    for sys_ in (lmt(fin(2)), lmt(OMEGA), lms(3, fin(3)), lms(3, OMEGA)):
+    for sys_ in (lmt(fin(2)), lmt(OMEGA), lms(fin(3)), lms(OMEGA)):
         for alphabet, length in ((3, 4), (4, 3), (2, 5)):
             eqs = instantiate(sys_, alphabet, length)
             assert count_classes(sys_, alphabet, length)[0] == _bfs_classes(
@@ -225,7 +225,7 @@ def test_engine_matches_bfs_connectivity():
 def test_engine_matches_oracle_at_bound_five():
     # spot checks right at the length-bound boundary, where equations
     # whose replacement would overflow must be skipped on both sides
-    for sys_ in (lmt(fin(3)), lms(3, OMEGA)):
+    for sys_ in (lmt(fin(3)), lms(OMEGA)):
         for alphabet in (2, 3):
             eqs = instantiate(sys_, alphabet, 5)
             expected, _ = brute_congruence_count(eqs, alphabet, 5)
@@ -237,10 +237,10 @@ SCHEMA_KINDS = [
     ("lmt-2", lmt(fin(2))),
     ("lmt-3", lmt(fin(3))),
     ("lmt-w", lmt(OMEGA)),
-    ("lms-2", lms(3, fin(2))),
-    ("lms-3", lms(3, fin(3))),
-    ("lms-w-gt", lms(3, OMEGA, reading="gt")),
-    ("lms-w-geq", lms(3, OMEGA, reading="geq")),
+    ("lms-2", lms(fin(2))),
+    ("lms-3", lms(fin(3))),
+    ("lms-w-gt", lms(OMEGA, reading="gt")),
+    ("lms-w-geq", lms(OMEGA, reading="geq")),
     ("free", FREE_SYSTEM),
 ]
 DIFF_SHAPES = [(a, n) for a in (1, 2, 3) for n in (1, 2, 3, 4)] + [(2, 5), (2, 6)]
@@ -263,7 +263,7 @@ def test_engine_matches_brute_classes(name, sys_):
 
 def test_stabilization_next_table_over_budget():
     # lms w over 3 letters: 3, 12, 27, 45 and 66 nodes of at most 1 .. 5 letters
-    sysw = lms(3, OMEGA)
+    sysw = lms(OMEGA)
     info = stabilization(sysw, 3, 4, budget=45)
     assert info["count_next"] is None and info["stable"] is None
     assert info["nodes_next"] == 66 and info["budget"] == 45
@@ -352,7 +352,7 @@ def test_mixed_schemas_match_brute_classes():
 
 @pytest.mark.parametrize(
     "sys_",
-    [sys_ for _, _, sys_ in all_systems()] + [lms(3, OMEGA, reading="geq"), FREE_SYSTEM]
+    [sys_ for _, _, sys_ in all_systems()] + [lms(OMEGA, reading="geq"), FREE_SYSTEM]
     + [sys_ for sys_, _ in MIXED_SYSTEMS],
     ids=[f"{k}-{n}" for k, n, _ in all_systems()] + ["lms-w-geq", "free"]
     + [f"mixed-{i}" for i in range(1, len(MIXED_SYSTEMS) + 1)],
@@ -374,8 +374,8 @@ def test_class_counts_far_past_the_word_count():
     # about 1.6e10 and 2e60 words, counted per class; the census rules predict the values
     sysw = lmt(OMEGA)
     assert count_classes(sysw, 7, 12)[0] == 28 == 7 * 8 // 2
-    info = stabilization(lms(3, OMEGA), 4, 100)
+    info = stabilization(lms(OMEGA), 4, 100)
     assert info["count"] == 5745 and info["count_next"] == 5853
     # lms w grows by L + 2^(A-1) - 1 at each L >= A-1
-    counts = [count_classes(lms(3, OMEGA), 4, length)[0] for length in range(8, 21)]
+    counts = [count_classes(lms(OMEGA), 4, length)[0] for length in range(8, 21)]
     assert [b - a for a, b in zip(counts, counts[1:])] == [length + 7 for length in range(9, 21)]

@@ -83,7 +83,7 @@ def test_perturb_examples():
     down = perturb(base, "down")
     assert cm_dominates(down, base) and not cm_dominates(base, down)
     down2 = perturb(down, "down")
-    assert is_dense(IUP3, down2.support(), 3)
+    assert is_dense(IUP3, down2.support())
     assert len(down2.edits) == 2  # two distinct removed points
 
 
@@ -94,13 +94,13 @@ def test_perturb_random_specs_strict_and_dense():
         spec = random_spec(rng, IUP3)
         up = perturb(spec, "up")
         assert cm_dominates(spec, up) and not cm_dominates(up, spec)
-        assert is_dense(IUP3, up.support(), 3)
+        assert is_dense(IUP3, up.support())
         try:
             down = perturb(spec, "down")
         except ValueError:
             continue
         assert cm_dominates(down, spec) and not cm_dominates(spec, down)
-        assert is_dense(IUP3, down.support(), 3)
+        assert is_dense(IUP3, down.support())
         done += 1
     assert done > 50
 
@@ -128,28 +128,28 @@ def test_dominates_is_preorder_on_random_specs():
         if cm_dominates(a, b) and cm_dominates(b, c):
             assert cm_dominates(a, c)
         if cm_dominates(a, b) and cm_dominates(b, a):
-            assert a.counts() == b.counts()
+            assert all(a.count(cell) == b.count(cell) for cell in enumerate_types(ts))
 
 
 def test_elementary_sequence_coverage():
     seq = RkSequence((CELLS3[0], CELLS3[1]), ("w",))
     half0 = [c for c in CELLS3 if c.bits[0] == 0]
     half1 = [c for c in CELLS3 if c.bits[0] == 1]
-    assert is_elementary_submodel_sequence(IUP3, seq, [half0, half1], 3)
-    assert not is_elementary_submodel_sequence(IUP3, seq, [half0, half0], 3)
+    assert is_elementary_submodel_sequence(IUP3, seq, [half0, half1])
+    assert not is_elementary_submodel_sequence(IUP3, seq, [half0, half0])
     single = RkSequence((CELLS3[0],))
-    assert is_elementary_submodel_sequence(IUP3, single, [CELLS3], 3)
+    assert is_elementary_submodel_sequence(IUP3, single, [CELLS3])
 
 
 def test_construct_model_support_equals_cone_union():
     seq = RkSequence((CELLS3[0], CELLS3[1]), ("w",))
     half0 = [c for c in CELLS3 if c.bits[0] == 0]
     half1 = [c for c in CELLS3 if c.bits[0] == 1]
-    spec = construct_model(IUP3, seq, [half0, half1], 3)
+    spec = construct_model(IUP3, seq, [half0, half1])
     assert spec.support() == frozenset(CELLS3)
     assert all(spec.count(c).k >= 1 for c in CELLS3)
     with pytest.raises(ValueError):
-        construct_model(IUP3, seq, [half0, half0], 3)
+        construct_model(IUP3, seq, [half0, half0])
 
 
 def test_construct_model_random_cones():
@@ -163,7 +163,7 @@ def test_construct_model_random_cones():
             cones[rng.randrange(k)].add(c)
         cones = [cone or {cells[0]} for cone in cones]
         seq = RkSequence(tuple(cells[:k]))
-        spec = construct_model(ts, seq, cones, 3)
+        spec = construct_model(ts, seq, cones)
         assert spec.support() == frozenset().union(*cones)
 
 

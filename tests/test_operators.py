@@ -356,21 +356,19 @@ def test_lmt_systems():
 
 
 def test_lms_systems():
-    sys2 = lms(4, fin(2))
+    sys2 = lms(fin(2))
     assert sys2.target == fin(2)
     assert [s.kind for s in sys2.schemas] == ["single_rename", "ascend_to_power"]
-    sysw = lms(4, OMEGA)
+    sysw = lms(OMEGA)
     assert [s.kind for s in sysw.schemas] == [
         "ascend_to_power",
         "ascend_to_run",
         "ascend_to_capped_run",
     ]
     with pytest.raises(ValueError):
-        lms(0, fin(1))
+        lms(CONTINUUM)
     with pytest.raises(ValueError):
-        lms(3, CONTINUUM)
-    with pytest.raises(ValueError):
-        lms(3, OMEGA, reading="maybe")
+        lms(OMEGA, reading="maybe")
 
 
 def test_apply_limit_operators():
@@ -394,6 +392,12 @@ def test_apply_limit_operators():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             apply_lms(spec, nodes, lam)
         assert serialize_struct(spec) == grown
+    # and so is a type no step made
+    with pytest.raises(ValueError, match="^no type node 'nosuch'$"):
+        apply_lmt(spec, "nosuch", fin(2))
+    with pytest.raises(ValueError, match="^no type node 'nosuch'$"):
+        apply_lms(spec, [pnode("P0"), "nosuch"], fin(2))
+    assert serialize_struct(spec) == grown
 
 
 PIPE = [

@@ -283,4 +283,4 @@ def test_quotient_partition_properties(raw):
     for members in q.classes:
         for a in members:
             for b in members:
-                assert p.sim(a, b)
+                assert p.le(a, b) and p.le(b, a)

@@ -156,10 +156,10 @@ def test_construct_model_agrees_with_the_round_robin_oracle():
                 seq = RkSequence(tuple(rng.choice(kept) for _ in cones))
                 if oracle is None:
                     with pytest.raises(ValueError):
-                        construct_model(ts, seq, cones, ts.depth)
+                        construct_model(ts, seq, cones)
                     outcomes.add("refused")
                     continue
-                spec = construct_model(ts, seq, cones, ts.depth)
+                spec = construct_model(ts, seq, cones)
                 assert spec.support() == frozenset(oracle) == frozenset(kept), (ts, drop)
                 assert all(1 <= spec.count(c).k <= COUNT_CAP for c in kept), (ts, drop)
                 assert all(1 <= k <= COUNT_CAP for k in oracle.values()), (ts, drop)
@@ -176,7 +176,7 @@ def test_construct_model_answers_the_largest_spaces(ts):
     cells = enumerate_types(ts)
     half = len(cells) // 2
     start = time.perf_counter()
-    spec = construct_model(ts, RkSequence(cells[:2]), [cells[:half], cells[half:]], ts.depth)
+    spec = construct_model(ts, RkSequence(cells[:2]), [cells[:half], cells[half:]])
     assert spec.support() == frozenset(cells)
     assert cm_dominates(spec, spec)
     elapsed = time.perf_counter() - start
@@ -186,25 +186,25 @@ def test_construct_model_answers_the_largest_spaces(ts):
 def test_dense_examples():
     ts = TypeSpace("iup", 3)
     cells = enumerate_types(ts)
-    assert is_dense(ts, cells, 3)
+    assert is_dense(ts, cells)
     half = [c for c in cells if c.bits[0] == 1]
-    assert not is_dense(ts, half, 3)
+    assert not is_dense(ts, half)
 
 
 def test_implicit_dense_set_survives_removal():
     ts = TypeSpace("iup", 3)
     spec = full_base(ts)
     removed = spec.with_delta(IupCell((0, 0, 0)), -1)
-    assert is_dense(ts, removed.support(), 3)
+    assert is_dense(ts, removed.support())
     removed2 = removed.with_delta(IupCell((0, 0, 1)), -1)
-    assert is_dense(ts, removed2.support(), 3)
+    assert is_dense(ts, removed2.support())
 
 
 def test_sdup_stopped_cells_are_dense():
     for depth in (1, 2, 3):
         ts = TypeSpace("sdup", depth)
         stopped = [c for c in enumerate_types(ts) if c.kind == "stop"]
-        assert is_dense(ts, stopped, depth)
+        assert is_dense(ts, stopped)
 
 
 def test_density_matches_formula_enumeration_oracle():
@@ -218,7 +218,7 @@ def test_density_matches_formula_enumeration_oracle():
             cells[::2],
         ]
         for sample in samples:
-            assert is_dense(ts, sample, ts.depth) == brute_dense(ts, sample, formulas)
+            assert is_dense(ts, sample) == brute_dense(ts, sample, formulas)
 
 
 def test_atom_table_matches_the_family_rule_oracle():
