@@ -11,10 +11,16 @@ def arguments(p: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    from ..formats import parse_pipeline, serialize_struct
+    from ..formats import cite_step, parse_pipeline, serialize_struct
     from ..operators import run_pipeline, verify_schemes
 
-    spec = run_pipeline(parse_pipeline(_read(args.pipeline), args.pipeline))
+    text = _read(args.pipeline)
+    steps = parse_pipeline(text, args.pipeline)
+    try:
+        spec = run_pipeline(steps)
+    except ValueError as exc:
+        cite_step(args.pipeline, text, exc)
+        raise
     out: list[str] = []
     mk = args.machine
     out.append(f"universe={len(spec.universe)}" if mk else f"universe: {len(spec.universe)} elements")

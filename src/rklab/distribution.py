@@ -113,19 +113,18 @@ def classify_triple(t: Cm3Triple, theory_class: str = "tc", ch: bool = True) -> 
             flags.append("outside-ch-hypothesis")
 
     if theory_class == "small":
-        exact = lambda a, b: card_eq(a, b, ch=False)
-        if not exact(t.npl, ZERO):
+        if t.npl != ZERO:
             return Verdict("inadmissible", reason="small-npl-nonzero", flags=tuple(flags))
-        if exact(t.p, fin(1)):
-            if exact(t.l, ZERO):
+        if t.p == fin(1):
+            if t.l == ZERO:
                 return Verdict("admissible-small", case=1, flags=tuple(flags))
             return Verdict(
                 "inadmissible", reason="p-categorical-forces-zero-limits", flags=tuple(flags)
             )
-        if exact(t.p, ZERO):
+        if t.p == ZERO:
             return Verdict("inadmissible", reason="small-needs-prime-model", flags=tuple(flags))
-        if t.p.finite or exact(t.p, OMEGA):
-            if exact(t.l, ZERO):
+        if t.p.finite or t.p == OMEGA:
+            if t.l == ZERO:
                 return Verdict(
                     "inadmissible", reason="multiple-primes-need-limits", flags=tuple(flags)
                 )
@@ -304,11 +303,7 @@ def subsequence_of(y1: SeqKey, y2: SeqKey) -> bool:
     extendable sequences grow through fresh elements of their own, so
     among those only equality embeds.
     """
-    if y1.extendable != y2.extendable:
-        return False
-    if y1.extendable:
-        return y1 == y2
-    if y1.entries[-1] != y2.entries[-1]:
+    if not tail_equal(y1, y2):
         return False
     it = iter(y2.entries)
     return all(any(e == x for x in it) for e in y1.entries)
@@ -367,7 +362,7 @@ def validate_f(spec: DistributionSpec) -> Report:
         if tail_equal(k1, k2):
             rb.check(
                 f"tail-equal:{k1.render()}~{k2.render()}",
-                card_eq(v1, v2, ch=False),
+                v1 == v2,
                 f"{render(v1)} vs {render(v2)} on tail-equal sequences",
             )
     return rb.done()
@@ -471,34 +466,31 @@ def build_blueprint(
     def elem_sort(elems: list[int]) -> list[int]:
         return sorted(elems, key=lambda e: (rank[q.class_of(e)], e))
 
-    fan, depth = str(config.fan_out), str(config.depth)
+    fan, depth = config.fan_out, config.depth
 
     def icp_step(e: int) -> PipelineStep:
-        return PipelineStep("icp", {"sub": f"P{e}", "depth": depth, "fan": fan, "y": "auto"})
+        return PipelineStep("icp", {"sub": f"P{e}", "depth": depth, "fan": fan, "y": None})
 
     def css_step(e: int, source: int) -> PipelineStep:
         return PipelineStep("css", {"sub": f"P{e}", "source": f"P{source}", "fan": fan})
 
     def bu_step(a: int, b: int) -> PipelineStep:
         return PipelineStep(
-            "bu", {"sub1": f"P{a}", "sub2": f"P{b}", "depth": depth, "fan": fan, "z": "auto"}
+            "bu", {"sub1": f"P{a}", "sub2": f"P{b}", "depth": depth, "fan": fan, "z": None}
         )
 
-    def qedge_step(low: int, high: int, principal: str) -> PipelineStep:
-        return PipelineStep("qedge", {"low": str(low), "high": str(high), "principal": principal})
+    def qedge_step(low: int, high: int, principal: bool) -> PipelineStep:
+        return PipelineStep("qedge", {"low": low, "high": high, "principal": principal})
 
     plan = [
-        PipelineStep(
-            "base",
-            {"parts": str(m), "colors": str(config.colors), "per_color": str(config.per_color)},
-        )
+        PipelineStep("base", {"parts": m, "colors": config.colors, "per_color": config.per_color})
     ]
     # a ring of q edges through each class of two or more, a principal one per cover
     for members in q.classes:
         ring = sorted(members)
         if len(ring) > 1:
-            plan += (qedge_step(a, b, "false") for a, b in zip(ring, ring[1:] + ring[:1]))
-    plan += (qedge_step(min(q.classes[a]), min(q.classes[b]), "true") for a, b in q.covers())
+            plan += (qedge_step(a, b, False) for a, b in zip(ring, ring[1:] + ring[:1]))
+    plan += (qedge_step(min(q.classes[a]), min(q.classes[b]), True) for a, b in q.covers())
     # the partition and allocation steps, as (operator, part) in plan order
     if variant in ("t77", "t84"):
         source = 0
@@ -528,17 +520,16 @@ def build_blueprint(
     # a limit target per class of nonzero f (finite mode), or per sequence
     if spec.mode == "finite":
         values = spec.class_map()
-        targets = [("lmt", "node", [min(c)], values[frozenset(c)]) for c in q.classes]
+        targets = [("lmt", "node", pnode(f"P{min(c)}"), values[frozenset(c)]) for c in q.classes]
     else:
-        targets = [("lms", "nodes", key.entries, f_val) for key, f_val in spec.values]
-    for op, arg, elems, f_val in targets:
-        if not card_eq(f_val, ZERO, ch=False):
-            nodes = ",".join(pnode(f"P{e}") for e in elems)
-            plan.append(PipelineStep(op, {arg: nodes, "lam": render(f_val)}))
+        targets = [("lms", "nodes", tuple(pnode(f"P{e}") for e in k.entries), v) for k, v in spec.values]
+    for op, arg, nodes, f_val in targets:
+        if f_val != ZERO:
+            plan.append(PipelineStep(op, {arg: nodes, "lam": f_val}))
 
     if variant == "t92":
         # a pipeline argument is one token
-        if spec.npl_residual is not None and card_eq(spec.npl_residual, CONTINUUM, ch=False):
+        if spec.npl_residual == CONTINUUM:
             note = "residual_continuum_of_types_kept_prime-less"
         else:
             note = "allocation_over_tuples_gives_prime_models_over_the_residual_types"
@@ -620,7 +611,7 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         (lam,) = params
         _check_range(lam, allow_zero=True, what="limit count")
         order = close(from_pairs(3, [(0, 1), (1, 2)]))
-        key = SeqKey((0, 1, 2), extendable=not card_eq(lam, ZERO, ch=False))
+        key = SeqKey((0, 1, 2), extendable=lam != ZERO)
         return sequence_spec(order, {key: lam}, triple=Cm3Triple(OMEGA, lam, CONTINUUM))
     if kind == "c93":
         (lam,) = params
@@ -630,7 +621,7 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         order = close(from_pairs(n, [(0, 1), (1, 2)]))
         partition = {i: ("P" if i < 3 else "NPL") for i in range(n)}
         key = SeqKey((0, 1, 2), extendable=True)
-        residual = CONTINUUM if card_eq(lam, CONTINUUM, ch=False) else None
+        residual = CONTINUUM if lam == CONTINUUM else None
         return sequence_spec(
             order,
             {key: CONTINUUM},

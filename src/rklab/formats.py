@@ -8,6 +8,7 @@ reparses to an equal value.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from .cardinal import parse_card, render  # other layers: imported where used
@@ -304,14 +305,30 @@ def serialize_struct(spec: StructSpec) -> str:
 
 # -- pipeline files -----------------------------------------------------------
 
-# each kind of pipeline value (operators.STEP_KEYS): its grammar and its test
-PIPELINE_VALUES = {
-    "text": ("<text>", lambda v: True),
-    "integer": ("<integer>", lambda v: v.removeprefix("-").isdecimal()),
-    "integer-or-auto": ("<integer>|auto", lambda v: v == "auto" or v.removeprefix("-").isdecimal()),
-    "flag": ("true|false", lambda v: v in ("true", "false")),
-    "reading": ("gt|geq", lambda v: v in ("gt", "geq")),
-    "cardinal": ("<integer>|w|w1|c", lambda v: v in ("w", "w1", "c") or v.isdecimal()),
+def _integer(text: str) -> int:
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
+def _node_list(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated list, split only at commas outside
+    parentheses, so that a joint type ``q(p(P0),p(P1))`` is one name."""
+    depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in text)
+    cuts = [i for i, (ch, depth) in enumerate(zip(text, depths)) if ch == "," and not depth]
+    return tuple(text[a + 1 : b] for a, b in zip([-1, *cuts], [*cuts, len(text)]))
+
+
+# each kind of pipeline value (operators.STEP_KEYS): its grammar, reader and writer
+_VALUE_KINDS = {
+    "integer": ("<integer>", _integer, str),
+    "integer-or-auto": ("<integer>|auto", lambda t: None if t == "auto" else _integer(t),
+                        lambda v: "auto" if v is None else str(v)),
+    "flag": ("true|false", {"true": True, "false": False}.__getitem__, lambda v: str(v).lower()),
+    "reading": ("gt|geq", {"gt": "gt", "geq": "geq"}.__getitem__, str),
+    "cardinal": ("<integer>|w|w1|c", parse_card, render),
+    "text": ("<text>", str, str),
+    "node-list": ("<node>,...", _node_list, ",".join),
 }
 
 
@@ -329,7 +346,7 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
             raise ParseError(path, no, f"an operator among {sorted(STEP_KEYS)}", words[0])
         if words[0] == "base" and any(step.op == "base" for step in steps):
             raise ParseError(path, no, "one 'base' line", line)
-        args: dict[str, str] = {}
+        args: dict[str, object] = {}
         for chunk in words[1:]:
             key, sep, value = chunk.partition("=")
             if not sep:
@@ -338,18 +355,29 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
                 raise ParseError(path, no, f"a key of '{words[0]}' among {', '.join(keys)}", chunk)
             if key in args:
                 raise ParseError(path, no, f"one '{key}=' per step", chunk)
-            grammar, fits = PIPELINE_VALUES[keys[key]]
-            if not fits(value):
-                raise ParseError(path, no, f"'{key}={grammar}'", chunk)
-            args[key] = value
+            grammar, read, _ = _VALUE_KINDS[keys[key][0]]
+            try:
+                args[key] = read(value)
+            except (KeyError, ValueError):
+                raise ParseError(path, no, f"'{key}={grammar}'", chunk) from None
         steps.append(PipelineStep(words[0], args))
     return steps
 
 
+def cite_step(path: str, text: str, exc: ValueError) -> None:
+    """Prefix a refusal naming its step by index into ``parse_pipeline(text)``
+    (``exc.step``) with that step's line, the content line of that index."""
+    if hasattr(exc, "step"):
+        exc.args = (f"{path}:{_lines(text)[exc.step][0]}: {exc}",)
+
+
 def serialize_pipeline(steps: Iterable[PipelineStep]) -> str:
+    from .operators import STEP_KEYS
+
     lines = []
     for step in steps:
+        keys = STEP_KEYS[step.op]
         parts = [step.op]
-        parts.extend(f"{k}={v}" for k, v in sorted(step.args.items()))
+        parts.extend(f"{k}={_VALUE_KINDS[keys[k][0]][2](v)}" for k, v in sorted(step.args.items()))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

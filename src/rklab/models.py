@@ -21,6 +21,7 @@ from .record import record
 from .typespace import (
     Cell,
     TypeSpace,
+    cell_set,
     covers_all_formulas,
     enumerate_types,
     is_dense,
@@ -82,7 +83,7 @@ class ModelSpec:
 
     def support(self) -> frozenset[Cell]:
         if self.base_all:
-            return frozenset(enumerate_types(self.space))
+            return cell_set(self.space)
         return frozenset(self._deltas)  # an explicit spec's edits are positive
 
     def with_delta(self, cell: Cell, change: int) -> "ModelSpec":

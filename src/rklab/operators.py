@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from .cardinal import CONTINUUM, Card, check_limit_count, parse_card, render
+from .cardinal import CONTINUUM, Card, check_limit_count, render
 from .domination import DomEdge, DominationGraph, TypeNode
 from .record import record, replace
 from .report import BudgetError, Report, ReportBuilder
@@ -155,26 +155,16 @@ class StructSpec:
         return DominationGraph(nodes, tuple(self.edges))
 
 
-def colored_base(
-    parts: int,
-    colors: int,
-    per_color: int = 1,
-    q_edges: Sequence[tuple[int, int, bool]] = (),
-) -> StructSpec:
+def colored_base(parts: int, colors: int, per_color: int = 1) -> StructSpec:
     """Partitioned colored structure: the common starting point.
 
     ``parts`` unary predicates partition the universe; each part carries
     every color 0..colors-1 (``per_color`` elements each) plus one
     infinite-color element, whose type is the part's non-principal type.
-    ``q_edges`` entries (low, high, principal) link the types of two
-    parts so the high type dominates the low one, materialised as a
-    color-monotone binary predicate.
     """
     if parts < 1 or colors < 1 or per_color < 1:
         raise ValueError("parts, colors, per_color must be positive")
     _reserve(0, parts * (colors * per_color + 1))
-    # a q edge links each color to every color at or below it, and the infinite colors
-    _reserve(0, len(q_edges) * (colors * (colors + 1) // 2 + 1), "q-edge pairs")
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
@@ -192,22 +182,26 @@ def colored_base(
         universe.extend(extent)
         unary[f"P{i}"] = tuple(extent)
         nodes.append(TypeNode(pnode(f"P{i}"), prime=True))
-    binary: dict[str, tuple[tuple[str, str], ...]] = {}
-    edges: list[DomEdge] = []
-    for low, high, principal in q_edges:
-        if not (0 <= low < parts and 0 <= high < parts) or low == high:
-            raise ValueError(f"bad q edge ({low},{high})")
-        qname = f"Q{low}_{high}"
-        pairs: list[tuple[str, str]] = []
-        for j in range(colors):  # range side color
-            for i in range(j, colors):  # domain side color, i >= j
-                x = f"a{low}c{i}" + ("_0" if per_color > 1 else "")
-                y = f"a{high}c{j}" + ("_0" if per_color > 1 else "")
-                pairs.append((x, y))
-        pairs.append((f"a{low}inf", f"a{high}inf"))
-        binary[qname] = tuple(pairs)
-        edges.append(DomEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal))
-    return StructSpec(universe, unary, coloring, binary, {}, nodes, edges)
+    return StructSpec(universe, unary, coloring, {}, {}, nodes)
+
+
+def add_qedge(spec: StructSpec, low: int, high: int, principal: bool) -> None:
+    """Link the types of parts ``low`` and ``high`` of a colored base, so
+    the high type dominates the low one, materialised as a color-monotone
+    binary predicate over each part's first element of each color, whose
+    pairs are counted against the cap before they are built."""
+    if f"P{low}" not in spec.unary or f"P{high}" not in spec.unary or low == high:
+        raise ValueError(f"bad q edge ({low},{high})")
+    # each part's first element of each color; the last written wins, so read backwards
+    lo, hi = ({spec.color(x): x for x in reversed(spec.extent(f"P{p}"))} for p in (low, high))
+    colors = sorted(c for c in lo if c is not None)
+    # a q edge links each color to every color at or below it, and the infinite colors
+    _reserve(sum(map(len, spec.binary.values())), len(colors) * (len(colors) + 1) // 2 + 1, "q-edge pairs")
+    # range side color j, domain side color i >= j
+    rows = [(lo[i], hi[j]) for j in colors for i in colors if i >= j]
+    qname = f"Q{low}_{high}"
+    spec.binary[qname] = (*rows, (lo[None], hi[None]))
+    spec.edges[DomEdge(pnode(f"P{high}"), pnode(f"P{low}"), qname, principal)] = None
 
 
 # -- sizing helpers -----------------------------------------------------------
@@ -340,13 +334,15 @@ def css(
         raise ValueError("q_subset must be nonempty")
     if fan_out < 1:
         raise ValueError("fan-out must be positive")
-    stubs = []
+    stubs: dict[str, TypeNode] = {}
     for name in q_subset:
         node = spec.nodes.get(name)
         if node is None or node.stub_of is None:
             raise ValueError(f"{name!r} is not a continuation stub")
-        stubs.append(node)
-    depths = {len(n.stub_bits) for n in stubs}
+        if name in stubs:
+            raise ValueError(f"stub {name!r} is named twice")
+        stubs[name] = node
+    depths = {len(n.stub_bits) for n in stubs.values()}
     if len(depths) != 1:
         raise ValueError("stubs come from different split depths")
     ceiling = depths.pop()
@@ -359,7 +355,7 @@ def css(
     tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}
     fresh: list[str] = []
     colors: list[Color] = []
-    for j, _stub in enumerate(stubs):
+    for rel in rels:
         for x in sorted(spec.extent(sub)):
             c = spec.color(x)
             targets: list[Color]
@@ -371,21 +367,21 @@ def css(
                 t = f"T{app}s0_{len(fresh)}"
                 fresh.append(t)
                 colors.append(tcol)
-                tuples[rels[j]].append((x, t))
+                tuples[rel].append((x, t))
     spec.add_elements(fresh, "T")
     spec.coloring.update(zip(fresh, colors))
     for r in rels:
         spec.binary[r] = tuple(tuples[r])
     p = pnode(sub)
     spec.set_node(p, prime=True)
-    for node in stubs:
-        spec.set_node(node.name, realized=True)
+    for name in stubs:
+        spec.set_node(name, realized=True)
     msg = f"css on {sub}: prime model over {p} realizes exactly {len(stubs)} stubs"
     if linked:
         msg += " (linked: removing a realized stub removes the type)"
     spec.notes.append(msg)
     spec.history.append(OpRecord("css", {
-        "sub": sub, "stubs": tuple(n.name for n in stubs), "rels": tuple(rels),
+        "sub": sub, "stubs": tuple(stubs), "rels": tuple(rels),
         "ceiling": ceiling, "fan_out": fan_out, "linked": linked, "seed": 0,
     }))
     return spec
@@ -628,99 +624,98 @@ def verify_schemes(spec: StructSpec, op_tag: str) -> Report:
 
 @record
 class PipelineStep:
-    """One pipeline line: an operator keyword and its ``key=value`` arguments."""
+    """One pipeline line: an operator keyword and its arguments, of the kinds ``STEP_KEYS`` gives."""
 
     op: str
-    args: dict[str, str]
+    args: dict[str, object]
+
+
+# the keys each pipeline operator reads, each with the kind of its value (formats
+# reads and writes each kind) and its default, ``...`` where a step must give it
+STEP_KEYS: dict[str, dict[str, tuple[str, object]]] = {
+    "base": {"parts": ("integer", ...), "colors": ("integer", ...), "per_color": ("integer", 1)},
+    "qedge": {"low": ("integer", ...), "high": ("integer", ...), "principal": ("flag", False)},
+    "icp": {"sub": ("text", ...), "depth": ("integer", 1), "fan": ("integer", 2),
+            "y": ("integer-or-auto", None)},
+    "css": {"sub": ("text", ...), "source": ("text", ...), "stubs": ("node-list", ...),
+            "fan": ("integer", 2), "linked": ("flag", False)},
+    "bd": {"sub": ("text", ...), "source": ("text", ...), "stubs": ("node-list", ...),
+           "fan": ("integer", 2)},
+    "bu": {"sub1": ("text", ...), "sub2": ("text", ...), "depth": ("integer", 1), "fan": ("integer", 2),
+           "z": ("integer-or-auto", None)},
+    "lmt": {"node": ("text", ...), "lam": ("cardinal", ...), "reading": ("reading", "gt")},
+    "lms": {"nodes": ("node-list", ...), "lam": ("cardinal", ...), "reading": ("reading", "gt")},
+    "note": {"text": ("text", "")},
+}
 
 
 class _Args(dict):
-    """A step's arguments; a missing required one is an input error naming the step."""
+    """A step's arguments over its keys' defaults; a missing one is an input error naming the step."""
 
     def __init__(self, step: PipelineStep):
-        super().__init__(step.args)
+        super().__init__({k: d for k, (_, d) in STEP_KEYS[step.op].items() if d is not ...}, **step.args)
         self.op = step.op
 
-    def __missing__(self, key: str) -> str:
+    def __missing__(self, key: str) -> object:
         raise ValueError(f"{self.op} step needs {key}=")
-
-
-# the keys each pipeline operator reads, each with the kind of value it takes
-# (formats.PIPELINE_VALUES); a pipeline file may give no other key or value
-STEP_KEYS: dict[str, dict[str, str]] = {
-    "base": {"parts": "integer", "colors": "integer", "per_color": "integer"},
-    "qedge": {"low": "integer", "high": "integer", "principal": "flag"},
-    "icp": {"sub": "text", "depth": "integer", "fan": "integer", "y": "integer-or-auto"},
-    "css": {"sub": "text", "source": "text", "stubs": "text", "fan": "integer", "linked": "flag"},
-    "bd": {"sub": "text", "source": "text", "stubs": "text", "fan": "integer"},
-    "bu": {"sub1": "text", "sub2": "text", "depth": "integer", "fan": "integer", "z": "integer-or-auto"},
-    "lmt": {"node": "text", "lam": "cardinal", "reading": "reading"},
-    "lms": {"nodes": "text", "lam": "cardinal", "reading": "reading"},
-    "note": {"text": "text"},
-}
 
 
 def run_pipeline(steps: Sequence[PipelineStep], check: bool = False) -> StructSpec:
     """Apply a pipeline to the colored base it declares.
 
     The ``base`` and ``qedge`` steps seed the structure wherever they
-    appear; the other steps run in order.
-    ``fan`` defaults to 2, ``depth`` to 1, and ``y``/``z`` to the least
-    size that honors the splits; ``bd`` is ``css`` with ``linked=true``.
+    appear; the other steps run in order.  A key a step leaves out takes
+    its ``STEP_KEYS`` default (a ``y`` or ``z`` of None is the least size
+    that honors the splits); ``bd`` is ``css`` with ``linked`` set.
     With ``check`` set, each icp/css/bu record is verified as soon as it
     is applied, and a violation raises ``ValueError``.  The steps grow
-    one structure in place, so each step costs what it adds.
+    one structure in place, so each step costs what it adds.  A refusal
+    names the step at fault by its index in ``steps``, as ``exc.step``.
     """
-    base: dict[str, str] | None = None
-    qedges: list[tuple[int, int, bool]] = []
-    for step in steps:
-        if step.op == "base":
-            base = _Args(step)
-        elif step.op == "qedge":
-            a = _Args(step)
-            qedges.append(
-                (int(a["low"]), int(a["high"]), a.get("principal", "false") == "true")
-            )
-    if base is None:
+    if all(step.op != "base" for step in steps):
         raise ValueError("pipeline needs a 'base' line")
-    spec = colored_base(
-        int(base["parts"]), int(base["colors"]), int(base.get("per_color", "1")), qedges
-    )
-    for step in steps:
-        if step.op in ("base", "qedge"):
-            continue
-        a = _Args(step)
-        fan = int(a.get("fan", "2"))
-        depth = int(a.get("depth", "1"))
-        if step.op == "icp":
-            y = a.get("y", "auto")
-            icp(spec, a["sub"], None if y == "auto" else int(y), depth, fan)
-        elif step.op in ("css", "bd"):
-            if "source" in a:
-                stubs = spec.stubs_of(pnode(a["source"]))
-            elif "stubs" in a:
-                stubs = a["stubs"].split(",")
+    seeds = {"base": 0, "qedge": 1}
+    for i in sorted(range(len(steps)), key=lambda i: seeds.get(steps[i].op, 2)):
+        try:
+            a = _Args(steps[i])
+            if a.op == "base":
+                spec = colored_base(a["parts"], a["colors"], a["per_color"])
+            elif a.op == "qedge":
+                add_qedge(spec, a["low"], a["high"], a["principal"])
             else:
-                raise ValueError(f"{step.op} step needs source= or stubs=")
-            css(spec, stubs, a["sub"], fan, linked=step.op == "bd" or a.get("linked") == "true")
-        elif step.op == "bu":
-            z = a.get("z", "auto")
-            bu(spec, a["sub1"], a["sub2"], None if z == "auto" else int(z), depth, fan)
-        elif step.op == "lmt":
-            apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
-        elif step.op == "lms":
-            apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
-        elif step.op == "note":
-            spec.notes.append(a.get("text", ""))
-            continue
-        else:
-            raise ValueError(f"unknown pipeline step {step.op!r}")
-        rec = spec.history[-1]
-        if check and rec.op in _VERIFIERS:
-            # steps only append new relations, elements and colors: earlier records cannot change
-            rb = ReportBuilder(f"schemes:{rec.op}")
-            _verify_record(spec, rb, len(spec.history) - 1)
-            bad = ", ".join(e.code for e in rb.done().violations())
-            if bad:
-                raise ValueError(f"scheme violation after {rec.op}: {bad}")
+                _run_step(spec, a, check)
+        except ValueError as exc:
+            exc.step = i
+            raise
     return spec
+
+
+def _run_step(spec: StructSpec, a: _Args, check: bool) -> None:
+    """Apply one operator step, verifying its record with ``check`` set."""
+    if a.op == "icp":
+        icp(spec, a["sub"], a["y"], a["depth"], a["fan"])
+    elif a.op in ("css", "bd"):
+        if "source" in a:
+            stubs = spec.stubs_of(pnode(a["source"]))
+        elif "stubs" in a:
+            stubs = a["stubs"]
+        else:
+            raise ValueError(f"{a.op} step needs source= or stubs=")
+        css(spec, stubs, a["sub"], a["fan"], linked=a.op == "bd" or a["linked"])
+    elif a.op == "bu":
+        bu(spec, a["sub1"], a["sub2"], a["z"], a["depth"], a["fan"])
+    elif a.op == "lmt":
+        apply_lmt(spec, a["node"], a["lam"], a["reading"])
+    elif a.op == "lms":
+        apply_lms(spec, a["nodes"], a["lam"], a["reading"])
+    else:
+        spec.notes.append(a["text"])
+        return
+    rec = spec.history[-1]
+    if check and rec.op in _VERIFIERS:
+        # steps only append new relations, elements and colors: earlier records cannot change
+        rb = ReportBuilder(f"schemes:{rec.op}")
+        _verify_record(spec, rb, len(spec.history) - 1)
+        bad = ", ".join(e.code for e in rb.done().violations())
+        if bad:
+            raise ValueError(f"scheme violation after {rec.op}: {bad}")

@@ -12,7 +12,7 @@ elements are ruled out.
 """
 from __future__ import annotations
 
-from .cardinal import CONTINUUM, OMEGA, ZERO, Card, card_eq, render
+from .cardinal import CONTINUUM, OMEGA, ZERO, Card, render
 from .record import record
 from .report import Report, ReportBuilder
 
@@ -282,18 +282,10 @@ def classify_cone_case(case: ConeCase) -> int | None:
     3: proper continual cone with countable complement; 4: proper
     continual cone with continual complement.  None when inconsistent.
     """
-    exact = lambda a, b: card_eq(a, b, ch=False)
+    cards = (case.cone_card, case.complement_card)
     if case.equals_x:
-        if exact(case.cone_card, CONTINUUM) and exact(case.complement_card, ZERO):
-            return 2
-        return None
-    if exact(case.cone_card, OMEGA) and exact(case.complement_card, CONTINUUM):
-        return 1
-    if exact(case.cone_card, CONTINUUM) and exact(case.complement_card, OMEGA):
-        return 3
-    if exact(case.cone_card, CONTINUUM) and exact(case.complement_card, CONTINUUM):
-        return 4
-    return None
+        return 2 if cards == (CONTINUUM, ZERO) else None
+    return {(OMEGA, CONTINUUM): 1, (CONTINUUM, OMEGA): 3, (CONTINUUM, CONTINUUM): 4}.get(cards)
 
 
 def check_premodel(profile: PremodelProfile) -> Report:
@@ -305,21 +297,20 @@ def check_premodel(profile: PremodelProfile) -> Report:
     facts: the width is continual and the set is upward directed.
     """
     rb = ReportBuilder("premodel")
-    exact = lambda a, b: card_eq(a, b, ch=False)
     rb.check(
         "size-continual",
-        exact(profile.size, CONTINUUM),
+        profile.size == CONTINUUM,
         f"size = {render(profile.size)}, must be c",
     )
     rb.check("upward-directed", profile.directed, "set must be upward directed")
     rb.check(
         "lower-cones-countable",
-        exact(profile.lower_cone_card, OMEGA),
+        profile.lower_cone_card == OMEGA,
         f"|lower cone| = {render(profile.lower_cone_card)}, must be w",
     )
     rb.check(
         "sim-classes-countable",
-        exact(profile.class_card, OMEGA),
+        profile.class_card == OMEGA,
         f"|class| = {render(profile.class_card)}, must be w",
     )
     for idx, case in enumerate(profile.joint_upper_cone_cases):
@@ -331,16 +322,13 @@ def check_premodel(profile: PremodelProfile) -> Report:
             if shape is not None
             else f"case {idx} fits none of the four admissible shapes",
         )
-    if profile.height.finite:
-        rb.check(
-            "height-countable", False, "height must be w; a finite height is impossible"
-        )
-    else:
-        rb.check(
-            "height-countable",
-            exact(profile.height, OMEGA),
-            f"height = {render(profile.height)}, must be w",
-        )
+    rb.check(
+        "height-countable",
+        profile.height == OMEGA,
+        "height must be w; a finite height is impossible"
+        if profile.height.finite
+        else f"height = {render(profile.height)}, must be w",
+    )
     if rb.done().ok:
         rb.fact("width", render(CONTINUUM))
         rb.fact("upward-directed", "confirmed")

@@ -108,8 +108,9 @@ def _tree_nodes(max_len: int) -> list[str]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def enumerate_types(ts: TypeSpace) -> tuple[Cell, ...]:
-    """All consistent complete cells at the truncation depth."""
+    """All consistent complete cells at the truncation depth, cached."""
     if ts.family == "iup":
         return tuple(
             IupCell(bits) for bits in itertools.product((0, 1), repeat=ts.depth)
@@ -136,25 +137,14 @@ def is_principal(ts: TypeSpace, cell: Cell) -> bool:
     return cell.color is not None
 
 
+@functools.lru_cache(maxsize=8)
+def cell_set(ts: TypeSpace) -> frozenset[Cell]:
+    """The space's cells, as the one set validity, coverage and supports read."""
+    return frozenset(enumerate_types(ts))
+
+
 def valid_cell(ts: TypeSpace, cell: Cell) -> bool:
-    if ts.family == "iup":
-        return (
-            isinstance(cell, IupCell)
-            and len(cell.bits) == ts.depth
-            and set(cell.bits) <= {0, 1}
-        )
-    if ts.family == "sdup":
-        if not isinstance(cell, SdupCell) or any(ch not in "01" for ch in cell.path):
-            return False
-        if cell.kind == "stop":
-            return len(cell.path) <= ts.depth
-        return cell.kind == "cont" and len(cell.path) == ts.depth
-    if not isinstance(cell, ColorCell):
-        return False
-    assert ts.parts is not None
-    if not (0 <= cell.part < ts.parts):
-        return False
-    return cell.color is None or 0 <= cell.color <= ts.depth
+    return cell in cell_set(ts)
 
 
 def render_cell(cell: Cell) -> str:
@@ -298,7 +288,7 @@ def covers_all_formulas(ts: TypeSpace, cells: Iterable[Cell]) -> bool:
     depth.  In sdup a frontier node's stopped and continuing cells share
     a group."""
     hit = {cell_atoms(ts, cell) for cell in cells}
-    return all(cell_atoms(ts, cell) in hit for cell in enumerate_types(ts))
+    return all(cell_atoms(ts, cell) in hit for cell in cell_set(ts))
 
 
 def is_dense(ts: TypeSpace, x: Iterable[Cell]) -> bool:

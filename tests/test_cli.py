@@ -306,19 +306,19 @@ def test_build_without_replay_refuses_fan_out_below_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "steps",
+    "steps, line",
     [
-        "icp depth=1 fan=0 sub=P0 y=auto\n",
-        "icp depth=1 fan=1 sub=P0 y=auto\ncss fan=-2 source=P0 sub=P0\n",
-        "bu depth=1 fan=0 sub1=P0 sub2=P1 z=auto\n",
+        ("icp depth=1 fan=0 sub=P0 y=auto\n", 2),
+        ("icp depth=1 fan=1 sub=P0 y=auto\ncss fan=-2 source=P0 sub=P0\n", 3),
+        ("bu depth=1 fan=0 sub1=P0 sub2=P1 z=auto\n", 2),
     ],
     ids=["icp", "css", "bu"],
 )
-def test_apply_refuses_fan_out_below_one(tmp_path, capsys, steps):
-    pipe = tmp_path / "p.pipe"
-    pipe.write_text("base colors=1 parts=2 per_color=1\n" + steps)
-    result = run_cli("apply", "--pipeline", str(pipe), "--verify", "--machine", capsys=capsys)
-    assert result == (2, "", "error: fan-out must be positive\n")
+def test_apply_refuses_fan_out_below_one(tmp_path, monkeypatch, capsys, steps, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pipe").write_text("base colors=1 parts=2 per_color=1\n" + steps)
+    result = run_cli("apply", "--pipeline", "p.pipe", "--verify", "--machine", capsys=capsys)
+    assert result == (2, "", f"error: p.pipe:{line}: fan-out must be positive\n")
 
 
 @pytest.mark.parametrize(
@@ -341,26 +341,45 @@ def test_a_superscript_digit_is_not_a_cardinal(tmp_path, monkeypatch, capsys, ar
 @pytest.mark.parametrize(
     "step, message",
     [
-        ("base colors=1", "base step needs parts="),
-        ("qedge low=0", "qedge step needs high="),
-        ("icp depth=1", "icp step needs sub="),
-        ("css sub=P0", "css step needs source= or stubs="),
-        ("bd sub=P1", "bd step needs source= or stubs="),
-        ("bu sub1=P0", "bu step needs sub2="),
-        ("lmt lam=1", "lmt step needs node="),
-        ("lms nodes=p(P0)", "lms step needs lam="),
-        ("icp sub=P9", "no unary predicate 'P9'"),
-        ("lmt node=nosuch lam=2", "no type node 'nosuch'"),
-        ("lms nodes=p(P0),nosuch lam=2", "no type node 'nosuch'"),
+        ("base colors=1", "p.pipe:1: base step needs parts="),
+        ("qedge low=0", "p.pipe:2: qedge step needs high="),
+        ("icp depth=1", "p.pipe:2: icp step needs sub="),
+        ("css sub=P0", "p.pipe:2: css step needs source= or stubs="),
+        ("bd sub=P1", "p.pipe:2: bd step needs source= or stubs="),
+        ("bu sub1=P0", "p.pipe:2: bu step needs sub2="),
+        ("lmt lam=1", "p.pipe:2: lmt step needs node="),
+        ("lms nodes=p(P0)", "p.pipe:2: lms step needs lam="),
+        ("icp sub=P9", "p.pipe:2: no unary predicate 'P9'"),
+        ("lmt node=nosuch lam=2", "p.pipe:2: no type node 'nosuch'"),
+        ("lms nodes=p(P0),nosuch lam=2", "p.pipe:2: no type node 'nosuch'"),
     ],
     ids=["base", "qedge", "icp", "css", "bd", "bu", "lmt", "lms", "icp-unknown-sub", "lmt-unknown-node",
          "lms-unknown-node"],
 )
-def test_apply_names_a_missing_step_argument(tmp_path, capsys, step, message):
-    pipe = tmp_path / "p.pipe"
-    pipe.write_text(("" if step.startswith("base") else "base colors=1 parts=2\n") + step + "\n")
-    result = run_cli("apply", "--pipeline", str(pipe), capsys=capsys)
+def test_apply_names_a_missing_step_argument(tmp_path, monkeypatch, capsys, step, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pipe").write_text(("" if step.startswith("base") else "base colors=1 parts=2\n") + step + "\n")
+    result = run_cli("apply", "--pipeline", "p.pipe", capsys=capsys)
     assert result == (2, "", f"error: {message}\n")
+
+
+def test_lms_names_a_joint_type(tmp_path, monkeypatch, capsys):
+    # a node list splits only at commas outside parentheses
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pipe").write_text(
+        "base parts=2 colors=1\nbu sub1=P0 sub2=P1\nlms nodes=p(P0),q(p(P0),p(P1)) lam=2\n"
+    )
+    code, _, _ = run_cli("apply", "--pipeline", "p.pipe", "--out", "p.struct", capsys=capsys)
+    assert code == 0
+    assert "target p(P0)>q(p(P0),p(P1)) = 2" in (tmp_path / "p.struct").read_text().splitlines()
+
+
+@pytest.mark.parametrize("op", ["css", "bd"])
+def test_a_stub_named_twice_is_refused(tmp_path, monkeypatch, capsys, op):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pipe").write_text(f"base parts=1 colors=1\nicp sub=P0\n{op} sub=P0 stubs=p(P0)[0],p(P0)[0]\n")
+    result = run_cli("apply", "--pipeline", "p.pipe", capsys=capsys)
+    assert result == (2, "", "error: p.pipe:3: stub 'p(P0)[0]' is named twice\n")
 
 
 def test_types_dense_flag(capsys):
@@ -576,15 +595,15 @@ ELEMENT_CAP_ERROR = "300000000 elements exceed the element cap 1000000"
          "elements: 300000000\n0 <= 1\nmode: finite\nf: {0,1} = 0\n", ELEMENT_CAP_ERROR),
         (("apply", "--pipeline", "{path}"),
          "base colors=1 parts=1 per_color=1\nicp depth=1000000 fan=1 sub=P0 y=auto\n",
-         "at least 2^64 elements exceed the universe cap 250000"),
+         "{path}:2: at least 2^64 elements exceed the universe cap 250000"),
         (("apply", "--pipeline", "{path}"),
          "base colors=1 parts=1 per_color=1\nicp depth=1 fan=100000000 sub=P0\n",
-         "300000002 elements exceed the universe cap 250000"),
+         "{path}:2: 300000002 elements exceed the universe cap 250000"),
         (("apply", "--pipeline", "{path}"), "base colors=1 parts=1000000 per_color=1000\n",
-         "1001000000 elements exceed the universe cap 250000"),
+         "{path}:1: 1001000000 elements exceed the universe cap 250000"),
         # 200,002 elements, but about 5*10^9 q-edge pairs
         (("apply", "--pipeline", "{path}"), "base colors=100000 parts=2 per_color=1\nqedge low=0 high=1\n",
-         "5000050001 q-edge pairs exceed the universe cap 250000"),
+         "{path}:2: 5000050001 q-edge pairs exceed the universe cap 250000"),
         # 2000 discrete parts: a bu step per two of them
         (("build", "--spec", "{path}", "--out", "{path}.pipe"),
          "elements: 2000\nmode: finite\n" + "".join(f"f: {{{i}}} = 0\n" for i in range(2000)),
@@ -608,7 +627,7 @@ def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, te
     elapsed = time.perf_counter() - start
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
+    assert proc.stderr == f"error: {message.format(path=path)}\n"
     assert elapsed < 1, f"took {elapsed:.2f}s"
 
 

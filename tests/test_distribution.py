@@ -211,7 +211,7 @@ def test_blueprint_example_shape():
     spec = finite_spec(order, {frozenset(c): ZERO for c in q.classes})
     bp = build_blueprint(spec, "t77", CFG)
     qedges = [step.args for step in bp.pipeline if step.op == "qedge"]
-    assert qedges == [{"low": "0", "high": "1", "principal": "true"}]
+    assert qedges == [{"low": 0, "high": 1, "principal": True}]
     struct = replay_blueprint(bp, CFG)
     po = replayed_prime_preorder(struct, bp.predicates)
     assert po.le(0, 1) and not po.le(1, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import read_struct, serialize_distribution, serialize_domination, serialize_typespace
 from rklab import formats, operators
-from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
+from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, fin
 from rklab.distribution import (
     BuildConfig,
     SeqKey,
@@ -206,20 +206,28 @@ def test_domination_refusals_cite_the_line_at_fault(text, message):
     assert str(err.value) == message
 
 
+def random_node(rng):
+    """A type node name: a part's type, one of its stubs or a joint type."""
+    p, p2 = f"p(P{rng.randrange(3)})", f"p(P{rng.randrange(3)})"
+    return rng.choice([p, f"{p}[{rng.choice(['0', '01', '110'])}]", f"q({p},{p2})"])
+
+
 # a random value of each kind a pipeline key takes (operators.STEP_KEYS)
 PIPELINE_VALUE_OF = {
     "text": lambda rng: f"v{rng.randrange(9)}",
-    "integer": lambda rng: str(rng.randrange(-1, 9)),
-    "integer-or-auto": lambda rng: rng.choice(["auto", str(rng.randrange(9))]),
-    "flag": lambda rng: rng.choice(["true", "false"]),
+    "integer": lambda rng: rng.randrange(-1, 9),
+    "integer-or-auto": lambda rng: rng.choice([None, rng.randrange(9)]),
+    "flag": lambda rng: rng.choice([True, False]),
     "reading": lambda rng: rng.choice(["gt", "geq"]),
-    "cardinal": lambda rng: rng.choice(["w", "w1", "c", str(rng.randrange(9))]),
+    "cardinal": lambda rng: rng.choice([OMEGA, OMEGA1, CONTINUUM, fin(rng.randrange(9))]),
+    "node-list": lambda rng: tuple(random_node(rng) for _ in range(rng.randint(1, 3))),
 }
 
 
 def test_pipeline_random_round_trip():
     rng = random.Random(7)
     ops_pool = sorted(operators.STEP_KEYS)
+    kinds = set()
     for _ in range(200):
         steps = []
         for _ in range(rng.randint(1, 6)):
@@ -227,9 +235,11 @@ def test_pipeline_random_round_trip():
             op = rng.choice([op for op in ops_pool if op != "base" or all(s.op != "base" for s in steps)])
             keys = operators.STEP_KEYS[op]
             picked = rng.sample(sorted(keys), rng.randint(0, min(3, len(keys))))
-            steps.append(operators.PipelineStep(op, {k: PIPELINE_VALUE_OF[keys[k]](rng) for k in picked}))
+            kinds.update(keys[k][0] for k in picked)
+            steps.append(operators.PipelineStep(op, {k: PIPELINE_VALUE_OF[keys[k][0]](rng) for k in picked}))
         text = formats.serialize_pipeline(steps)
         assert formats.parse_pipeline(text) == steps
+    assert kinds == set(PIPELINE_VALUE_OF)
 
 
 def test_pipeline_round_trip():

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from oracles import brute_disjoint
-from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, fin, parse_card
+from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, fin
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
 from rklab.formats import parse_pipeline, serialize_struct
@@ -14,6 +14,7 @@ from rklab.limitcount import lmt, lms
 from rklab.operators import (
     PipelineStep,
     StructSpec,
+    add_qedge,
     apply_lmt,
     apply_lms,
     bu,
@@ -30,12 +31,13 @@ from rklab.preorder import close, from_pairs, sim_quotient
 from rklab.report import BudgetError
 
 
-def base2(colors=2, q=()):
-    return colored_base(2, colors, q_edges=q)
+def base2(colors=2):
+    return colored_base(2, colors)
 
 
 def test_colored_base_shape():
-    spec = colored_base(2, 2, q_edges=[(0, 1, True)])
+    spec = colored_base(2, 2)
+    add_qedge(spec, low=0, high=1, principal=True)
     assert len(spec.universe) == 6
     assert spec.color("a0inf") is None
     assert spec.nodes[pnode("P0")].prime
@@ -45,6 +47,24 @@ def test_colored_base_shape():
     assert ("a0inf", "a1inf") in q
     [edge] = spec.edges
     assert edge.src == pnode("P1") and edge.dst == pnode("P0") and edge.principal
+
+
+@pytest.mark.parametrize("colors,per_color", [(1, 1), (3, 1), (2, 2)])
+def test_qedge_pairs_name_elements_of_their_parts(colors, per_color):
+    spec = colored_base(3, colors, per_color)
+    add_qedge(spec, 0, 2, False)
+    q = spec.binary["Q0_2"]
+    assert all(x in spec.extent("P0") and y in spec.extent("P2") for x, y in q)
+    assert len(set(q)) == colors * (colors + 1) // 2 + 1
+
+
+def test_qedge_cap_counts_the_pairs_already_there(monkeypatch):
+    spec = colored_base(3, 2)
+    icp(spec, "P1", None, 1, 2)
+    there = sum(map(len, spec.binary.values()))
+    monkeypatch.setattr(operators, "UNIVERSE_CAP", there + 3)
+    with pytest.raises(BudgetError, match=f"^{there + 4} q-edge pairs exceed"):
+        add_qedge(spec, 0, 2, False)
 
 
 def test_icp_splits_by_color():
@@ -401,12 +421,12 @@ def test_apply_limit_operators():
 
 
 PIPE = [
-    PipelineStep("base", {"parts": "2", "colors": "1"}),
-    PipelineStep("icp", {"sub": "P0", "fan": "1"}),
-    PipelineStep("css", {"sub": "P0", "source": "P0", "fan": "1"}),
-    PipelineStep("css", {"sub": "P1", "source": "P0", "fan": "1"}),
-    PipelineStep("bu", {"sub1": "P0", "sub2": "P1", "fan": "1"}),
-    PipelineStep("lmt", {"node": "p(P0)", "lam": "2"}),
+    PipelineStep("base", {"parts": 2, "colors": 1}),
+    PipelineStep("icp", {"sub": "P0", "fan": 1}),
+    PipelineStep("css", {"sub": "P0", "source": "P0", "fan": 1}),
+    PipelineStep("css", {"sub": "P1", "source": "P0", "fan": 1}),
+    PipelineStep("bu", {"sub1": "P0", "sub2": "P1", "fan": 1}),
+    PipelineStep("lmt", {"node": "p(P0)", "lam": fin(2)}),
 ]
 
 
@@ -500,36 +520,30 @@ def fold_public_operators(steps):
     """The pipeline's meaning spelled out with the public operators, each
     growing the one structure in place."""
     base = [s.args for s in steps if s.op == "base"][-1]
-    qedges = [
-        (int(a["low"]), int(a["high"]), a.get("principal", "false") == "true")
-        for a in (s.args for s in steps if s.op == "qedge")
-    ]
-    spec = colored_base(
-        int(base["parts"]), int(base["colors"]), int(base.get("per_color", "1")), qedges
-    )
+    spec = colored_base(base["parts"], base["colors"], base.get("per_color", 1))
+    for a in (s.args for s in steps if s.op == "qedge"):
+        add_qedge(spec, a["low"], a["high"], a.get("principal", False))
     for step in steps:
         a = step.args
-        fan, depth = int(a.get("fan", "2")), int(a.get("depth", "1"))
+        fan, depth = a.get("fan", 2), a.get("depth", 1)
         if step.op == "icp":
-            y = a.get("y", "auto")
-            y = icp_need(spec, a["sub"], depth, fan) if y == "auto" else int(y)
+            y = a.get("y")
+            y = icp_need(spec, a["sub"], depth, fan) if y is None else y
             icp(spec, a["sub"], y, depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
                 parent = pnode(a["source"])  # a scan of the nodes, not the stub index
                 stubs = sorted(n.name for n in spec.nodes.values() if n.stub_of == parent)
             else:
-                stubs = a["stubs"].split(",")
-            linked = step.op == "bd" or a.get("linked") == "true"  # only css reads linked=
+                stubs = a["stubs"]
+            linked = step.op == "bd" or a.get("linked", False)  # only css reads linked=
             css(spec, stubs, a["sub"], fan, linked=linked)
         elif step.op == "bu":
-            z = a.get("z", "auto")
-            z = None if z == "auto" else int(z)
-            bu(spec, a["sub1"], a["sub2"], z, depth, fan)
+            bu(spec, a["sub1"], a["sub2"], a.get("z"), depth, fan)
         elif step.op == "lmt":
-            apply_lmt(spec, a["node"], parse_card(a["lam"]), a.get("reading", "gt"))
+            apply_lmt(spec, a["node"], a["lam"], a.get("reading", "gt"))
         elif step.op == "lms":
-            apply_lms(spec, a["nodes"].split(","), parse_card(a["lam"]), a.get("reading", "gt"))
+            apply_lms(spec, a["nodes"], a["lam"], a.get("reading", "gt"))
         elif step.op == "note":
             spec.notes.append(a.get("text", ""))
     return spec
@@ -537,33 +551,33 @@ def fold_public_operators(steps):
 
 def random_pipeline(rng):
     parts, colors = rng.randint(2, 5), rng.randint(1, 2)
-    depth = str(max(1, colors - 1 + rng.randint(0, 1)))
-    steps = [PipelineStep("base", {"parts": str(parts), "colors": str(colors)})]
+    depth = max(1, colors - 1 + rng.randint(0, 1))
+    steps = [PipelineStep("base", {"parts": parts, "colors": colors})]
     for _ in range(rng.randint(0, 2)):
         low, high = rng.sample(range(parts), 2)
-        steps.append(PipelineStep("qedge", {"low": str(low), "high": str(high), "principal": rng.choice(["true", "false"])}))
+        steps.append(PipelineStep("qedge", {"low": low, "high": high, "principal": rng.choice([True, False])}))
     subs = [f"P{i}" for i in range(parts)]
     source = rng.choice(subs)
-    steps.append(PipelineStep("icp", {"sub": source, "depth": depth, "fan": str(rng.randint(1, 2))}))
+    steps.append(PipelineStep("icp", {"sub": source, "depth": depth, "fan": rng.randint(1, 2)}))
     for _ in range(rng.randint(1, 6)):
         kind = rng.choice(["icp", "css", "bd", "bu", "lmt", "lms", "note"])
-        fan = str(rng.randint(1, 2))
+        fan = rng.randint(1, 2)
         if kind == "icp":
-            y = rng.choice(["auto", "40", "3"])
+            y = rng.choice([None, 40, 3])
             steps.append(PipelineStep("icp", {"sub": rng.choice(subs), "depth": depth, "fan": fan, "y": y}))
         elif kind in ("css", "bd"):
             args = {"sub": rng.choice(subs), "source": source, "fan": fan}
             if kind == "css":  # bd is always linked and takes no linked=
-                args["linked"] = rng.choice(["true", "false"])
+                args["linked"] = rng.choice([True, False])
             steps.append(PipelineStep(kind, args))
         elif kind == "bu":
             a, b = rng.sample(subs, 2)
             steps.append(PipelineStep("bu", {"sub1": a, "sub2": b, "depth": depth, "fan": fan}))
         elif kind == "lmt":
-            steps.append(PipelineStep("lmt", {"node": pnode(rng.choice(subs)), "lam": rng.choice(["1", "3", "w", "c"])}))
+            steps.append(PipelineStep("lmt", {"node": pnode(rng.choice(subs)), "lam": rng.choice([fin(1), fin(3), OMEGA, CONTINUUM])}))
         elif kind == "lms":
-            nodes = ",".join(pnode(s) for s in rng.sample(subs, 2))
-            steps.append(PipelineStep("lms", {"nodes": nodes, "lam": rng.choice(["2", "w", "c"]), "reading": rng.choice(["gt", "geq"])}))
+            nodes = tuple(pnode(s) for s in rng.sample(subs, 2))
+            steps.append(PipelineStep("lms", {"nodes": nodes, "lam": rng.choice([fin(2), OMEGA, CONTINUUM]), "reading": rng.choice(["gt", "geq"])}))
         else:
             steps.append(PipelineStep("note", {"text": f"n{rng.randint(0, 9)}"}))
     return steps
