@@ -805,15 +805,20 @@ def _mutate(rng, argv):
     return argv
 
 
+# the input files the README examples name
+README_FILES = {
+    "chain4.po": "elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n",
+    "graph.dg": "type p0 prime\ntype p1 prime\np1 dominates p0 via Q principal\n",
+    "spec.ds": "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
+               "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n",
+}
+
+
 def test_mutated_readme_examples_exit_cleanly(tmp_path, monkeypatch, capsys):
     # every mutated command line ends in exit 0, 2 or 3, never a traceback
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "chain4.po").write_text("elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n")
-    (tmp_path / "graph.dg").write_text("type p0 prime\ntype p1 prime\np1 dominates p0 via Q principal\n")
-    (tmp_path / "spec.ds").write_text(
-        "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
-        "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
-    )
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
     assert main(README_EXAMPLES[-2].split()) == 0
     rng = random.Random(2024)
     slowest = (0.0, None)
@@ -927,6 +932,66 @@ def test_mutated_input_files_exit_cleanly(tmp_path):
     assert not bad, bad[:3]
     assert len(codes) == len(runs) and {0, 2} <= set(codes)
     assert elapsed < 10, elapsed
+
+
+# command lines past the README examples that reach every other record a
+# command prints, run in this order after them
+GOLDEN_EXTRA = [
+    "preorder --in chain4.po --directed --cone 1",
+    "preorder --in antichain.po --quotient --directed",
+    "types --family iup --depth 2 --dense 00;01;10",
+    "dominate --in graph.dg --dot out.dot",
+    "dominate --in antichain.dg",
+    "dominate --in antichain.dg --rkt",
+    "limits --system lms --n 2 --alphabet 2 --len 3",
+    "limits --system lmt --lam w --alphabet 1000 --len 1",
+    "build --spec seq.ds --variant t84 --replay --out seq.pipe",
+    "apply --pipeline seq.pipe --verify",
+    "decompose --rk 2 --il 1,0,2 --npl c",
+]
+GOLDEN_FILES = {
+    **README_FILES,
+    "antichain.po": "elements: 2\n",
+    "antichain.dg": "type a prime\ntype b prime\n",
+    "seq.ds": FUZZ_FILES["seq.ds"][0],
+}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """(command line, exit status, stdout) of each README example and each
+    GOLDEN_EXTRA line, plain and then with --machine."""
+    cwd = tmp_path_factory.mktemp("golden")
+    for name, text in GOLDEN_FILES.items():
+        (cwd / name).write_text(text)
+    runs, home = [], os.getcwd()
+    os.chdir(cwd)
+    try:
+        for line in [README_EXAMPLES[-2]] + README_EXAMPLES + GOLDEN_EXTRA:  # build writes build.pipe
+            for argv in (line.split(), line.split() + ["--machine"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                runs.append((" ".join(argv), code, out.getvalue()))
+    finally:
+        os.chdir(home)
+    return runs[2:]
+
+
+def test_output_matches_the_golden_file(golden_runs):
+    # the CLI text and --machine records stay bit-stable
+    text = "".join(f"$ rklab {argv}\nexit {code}\n{out}" for argv, code, out in golden_runs)
+    assert text == (Path(__file__).parent / "cli_golden.txt").read_text()
+
+
+def test_machine_output_has_one_record_per_plain_line(golden_runs):
+    # limits and classify keep a machine form of their own
+    for (argv, _, plain), (_, _, machine) in zip(golden_runs[::2], golden_runs[1::2]):
+        if argv.split()[0] in ("limits", "classify"):
+            continue
+        records = machine.splitlines()
+        assert len(records) == len(plain.splitlines()), argv
+        assert all(re.match(r"[a-z_][^\s=]*=", line) for line in records), records
 
 
 def _full_parser():
