@@ -3,9 +3,16 @@ fills in its subparser, and ``run(args)``, which runs it; ``cli`` imports
 only the module of the subcommand a command line invokes."""
 
 
-def _emit(lines: list[str]) -> None:
-    for line in lines:
-        print(line)
+def _emit(args, records: list[tuple[str, object, str]]) -> None:
+    """Print each record ``(key, value, plain)``: its finished plain-text
+    line, or ``key=value`` under ``--machine``, a bool as ``true``/``false``."""
+    for key, value, plain in records:
+        if not args.machine:
+            print(plain)
+        elif isinstance(value, bool):
+            print(f"{key}={'true' if value else 'false'}")
+        else:
+            print(f"{key}={value}")
 
 
 def _read(path: str) -> str:

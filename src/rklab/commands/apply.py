@@ -21,15 +21,12 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         cite_step(args.pipeline, text, exc)
         raise
-    out: list[str] = []
-    mk = args.machine
-    out.append(f"universe={len(spec.universe)}" if mk else f"universe: {len(spec.universe)} elements")
+    out = [("universe", len(spec.universe), f"universe: {len(spec.universe)} elements")]
     if args.verify:
         for tag in sorted({rec.op for rec in spec.history} & {"icp", "css", "bu"}):
-            report = verify_schemes(spec, tag)
-            out.extend(report.machine() if mk else [report.render()])
+            out += verify_schemes(spec, tag).records()
     if args.out:
         _write(args.out, serialize_struct(spec))
-        out.append(f"out={args.out}" if mk else f"structure written to {args.out}")
-    _emit(out)
+        out.append(("out", args.out, f"structure written to {args.out}"))
+    _emit(args, out)
     return 0

@@ -33,28 +33,23 @@ def run(args: argparse.Namespace) -> int:
         colors=args.colors, per_color=1, depth=args.depth, fan_out=args.fan_out
     )
     bp = build_blueprint(spec, args.variant, config)
-    mk = args.machine
-    out: list[str] = []
-    out.append(f"predicates={len(bp.predicates)}" if mk else f"predicates: {len(bp.predicates)}")
     plan = ";".join(step.op for step in bp.operator_plan)
-    out.append(f"plan={plan}" if mk else f"plan: {plan}")
     trip = target_triple(spec).render()
-    out.append(f"triple={trip}" if mk else f"target triple: {trip}")
+    out = [
+        ("predicates", len(bp.predicates), f"predicates: {len(bp.predicates)}"),
+        ("plan", plan, f"plan: {plan}"),
+        ("triple", trip, f"target triple: {trip}"),
+    ]
     if args.out:
         _write(args.out, serialize_pipeline(bp.pipeline))
-        out.append(f"out={args.out}" if mk else f"pipeline written to {args.out}")
+        out.append(("out", args.out, f"pipeline written to {args.out}"))
     if args.replay:
         struct = replay_blueprint(bp, config)
-        out.append(
-            f"universe={len(struct.universe)}"
-            if mk
-            else f"replayed universe: {len(struct.universe)} elements"
-        )
-        po = replayed_prime_preorder(struct, bp.predicates)
-        q = sim_quotient(po)
-        out.append(f"rk_classes={q.size}" if mk else f"rk quotient classes: {q.size}")
+        out.append(("universe", len(struct.universe), f"replayed universe: {len(struct.universe)} elements"))
+        q = sim_quotient(replayed_prime_preorder(struct, bp.predicates))
+        out.append(("rk_classes", q.size, f"rk quotient classes: {q.size}"))
         for key, value in sorted(replayed_il(struct, spec).items(), key=lambda kv: sorted(kv[0])):
-            label = key_label(key)
-            out.append(f"il.{label}={render(value)}" if mk else f"IL{label} = {render(value)}")
-    _emit(out)
+            label, il = key_label(key), render(value)
+            out.append((f"il.{label}", il, f"IL{label} = {il}"))
+    _emit(args, out)
     return 0

@@ -19,18 +19,9 @@ def run(args: argparse.Namespace) -> int:
     rk = parse_card(args.rk)
     il = [parse_card(tok) for tok in args.il.split(",")] if args.il else []
     npl = parse_card(args.npl)
-    mk = args.machine
+    total, ok = decompose_tc(rk, il, npl, ch=not args.no_ch) if args.tc else (decompose(rk, il, npl), None)
+    out = [("total", render(total), f"total: {render(total)}")]
     if args.tc:
-        total, ok = decompose_tc(rk, il, npl, ch=not args.no_ch)
-        if mk:
-            out = [f"total={render(total)}", f"continuum_check={str(ok).lower()}"]
-        else:
-            out = [
-                f"total: {render(total)}",
-                f"continuum check: {'pass' if ok else 'FAIL'}",
-            ]
-    else:
-        total = decompose(rk, il, npl)
-        out = [f"total={render(total)}"] if mk else [f"total: {render(total)}"]
-    _emit(out)
+        out.append(("continuum_check", ok, f"continuum check: {'pass' if ok else 'FAIL'}"))
+    _emit(args, out)
     return 0

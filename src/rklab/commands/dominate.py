@@ -16,31 +16,26 @@ def run(args: argparse.Namespace) -> int:
     from ..preorder import sim_quotient
 
     g = parse_domination(_read(args.infile), args.infile)
-    mk = args.machine
-    out: list[str] = []
     if args.rkt:
         p = rk_preorder(g)
         names = g.names()
-        pairs = ";".join(
-            f"{names[i]}<={names[j]}" for i, j in p.pairs() if i != j
-        )
-        out.append(f"rkt={pairs}" if mk else f"rkt preorder: {pairs or '(discrete)'}")
-        q = sim_quotient(p)
-        minima = ",".join(str(m) for m in q.minima())
-        out.append(f"minima={minima}" if mk else f"minimal classes: {minima}")
+        pairs = ";".join(f"{names[i]}<={names[j]}" for i, j in p.pairs() if i != j)
+        minima = ",".join(str(m) for m in sim_quotient(p).minima())
+        out = [("rkt", pairs, f"rkt preorder: {pairs or '(discrete)'}"),
+               ("minima", minima, f"minimal classes: {minima}")]
     else:
         q = rk_structure(g)
         prime = prime_node_order(g)
-        out.append(f"prime_nodes={len(prime)}" if mk else f"prime nodes: {len(prime)}")
         iso = iso_classes(g)
-        out.append(f"iso_types={len(iso)}" if mk else f"isomorphism types: {len(iso)}")
+        out = [("prime_nodes", len(prime), f"prime nodes: {len(prime)}"),
+               ("iso_types", len(iso), f"isomorphism types: {len(iso)}")]
         for ci, members in enumerate(q.classes):
             body = ",".join(prime[m] for m in sorted(members))
-            out.append(f"class.{ci}={body}" if mk else f"class {ci}: {{{body}}}")
+            out.append((f"class.{ci}", body, f"class {ci}: {{{body}}}"))
         covers = ";".join(f"{a}<{b}" for a, b in q.covers())
-        out.append(f"covers={covers}" if mk else f"covers: {covers or '(none)'}")
+        out.append(("covers", covers, f"covers: {covers or '(none)'}"))
         if args.dot:
             _write(args.dot, quotient_dot(q, prime))
-            out.append(f"dot={args.dot}" if mk else f"dot written to {args.dot}")
-    _emit(out)
+            out.append(("dot", args.dot, f"dot written to {args.dot}"))
+    _emit(args, out)
     return 0

@@ -1,8 +1,6 @@
 """``rklab limits``: limit-model class counts at a length bound."""
 import argparse
 
-from . import _emit
-
 
 def arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", choices=("lmt", "lms"), required=True)
@@ -23,9 +21,9 @@ def run(args: argparse.Namespace) -> int:
     system = lmt(lam) if args.system == "lmt" else lms(lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
     known = info["count_next"] is not None
-    mk = args.machine
     out: list[str] = []
-    if mk:
+    # no _emit: the records split "L=..: N classes" in two and put target second
+    if args.machine:
         out.append(f"system={system.kind}")
         out.append(f"target={render(system.target)}")
         if system.kind == "lms" and system.n is None:
@@ -46,5 +44,5 @@ def run(args: argparse.Namespace) -> int:
         reps = ", ".join(render_word(w) for w in info["representatives"])
         out.append(f"representatives: {reps}")
         out.append(f"target (displayed, not asserted at finite L): {render(system.target)}")
-    _emit(out)
+    print("\n".join(out))
     return 0

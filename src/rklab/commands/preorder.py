@@ -19,32 +19,30 @@ def run(args: argparse.Namespace) -> int:
     from ..preorder import cones, height, is_upward_directed, sim_quotient, width
 
     p = parse_preorder(_read(args.infile), args.infile)
-    out: list[str] = []
-    mk = args.machine
-    out.append(f"elements={p.n}" if mk else f"elements: {p.n}")
+    out = [("elements", p.n, f"elements: {p.n}")]
     if args.quotient or args.dot or args.height or args.width or args.directed:
         q = sim_quotient(p)
     if args.quotient:
         for ci, members in enumerate(q.classes):
             body = ",".join(str(m) for m in members)
-            out.append(f"class.{ci}={body}" if mk else f"class {ci}: {{{body}}}")
+            out.append((f"class.{ci}", body, f"class {ci}: {{{body}}}"))
         edges = ";".join(f"{a}<{b}" for a, b in q.covers())
-        out.append(f"covers={edges}" if mk else f"covers: {edges or '(none)'}")
+        out.append(("covers", edges, f"covers: {edges or '(none)'}"))
     if args.dot:
         _write(args.dot, quotient_dot(q))
-        out.append(f"dot={args.dot}" if mk else f"dot written to {args.dot}")
+        out.append(("dot", args.dot, f"dot written to {args.dot}"))
     if args.height:
-        out.append(f"height={height(q)}" if mk else f"height: {height(q)}")
+        h = height(q)
+        out.append(("height", h, f"height: {h}"))
     if args.width:
-        out.append(f"width={width(q)}" if mk else f"width: {width(q)}")
+        w = width(q)
+        out.append(("width", w, f"width: {w}"))
     if args.directed:
         d = is_upward_directed(q)
-        out.append(f"directed={str(d).lower()}" if mk else f"upward directed: {d}")
+        out.append(("directed", d, f"upward directed: {d}"))
     if args.cone is not None:
-        lower, upper = cones(p, args.cone)
-        ls = ",".join(str(x) for x in sorted(lower))
-        us = ",".join(str(x) for x in sorted(upper))
-        out.append(f"lower={ls}" if mk else f"lower cone of {args.cone}: {{{ls}}}")
-        out.append(f"upper={us}" if mk else f"upper cone of {args.cone}: {{{us}}}")
-    _emit(out)
+        for side, cone in zip(("lower", "upper"), cones(p, args.cone)):
+            body = ",".join(str(x) for x in sorted(cone))
+            out.append((side, body, f"{side} cone of {args.cone}: {{{body}}}"))
+    _emit(args, out)
     return 0

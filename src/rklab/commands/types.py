@@ -22,7 +22,7 @@ def _space_from_args(args: argparse.Namespace) -> TypeSpace:
         from ..formats import parse_typespace
 
         return parse_typespace(_read(args.infile), args.infile)
-    if not args.family or not args.depth:
+    if not args.family or args.depth is None:
         raise ValueError("need --in or both --family and --depth")
     from ..typespace import TypeSpace
 
@@ -34,25 +34,21 @@ def run(args: argparse.Namespace) -> int:
     from ..typespace import is_principal, parse_cell, parse_formula, render_cell
 
     ts = _space_from_args(args)
-    mk = args.machine
-    out: list[str] = []
     cells = enumerate_types(ts)
-    out.append(f"cells={len(cells)}" if mk else f"cells: {len(cells)}")
+    out = [("cells", len(cells), f"cells: {len(cells)}")]
     if args.enumerate:
         for cell in cells:
             tag = "principal" if is_principal(ts, cell) else "non-principal"
             name = render_cell(cell)
-            out.append(f"cell.{name}={tag}" if mk else f"  {name}  [{tag}]")
+            out.append((f"cell.{name}", tag, f"  {name}  [{tag}]"))
     if args.classify:
-        phi = parse_formula(ts, args.classify)
-        verdict = classify_formula(ts, phi).value
-        out.append(f"formula={verdict}" if mk else f"formula class: {verdict}")
+        verdict = classify_formula(ts, parse_formula(ts, args.classify)).value
+        out.append(("formula", verdict, f"formula class: {verdict}"))
     if args.prime:
         hp = has_prime_model(ts)
-        out.append(f"prime_model={str(hp).lower()}" if mk else f"prime model: {hp}")
+        out.append(("prime_model", hp, f"prime model: {hp}"))
     if args.dense is not None:
-        members = [parse_cell(ts, tok) for tok in args.dense.split(";") if tok]
-        d = is_dense(ts, members)
-        out.append(f"dense={str(d).lower()}" if mk else f"dense: {d}")
-    _emit(out)
+        d = is_dense(ts, [parse_cell(ts, tok) for tok in args.dense.split(";") if tok])
+        out.append(("dense", d, f"dense: {d}"))
+    _emit(args, out)
     return 0

@@ -214,20 +214,22 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
     lines = _lines(text)
     pre_lines = []
     rest = []
-    mode = None
+    mode = mode_no = None
     for no, line in lines:
         if line.startswith("mode:"):
             if mode is not None:
                 raise ParseError(path, no, "one 'mode:' line", line)
-            mode = line.split(":", 1)[1].strip()
+            mode, mode_no = line.split(":", 1)[1].strip(), no
             continue
         if line.startswith(("f:", "partition:")):
             rest.append((no, line))
         else:
             pre_lines.append((no, line))
     order = _preorder(pre_lines, path)
+    if mode is None:
+        raise ValueError(f"{path}: distribution spec needs a 'mode: finite|countable-truncated' line")
     if mode not in ("finite", "countable-truncated"):
-        raise ParseError(path, 1, "'mode: finite|countable-truncated'", str(mode))
+        raise ParseError(path, mode_no, "'mode: finite|countable-truncated'", mode)
     values: dict = {}
     partition: dict[int, str] = {}
     for no, line in rest:

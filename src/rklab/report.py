@@ -34,27 +34,16 @@ class Report:
     def violations(self) -> list[Entry]:
         return [e for e in self.entries if not e.ok]
 
-    def render(self) -> str:
-        lines = [f"[{self.title}]"]
+    def records(self) -> list[tuple[str, object, str]]:
+        """One ``(key, value, plain line)`` per line of the report: the
+        title, each check, each fact and the verdict."""
+        out: list[tuple[str, object, str]] = [("report", self.title, f"[{self.title}]")]
         for e in self.entries:
-            mark = "pass" if e.ok else "FAIL"
-            line = f"  {mark}  {e.code}"
-            if e.detail:
-                line += f": {e.detail}"
-            lines.append(line)
-        for k, v in self.facts:
-            lines.append(f"  note  {k} = {v}")
-        lines.append(f"  => {'pass' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-    def machine(self) -> list[str]:
-        lines = [f"report={self.title}"]
-        for e in self.entries:
-            lines.append(f"check.{e.code}={'ok' if e.ok else 'fail'}")
-        for k, v in self.facts:
-            lines.append(f"fact.{k}={v}")
-        lines.append(f"ok={'true' if self.ok else 'false'}")
-        return lines
+            plain = f"  {'pass' if e.ok else 'FAIL'}  {e.code}" + (f": {e.detail}" if e.detail else "")
+            out.append((f"check.{e.code}", "ok" if e.ok else "fail", plain))
+        out += [(f"fact.{k}", v, f"  note  {k} = {v}") for k, v in self.facts]
+        out.append(("ok", self.ok, f"  => {'pass' if self.ok else 'FAIL'}"))
+        return out
 
 
 class ReportBuilder:

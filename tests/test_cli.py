@@ -112,6 +112,18 @@ def test_types_classify_refuses_literals_outside_the_grammar(capsys, family, dep
     assert result == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--family", "iup"), "need --in or both --family and --depth"),
+        (("--family", "iup", "--depth", "0"), "depth must be positive"),
+    ],
+    ids=["no-depth", "depth-zero"],
+)
+def test_types_refuses_a_space_it_cannot_build(capsys, options, message):
+    assert run_cli("types", *options, capsys=capsys) == (2, "", f"error: {message}\n")
+
+
 def test_types_refuses_a_repeated_type_space_key(tmp_path, capsys):
     ts = tmp_path / "twice.ts"
     ts.write_text("family: iup\ndepth: 3\ndepth: 4\n")
@@ -426,8 +438,12 @@ def test_dominate_dot_export(tmp_path, capsys):
          "g.dg:4: expected one line per edge, got 'b dominates a via Q'"),
         ("p.pipe", "base parts=1 colors=1\nicp sub=P0 dpth=2\n", ["apply", "--pipeline"],
          "p.pipe:2: expected a key of 'icp' among sub, depth, fan, y, got 'dpth=2'"),
+        ("b.ds", "elements: 2\n0 <= 1\nmode: bogus\nf: {0} = 1\n", ["build", "--spec"],
+         "b.ds:3: expected 'mode: finite|countable-truncated', got 'bogus'"),
+        ("n.ds", "elements: 2\n0 <= 1\nf: {0} = 1\n", ["build", "--spec"],
+         "n.ds: distribution spec needs a 'mode: finite|countable-truncated' line"),
     ],
-    ids=["repeated-dg-edge", "unknown-pipeline-key"],
+    ids=["repeated-dg-edge", "unknown-pipeline-key", "bad-mode", "no-mode"],
 )
 def test_input_refusals_exit_2_citing_the_line(tmp_path, monkeypatch, capsys, name, text, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -654,13 +670,13 @@ def _count_preorder_calls(monkeypatch, names):
 def test_preorder_builds_one_quotient(tmp_path, capsys, monkeypatch):
     po = tmp_path / "chain.po"
     po.write_text("elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n")
-    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "is_closed", "close"))
+    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "is_closed", "close", "height", "width"))
     code, out, _ = run_cli(
         "preorder", "--in", str(po), "--quotient", "--height", "--width", "--directed",
         "--dot", str(tmp_path / "q.dot"), "--machine", capsys=capsys,
     )
     assert code == 0 and "height=4\nwidth=1\ndirected=true\n" in out
-    assert counts == {"sim_quotient": 1, "is_closed": 1, "close": 1}
+    assert counts == {"sim_quotient": 1, "is_closed": 1, "close": 1, "height": 1, "width": 1}
 
 
 def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatch):
