@@ -18,9 +18,10 @@ def run(args: argparse.Namespace) -> int:
     g = parse_domination(_read(args.infile), args.infile)
     if args.rkt:
         p = rk_preorder(g)
-        names = g.names()
-        pairs = ";".join(f"{names[i]}<={names[j]}" for i, j in p.pairs() if i != j)
-        minima = ",".join(str(m) for m in sim_quotient(p).minima())
+        labels = g.names()
+        pairs = ";".join(f"{labels[i]}<={labels[j]}" for i, j in p.pairs() if i != j)
+        q = sim_quotient(p)
+        minima = ",".join(str(m) for m in q.minima())
         out = [("rkt", pairs, f"rkt preorder: {pairs or '(discrete)'}"),
                ("minima", minima, f"minimal classes: {minima}")]
     else:
@@ -34,8 +35,9 @@ def run(args: argparse.Namespace) -> int:
             out.append((f"class.{ci}", body, f"class {ci}: {{{body}}}"))
         covers = ";".join(f"{a}<{b}" for a, b in q.covers())
         out.append(("covers", covers, f"covers: {covers or '(none)'}"))
-        if args.dot:
-            _write(args.dot, quotient_dot(q, prime))
-            out.append(("dot", args.dot, f"dot written to {args.dot}"))
+        labels = prime
+    if args.dot:
+        _write(args.dot, quotient_dot(q, labels))
+        out.append(("dot", args.dot, f"dot written to {args.dot}"))
     _emit(args, out)
     return 0

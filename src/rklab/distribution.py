@@ -206,8 +206,8 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         from .preorder import sim_quotient
 
-        # the order's quotient, built once and checked closed; not a field,
-        # so equality, hashing and repr read the fields alone
+        # the order's quotient, built once; not a field, so equality,
+        # hashing and repr read the fields alone
         object.__setattr__(self, "quotient", sim_quotient(self.order))
         if self.mode not in ("finite", "countable-truncated"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -397,36 +397,6 @@ class TheoryBlueprint:
         return tuple(step for step in self.pipeline if step.op not in ("base", "qedge"))
 
 
-def _components(q: QuotientPoset) -> list[tuple[list[int], list[int]]]:
-    """The connected components of the order, in the order of their least
-    element: each as its elements and, ascending, the least element of
-    each of its maximal classes.
-
-    Comparable classes lie below one maximal class, so joining each class
-    to the maximal classes above it connects each component.
-    """
-    from .preorder import _bits, _mask
-
-    root = list(range(q.size))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        return a
-
-    tops = _mask(q.maxima())
-    for a, row in enumerate(q.above):
-        for m in _bits(row & tops):
-            root[find(m)] = find(a)
-    comps: dict[int, tuple[list[int], list[int]]] = {}
-    for c, members in enumerate(q.classes):
-        elements, reps = comps.setdefault(find(c), ([], []))
-        elements.extend(members)
-        if not q.above[c]:
-            reps.append(members[0])
-    return list(comps.values())
-
-
 def build_blueprint(
     spec: DistributionSpec, variant: str, config: BuildConfig = BuildConfig()
 ) -> TheoryBlueprint:
@@ -440,7 +410,7 @@ def build_blueprint(
     the prime-less side exactly.
     """
     from .operators import UNIVERSE_CAP, PipelineStep, pnode
-    from .preorder import ranks
+    from .preorder import components, ranks
 
     if variant not in ("t77", "t84", "t91", "t92"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -457,7 +427,7 @@ def build_blueprint(
     predicates = tuple(f"P{i}" for i in range(m))
     q = spec.quotient
     rank = ranks(q)
-    comps = _components(q)
+    comps = components(q)
 
     labels = dict(spec.partition or ())
     p_elems = [i for i in range(m) if labels.get(i, "P") == "P"]
@@ -596,7 +566,7 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
     c85: countably many primes, any limit count, continuum rest.
     c93: continuum primes and limits, chosen count of other models.
     """
-    from .preorder import close, from_pairs
+    from .preorder import from_pairs
 
     if kind == "c78":
         lam1, lam2 = params
@@ -606,11 +576,11 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         n = lam1.value
         values = {frozenset({i}): ZERO for i in range(n)}
         values[frozenset({0})] = lam2
-        return finite_spec(close(from_pairs(n, [])), values, triple=Cm3Triple(lam1, lam2, CONTINUUM))
+        return finite_spec(from_pairs(n, []), values, triple=Cm3Triple(lam1, lam2, CONTINUUM))
     if kind == "c85":
         (lam,) = params
         _check_range(lam, allow_zero=True, what="limit count")
-        order = close(from_pairs(3, [(0, 1), (1, 2)]))
+        order = from_pairs(3, [(0, 1), (1, 2)])
         key = SeqKey((0, 1, 2), extendable=lam != ZERO)
         return sequence_spec(order, {key: lam}, triple=Cm3Triple(OMEGA, lam, CONTINUUM))
     if kind == "c93":
@@ -618,7 +588,7 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         _check_range(lam, allow_zero=True, what="npl count")
         npl_count = 2 if lam in (OMEGA, CONTINUUM) else lam.value
         n = 3 + npl_count
-        order = close(from_pairs(n, [(0, 1), (1, 2)]))
+        order = from_pairs(n, [(0, 1), (1, 2)])
         partition = {i: ("P" if i < 3 else "NPL") for i in range(n)}
         key = SeqKey((0, 1, 2), extendable=True)
         residual = CONTINUUM if lam == CONTINUUM else None

@@ -74,11 +74,11 @@ def rk_preorder(g: DominationGraph, principal: bool = False) -> Preorder:
 
     ``le(p, q)`` holds when p is dominated by q.
     """
-    from .preorder import close, from_pairs
+    from .preorder import from_pairs
 
     idx = g.index()
     pairs = [(idx[e.dst], idx[e.src]) for e in g.edges if e.principal or not principal]
-    return close(from_pairs(len(g.nodes), pairs))
+    return from_pairs(len(g.nodes), pairs)
 
 
 def prime_node_order(g: DominationGraph) -> list[str]:

@@ -56,7 +56,7 @@ def parse_preorder(text: str, path: str = "<preorder>") -> Preorder:
 
 def _preorder(lines: list[tuple[int, str]], path: str) -> Preorder:
     """The preorder block of a file, from its numbered content lines."""
-    from .preorder import close, from_pairs
+    from .preorder import from_pairs
 
     if not lines or not lines[0][1].startswith("elements:"):
         got = lines[0][1] if lines else "<empty file>"
@@ -74,7 +74,7 @@ def _preorder(lines: list[tuple[int, str]], path: str) -> Preorder:
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(path, no, f"indices below {n}", line)
         pairs.append((i, j))
-    return close(from_pairs(n, pairs))
+    return from_pairs(n, pairs)
 
 
 def serialize_preorder(p: Preorder) -> str:

@@ -1,14 +1,14 @@
 """Finite preorders, their quotient posets, and the premodel axiom checker.
 
 A preorder on 0..n-1 is stored as bitset rows: bit j of ``rows[i]``
-says i <= j for j != i, and the diagonal is the one mask ``loops``, so
-memory grows with the pairs present, not with n^2.  ``close`` takes the
-reflexive-transitive closure and everything downstream requires closed
-input.  The quotient identifies mutually related elements (the strongly
-connected components of the relation) and is always a genuine partial
-order.  Heights and widths are computed exactly on the quotient, which
-is what the chain/antichain definitions range over once equivalent
-elements are ruled out.
+says i <= j for j != i, and the diagonal is implied, so memory grows
+with the pairs present, not with n^2.  A ``Preorder`` keeps the
+reflexive-transitive closure of the rows it is built from, so every
+preorder is closed.  The quotient identifies mutually related elements
+(the strongly connected components of the relation) and is always a
+genuine partial order.  Heights and widths are computed exactly on the
+quotient, which is what the chain/antichain definitions range over once
+equivalent elements are ruled out.
 """
 from __future__ import annotations
 
@@ -41,77 +41,46 @@ def _mask(positions) -> int:
 class Preorder:
     n: int
     rows: tuple[int, ...]
-    loops: int
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative element count")
         if len(self.rows) != self.n or any(
             r >> self.n or r >> i & 1 for i, r in enumerate(self.rows)
-        ) or self.loops >> self.n:
+        ):
             raise ValueError("relation shape does not match element count")
+        # the closure: each row grows breadth first, ORing in the rows of
+        # the elements it newly reaches until it reaches nothing new
+        rows = list(self.rows)
+        for i, row in enumerate(rows):
+            reach = frontier = row
+            while frontier:
+                new = 0
+                for j in _bits(frontier):
+                    new |= rows[j]
+                frontier = new & ~reach
+                reach |= new
+            rows[i] = reach ^ 1 << i if reach >> i & 1 else reach
+        object.__setattr__(self, "rows", tuple(rows))
 
     def le(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j if i != j else self.loops >> i) & 1)
+        return i == j or bool(self.rows[i] >> j & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
-        loops = set(_bits(self.loops))
-        return [
-            (i, j)
-            for i, row in enumerate(self.rows)
-            for j in sorted(_bits(row) + [i] * (i in loops))
-        ]
+        return [(i, j) for i, row in enumerate(self.rows) for j in sorted(_bits(row) + [i])]
 
 
 def from_pairs(n: int, pairs) -> Preorder:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    loops = []
+    succ: dict[int, list[int]] = {}
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"pair ({i},{j}) out of range for {n} elements")
-        if i == j:
-            loops.append(i)
-        else:
-            succ[i].append(j)
-    return Preorder(n, tuple(_mask(js) for js in succ), _mask(loops))
-
-
-def close(p: Preorder) -> Preorder:
-    """Reflexive-transitive closure; idempotent.
-
-    Each row grows breadth first: the rows of the elements it newly
-    reaches are ORed in until it reaches nothing new.
-    """
-    rows = list(p.rows)
-    for i, row in enumerate(rows):
-        reach = frontier = row
-        while frontier:
-            new = 0
-            for j in _bits(frontier):
-                new |= rows[j]
-            frontier = new & ~reach
-            reach |= new
-        rows[i] = reach ^ 1 << i if reach >> i & 1 else reach
-    return Preorder(p.n, tuple(rows), (1 << p.n) - 1)
-
-
-def is_closed(p: Preorder) -> bool:
-    if p.loops != (1 << p.n) - 1:
-        return False
-    rows = p.rows
-    for i, row in enumerate(rows):
-        reached = 0
-        for j in _bits(row):
-            reached |= rows[j]
-        extra = reached & ~row  # i itself may appear, through i <= j <= i
-        if extra and (extra & (extra - 1) or extra.bit_length() != i + 1):
-            return False
-    return True
-
-
-def _require_closed(p: Preorder) -> None:
-    if not is_closed(p):
-        raise ValueError("preorder must be reflexively and transitively closed")
+        if i != j:
+            succ.setdefault(i, []).append(j)
+    rows = [0] * n
+    for i, js in succ.items():
+        rows[i] = _mask(js)
+    return Preorder(n, tuple(rows))
 
 
 def induced(p: Preorder, elements: list[int]) -> Preorder:
@@ -120,9 +89,7 @@ def induced(p: Preorder, elements: list[int]) -> Preorder:
     rows = tuple(
         _mask(pos[j] for j in _bits(p.rows[e]) if j in pos) for e in elements
     )
-    return Preorder(
-        len(elements), rows, _mask(a for a, e in enumerate(elements) if p.loops >> e & 1)
-    )
+    return Preorder(len(elements), rows)
 
 
 @record
@@ -170,30 +137,59 @@ class QuotientPoset:
 
 
 def sim_quotient(p: Preorder) -> QuotientPoset:
-    _require_closed(p)
     n = p.n
     rows = p.rows
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
-    for i in range(n):
+    for i, row in enumerate(rows):
         if class_of[i] >= 0:
             continue
-        members = (i, *(j for j in _bits(rows[i]) if rows[j] >> i & 1))
+        # an element with an empty row is alone in its class, below nothing
+        members = (i, *(j for j in _bits(row) if rows[j] >> i & 1)) if row else (i,)
         for j in members:
             class_of[j] = len(classes)
         classes.append(members)
     above = tuple(
         _mask(b for b in (class_of[j] for j in _bits(rows[members[0]])) if b != a)
+        if rows[members[0]] else 0
         for a, members in enumerate(classes)
     )
     return QuotientPoset(tuple(classes), above, tuple(class_of))
+
+
+def components(q: QuotientPoset) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the order, in the order of their least
+    element: each as its elements and, ascending, the least element of
+    each of its maximal classes.
+
+    Comparable classes lie below one maximal class, so joining each class
+    to the maximal classes above it connects each component.
+    """
+    root = list(range(q.size))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    tops = _mask(q.maxima())
+    for a, row in enumerate(q.above):
+        for m in _bits(row & tops):
+            root[find(m)] = find(a)
+    comps: dict[int, tuple[list[int], list[int]]] = {}
+    for c, members in enumerate(q.classes):
+        elements, reps = comps.setdefault(find(c), ([], []))
+        elements.extend(members)
+        if not q.above[c]:
+            reps.append(members[0])
+    return list(comps.values())
 
 
 def cones(p: Preorder, a: int) -> tuple[frozenset[int], frozenset[int]]:
     if not (0 <= a < p.n):
         raise IndexError(f"element {a} out of range")
     lower = frozenset(x for x in range(p.n) if p.le(x, a))
-    upper = frozenset(_bits(p.rows[a])) | ({a} if p.le(a, a) else set())
+    upper = frozenset(_bits(p.rows[a])) | {a}
     return lower, upper
 
 
@@ -344,4 +340,4 @@ def random_preorder(rng, n: int, density: float = 0.3) -> Preorder:
         for j in range(n)
         if i != j and rng.random() < density
     ]
-    return close(from_pairs(n, pairs))
+    return from_pairs(n, pairs)

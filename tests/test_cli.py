@@ -424,11 +424,12 @@ def test_types_dense_flag(capsys):
 def test_dominate_dot_export(tmp_path, capsys):
     dg = tmp_path / "g.dg"
     dg.write_text("type a prime\ntype b prime\nb dominates a via Q\n")
-    dot = tmp_path / "rk.dot"
-    code, out, _ = run_cli("dominate", "--in", str(dg), "--dot", str(dot), capsys=capsys)
-    assert code == 0
-    text = dot.read_text()
-    assert text.startswith("digraph") and "{a}" in text and "{b}" in text
+    for flags in ((), ("--rkt",)):
+        dot = tmp_path / f"rk{len(flags)}.dot"
+        code, out, _ = run_cli("dominate", "--in", str(dg), *flags, "--dot", str(dot), capsys=capsys)
+        assert code == 0 and out.endswith(f"dot written to {dot}\n")
+        text = dot.read_text()
+        assert text.startswith("digraph") and "{a}" in text and "{b}" in text
 
 
 @pytest.mark.parametrize(
@@ -650,7 +651,6 @@ def test_element_count_over_the_cap_refused_before_allocating(tmp_path, argv, te
 def _count_preorder_calls(monkeypatch, names):
     """Count the calls to the named ``rklab.preorder`` functions, in every
     module that bound them."""
-    import rklab.domination  # binds close and sim_quotient at import
     import rklab.preorder
 
     counts = dict.fromkeys(names, 0)
@@ -670,13 +670,13 @@ def _count_preorder_calls(monkeypatch, names):
 def test_preorder_builds_one_quotient(tmp_path, capsys, monkeypatch):
     po = tmp_path / "chain.po"
     po.write_text("elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n")
-    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "is_closed", "close", "height", "width"))
+    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "from_pairs", "height", "width"))
     code, out, _ = run_cli(
         "preorder", "--in", str(po), "--quotient", "--height", "--width", "--directed",
         "--dot", str(tmp_path / "q.dot"), "--machine", capsys=capsys,
     )
     assert code == 0 and "height=4\nwidth=1\ndirected=true\n" in out
-    assert counts == {"sim_quotient": 1, "is_closed": 1, "close": 1, "height": 1, "width": 1}
+    assert counts == {"sim_quotient": 1, "from_pairs": 1, "height": 1, "width": 1}
 
 
 def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatch):
@@ -685,11 +685,11 @@ def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatc
         "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
         "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
     )
-    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "is_closed", "close"))
+    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "from_pairs"))
     code, out, _ = run_cli("build", "--spec", str(ds), "--replay", "--machine", capsys=capsys)
     assert code == 0 and "rk_classes=2\n" in out
-    # the spec's order and the replayed one: each closed, checked and quotiented once
-    assert counts == {"sim_quotient": 2, "is_closed": 2, "close": 2}
+    # the spec's order and the replayed one: each built and quotiented once
+    assert counts == {"sim_quotient": 2, "from_pairs": 2}
 
 
 def test_oversized_type_spaces_refused_before_allocating():

@@ -7,7 +7,6 @@ from oracles import brute_components, limit_obligations, matrix, replayed_prime_
 from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, card_eq, fin, render
 from rklab.distribution import (
     BuildConfig,
-    _components,
     Cm3Triple,
     DistributionSpec,
     SeqKey,
@@ -30,7 +29,7 @@ from rklab.distribution import (
 from rklab.domination import DomEdge, DominationGraph, TypeNode
 from rklab.operators import pnode, verify_schemes
 from rklab.preorder import (
-    close,
+    components,
     from_pairs,
     random_preorder,
     sim_quotient,
@@ -113,7 +112,7 @@ def test_decompose():
 # -- f validation -------------------------------------------------------------
 
 def test_validate_f_finite_tc():
-    order = close(from_pairs(3, [(0, 1), (1, 0)]))
+    order = from_pairs(3, [(0, 1), (1, 0)])
     q = sim_quotient(order)
     good = finite_spec(order, {frozenset({0, 1}): fin(1), frozenset({2}): ZERO})
     assert validate_f(good).ok
@@ -124,13 +123,13 @@ def test_validate_f_finite_tc():
 
 
 def test_validate_f_all_singleton_antichain_zero_passes():
-    order = close(from_pairs(3, []))
+    order = from_pairs(3, [])
     spec = finite_spec(order, {frozenset({i}): ZERO for i in range(3)})
     assert validate_f(spec).ok
 
 
 def test_validate_f_value_range():
-    order = close(from_pairs(1, []))
+    order = from_pairs(1, [])
     spec = finite_spec(order, {frozenset({0}): OMEGA1})
     assert any(
         "value-range" in e.code for e in validate_f(spec).violations()
@@ -153,7 +152,7 @@ def test_sequence_semantics():
 
 
 def test_validate_f_sequences():
-    order = close(from_pairs(3, [(0, 1), (1, 2)]))
+    order = from_pairs(3, [(0, 1), (1, 2)])
     good = sequence_spec(
         order,
         {SeqKey((0, 1, 2)): fin(2), SeqKey((1, 2)): fin(2)},
@@ -180,17 +179,15 @@ def test_validate_f_sequences():
 
 
 def test_spec_validation_errors():
-    order = close(from_pairs(2, [(0, 1)]))
+    order = from_pairs(2, [(0, 1)])
     with pytest.raises(ValueError):
         finite_spec(order, {frozenset({0}): ZERO})  # misses a class
     with pytest.raises(ValueError):
         sequence_spec(order, {SeqKey((1, 0)): ZERO})  # not a chain
-    with pytest.raises(ValueError):
-        DistributionSpec(from_pairs(2, [(0, 1)]), "finite")  # not closed
 
 
 def test_spec_keys_match_the_mode():
-    order = close(from_pairs(2, [(0, 1)]))
+    order = from_pairs(2, [(0, 1)])
     with pytest.raises(ValueError, match="countable-truncated mode keys f by sequence"):
         DistributionSpec(order, "countable-truncated", ((frozenset({0}), ZERO),))
     with pytest.raises(ValueError, match="finite mode keys f by class"):
@@ -206,7 +203,7 @@ def test_spec_keys_match_the_mode():
 
 def test_blueprint_example_shape():
     # two types, the higher dominating the lower one only
-    order = close(from_pairs(2, [(0, 1)]))
+    order = from_pairs(2, [(0, 1)])
     q = sim_quotient(order)
     spec = finite_spec(order, {frozenset(c): ZERO for c in q.classes})
     bp = build_blueprint(spec, "t77", CFG)
@@ -219,7 +216,7 @@ def test_blueprint_example_shape():
 
 
 def test_replay_rejects_other_config():
-    spec = finite_spec(close(from_pairs(1, [])), {frozenset({0}): ZERO})
+    spec = finite_spec(from_pairs(1, []), {frozenset({0}): ZERO})
     bp = build_blueprint(spec, "t77", CFG)
     with pytest.raises(ValueError, match="built with"):
         replay_blueprint(bp, BuildConfig(fan_out=CFG.fan_out + 1))
@@ -231,7 +228,7 @@ def test_components_against_matrix_oracle():
         n = trial if trial < 2 else rng.randint(0, 12)
         p = random_preorder(rng, n, rng.uniform(0.0, 0.4))
         full = matrix(p)
-        comps, expected = _components(sim_quotient(p)), brute_components(full)
+        comps, expected = components(sim_quotient(p)), brute_components(full)
         assert [sorted(elements) for elements, _ in comps] == expected
         for (_, reps), comp in zip(comps, expected):
             # the least element of each class with nothing strictly above it
@@ -240,7 +237,7 @@ def test_components_against_matrix_oracle():
 
 
 def test_blueprint_singleton():
-    order = close(from_pairs(1, []))
+    order = from_pairs(1, [])
     spec = finite_spec(order, {frozenset({0}): ZERO})
     bp = build_blueprint(spec, "t77", CFG)
     struct = replay_blueprint(bp, CFG)
@@ -250,7 +247,7 @@ def test_blueprint_singleton():
 
 
 def test_blueprint_rejects_invalid_f():
-    order = close(from_pairs(2, [(0, 1), (1, 0)]))
+    order = from_pairs(2, [(0, 1), (1, 0)])
     spec = finite_spec(order, {frozenset({0, 1}): ZERO})
     with pytest.raises(ValueError):
         build_blueprint(spec, "t77", CFG)
@@ -285,7 +282,7 @@ def test_blueprint_round_trip_random():
 
 
 def test_blueprint_partition_variants():
-    order = close(from_pairs(3, []))
+    order = from_pairs(3, [])
     q = sim_quotient(order)
     f = {frozenset(c): ZERO for c in q.classes}
     partition = {0: "P", 1: "NPL", 2: "P"}
@@ -309,7 +306,7 @@ def test_blueprint_partition_variants():
 
 
 def test_blueprint_sequence_mode():
-    order = close(from_pairs(3, [(0, 1), (1, 2)]))
+    order = from_pairs(3, [(0, 1), (1, 2)])
     spec = sequence_spec(order, {SeqKey((0, 1, 2)): fin(2)})
     bp = build_blueprint(spec, "t84", CFG)
     struct = replay_blueprint(bp, CFG)
@@ -345,7 +342,7 @@ def test_limit_obligations_cross_module_rule():
 
 
 def test_replay_registry_obligations_match_f_requirements():
-    order = close(from_pairs(2, [(0, 1), (1, 0)]))
+    order = from_pairs(2, [(0, 1), (1, 0)])
     spec = finite_spec(order, {frozenset({0, 1}): fin(1)})
     bp = build_blueprint(spec, "t77", CFG)
     struct = replay_blueprint(bp, CFG)
@@ -406,15 +403,15 @@ def _old_corollary(kind, lam):
     replaced its triple: each corollary spec's quotient built twice."""
     from rklab.record import replace
 
-    chain = close(from_pairs(3, [(0, 1), (1, 2)]))
+    chain = from_pairs(3, [(0, 1), (1, 2)])
     if kind == "c78":
-        spec = finite_spec(close(from_pairs(2, [])), {frozenset({0}): lam, frozenset({1}): ZERO})
+        spec = finite_spec(from_pairs(2, []), {frozenset({0}): lam, frozenset({1}): ZERO})
         return replace(spec, triple=Cm3Triple(fin(2), lam, CONTINUUM))
     if kind == "c85":
         key = SeqKey((0, 1, 2), extendable=not card_eq(lam, ZERO, ch=False))
         return replace(sequence_spec(chain, {key: lam}), triple=Cm3Triple(OMEGA, lam, CONTINUUM))
     n = 3 + (2 if lam in (OMEGA, CONTINUUM) else lam.value)
-    order = close(from_pairs(n, [(0, 1), (1, 2)]))
+    order = from_pairs(n, [(0, 1), (1, 2)])
     partition = {i: ("P" if i < 3 else "NPL") for i in range(n)}
     spec = sequence_spec(order, {SeqKey((0, 1, 2), extendable=True): CONTINUUM}, partition=partition)
     residual = CONTINUUM if card_eq(lam, CONTINUUM, ch=False) else None
@@ -457,7 +454,7 @@ def test_builder_worst_case_universe_budget():
     # six 2-cycles maximizes elements at the 6-class bound
     for pairs, n in (([], 6), ([(2 * i, 2 * i + 1) for i in range(6)]
                                + [(2 * i + 1, 2 * i) for i in range(6)], 12)):
-        order = close(from_pairs(n, pairs))
+        order = from_pairs(n, pairs)
         q = sim_quotient(order)
         spec = finite_spec(order, {frozenset(c): CONTINUUM for c in q.classes})
         bp = build_blueprint(spec, "t77", CFG)
@@ -469,7 +466,7 @@ def test_wide_blueprint_builds_in_linear_time():
     # 60 single-element parts: 1770 bu steps into a universe of about 18.5k
     # elements; a step that costs the whole structure so far takes seconds
     n = 60
-    order = close(from_pairs(n, []))
+    order = from_pairs(n, [])
     spec = finite_spec(order, {frozenset({i}): (fin(1) if i % 3 else ZERO) for i in range(n)})
     start = time.perf_counter()
     bp = build_blueprint(spec, "t77")

@@ -14,7 +14,7 @@ from rklab.distribution import (
     sequence_spec,
 )
 from rklab.domination import DomEdge, DominationGraph, TypeNode
-from rklab.preorder import close, random_preorder, sim_quotient, from_pairs
+from rklab.preorder import random_preorder, sim_quotient, from_pairs
 from rklab.typespace import TypeSpace
 
 
@@ -385,7 +385,7 @@ def test_distribution_lines_that_would_be_dropped_are_refused(body, message):
 
 
 def test_quotient_dot_output():
-    q = sim_quotient(close(from_pairs(3, [(0, 1), (1, 2)])))
+    q = sim_quotient(from_pairs(3, [(0, 1), (1, 2)]))
     dot = formats.quotient_dot(q)
     assert dot.startswith("digraph")
     assert "c0 -> c1" in dot

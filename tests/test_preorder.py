@@ -16,13 +16,12 @@ from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
 from rklab.preorder import (
     ConeCase,
     PremodelProfile,
+    Preorder,
     check_premodel,
     classify_cone_case,
-    close,
     cones,
     from_pairs,
     height,
-    is_closed,
     is_upward_directed,
     random_preorder,
     sim_quotient,
@@ -31,38 +30,41 @@ from rklab.preorder import (
 
 
 def chain(n):
-    return close(from_pairs(n, [(i, i + 1) for i in range(n - 1)]))
+    return from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def antichain(n):
-    return close(from_pairs(n, []))
+    return from_pairs(n, [])
 
 
 def test_close_examples():
-    p = close(from_pairs(3, [(0, 1), (1, 2)]))
+    p = from_pairs(3, [(0, 1), (1, 2)])
     assert p.le(0, 2)
     assert all(p.le(i, i) for i in range(3))
-    assert close(p) == p  # idempotent
-    empty = close(from_pairs(2, []))
+    assert from_pairs(3, p.pairs()) == p  # idempotent
+    empty = from_pairs(2, [])
     assert empty.pairs() == [(0, 0), (1, 1)]
 
 
 def test_sim_quotient_examples():
-    p = close(from_pairs(2, [(0, 1), (1, 0)]))
+    p = from_pairs(2, [(0, 1), (1, 0)])
     assert sim_quotient(p).size == 1
     q = sim_quotient(antichain(3))
     assert q.size == 3
     assert not any(q.le(a, b) for a in range(3) for b in range(3) if a != b)
     # two-cycle below a third element: 2 classes, one covering edge
-    p = close(from_pairs(3, [(0, 1), (1, 0), (0, 2)]))
+    p = from_pairs(3, [(0, 1), (1, 0), (0, 2)])
     q = sim_quotient(p)
     assert q.size == 2
     assert len(q.covers()) == 1
 
 
-def test_sim_quotient_rejects_raw_input():
-    with pytest.raises(ValueError):
-        sim_quotient(from_pairs(2, [(0, 1)]))
+def test_preorder_is_closed_on_construction():
+    # a 3-element chain given without 0 <= 2
+    p = Preorder(3, (0b010, 0b100, 0))
+    assert p.le(0, 2) and p.rows == (0b110, 0b100, 0)
+    assert p == from_pairs(3, [(0, 1), (1, 2)])
+    assert sim_quotient(p).covers() == [(0, 1), (1, 2)]
 
 
 def test_cones():
@@ -80,20 +82,20 @@ def test_cones():
 def test_height_width_examples():
     assert height(sim_quotient(chain(4))) == 4
     assert height(sim_quotient(antichain(5))) == 1
-    two_equiv = close(from_pairs(2, [(0, 1), (1, 0)]))
+    two_equiv = from_pairs(2, [(0, 1), (1, 0)])
     assert height(sim_quotient(two_equiv)) == 1  # equivalent elements never stack
     assert width(sim_quotient(antichain(5))) == 5
     assert width(sim_quotient(chain(4))) == 1
-    grid = close(from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    grid = from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert width(sim_quotient(grid)) == 2
     assert brute_width(matrix(grid)) == 2
 
 
 def test_directedness():
-    top = close(from_pairs(3, [(0, 2), (1, 2)]))
+    top = from_pairs(3, [(0, 2), (1, 2)])
     assert is_upward_directed(sim_quotient(top))
     assert not is_upward_directed(sim_quotient(antichain(2)))
-    v = close(from_pairs(3, [(0, 2), (1, 2)]))
+    v = from_pairs(3, [(0, 2), (1, 2)])
     assert is_upward_directed(sim_quotient(v))
 
 
@@ -102,8 +104,7 @@ def test_random_preorders_against_oracles():
     for trial in range(500):
         n = rng.randint(1, 10)
         p = random_preorder(rng, n, rng.uniform(0.05, 0.5))
-        assert is_closed(p)
-        assert close(p) == p
+        assert matrix(p) == brute_close(matrix(p))
         q = sim_quotient(p)
         seen = sorted(x for members in q.classes for x in members)
         assert seen == list(range(n))  # genuine partition
@@ -121,12 +122,12 @@ def test_bitset_rows_against_matrix_oracles():
     for trial in range(300):
         n = rng.randint(0, 9) if trial < 200 else rng.randint(10, 24)
         density = rng.uniform(0.0, 0.4)
-        raw = from_pairs(n, [
-            (i, j) for i in range(n) for j in range(n) if rng.random() < density
-        ])
-        full = brute_close(matrix(raw))
-        assert is_closed(raw) == (matrix(raw) == full)
-        p = close(raw)
+        pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+        generators = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+        full = brute_close(generators)
+        raw = tuple(sum(1 << j for j in range(n) if generators[i][j] and j != i) for i in range(n))
+        assert matrix(Preorder(n, raw)) == full
+        p = from_pairs(n, pairs)
         assert matrix(p) == full
         q = sim_quotient(p)
         assert {frozenset(c) for c in q.classes} == brute_classes(full)
@@ -210,9 +211,9 @@ def test_cone_cases_match_exactly_one_shape():
 
 
 def test_preorders_isomorphic():
-    assert brute_isomorphic(matrix(chain(3)), matrix(close(from_pairs(3, [(2, 1), (1, 0)]))))
+    assert brute_isomorphic(matrix(chain(3)), matrix(from_pairs(3, [(2, 1), (1, 0)])))
     assert not brute_isomorphic(matrix(chain(3)), matrix(antichain(3)))
-    cyc = close(from_pairs(2, [(0, 1), (1, 0)]))
+    cyc = from_pairs(2, [(0, 1), (1, 0)])
     assert not brute_isomorphic(matrix(cyc), matrix(chain(2)))
 
 
@@ -222,14 +223,14 @@ def chains(*lengths):
     for length in lengths:
         pairs += [(i, i + 1) for i in range(start, start + length - 1)]
         start += length
-    return close(from_pairs(start, pairs))
+    return from_pairs(start, pairs)
 
 
 def chain_product(m, n):
     """Product order of an m-chain and an n-chain; element i*n + j is (i, j)."""
     pairs = [(i * n + j, (i + 1) * n + j) for i in range(m - 1) for j in range(n)]
     pairs += [(i * n + j, i * n + j + 1) for i in range(m) for j in range(n - 1)]
-    return close(from_pairs(m * n, pairs))
+    return from_pairs(m * n, pairs)
 
 
 def test_width_past_twenty_classes():
@@ -241,7 +242,7 @@ def test_width_past_twenty_classes():
     # equivalent elements collapse: 30 two-element cycles in one chain
     cycles = [(2 * i, 2 * i + 1) for i in range(30)] + [(2 * i + 1, 2 * i) for i in range(30)]
     links = [(2 * i, 2 * i + 2) for i in range(29)]
-    assert width(sim_quotient(close(from_pairs(60, cycles + links)))) == 1
+    assert width(sim_quotient(from_pairs(60, cycles + links))) == 1
 
 
 from hypothesis import given, settings
@@ -260,23 +261,24 @@ def raw_preorders(draw):
             max_size=12,
         )
     )
-    return from_pairs(n, pairs)
+    return n, pairs
 
 
 @settings(max_examples=80, deadline=None)
 @given(raw_preorders())
 def test_close_properties(raw):
-    p = close(raw)
-    assert is_closed(p)
-    assert close(p) == p
-    # closure only adds pairs
-    assert set(raw.pairs()) <= set(p.pairs())
+    n, pairs = raw
+    p = from_pairs(n, pairs)
+    # closure only adds pairs, and adds exactly the oracle's
+    assert set(pairs) <= set(p.pairs())
+    assert matrix(p) == brute_close([[(i, j) in pairs for j in range(n)] for i in range(n)])
+    assert from_pairs(n, p.pairs()) == p
 
 
 @settings(max_examples=80, deadline=None)
 @given(raw_preorders())
 def test_quotient_partition_properties(raw):
-    p = close(raw)
+    p = from_pairs(*raw)
     q = sim_quotient(p)
     flat = sorted(x for members in q.classes for x in members)
     assert flat == list(range(p.n))
