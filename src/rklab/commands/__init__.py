@@ -1,10 +1,11 @@
 """One module per ``rklab`` subcommand, each with ``arguments(p)``, which
 fills in its subparser, and ``run(args)``, which runs it; ``cli`` imports
 only the module of the subcommand a command line invokes."""
+from typing import Iterable
 
 
-def _emit(args, records: list[tuple[str, object, str]]) -> None:
-    """Print each record ``(key, value, plain)``: its finished plain-text
+def _emit(args, records: Iterable[tuple[str, object, str]]) -> None:
+    """Print each record ``(key, value, plain)`` as it comes: its plain-text
     line, or ``key=value`` under ``--machine``, a bool as ``true``/``false``."""
     for key, value, plain in records:
         if not args.machine:

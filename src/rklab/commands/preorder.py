@@ -1,5 +1,6 @@
 """``rklab preorder``: quotient, height, width, directedness and cones."""
 import argparse
+import itertools
 
 from . import _emit, _read, _write
 
@@ -19,13 +20,12 @@ def run(args: argparse.Namespace) -> int:
     from ..preorder import cones, height, is_upward_directed, sim_quotient, width
 
     p = parse_preorder(_read(args.infile), args.infile)
-    out = [("elements", p.n, f"elements: {p.n}")]
+    out, classes = [("elements", p.n, f"elements: {p.n}")], ()
     if args.quotient or args.dot or args.height or args.width or args.directed:
         q = sim_quotient(p)
-    if args.quotient:
-        for ci, members in enumerate(q.classes):
-            body = ",".join(str(m) for m in members)
-            out.append((f"class.{ci}", body, f"class {ci}: {{{body}}}"))
+    if args.quotient:  # the class records are made as they are printed
+        bodies = (",".join(map(str, members)) for members in q.classes)
+        classes = ((f"class.{ci}", body, f"class {ci}: {{{body}}}") for ci, body in enumerate(bodies))
         edges = ";".join(f"{a}<{b}" for a, b in q.covers())
         out.append(("covers", edges, f"covers: {edges or '(none)'}"))
     if args.dot:
@@ -44,5 +44,5 @@ def run(args: argparse.Namespace) -> int:
         for side, cone in zip(("lower", "upper"), cones(p, args.cone)):
             body = ",".join(str(x) for x in sorted(cone))
             out.append((side, body, f"{side} cone of {args.cone}: {{{body}}}"))
-    _emit(args, out)
+    _emit(args, itertools.chain(out[:1], classes, out[1:]))
     return 0

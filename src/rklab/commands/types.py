@@ -30,18 +30,18 @@ def _space_from_args(args: argparse.Namespace) -> TypeSpace:
 
 
 def run(args: argparse.Namespace) -> int:
-    from ..typespace import classify_formula, enumerate_types, has_prime_model, is_dense
-    from ..typespace import is_principal, parse_cell, parse_formula, render_cell
+    from ..typespace import cell_count, classify_formula, enumerate_types, has_prime_model
+    from ..typespace import is_dense, is_principal, parse_cell, parse_formula, render_cell
 
     ts = _space_from_args(args)
-    cells = enumerate_types(ts)
-    out = [("cells", len(cells), f"cells: {len(cells)}")]
+    count = cell_count(ts)
+    out = [("cells", count, f"cells: {count}")]
     if args.enumerate:
-        for cell in cells:
+        for cell in enumerate_types(ts):
             tag = "principal" if is_principal(ts, cell) else "non-principal"
             name = render_cell(cell)
             out.append((f"cell.{name}", tag, f"  {name}  [{tag}]"))
-    if args.classify:
+    if args.classify is not None:
         verdict = classify_formula(ts, parse_formula(ts, args.classify)).value
         out.append(("formula", verdict, f"formula class: {verdict}"))
     if args.prime:

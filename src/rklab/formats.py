@@ -173,8 +173,8 @@ def parse_domination(text: str, path: str = "<graph>") -> DominationGraph:
 
 def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
     """Grammar: ``family:``, ``m:`` (colored only) and ``depth:`` lines, each
-    once.  A refusal of the combination cites the ``family:`` line, since
-    the family decides which depths and part counts are valid."""
+    once.  A refusal of the combination cites the ``family:`` line, since the
+    family decides the valid depths and part counts; a ``BudgetError`` passes."""
     from .typespace import TypeSpace
 
     keys = ("family", "m", "depth")
@@ -199,6 +199,8 @@ def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
     no, family = fields["family"]
     try:
         return TypeSpace(family, numbers["depth"], numbers.get("m"))
+    except BudgetError:
+        raise
     except ValueError as exc:
         raise ParseError(path, no, "a valid type space", str(exc)) from None
 

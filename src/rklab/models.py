@@ -21,7 +21,6 @@ from .record import record
 from .typespace import (
     Cell,
     TypeSpace,
-    cell_set,
     covers_all_formulas,
     enumerate_types,
     is_dense,
@@ -82,9 +81,7 @@ class ModelSpec:
         return CellCount(self.base_all, self.delta(cell))
 
     def support(self) -> frozenset[Cell]:
-        if self.base_all:
-            return cell_set(self.space)
-        return frozenset(self._deltas)  # an explicit spec's edits are positive
+        return frozenset(enumerate_types(self.space) if self.base_all else self._deltas)  # explicit edits are > 0
 
     def with_delta(self, cell: Cell, change: int) -> "ModelSpec":
         edits = dict(self.edits)

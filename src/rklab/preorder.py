@@ -129,10 +129,11 @@ class QuotientPoset:
         """Pairs (a, b) with a < b and nothing strictly between."""
         out = []
         for a, row in enumerate(self.above):
-            through = 0
-            for c in _bits(row):
-                through |= self.above[c]
-            out.extend((a, b) for b in _bits(row & ~through))
+            if row:  # a class with nothing above it covers nothing
+                through = 0
+                for c in _bits(row):
+                    through |= self.above[c]
+                out.extend((a, b) for b in _bits(row & ~through))
         return out
 
 
@@ -196,8 +197,8 @@ def cones(p: Preorder, a: int) -> tuple[frozenset[int], frozenset[int]]:
 def ranks(q: QuotientPoset) -> list[int]:
     """Per class, the most classes strictly below it on one chain."""
     # a class has more classes above it than any class above it: this
-    # order puts every class before the classes above it
-    order = sorted(range(q.size), key=lambda c: -q.above[c].bit_count())
+    # order puts every class with a class above it before those classes
+    order = sorted((c for c in range(q.size) if q.above[c]), key=lambda c: -q.above[c].bit_count())
     rank = [0] * q.size
     for c in order:
         for d in _bits(q.above[c]):
@@ -221,10 +222,10 @@ def width(q: QuotientPoset) -> int:
     depth first on an explicit stack.
     """
     k = q.size
-    above = [_bits(row) for row in q.above]
+    above = [_bits(row) if row else () for row in q.above]
     below = [-1] * k  # below[b] is the class matched to b, if any
     seen = [-1] * k  # seen[b] == a: b was tried in the search from a
-    for a in range(k):
+    for a in (c for c in range(k) if above[c]):  # a class with none above it matches none
         stack, via = [(a, iter(above[a]))], []
         while stack:
             u, options = stack[-1]

@@ -16,7 +16,8 @@ Families:
 Cells stand for the true infinite types compatible with the first d
 decisions; principality is decided by the family rule, not by finite
 isolation in the truncated signature, which would spuriously isolate
-everything.
+everything.  The cell count, validity, consistency and density are
+family rules too, so only ``enumerate_types`` builds cells.
 """
 from __future__ import annotations
 
@@ -26,11 +27,12 @@ import itertools
 from typing import Iterable, NamedTuple
 
 from .record import record
+from .report import BudgetError
 
-# every family's cell count stays within the 2^16 cells of the deepest iup space
-IUP_DEPTH_CAP = 16
-SDUP_DEPTH_CAP = 14  # 3 * 2^14 - 1 cells
-CELL_CAP = 2**IUP_DEPTH_CAP
+# enumerate_types builds at most the 2^16 cells of iup depth 16 or sdup depth 14; the
+# rules answer up to depth 4096, where sdup's 3*2^d - 1 cells print in 1,234 digits
+CELL_BUDGET = 2**16
+DEPTH_BOUND = 4096
 
 
 class IupCell(NamedTuple):
@@ -63,18 +65,15 @@ class TypeSpace:
             raise ValueError(f"unknown family {self.family!r}")
         if self.depth < 1:
             raise ValueError("depth must be positive")
-        if self.family == "iup" and self.depth > IUP_DEPTH_CAP:
-            raise ValueError(f"iup depth capped at {IUP_DEPTH_CAP}")
-        if self.family == "sdup" and self.depth > SDUP_DEPTH_CAP:
-            raise ValueError(f"sdup depth capped at {SDUP_DEPTH_CAP}")
         if self.family == "colored":
             if self.parts is None or self.parts < 1:
                 raise ValueError("colored family needs a positive part count")
-            cells = self.parts * (self.depth + 2)
-            if cells > CELL_CAP:
-                raise ValueError(f"colored space capped at {CELL_CAP} cells, got {cells}")
         elif self.parts is not None:
             raise ValueError("parts only applies to the colored family")
+        if self.depth > DEPTH_BOUND:
+            raise BudgetError(f"{self.family} depth capped at {DEPTH_BOUND}")
+        if (self.parts or 0).bit_length() > DEPTH_BOUND:
+            raise BudgetError(f"colored part count capped at 2^{DEPTH_BOUND}")
 
 
 @record
@@ -101,50 +100,52 @@ class FormulaClass(enum.Enum):
 
 # -- cells --------------------------------------------------------------------
 
-def _tree_nodes(max_len: int) -> list[str]:
-    out = [""]
-    for length in range(1, max_len + 1):
-        out.extend("".join(bits) for bits in itertools.product("01", repeat=length))
-    return out
+def cell_count(ts: TypeSpace) -> int:
+    """2^d cells (iup), 2^(d+1) - 1 stopped and 2^d continuing (sdup), and
+    d + 1 finite colors and the infinite one per part (colored)."""
+    if ts.family == "iup":
+        return 2**ts.depth
+    if ts.family == "sdup":
+        return 3 * 2**ts.depth - 1
+    return ts.parts * (ts.depth + 2)
 
 
 @functools.lru_cache(maxsize=8)
 def enumerate_types(ts: TypeSpace) -> tuple[Cell, ...]:
-    """All consistent complete cells at the truncation depth, cached."""
+    """All consistent complete cells at the truncation depth, cached; a
+    space of more than ``CELL_BUDGET`` cells is refused before any is built."""
+    count = cell_count(ts)
+    if count > CELL_BUDGET:
+        raise BudgetError(f"{count} cells exceed the cell budget {CELL_BUDGET}")
     if ts.family == "iup":
-        return tuple(
-            IupCell(bits) for bits in itertools.product((0, 1), repeat=ts.depth)
-        )
-    if ts.family == "sdup":
-        cells: list[Cell] = [SdupCell("stop", p) for p in _tree_nodes(ts.depth)]
-        cells.extend(
-            SdupCell("cont", "".join(bits))
-            for bits in itertools.product("01", repeat=ts.depth)
-        )
-        return tuple(cells)
-    assert ts.parts is not None
-    colors = [*range(ts.depth + 1), None]
-    return tuple(ColorCell(part, color) for part in range(ts.parts) for color in colors)
+        return tuple(IupCell(bits) for bits in itertools.product((0, 1), repeat=ts.depth))
+    if ts.family == "sdup":  # the tree nodes breadth first, the frontier last
+        paths = ["".join(bits) for n in range(ts.depth + 1) for bits in itertools.product("01", repeat=n)]
+        return (*(SdupCell("stop", p) for p in paths), *(SdupCell("cont", p) for p in paths[-2**ts.depth:]))
+    return tuple(ColorCell(part, color) for part in range(ts.parts) for color in [*range(ts.depth + 1), None])
 
 
 def is_principal(ts: TypeSpace, cell: Cell) -> bool:
-    if ts.family == "iup":
-        return False
-    if ts.family == "sdup":
-        assert isinstance(cell, SdupCell)
-        return cell.kind == "stop"
-    assert isinstance(cell, ColorCell)
-    return cell.color is not None
+    return ts.family != "iup" and (cell.kind == "stop" if ts.family == "sdup" else cell.color is not None)
 
 
-@functools.lru_cache(maxsize=8)
-def cell_set(ts: TypeSpace) -> frozenset[Cell]:
-    """The space's cells, as the one set validity, coverage and supports read."""
-    return frozenset(enumerate_types(ts))
+def _below(k: object, bound: int) -> bool:
+    return isinstance(k, int) and 0 <= k < bound
+
+
+def _is_path(path: object, depth: int) -> bool:
+    return isinstance(path, str) and len(path) <= depth and not path.strip("01")
 
 
 def valid_cell(ts: TypeSpace, cell: Cell) -> bool:
-    return cell in cell_set(ts)
+    """Whether the cell is one of the space's, by the shape of its address."""
+    if ts.family == "iup":
+        return isinstance(cell, IupCell) and len(cell.bits) == ts.depth and all(b in (0, 1) for b in cell.bits)
+    if ts.family == "sdup":
+        return isinstance(cell, SdupCell) and _is_path(cell.path, ts.depth) and (
+            cell.kind == "stop" or cell.kind == "cont" and len(cell.path) == ts.depth)
+    return (isinstance(cell, ColorCell) and _below(cell.part, ts.parts)
+            and (cell.color is None or _below(cell.color, ts.depth + 1)))
 
 
 def render_cell(cell: Cell) -> str:
@@ -152,27 +153,35 @@ def render_cell(cell: Cell) -> str:
         return "".join(map(str, cell.bits))
     if isinstance(cell, SdupCell):
         return f"{cell.kind}:{cell.path or 'e'}"
-    color = "inf" if cell.color is None else str(cell.color)
-    return f"({cell.part},{color})"
+    return f"({cell.part},{'inf' if cell.color is None else cell.color})"
+
+
+def _index(text: str) -> int | None:
+    """The number a decimal without sign or leading zero names, or None;
+    one longer than ``DEPTH_BOUND`` digits exceeds every index bound."""
+    canonical = text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+    return int(text) if canonical and len(text) <= DEPTH_BOUND else None
 
 
 def parse_cell(ts: TypeSpace, text: str) -> Cell:
+    """A cell address as ``render_cell`` writes it: bits (iup), ``stop:`` or
+    ``cont:`` then a path or ``e`` (sdup), ``(k,j)`` or ``(k,inf)`` (colored)."""
     tok = text.strip()
+    cell: Cell | None = None
     if ts.family == "iup":
-        if not tok or any(ch not in "01" for ch in tok):
-            raise ValueError(f"bad iup cell address {text!r}")
-        cell: Cell = IupCell(tuple(int(ch) for ch in tok))
+        if tok and not tok.strip("01"):
+            cell = IupCell(tuple(int(ch) for ch in tok))
     elif ts.family == "sdup":
-        kind, _, path = tok.partition(":")
-        if kind not in ("stop", "cont"):
-            raise ValueError(f"bad sdup cell address {text!r}")
-        cell = SdupCell(kind, "" if path == "e" else path)
+        kind, sep, path = tok.partition(":")
+        if sep and kind in ("stop", "cont") and (path == "e" or path and not path.strip("01")):
+            cell = SdupCell(kind, "" if path == "e" else path)
     else:
-        if not (tok.startswith("(") and tok.endswith(")")):
-            raise ValueError(f"bad colored cell address {text!r}")
-        part_s, _, color_s = tok[1:-1].partition(",")
-        color = None if color_s.strip() == "inf" else int(color_s)
-        cell = ColorCell(int(part_s), color)
+        part_s, sep, color_s = tok[1:-1].partition(",")
+        part, color = _index(part_s), None if color_s == "inf" else _index(color_s)
+        if tok[:1] + tok[-1:] == "()" and sep and part is not None and (color_s == "inf" or color is not None):
+            cell = ColorCell(part, color)
+    if cell is None:
+        raise ValueError(f"bad {ts.family} cell address {text!r}")
     if not valid_cell(ts, cell):
         raise ValueError(f"cell {text!r} invalid for {ts.family} at depth {ts.depth}")
     return cell
@@ -180,73 +189,65 @@ def parse_cell(ts: TypeSpace, text: str) -> Cell:
 
 # -- formulas -----------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def atoms(ts: TypeSpace) -> tuple[Atom, ...]:
-    """The space's atoms, cached so that cells share them: iup's P_k by k,
-    sdup's S_q by tree node in breadth-first order, and colored's parts P
-    then colors C."""
-    if ts.family == "iup":
-        return tuple(("P", k) for k in range(ts.depth))
+def _valid_atom(ts: TypeSpace, atom: Atom) -> bool:
+    """iup's P_k (k < d), sdup's S_q (tree node q), colored's P_k (k < m) and C_j (j <= d)."""
+    tag, arg = atom
     if ts.family == "sdup":
-        return tuple(("S", p) for p in _tree_nodes(ts.depth))
-    assert ts.parts is not None
-    return (*(("P", i) for i in range(ts.parts)), *(("C", j) for j in range(ts.depth + 1)))
+        return tag == "S" and _is_path(arg, ts.depth)
+    if ts.family == "iup":
+        return tag == "P" and _below(arg, ts.depth)
+    return tag == "P" and _below(arg, ts.parts) or tag == "C" and _below(arg, ts.depth + 1)
 
 
 def cell_atoms(ts: TypeSpace, cell: Cell) -> tuple[Atom, ...]:
-    """The atoms true in a cell, the one family rule that satisfaction and
-    coverage read: P_k for each set bit of an iup cell, S_q for every
-    prefix q of an sdup path (the root included), and a colored cell's
-    part P and, unless it is infinite, its color C.
-
-    The atoms are the space's own objects in ``atoms(ts)`` order, so two
-    cells with the same true atoms give equal tuples."""
-    own = atoms(ts)
+    """The atoms true in a cell, the one family rule that satisfaction
+    reads: P_k for each set bit of an iup cell, S_q for every prefix q of
+    an sdup path (the root included), and a colored cell's part P and,
+    unless it is infinite, its color C."""
     if ts.family == "iup":
-        return tuple(itertools.compress(own, cell.bits))
+        return tuple(("P", k) for k, bit in enumerate(cell.bits) if bit)
     if ts.family == "sdup":
-        # breadth-first order puts node i's children at 2i + 1 and 2i + 2
-        true, i = [own[0]], 0
-        for ch in cell.path:
-            i = 2 * i + 1 + (ch == "1")
-            true.append(own[i])
-        return tuple(true)
-    if cell.color is None:
-        return (own[cell.part],)
-    return (own[cell.part], own[ts.parts + cell.color])
-
-
-@functools.lru_cache(maxsize=8)
-def _atom_set(ts: TypeSpace) -> frozenset[Atom]:
-    return frozenset(atoms(ts))
-
-
-def _check_atoms(ts: TypeSpace, phi: FormulaLit) -> None:
-    known = _atom_set(ts)
-    for atom, _ in phi.literals:
-        if atom not in known:
-            raise ValueError(f"atom {atom!r} invalid for {ts.family} depth {ts.depth}")
-
-
-def _holds(true: tuple[Atom, ...], phi: FormulaLit) -> bool:
-    return all((atom in true) == sign for atom, sign in phi.literals)
+        return tuple(("S", cell.path[:i]) for i in range(len(cell.path) + 1))
+    return (("P", cell.part),) if cell.color is None else (("P", cell.part), ("C", cell.color))
 
 
 def consistent(ts: TypeSpace, phi: FormulaLit) -> bool:
-    _check_atoms(ts, phi)
-    return any(_holds(cell_atoms(ts, cell), phi) for cell in enumerate_types(ts))
+    """Whether some cell satisfies phi: the one cell its literals force
+    does.  iup sets the positive bits; sdup stops at the deepest positive
+    node (the root when there is none); colored takes the positive part,
+    or else the first part no literal excludes, with the positive color,
+    or else the infinite one."""
+    for atom, _ in phi.literals:
+        if not _valid_atom(ts, atom):
+            raise ValueError(f"atom {atom!r} invalid for {ts.family} depth {ts.depth}")
+    signs = dict(phi.literals)
+    if ts.family == "iup":
+        cell: Cell = IupCell(tuple(int(signs.get(("P", k), False)) for k in range(ts.depth)))
+    elif ts.family == "sdup":
+        cell = SdupCell("stop", max((arg for (_, arg), sign in phi.literals if sign), key=len, default=""))
+    else:
+        positive = {tag: arg for (tag, arg), sign in phi.literals if sign}
+        part = positive.get("P", next(k for k in itertools.count() if signs.get(("P", k), True)))
+        if part >= ts.parts:
+            return False
+        cell = ColorCell(part, positive.get("C"))
+    true = cell_atoms(ts, cell)
+    return all((atom in true) == sign for atom, sign in phi.literals)
 
 
 def parse_formula(ts: TypeSpace, text: str) -> FormulaLit:
     """A comma-separated conjunction of literals, each an optional ``!``
     then an atom's name: its tag and its index or path (``P3``, ``C0``,
-    ``S01``, and ``Se`` for the empty path)."""
-    names = {f"{tag}{'e' if arg == '' else arg}": (tag, arg) for tag, arg in atoms(ts)}
+    ``S01``, and ``Se`` for the empty path), an index without a leading
+    zero."""
     literals = []
     for chunk in text.split(","):
         tok = chunk.strip()
-        atom = names.get(tok.removeprefix("!"))
-        if atom is None:
+        name = tok.removeprefix("!")
+        tag, arg = name[:1], name[1:]
+        # an index, or an sdup path with "e" for the empty one
+        atom = (tag, ("" if arg == "e" else arg or None) if ts.family == "sdup" else _index(arg))
+        if not _valid_atom(ts, atom):
             raise ValueError(f"bad literal {chunk!r} for family {ts.family}")
         literals.append((atom, not tok.startswith("!")))
     return FormulaLit.of(literals)
@@ -279,16 +280,14 @@ def has_prime_model(ts: TypeSpace) -> bool:
 # -- density ------------------------------------------------------------------
 
 def covers_all_formulas(ts: TypeSpace, cells: Iterable[Cell]) -> bool:
-    """Whether the cells meet every coverage group: whether each cell of
-    the space makes true the same atoms as one of them.
-
-    A coverage group is the cells that make the same atoms true.  A
-    formula that holds in one cell of a group holds in all of them, so
-    meeting every group is meeting every consistent formula at this
-    depth.  In sdup a frontier node's stopped and continuing cells share
-    a group."""
-    hit = {cell_atoms(ts, cell) for cell in cells}
-    return all(cell_atoms(ts, cell) in hit for cell in cell_set(ts))
+    """Whether the cells, all valid, meet every coverage group: the cells
+    that make the same atoms true, so that a formula holds in all of a
+    group or in none of it.  Each cell is its own group, except that an
+    sdup frontier node's ``stop`` and ``cont`` cells share one: there a
+    group is a path, and there are 2^d fewer groups than cells."""
+    if ts.family == "sdup":
+        return len({cell.path for cell in cells}) == cell_count(ts) - 2**ts.depth
+    return len(set(cells)) == cell_count(ts)
 
 
 def is_dense(ts: TypeSpace, x: Iterable[Cell]) -> bool:

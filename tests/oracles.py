@@ -9,8 +9,9 @@ models, a saturating union-find over explicit word lists for the bounded
 congruence, the identity schemas' ground instances built as word
 tuples, a comparison of every two extent pairs for the bu
 disjoint-images check, direct formula enumeration over all 3^atoms
-signed conjunctions for density and classification, and the
-formula-by-formula round-robin witness construction for submodels.
+signed conjunctions for density and classification, a scan of every
+cell for consistency and coverage, and the formula-by-formula
+round-robin witness construction for submodels.
 They share no code with the library paths they certify.
 
 The last section holds what only tests call: writers of the formats
@@ -303,10 +304,22 @@ def _principal_cells_below(ts):
     return deeper, [cell for cell in enumerate_types(deeper) if is_principal(deeper, cell)]
 
 
+def brute_atoms(ts) -> list:
+    """The space's atoms: iup's P_k by k, sdup's S_q by tree node in
+    breadth-first order, and colored's parts P then colors C."""
+    if ts.family == "iup":
+        return [("P", k) for k in range(ts.depth)]
+    if ts.family == "sdup":
+        nodes = ["".join(bits) for n in range(ts.depth + 1) for bits in itertools.product("01", repeat=n)]
+        return [("S", q) for q in nodes]
+    return [("P", k) for k in range(ts.parts)] + [("C", j) for j in range(ts.depth + 1)]
+
+
 def brute_satisfies(ts, cell, phi) -> bool:
-    """The family rule literal by literal, apart from the library's atom
-    table: an iup cell has P_k when bit k is set, an sdup cell has S_q when
-    q is a prefix of its path, a colored cell has its own part and color."""
+    """The family rule literal by literal, apart from the library's
+    ``cell_atoms``: an iup cell has P_k when bit k is set, an sdup cell has
+    S_q when q is a prefix of its path, a colored cell has its own part and
+    color."""
     for (tag, k), sign in phi.literals:
         if ts.family == "iup":
             true = cell.bits[k] == 1
@@ -331,6 +344,33 @@ def brute_classify(ts, phi):
     return FormulaClass.I if isolated else FormulaClass.NI
 
 
+def brute_consistent(ts, phi) -> bool:
+    """Some cell of the space satisfies phi, by scanning every cell."""
+    from rklab.typespace import enumerate_types
+
+    return any(brute_satisfies(ts, cell, phi) for cell in enumerate_types(ts))
+
+
+@functools.lru_cache(maxsize=None)
+def _true_atoms(ts) -> dict:
+    """Each cell of the space, mapped to the atoms true in it."""
+    from rklab.typespace import FormulaLit, enumerate_types
+
+    singles = [(a, FormulaLit.of({a: True})) for a in brute_atoms(ts)]
+    return {
+        cell: frozenset(a for a, phi in singles if brute_satisfies(ts, cell, phi))
+        for cell in enumerate_types(ts)
+    }
+
+
+def brute_coverage(ts, cells) -> bool:
+    """Every cell of the space makes true the same atoms as one of the
+    cells, by comparing the true atoms of every cell."""
+    true = _true_atoms(ts)
+    hit = {true[cell] for cell in cells}
+    return all(atoms in hit for atoms in true.values())
+
+
 def brute_dense(space, cells, formulas) -> bool:
     """Density by direct quantification over every consistent formula."""
     return all(
@@ -342,9 +382,9 @@ def enumerate_formulas(ts):
     """Every consistent signed-atom conjunction, including the empty one, in
     the order of all 3^atoms candidates: a candidate is consistent when its
     literals are among those the family rule gives one cell."""
-    from rklab.typespace import FormulaLit, atoms, enumerate_types
+    from rklab.typespace import FormulaLit, enumerate_types
 
-    alphabet = atoms(ts)
+    alphabet = brute_atoms(ts)
     consistent = set()
     for cell in enumerate_types(ts):
         full = [(a, brute_satisfies(ts, cell, FormulaLit.of({a: True}))) for a in alphabet]
@@ -361,12 +401,12 @@ def round_robin_counts(ts, cells, formulas, cap: int) -> dict | None:
     to the least-used of the cells that satisfy each of its literals (ties
     to the least rendered name) while that cell is under the cap; a cell no
     formula picked gets one.  None when some formula has no witness."""
-    from rklab.typespace import FormulaLit, atoms, render_cell
+    from rklab.typespace import FormulaLit, render_cell
 
     order = sorted(set(cells), key=render_cell)
     where = {
         (a, s): {i for i, cell in enumerate(order) if brute_satisfies(ts, cell, FormulaLit.of({a: s}))}
-        for a in atoms(ts)
+        for a in brute_atoms(ts)
         for s in (True, False)
     }
     every = set(range(len(order)))

@@ -104,8 +104,9 @@ def test_types_command(capsys):
         ("iup", "3", "P01", "bad literal 'P01' for family iup"),
         ("iup", "3", "!!P0", "bad literal '!!P0' for family iup"),
         ("iup", "3", "P3", "bad literal 'P3' for family iup"),
+        ("iup", "3", "", "bad literal '' for family iup"),
     ],
-    ids=["both-signs", "not-an-atom", "bare-S", "leading-zero", "double-bang", "out-of-range"],
+    ids=["both-signs", "not-an-atom", "bare-S", "leading-zero", "double-bang", "out-of-range", "empty"],
 )
 def test_types_classify_refuses_literals_outside_the_grammar(capsys, family, depth, literals, message):
     result = run_cli("types", "--family", family, "--depth", depth, "--classify", literals, capsys=capsys)
@@ -122,6 +123,43 @@ def test_types_classify_refuses_literals_outside_the_grammar(capsys, family, dep
 )
 def test_types_refuses_a_space_it_cannot_build(capsys, options, message):
     assert run_cli("types", *options, capsys=capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "space, cells, message",
+    [
+        (("sdup", "2"), "stop", "bad sdup cell address 'stop'"),
+        (("sdup", "2"), "stop:e;stop:", "bad sdup cell address 'stop:'"),
+        (("sdup", "2"), "stop:x", "bad sdup cell address 'stop:x'"),
+        (("sdup", "2"), "cont:0", "cell 'cont:0' invalid for sdup at depth 2"),
+        (("colored", "2", "--m", "2"), "(0,x)", "bad colored cell address '(0,x)'"),
+        (("colored", "2", "--m", "2"), "(0, 1)", "bad colored cell address '(0, 1)'"),
+        (("colored", "2", "--m", "2"), "(01,1)", "bad colored cell address '(01,1)'"),
+        (("colored", "2", "--m", "2"), "(2,inf)", "cell '(2,inf)' invalid for colored at depth 2"),
+        (("iup", "3"), "0a1", "bad iup cell address '0a1'"),
+        (("iup", "3"), "01", "cell '01' invalid for iup at depth 3"),
+    ],
+    ids=["stop", "stop-colon", "stop-x", "cont-short", "color-x", "space", "leading-zero", "part-out-of-range",
+         "iup-letter", "iup-short"],
+)
+def test_types_dense_reads_one_cell_address_grammar_per_family(capsys, space, cells, message):
+    family, depth, *m = space
+    result = run_cli("types", "--family", family, "--depth", depth, *m, "--dense", cells, capsys=capsys)
+    assert result == (2, "", f"error: {message}\n")
+
+
+def test_types_in_reports_a_budget(tmp_path, capsys):
+    # a well-formed file whose space is too big to enumerate, or too deep
+    # for any query, is refused as a budget (exit 3), not as a parse error
+    deep = tmp_path / "deep.ts"
+    deep.write_text("family: sdup\ndepth: 30\n")
+    assert run_cli("types", "--in", str(deep), "--prime", "--machine", capsys=capsys) == (
+        0, "cells=3221225471\nprime_model=true\n", "")
+    assert run_cli("types", "--in", str(deep), "--enumerate", capsys=capsys) == (
+        3, "", "error: 3221225471 cells exceed the cell budget 65536\n")
+    deep.write_text("family: sdup\ndepth: 5000\n")
+    assert run_cli("types", "--in", str(deep), "--prime", capsys=capsys) == (
+        3, "", "error: sdup depth capped at 4096\n")
 
 
 def test_types_refuses_a_repeated_type_space_key(tmp_path, capsys):
@@ -693,23 +731,33 @@ def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatc
 
 
 def test_oversized_type_spaces_refused_before_allocating():
+    # enumeration is refused past the cell budget, and every query past the
+    # depth bound, before anything is allocated; the family rules answer
+    # the other queries at any size within the bound
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    for argv, message in (
-        (("--family", "sdup", "--depth", "30"), "sdup depth capped at 14"),
-        (
-            ("--family", "colored", "--m", "10000000", "--depth", "10"),
-            "colored space capped at 65536 cells, got 120000000",
-        ),
+    deep = "1" * 1000
+    for argv, code, out, err in (
+        (("--family", "sdup", "--depth", "30", "--enumerate"), 3, "",
+         "error: 3221225471 cells exceed the cell budget 65536\n"),
+        (("--family", "colored", "--m", "10000000", "--depth", "10", "--enumerate"), 3, "",
+         "error: 120000000 cells exceed the cell budget 65536\n"),
+        (("--family", "iup", "--depth", "4097", "--prime"), 3, "", "error: iup depth capped at 4096\n"),
+        (("--family", "sdup", "--depth", "30", "--prime"), 0, "cells=3221225471\nprime_model=true\n", ""),
+        (("--family", "colored", "--m", "10000000", "--depth", "10", "--prime", "--classify", "P9999999,!C3",
+          "--dense", "(0,inf)"), 0, "cells=120000000\nformula=i-formula\nprime_model=true\ndense=false\n", ""),
+        (("--family", "iup", "--depth", "1000", "--classify", "P999,!P0", "--dense", deep), 0,
+         f"cells={2**1000}\nformula=ni-formula\ndense=false\n", ""),
+        (("--family", "sdup", "--depth", "1000", "--classify", f"S{deep},!S0", "--dense", f"cont:{deep}"), 0,
+         f"cells={3 * 2**1000 - 1}\nformula=i-formula\ndense=false\n", ""),
     ):
         proc = subprocess.run(
-            [sys.executable, "-m", "rklab", "types", *argv, "--prime", "--machine"],
+            [sys.executable, "-m", "rklab", "types", *argv, "--machine"],
             capture_output=True, text=True, env=_subprocess_env(), timeout=300,
             preexec_fn=cap_address_space,
         )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
 # prints, as the last line, the rklab modules loaded by the run that follows it

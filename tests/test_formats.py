@@ -15,6 +15,7 @@ from rklab.distribution import (
 )
 from rklab.domination import DomEdge, DominationGraph, TypeNode
 from rklab.preorder import random_preorder, sim_quotient, from_pairs
+from rklab.report import BudgetError
 from rklab.typespace import TypeSpace
 
 
@@ -321,7 +322,7 @@ def test_parse_errors_name_position_and_expectation():
         ("family: iup\nfoo: 1\ndepth: 3\n", 2, "a key among family, m, depth"),
         ("# space\nfamily: iup\n\ndepth: x\n", 4, "integer depth"),
         ("depth: 2\nm: two\nfamily: colored\n", 2, "integer m"),
-        ("# space\nfamily: iup\ndepth: 17\n", 2, "a valid type space"),
+        ("# space\nfamily: iup\nm: 2\ndepth: 3\n", 2, "a valid type space"),
     ],
     ids=["ts-repeat", "ts-unknown", "ts-depth", "ts-m", "ts-space"],
 )
@@ -329,6 +330,14 @@ def test_header_keys_appear_once_and_errors_cite_their_line(text, line_no, expec
     with pytest.raises(formats.ParseError) as err:
         formats.parse_typespace(text, "h.txt")
     assert (err.value.line_no, err.value.expected) == (line_no, expected)
+
+
+def test_a_type_space_past_the_depth_bound_is_a_budget_error():
+    # the space is well formed; only its size is refused
+    with pytest.raises(BudgetError) as err:
+        formats.parse_typespace("family: sdup\ndepth: 4097\n", "deep.ts")
+    assert str(err.value) == "sdup depth capped at 4096"
+    assert formats.parse_typespace("family: sdup\ndepth: 4096\n").depth == 4096
 
 
 def test_distribution_preorder_errors_cite_file_lines():

@@ -5,13 +5,15 @@ import time
 import pytest
 
 from oracles import (
+    brute_atoms,
     brute_classify,
+    brute_consistent,
+    brute_coverage,
     brute_dense,
     brute_satisfies,
     enumerate_formulas,
     round_robin_counts,
 )
-from rklab import typespace
 from rklab.models import COUNT_CAP, RkSequence, cm_dominates, construct_model, full_base
 from rklab.typespace import (
     ColorCell,
@@ -20,8 +22,8 @@ from rklab.typespace import (
     IupCell,
     SdupCell,
     TypeSpace,
-    atoms,
     cell_atoms,
+    cell_count,
     classify_formula,
     consistent,
     covers_all_formulas,
@@ -34,6 +36,7 @@ from rklab.typespace import (
     render_cell,
     valid_cell,
 )
+from rklab.report import BudgetError
 
 
 def test_enumerate_iup():
@@ -230,13 +233,12 @@ def test_atom_table_matches_the_family_rule_oracle():
         + [TypeSpace("colored", d, m) for m in (1, 2) for d in (1, 2, 3)]
     )
     for ts in spaces:
-        alphabet = atoms(ts)
+        alphabet = brute_atoms(ts)
         cells = enumerate_types(ts)
         for cell in cells:
-            # the space's own atom objects, in their order
+            # the space's atoms, in their order
             true = tuple(a for a in alphabet if brute_satisfies(ts, cell, FormulaLit.of({a: True})))
             assert cell_atoms(ts, cell) == true, (ts, cell)
-            assert all(a is alphabet[alphabet.index(a)] for a in cell_atoms(ts, cell)), (ts, cell)
         expected = []
         for assignment in itertools.product((None, True, False), repeat=len(alphabet)):
             phi = FormulaLit.of({a: s for a, s in zip(alphabet, assignment) if s is not None})
@@ -274,7 +276,7 @@ def test_atoms_outside_the_space_are_refused():
 
 
 def test_an_atom_outside_the_space_is_refused_by_name_in_each_family():
-    # the known atoms are one cached set per space, however many calls read it
+    # an atom is checked by its shape, however many calls read it
     cases = [
         (TypeSpace("iup", 3), ("P", 3), "atom ('P', 3) invalid for iup depth 3"),
         (TypeSpace("sdup", 2), ("S", "000"), "atom ('S', '000') invalid for sdup depth 2"),
@@ -285,8 +287,6 @@ def test_an_atom_outside_the_space_is_refused_by_name_in_each_family():
             with pytest.raises(ValueError) as err:
                 consistent(ts, FormulaLit.of({atom: True}))
             assert str(err.value) == message
-        assert typespace._atom_set(ts) is typespace._atom_set(ts)
-        assert typespace._atom_set(ts) == frozenset(atoms(ts))
 
 
 def test_parse_formula_reads_atom_names():
@@ -331,3 +331,80 @@ def test_valid_cell():
     assert valid_cell(ts, SdupCell("cont", "01"))
     assert not valid_cell(ts, SdupCell("cont", "0"))
     assert not valid_cell(ts, SdupCell("stop", "000"))
+
+
+# every space the enumerating oracles scan in well under a second
+ORACLE_SPACES = (
+    [TypeSpace("iup", d) for d in range(1, 11)]
+    + [TypeSpace("sdup", d) for d in range(1, 7)]
+    + [TypeSpace("colored", d, m) for m in (1, 2, 3) for d in range(1, 7)]
+)
+
+
+def _neighbours(ts):
+    """The spaces one step deeper, shallower or wider, and the other families at the same depth."""
+    out = [TypeSpace(ts.family, ts.depth + 1, ts.parts)]
+    if ts.depth > 1:
+        out.append(TypeSpace(ts.family, ts.depth - 1, ts.parts))
+    if ts.parts:
+        out.append(TypeSpace("colored", ts.depth, ts.parts + 1))
+    return out + [TypeSpace(f, ts.depth, 2 if f == "colored" else None) for f in ("iup", "sdup", "colored")
+                  if f != ts.family]
+
+
+@pytest.mark.parametrize("ts", ORACLE_SPACES, ids=lambda ts: f"{ts.family}-d{ts.depth}-m{ts.parts}")
+def test_family_rules_agree_with_the_enumerating_oracles(ts):
+    # cell count, validity, consistency and density, each against a scan
+    rng = random.Random(f"{ts}")
+    cells = enumerate_types(ts)
+    assert cell_count(ts) == len(cells)
+    own, alphabet = set(cells), brute_atoms(ts)
+    assert all(valid_cell(ts, cell) for cell in cells)
+    for other in _neighbours(ts):
+        for cell in enumerate_types(other):
+            assert valid_cell(ts, cell) == (cell in own), (other, cell)
+        for atom in brute_atoms(other):
+            if atom in alphabet:
+                consistent(ts, FormulaLit.of({atom: True}))
+            else:
+                with pytest.raises(ValueError, match="invalid for"):
+                    consistent(ts, FormulaLit.of({atom: True}))
+    outcomes = set()
+    for _ in range(300):
+        picked = rng.sample(alphabet, rng.randint(0, min(5, len(alphabet))))
+        phi = FormulaLit.of({a: rng.random() < 0.5 for a in picked})
+        assert consistent(ts, phi) == brute_consistent(ts, phi), phi
+        outcomes.add(brute_consistent(ts, phi))
+    assert outcomes == {True, False} or ts.family == "iup"
+    outcomes = set()
+    for _ in range(100):
+        if rng.random() < 0.5:  # all but a few cells, which may still meet every group
+            sample = [c for c in cells if rng.random() > 3 / len(cells)]
+        else:
+            sample = rng.sample(cells, rng.randint(0, len(cells)))
+        expected = brute_coverage(ts, sample)
+        assert covers_all_formulas(ts, sample) == is_dense(ts, sample) == expected, sample
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+    assert covers_all_formulas(ts, cells) and brute_coverage(ts, cells)
+    assert not covers_all_formulas(ts, []) and not brute_coverage(ts, [])
+
+
+def test_the_cell_budget_guards_enumeration_alone():
+    # the rules answer past the budget; building the cells is refused first
+    for ts, count in ((TypeSpace("iup", 17), 131072), (TypeSpace("sdup", 15), 98303),
+                      (TypeSpace("colored", 10, 10**7), 120000000)):
+        assert cell_count(ts) == count
+        with pytest.raises(BudgetError) as err:
+            enumerate_types(ts)
+        assert str(err.value) == f"{count} cells exceed the cell budget 65536"
+    for ts in (TypeSpace("iup", 16), TypeSpace("sdup", 14), TypeSpace("colored", 2, 16384)):
+        assert len(enumerate_types(ts)) == cell_count(ts) <= 2**16
+    sdup = TypeSpace("sdup", 1000)
+    deep = "0" * 999 + "1"
+    assert consistent(sdup, parse_formula(sdup, f"S{deep},!S1"))
+    assert not consistent(sdup, parse_formula(sdup, f"S{deep},!S{deep[:500]}"))
+    assert is_dense(sdup, [parse_cell(sdup, "stop:e")]) is False
+    with pytest.raises(BudgetError, match="sdup depth capped at 4096"):
+        TypeSpace("sdup", 4097)
+    assert cell_count(TypeSpace("sdup", 4096)) == 3 * 2**4096 - 1
