@@ -7,7 +7,7 @@ prime-type preorder, and the limit-target readback against f.
 import argparse
 import random
 
-from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, render
+from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin, natural, render
 from rklab.distribution import (
     BuildConfig,
     build_blueprint,
@@ -23,8 +23,8 @@ from rklab.preorder import random_preorder, sim_quotient
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--elements", type=int, default=5)
+    ap.add_argument("--seed", type=natural, default=0)
+    ap.add_argument("--elements", type=natural, default=5)
     ap.add_argument("--dot", default=None, help="write the replayed quotient here")
     args = ap.parse_args()
     rng = random.Random(args.seed)

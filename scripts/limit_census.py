@@ -8,7 +8,7 @@ is never asserted at finite length.
 """
 import argparse
 
-from rklab.cardinal import OMEGA, fin, render
+from rklab.cardinal import OMEGA, fin, natural, render
 from rklab.limitcount import lmt, lms, render_word, stabilization
 
 
@@ -25,16 +25,19 @@ def row(system, label, alphabet, lengths):
     print(f"{label:<12} A={alphabet}  {cells}   target={render(system.target)}  reps: {reps_s}")
 
 
+def naturals(text: str) -> list[int]:
+    return [natural(a) for a in text.split(",")]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alphabets", default="2,3,4")
-    ap.add_argument("--max-len", type=int, default=5)
+    ap.add_argument("--alphabets", type=naturals, default="2,3,4")
+    ap.add_argument("--max-len", type=natural, default=5)
     args = ap.parse_args()
-    alphabets = [int(a) for a in args.alphabets.split(",")]
     lengths = list(range(1, args.max_len + 1))
     header = "  ".join(f"L={L:>3}" for L in lengths)
     print(f"{'system':<12} {'':>4}  {header}")
-    for alphabet in alphabets:
+    for alphabet in args.alphabets:
         for n in (1, 2, 3):
             row(lmt(fin(n)), f"lmt n={n}", alphabet, lengths)
         row(lmt(OMEGA), "lmt w", alphabet, lengths)

@@ -8,13 +8,13 @@ import argparse
 import collections
 import itertools
 
-from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, fin
+from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, fin, natural
 from rklab.distribution import Cm3Triple, classify_triple, decompose_tc
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-fin", type=int, default=5)
+    ap.add_argument("--max-fin", type=natural, default=5)
     args = ap.parse_args()
     grid = [fin(k) for k in range(args.max_fin + 1)] + [OMEGA, OMEGA1, CONTINUUM]
     tallies: dict[str, collections.Counter] = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .record import record
+from .report import BudgetError
 
 _RANK = {"fin": 0, "w": 1, "w1": 2, "c": 3}
 
@@ -101,13 +102,25 @@ def render(a: Card) -> str:
     return a.kind
 
 
+# the most digits a number may have: more than any cap of rklab needs, and
+# fewer than the 4300 that Python's int() converts by default since 3.11
+DIGIT_BOUND = 4096
+
+
+def natural(text: str, what: str = "a natural number") -> int:
+    """The number ``text`` names in the one grammar of every number rklab
+    reads: ASCII digits, without sign, ``_`` or a leading zero but in ``0``.
+    Past ``DIGIT_BOUND`` digits it is over every cap: a ``BudgetError``."""
+    if not (text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")):
+        raise ValueError(f"expected {what}, got {text!r}")
+    if len(text) > DIGIT_BOUND:
+        raise BudgetError(f"{len(text)} digits exceed the digit bound {DIGIT_BOUND}")
+    return int(text)
+
+
 def parse_card(text: str) -> Card:
     tok = text.strip()
-    if tok in _TOKENS:
-        return _TOKENS[tok]
-    if tok.isdecimal():
-        return fin(int(tok))
-    raise ValueError(f"not a cardinal token: {text!r}")
+    return _TOKENS[tok] if tok in _TOKENS else fin(natural(tok, "a cardinal token"))
 
 
 def check_limit_count(lam: Card) -> None:

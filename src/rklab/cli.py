@@ -45,8 +45,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
-    try:
+    try:  # a number option is read as it is parsed
+        args = build_parser(argv).parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,18 @@
 """One module per ``rklab`` subcommand, each with ``arguments(p)``, which
 fills in its subparser, and ``run(args)``, which runs it; ``cli`` imports
 only the module of the subcommand a command line invokes."""
+import argparse
 from typing import Iterable
+
+
+class Natural(argparse.Action):
+    """An option ``cardinal.natural`` reads, an action so that its refusal reaches
+    ``cli.main`` as raised: argparse makes any ``type=`` refusal exit 2, a budget's too."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from ..cardinal import natural
+
+        setattr(namespace, self.dest, natural(values, f"a natural number for {option_string}"))
 
 
 def _emit(args, records: Iterable[tuple[str, object, str]]) -> None:

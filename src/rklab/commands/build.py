@@ -1,7 +1,7 @@
 """``rklab build``: blueprint a distribution spec, and replay it."""
 import argparse
 
-from . import _emit, _read, _write
+from . import Natural, _emit, _read, _write
 
 
 def arguments(p: argparse.ArgumentParser) -> None:
@@ -9,9 +9,9 @@ def arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=("t77", "t84", "t91", "t92"), default="t77")
     p.add_argument("--replay", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--colors", type=int, default=1)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--fan-out", type=int, default=2)
+    p.add_argument("--colors", action=Natural, default=1)
+    p.add_argument("--depth", action=Natural, default=1)
+    p.add_argument("--fan-out", action=Natural, default=2)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -1,23 +1,25 @@
 """``rklab limits``: limit-model class counts at a length bound."""
 import argparse
 
+from . import Natural
+
 
 def arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", choices=("lmt", "lms"), required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", action=Natural, default=None)
     p.add_argument("--lam", default=None, help="cardinal token, e.g. w")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--len", dest="length", type=int, required=True)
+    p.add_argument("--alphabet", action=Natural, required=True)
+    p.add_argument("--len", dest="length", action=Natural, required=True)
     p.add_argument("--reading", choices=("gt", "geq"), default="gt")
 
 
 def run(args: argparse.Namespace) -> int:
-    from ..cardinal import parse_card, render
+    from ..cardinal import fin, parse_card, render
     from ..limitcount import lmt, lms, render_word, stabilization
 
     if (args.n is None) == (args.lam is None):
         raise ValueError("limits takes exactly one of --n and --lam")
-    lam = parse_card(str(args.n) if args.lam is None else args.lam)
+    lam = fin(args.n) if args.lam is None else parse_card(args.lam)
     system = lmt(lam) if args.system == "lmt" else lms(lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
     known = info["count_next"] is not None

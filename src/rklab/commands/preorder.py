@@ -2,7 +2,7 @@
 import argparse
 import itertools
 
-from . import _emit, _read, _write
+from . import Natural, _emit, _read, _write
 
 
 def arguments(p: argparse.ArgumentParser) -> None:
@@ -11,7 +11,7 @@ def arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--height", action="store_true")
     p.add_argument("--width", action="store_true")
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--cone", type=int, default=None)
+    p.add_argument("--cone", action=Natural, default=None)
     p.add_argument("--dot", default=None)
 
 

@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import argparse
 
-from . import _emit, _read
+from . import Natural, _emit, _read
 
 
 def arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--family", choices=("iup", "sdup", "colored"), default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--depth", action=Natural, default=None)
+    p.add_argument("--m", action=Natural, default=None)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--prime", action="store_true")
     p.add_argument("--classify", default=None, metavar="LITERALS")

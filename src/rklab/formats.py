@@ -1,17 +1,19 @@
 """Text formats for every value the CLI reads or writes.
 
 All formats are line oriented UTF-8; blank lines and lines starting
-with '#' are ignored.  Parsers raise ParseError carrying the file name,
-line number, and the grammar production they expected.  Structure
-files are written and never read; every other serializer's output
-reparses to an equal value.
+with '#' are ignored.  ``cardinal.natural`` reads every number in them,
+the whitespace around it aside.  Parsers raise ParseError carrying the
+file name, line number, and the grammar production they expected; a
+number past the digit bound is a ``BudgetError``.  Structure files are
+written and never read; every other serializer's output reparses to an
+equal value.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .cardinal import parse_card, render  # other layers: imported where used
+from .cardinal import natural, parse_card, render  # other layers: imported where used
 from .report import BudgetError
 
 # the most elements a preorder or distribution-spec file may declare; a
@@ -28,11 +30,24 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: expected {expected}, got {got!r}")
 
 
-def _ints(words: Iterable[str], path: str, no: int, expected: str, got: str) -> tuple[int, ...]:
+def _read(path: str, no: int, expected: str, got: str | None, read: Callable, *args):
+    """``read(*args)``, a refusal of which is a ParseError citing line ``no``,
+    with the refusal's own text for ``got`` if that is None; a BudgetError passes."""
     try:
-        return tuple(map(int, words))
-    except ValueError:
-        raise ParseError(path, no, expected, got) from None
+        return read(*args)
+    except BudgetError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise ParseError(path, no, expected, str(exc) if got is None else got) from None
+
+
+def _ints(words: Iterable[str], path: str, no: int, expected: str, got: str,
+          below: int | None = None) -> tuple[int, ...]:
+    """The natural numbers ``words`` spell on line ``no``, each below ``below`` if given."""
+    numbers = _read(path, no, expected, got, tuple, map(natural, map(str.strip, words)))
+    if below is not None and max(numbers, default=-1) >= below:
+        raise ParseError(path, no, f"indices below {below}", got)
+    return numbers
 
 
 def _lines(text: str) -> list[tuple[int, str]]:
@@ -70,10 +85,7 @@ def _preorder(lines: list[tuple[int, str]], path: str) -> Preorder:
         parts = line.split("<=")
         if len(parts) != 2:
             raise ParseError(path, no, "'<i> <= <j>'", line)
-        i, j = _ints(parts, path, no, "integer pair '<i> <= <j>'", line)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(path, no, f"indices below {n}", line)
-        pairs.append((i, j))
+        pairs.append(_ints(parts, path, no, "integer pair '<i> <= <j>'", line, n))
     return from_pairs(n, pairs)
 
 
@@ -197,12 +209,7 @@ def parse_typespace(text: str, path: str = "<typespace>") -> TypeSpace:
             no, value = fields[key]
             (numbers[key],) = _ints([value], path, no, f"integer {key}", value)
     no, family = fields["family"]
-    try:
-        return TypeSpace(family, numbers["depth"], numbers.get("m"))
-    except BudgetError:
-        raise
-    except ValueError as exc:
-        raise ParseError(path, no, "a valid type space", str(exc)) from None
+    return _read(path, no, "a valid type space", None, TypeSpace, family, numbers["depth"], numbers.get("m"))
 
 
 # -- distribution spec files --------------------------------------------------
@@ -239,7 +246,7 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
             words = line.split(":", 1)[1].split()
             if len(words) != 2 or words[1] not in ("P", "NPL"):
                 raise ParseError(path, no, "'partition: <elem> P|NPL'", line)
-            (elem,) = _ints(words[:1], path, no, "an integer partition element", words[0])
+            (elem,) = _ints(words[:1], path, no, "an integer partition element", words[0], order.n)
             if elem in partition:
                 raise ParseError(path, no, "one 'partition:' line per element", line)
             partition[elem] = words[1]
@@ -249,29 +256,24 @@ def parse_distribution(text: str, path: str = "<dspec>") -> DistributionSpec:
         if not sep:
             raise ParseError(path, no, "'f: <key> = <cardinal>'", line)
         key_s = key_s.strip()
-        try:
-            value = parse_card(value_s)
-        except ValueError:
-            raise ParseError(path, no, "a cardinal token", value_s.strip()) from None
+        value = _read(path, no, "a cardinal token", value_s.strip(), parse_card, value_s)
         # class keys belong to finite mode, chain keys to countable-truncated mode
         if mode == "finite":
             expected = "'{i,j,...}' class key"
             if not (key_s.startswith("{") and key_s.endswith("}")):
                 raise ParseError(path, no, expected, key_s)
-            key = frozenset(_ints(filter(str.strip, key_s[1:-1].split(",")), path, no, expected, key_s))
+            key = frozenset(_ints(filter(str.strip, key_s[1:-1].split(",")), path, no, expected, key_s, order.n))
         else:
             chain = key_s.removesuffix("<...")
-            entries = _ints(chain.split("<"), path, no, "'i<j<k' sequence key", chain)
+            entries = _ints(chain.split("<"), path, no, "'i<j<k' sequence key", chain, order.n)
+            if not all(map(order.le, entries, entries[1:])):
+                raise ParseError(path, no, "a chain of the order", chain)
             key = SeqKey(entries, chain != key_s)
         if key in values:
             raise ParseError(path, no, "one 'f:' line per key", line)
         values[key] = value
-    try:
-        if mode == "finite":
-            return finite_spec(order, values, partition or None)
-        return sequence_spec(order, values, partition or None)
-    except ValueError as exc:
-        raise ParseError(path, 1, "a well-formed distribution spec", str(exc)) from None
+    make = finite_spec if mode == "finite" else sequence_spec
+    return _read(path, 1, "a well-formed distribution spec", None, make, order, values, partition or None)
 
 
 # -- structure spec files -----------------------------------------------------
@@ -309,12 +311,6 @@ def serialize_struct(spec: StructSpec) -> str:
 
 # -- pipeline files -----------------------------------------------------------
 
-def _integer(text: str) -> int:
-    if not text.removeprefix("-").isdecimal():
-        raise ValueError(text)
-    return int(text)
-
-
 def _node_list(text: str) -> tuple[str, ...]:
     """The names of a comma-separated list, split only at commas outside
     parentheses, so that a joint type ``q(p(P0),p(P1))`` is one name."""
@@ -325,8 +321,8 @@ def _node_list(text: str) -> tuple[str, ...]:
 
 # each kind of pipeline value (operators.STEP_KEYS): its grammar, reader and writer
 _VALUE_KINDS = {
-    "integer": ("<integer>", _integer, str),
-    "integer-or-auto": ("<integer>|auto", lambda t: None if t == "auto" else _integer(t),
+    "integer": ("<integer>", natural, str),
+    "integer-or-auto": ("<integer>|auto", lambda t: None if t == "auto" else natural(t),
                         lambda v: "auto" if v is None else str(v)),
     "flag": ("true|false", {"true": True, "false": False}.__getitem__, lambda v: str(v).lower()),
     "reading": ("gt|geq", {"gt": "gt", "geq": "geq"}.__getitem__, str),
@@ -360,10 +356,7 @@ def parse_pipeline(text: str, path: str = "<pipeline>") -> list[PipelineStep]:
             if key in args:
                 raise ParseError(path, no, f"one '{key}=' per step", chunk)
             grammar, read, _ = _VALUE_KINDS[keys[key][0]]
-            try:
-                args[key] = read(value)
-            except (KeyError, ValueError):
-                raise ParseError(path, no, f"'{key}={grammar}'", chunk) from None
+            args[key] = _read(path, no, f"'{key}={grammar}'", chunk, read, value)
         steps.append(PipelineStep(words[0], args))
     return steps
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import compress, islice, product
-from typing import Iterable, Iterator
+from itertools import compress, islice
+from typing import Iterator
 
 from .cardinal import OMEGA, Card, check_limit_count, fin, render
 from .record import record
@@ -119,27 +119,6 @@ def _level_blocks(sys: IdentitySystem, alphabet: int, k: int) -> Iterator[tuple[
                     yield from ((("from", f), last, (f, last, k)) for last in lasts)
         else:
             raise ValueError(f"unknown schema kind {kind!r}")
-
-
-def instantiate(sys: IdentitySystem, alphabet: int, max_len: int) -> list[tuple[Word, Word]]:
-    """All ground instances with both sides nonempty and within the bound,
-    level by level: the decoded blocks of ``_level_blocks`` for k = 1 .. max_len."""
-    if alphabet < 1 or max_len < 1:
-        raise ValueError("alphabet and length bound must be positive")
-    out: dict[tuple[Word, Word], None] = {}
-    for k in range(1, max_len + 1):
-        for (kind, p), last, (f, top, n) in _level_blocks(sys, alphabet, k):
-            if kind == "word":
-                prefixes: Iterable[Word] = (p,)
-            elif kind == "from":
-                prefixes = ((p, *u) for u in product(range(alphabet), repeat=k - 2))
-            else:
-                prefixes = product(range(p + 1, alphabet) if kind == "above" else range(p), repeat=k - 1)
-            rhs = tuple(min(f + i, top) for i in range(n))
-            for u in prefixes:
-                if (*u, last) != rhs:
-                    out[(*u, last), rhs] = None
-    return list(out)
 
 
 class _Automaton:

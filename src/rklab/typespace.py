@@ -26,6 +26,7 @@ import functools
 import itertools
 from typing import Iterable, NamedTuple
 
+from .cardinal import natural
 from .record import record
 from .report import BudgetError
 
@@ -156,13 +157,6 @@ def render_cell(cell: Cell) -> str:
     return f"({cell.part},{'inf' if cell.color is None else cell.color})"
 
 
-def _index(text: str) -> int | None:
-    """The number a decimal without sign or leading zero names, or None;
-    one longer than ``DEPTH_BOUND`` digits exceeds every index bound."""
-    canonical = text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
-    return int(text) if canonical and len(text) <= DEPTH_BOUND else None
-
-
 def parse_cell(ts: TypeSpace, text: str) -> Cell:
     """A cell address as ``render_cell`` writes it: bits (iup), ``stop:`` or
     ``cont:`` then a path or ``e`` (sdup), ``(k,j)`` or ``(k,inf)`` (colored)."""
@@ -175,11 +169,14 @@ def parse_cell(ts: TypeSpace, text: str) -> Cell:
         kind, sep, path = tok.partition(":")
         if sep and kind in ("stop", "cont") and (path == "e" or path and not path.strip("01")):
             cell = SdupCell(kind, "" if path == "e" else path)
-    else:
-        part_s, sep, color_s = tok[1:-1].partition(",")
-        part, color = _index(part_s), None if color_s == "inf" else _index(color_s)
-        if tok[:1] + tok[-1:] == "()" and sep and part is not None and (color_s == "inf" or color is not None):
-            cell = ColorCell(part, color)
+    elif tok[:1] + tok[-1:] == "()" and "," in tok:
+        part_s, _, color_s = tok[1:-1].partition(",")
+        try:
+            cell = ColorCell(natural(part_s), None if color_s == "inf" else natural(color_s))
+        except BudgetError:
+            raise
+        except ValueError:
+            pass
     if cell is None:
         raise ValueError(f"bad {ts.family} cell address {text!r}")
     if not valid_cell(ts, cell):
@@ -238,15 +235,18 @@ def consistent(ts: TypeSpace, phi: FormulaLit) -> bool:
 def parse_formula(ts: TypeSpace, text: str) -> FormulaLit:
     """A comma-separated conjunction of literals, each an optional ``!``
     then an atom's name: its tag and its index or path (``P3``, ``C0``,
-    ``S01``, and ``Se`` for the empty path), an index without a leading
-    zero."""
+    ``S01``, and ``Se`` for the empty path), an index a natural number."""
     literals = []
     for chunk in text.split(","):
         tok = chunk.strip()
         name = tok.removeprefix("!")
         tag, arg = name[:1], name[1:]
-        # an index, or an sdup path with "e" for the empty one
-        atom = (tag, ("" if arg == "e" else arg or None) if ts.family == "sdup" else _index(arg))
+        try:  # an index, or an sdup path with "e" for the empty one
+            atom = (tag, ("" if arg == "e" else arg or None) if ts.family == "sdup" else natural(arg))
+        except BudgetError:
+            raise
+        except ValueError:
+            atom = (tag, None)
         if not _valid_atom(ts, atom):
             raise ValueError(f"bad literal {chunk!r} for family {ts.family}")
         literals.append((atom, not tok.startswith("!")))

@@ -80,10 +80,6 @@ def test_render_parse_round_trip():
     assert render(ZERO) == "0"
     with pytest.raises(ValueError):
         parse_card("aleph2")
-    # superscript and other non-decimal digits pass str.isdigit, not int()
-    for token in ("\u00b2", "1\u00b2", "\u2460"):
-        with pytest.raises(ValueError, match=f"^not a cardinal token: '{token}'$"):
-            parse_card(token)
     assert parse_card(" 12 ") == fin(12)
 
 

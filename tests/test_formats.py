@@ -216,7 +216,7 @@ def random_node(rng):
 # a random value of each kind a pipeline key takes (operators.STEP_KEYS)
 PIPELINE_VALUE_OF = {
     "text": lambda rng: f"v{rng.randrange(9)}",
-    "integer": lambda rng: rng.randrange(-1, 9),
+    "integer": lambda rng: rng.randrange(9),
     "integer-or-auto": lambda rng: rng.choice([None, rng.randrange(9)]),
     "flag": lambda rng: rng.choice([True, False]),
     "reading": lambda rng: rng.choice(["gt", "geq"]),
@@ -390,6 +390,25 @@ def test_distribution_lines_that_would_be_dropped_are_refused(body, message):
     # each was dropped or overwritten without a message before
     with pytest.raises(formats.ParseError) as err:
         formats.parse_distribution(SPEC_HEAD + body, "d.ds")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elements: 3\nmode: countable-truncated\nf: 0<7 = 1\n", "d.ds:3: expected indices below 3, got '0<7'"),
+        ("elements: 3\n0 <= 1\nmode: countable-truncated\nf: 0<1 = 1\nf: 1<0 = 1\n",
+         "d.ds:5: expected a chain of the order, got '1<0'"),
+        ("elements: 3\nmode: finite\nf: {0} = 1\nf: {1,3} = 1\n", "d.ds:4: expected indices below 3, got '{1,3}'"),
+        ("elements: 2\nmode: finite\nf: {0} = 1\nf: {1} = 0\npartition: 5 P\n",
+         "d.ds:5: expected indices below 2, got '5'"),
+        ("elements: 2\n0 <= 2\nmode: finite\nf: {0} = 1\n", "d.ds:2: expected indices below 2, got '0 <= 2'"),
+    ],
+    ids=["sequence-entry", "sequence-not-a-chain", "class-key-member", "partition-element", "preorder-pair"],
+)
+def test_distribution_numbers_outside_the_elements_cite_their_line(text, message):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_distribution(text, "d.ds")
     assert str(err.value) == message
 
 
