@@ -18,7 +18,7 @@ from rklab.distribution import (
     replayed_prime_preorder,
 )
 from rklab.formats import quotient_dot, serialize_preorder
-from rklab.preorder import random_preorder, sim_quotient
+from rklab.preorder import random_preorder
 
 
 def main() -> None:
@@ -29,9 +29,8 @@ def main() -> None:
     args = ap.parse_args()
     rng = random.Random(args.seed)
     order = random_preorder(rng, args.elements, 0.3)
-    q = sim_quotient(order)
     values = {}
-    for members in q.classes:
+    for members in order.classes:
         choices = [fin(1), fin(2), OMEGA, CONTINUUM]
         values[frozenset(members)] = (
             rng.choice(choices) if len(members) > 1 else rng.choice([ZERO] + choices)
@@ -53,7 +52,7 @@ def main() -> None:
         print(f"IL{key_label(key)} = {render(value)}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(quotient_dot(sim_quotient(po)))
+            fh.write(quotient_dot(po))
         print(f"quotient diagram written to {args.dot}")
 
 

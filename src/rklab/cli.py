@@ -3,7 +3,8 @@
 Every subcommand reads the module file formats and prints a
 human-readable report by default.  Under ``--machine`` each line is the
 ``key=value`` record of the plain line in the same position; ``limits``
-and ``classify`` keep explicit forms that do not pair line for line.
+and ``classify`` have records that print in one form only, so theirs do
+not pair line for line.
 Exit status 0 means the analysis completed (violations are report
 content); 2 means an input failed to parse or validate; 3 means the
 analysis needs more than one of its budgets allows.

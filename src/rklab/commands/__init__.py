@@ -15,16 +15,16 @@ class Natural(argparse.Action):
         setattr(namespace, self.dest, natural(values, f"a natural number for {option_string}"))
 
 
-def _emit(args, records: Iterable[tuple[str, object, str]]) -> None:
+def _emit(args, records: Iterable[tuple[str | None, object, str | None]]) -> None:
     """Print each record ``(key, value, plain)`` as it comes: its plain-text
-    line, or ``key=value`` under ``--machine``, a bool as ``true``/``false``."""
+    line, or ``key=value`` under ``--machine``, a bool as ``true``/``false``.
+    A record whose ``plain`` is None prints only under ``--machine``, and
+    one whose ``key`` is None only in plain text."""
     for key, value, plain in records:
-        if not args.machine:
+        if not args.machine and plain is not None:
             print(plain)
-        elif isinstance(value, bool):
-            print(f"{key}={'true' if value else 'false'}")
-        else:
-            print(f"{key}={value}")
+        elif args.machine and key is not None:
+            print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
 
 
 def _read(path: str) -> str:

@@ -26,7 +26,6 @@ def run(args: argparse.Namespace) -> int:
         target_triple,
     )
     from ..formats import parse_distribution, serialize_pipeline
-    from ..preorder import sim_quotient
 
     spec = parse_distribution(_read(args.spec), args.spec)
     config = BuildConfig(
@@ -46,7 +45,7 @@ def run(args: argparse.Namespace) -> int:
     if args.replay:
         struct = replay_blueprint(bp, config)
         out.append(("universe", len(struct.universe), f"replayed universe: {len(struct.universe)} elements"))
-        q = sim_quotient(replayed_prime_preorder(struct, bp.predicates))
+        q = replayed_prime_preorder(struct, bp.predicates)
         out.append(("rk_classes", q.size, f"rk quotient classes: {q.size}"))
         for key, value in sorted(replayed_il(struct, spec).items(), key=lambda kv: sorted(kv[0])):
             label, il = key_label(key), render(value)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import argparse
 
+from . import _emit
+
 
 def arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
@@ -28,15 +30,12 @@ def run(args: argparse.Namespace) -> int:
     triple = _parse_triple(args.triple)
     theory_class = "small" if args.small else "tc"
     verdict = classify_triple(triple, theory_class, ch=not args.no_ch)
-    if args.machine:  # one plain line stands against five records, so no _emit
-        out = [
-            f"triple={triple.render()}",
-            f"status={verdict.status}",
-            f"case={verdict.case if verdict.case is not None else '-'}",
-            f"reason={verdict.reason or '-'}",
-            f"flags={','.join(verdict.flags) or '-'}",
-        ]
-    else:
-        out = [f"{triple.render()}: {verdict.render()}"]
-    print("\n".join(out))
+    _emit(args, [  # one plain line stands against five records
+        (None, None, f"{triple.render()}: {verdict.render()}"),
+        ("triple", triple.render(), None),
+        ("status", verdict.status, None),
+        ("case", verdict.case if verdict.case is not None else "-", None),
+        ("reason", verdict.reason or "-", None),
+        ("flags", ",".join(verdict.flags) or "-", None),
+    ])
     return 0

@@ -13,14 +13,12 @@ def arguments(p: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     from ..domination import iso_classes, prime_node_order, rk_preorder, rk_structure
     from ..formats import parse_domination, quotient_dot
-    from ..preorder import sim_quotient
 
     g = parse_domination(_read(args.infile), args.infile)
     if args.rkt:
-        p = rk_preorder(g)
         labels = g.names()
-        pairs = ";".join(f"{labels[i]}<={labels[j]}" for i, j in p.pairs() if i != j)
-        q = sim_quotient(p)
+        q = rk_preorder(g)
+        pairs = ";".join(f"{labels[i]}<={labels[j]}" for i, j in q.pairs() if i != j)
         minima = ",".join(str(m) for m in q.minima())
         out = [("rkt", pairs, f"rkt preorder: {pairs or '(discrete)'}"),
                ("minima", minima, f"minimal classes: {minima}")]

@@ -1,7 +1,7 @@
 """``rklab limits``: limit-model class counts at a length bound."""
 import argparse
 
-from . import Natural
+from . import Natural, _emit
 
 
 def arguments(p: argparse.ArgumentParser) -> None:
@@ -23,28 +23,19 @@ def run(args: argparse.Namespace) -> int:
     system = lmt(lam) if args.system == "lmt" else lms(lam, args.reading)
     info = stabilization(system, args.alphabet, args.length)
     known = info["count_next"] is not None
-    out: list[str] = []
-    # no _emit: the records split "L=..: N classes" in two and put target second
-    if args.machine:
-        out.append(f"system={system.kind}")
-        out.append(f"target={render(system.target)}")
-        if system.kind == "lms" and system.n is None:
-            out.append(f"reading={system.reading}")
-        out.append(f"L={info['L']}")
-        out.append(f"classes={info['count']}")
-        out.append(f"classes_next={info['count_next'] if known else 'unknown'}")
-        out.append(f"stable={str(info['stable']).lower() if known else 'unknown'}")
-        out.append("representatives=" + ";".join(render_word(w) for w in info["representatives"]))
-    else:
-        out.append(f"system: {system.describe()}")
-        if system.kind == "lms" and system.n is None:
-            out.append(f"side-condition reading: {system.reading}")
-        out.append(f"L={info['L']}: {info['count']} classes")
-        over = f"over the node budget ({info['nodes_next']} > {info['budget']})"
-        out.append(f"L={info['L'] + 1}: " + (f"{info['count_next']} classes" if known else over))
-        out.append(f"stable: {info['stable'] if known else 'unknown'}")
-        reps = ", ".join(render_word(w) for w in info["representatives"])
-        out.append(f"representatives: {reps}")
-        out.append(f"target (displayed, not asserted at finite L): {render(system.target)}")
-    print("\n".join(out))
+    length, count, target = info["L"], info["count"], render(system.target)
+    # the records split "L=..: N classes" in two and put target second
+    out = [("system", system.kind, f"system: {system.describe()}"), ("target", target, None)]
+    if system.kind == "lms" and system.n is None:
+        out.append(("reading", system.reading, f"side-condition reading: {system.reading}"))
+    out += [("L", length, f"L={length}: {count} classes"), ("classes", count, None)]
+    over = f"over the node budget ({info['nodes_next']} > {info['budget']})"
+    out.append(("classes_next", info["count_next"] if known else "unknown",
+                f"L={length + 1}: " + (f"{info['count_next']} classes" if known else over)))
+    stable = info["stable"] if known else "unknown"
+    out.append(("stable", stable, f"stable: {stable}"))
+    reps = [render_word(w) for w in info["representatives"]]
+    out.append(("representatives", ";".join(reps), f"representatives: {', '.join(reps)}"))
+    out.append((None, None, f"target (displayed, not asserted at finite L): {target}"))
+    _emit(args, out)
     return 0

@@ -17,28 +17,26 @@ def arguments(p: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     from ..formats import parse_preorder, quotient_dot
-    from ..preorder import cones, height, is_upward_directed, sim_quotient, width
+    from ..preorder import cones, height, is_upward_directed, width
 
     p = parse_preorder(_read(args.infile), args.infile)
     out, classes = [("elements", p.n, f"elements: {p.n}")], ()
-    if args.quotient or args.dot or args.height or args.width or args.directed:
-        q = sim_quotient(p)
     if args.quotient:  # the class records are made as they are printed
-        bodies = (",".join(map(str, members)) for members in q.classes)
+        bodies = (",".join(map(str, members)) for members in p.classes)
         classes = ((f"class.{ci}", body, f"class {ci}: {{{body}}}") for ci, body in enumerate(bodies))
-        edges = ";".join(f"{a}<{b}" for a, b in q.covers())
+        edges = ";".join(f"{a}<{b}" for a, b in p.covers())
         out.append(("covers", edges, f"covers: {edges or '(none)'}"))
     if args.dot:
-        _write(args.dot, quotient_dot(q))
+        _write(args.dot, quotient_dot(p))
         out.append(("dot", args.dot, f"dot written to {args.dot}"))
     if args.height:
-        h = height(q)
+        h = height(p)
         out.append(("height", h, f"height: {h}"))
     if args.width:
-        w = width(q)
+        w = width(p)
         out.append(("width", w, f"width: {w}"))
     if args.directed:
-        d = is_upward_directed(q)
+        d = is_upward_directed(p)
         out.append(("directed", d, f"upward directed: {d}"))
     if args.cone is not None:
         for side, cone in zip(("lower", "upper"), cones(p, args.cone)):

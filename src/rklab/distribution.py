@@ -204,11 +204,6 @@ class DistributionSpec:
     triple: Cm3Triple | None = None
 
     def __post_init__(self) -> None:
-        from .preorder import sim_quotient
-
-        # the order's quotient, built once; not a field, so equality,
-        # hashing and repr read the fields alone
-        object.__setattr__(self, "quotient", sim_quotient(self.order))
         if self.mode not in ("finite", "countable-truncated"):
             raise ValueError(f"unknown mode {self.mode!r}")
         finite = self.mode == "finite"
@@ -222,7 +217,7 @@ class DistributionSpec:
         by = (lambda kv: sorted(kv[0])) if finite else (lambda kv: kv[0].render())
         object.__setattr__(self, "values", tuple(sorted(self.values, key=by)))
         if finite:
-            if keys != {frozenset(c) for c in self.quotient.classes}:
+            if keys != {frozenset(c) for c in self.order.classes}:
                 raise ValueError("class values must cover exactly the quotient classes")
         else:
             for key, _ in self.values:
@@ -335,7 +330,7 @@ def validate_f(spec: DistributionSpec) -> Report:
 
     if spec.mode == "finite":
         values = spec.class_map()
-        for members in spec.quotient.classes:
+        for members in spec.order.classes:
             key = frozenset(members)
             if len(members) > 1:
                 rb.check(
@@ -425,7 +420,7 @@ def build_blueprint(
 
     m = spec.order.n
     predicates = tuple(f"P{i}" for i in range(m))
-    q = spec.quotient
+    q = spec.order
     rank = ranks(q)
     comps = components(q)
 
@@ -542,7 +537,7 @@ def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[in
 
     targets = struct.limit_targets
     out: dict[frozenset[int], Card] = {}
-    for members in spec.quotient.classes:
+    for members in spec.order.classes:
         rep = min(members)
         out[frozenset(members)] = targets.get(pnode(f"P{rep}"), ZERO)
     return out

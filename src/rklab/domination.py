@@ -85,13 +85,13 @@ def prime_node_order(g: DominationGraph) -> list[str]:
     return [n.name for n in g.nodes if n.prime]
 
 
-def _prime_quotient(g: DominationGraph, order: Preorder) -> QuotientPoset:
-    """The quotient of ``order`` restricted to the prime-model nodes, with
-    classes indexed against prime_node_order(g)."""
-    from .preorder import induced, sim_quotient
+def _prime_quotient(g: DominationGraph, order: Preorder) -> Preorder:
+    """``order`` restricted to the prime-model nodes, with classes indexed
+    against prime_node_order(g)."""
+    from .preorder import induced
 
     idx = g.index()
-    return sim_quotient(induced(order, [idx[name] for name in prime_node_order(g)]))
+    return induced(order, [idx[name] for name in prime_node_order(g)])
 
 
 def iso_classes(g: DominationGraph) -> list[frozenset[str]]:
@@ -102,7 +102,7 @@ def iso_classes(g: DominationGraph) -> list[frozenset[str]]:
     return [frozenset(prime[a] for a in members) for members in q.classes]
 
 
-def rk_structure(g: DominationGraph) -> QuotientPoset:
+def rk_structure(g: DominationGraph) -> Preorder:
     """Mutual-domination quotient of the prime-model nodes.
 
     Classes are indexed against prime_node_order(g); strongly equivalent

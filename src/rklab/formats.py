@@ -17,7 +17,7 @@ from .cardinal import natural, parse_card, render  # other layers: imported wher
 from .report import BudgetError
 
 # the most elements a preorder or distribution-spec file may declare; a
-# million elements and a few pairs take about 320 MB to analyse
+# million elements and five pairs peak at about 200 MB to analyse
 ELEMENT_CAP = 1_000_000
 
 
@@ -80,13 +80,15 @@ def _preorder(lines: list[tuple[int, str]], path: str) -> Preorder:
     (n,) = _ints([first.split(":", 1)[1]], path, first_no, "integer element count", first)
     if n > ELEMENT_CAP:
         raise BudgetError(f"{n} elements exceed the element cap {ELEMENT_CAP}")
-    pairs = []
-    for no, line in lines[1:]:
-        parts = line.split("<=")
-        if len(parts) != 2:
-            raise ParseError(path, no, "'<i> <= <j>'", line)
-        pairs.append(_ints(parts, path, no, "integer pair '<i> <= <j>'", line, n))
-    return from_pairs(n, pairs)
+
+    def pairs():  # read as from_pairs takes them, so no list of them is kept
+        for no, line in lines[1:]:
+            parts = line.split("<=")
+            if len(parts) != 2:
+                raise ParseError(path, no, "'<i> <= <j>'", line)
+            yield _ints(parts, path, no, "integer pair '<i> <= <j>'", line, n)
+
+    return from_pairs(n, pairs())
 
 
 def serialize_preorder(p: Preorder) -> str:
@@ -95,8 +97,8 @@ def serialize_preorder(p: Preorder) -> str:
     return "\n".join(lines) + "\n"
 
 
-def quotient_dot(q: QuotientPoset, labels: list[str] | None = None) -> str:
-    """DOT rendering of a quotient poset's covering diagram."""
+def quotient_dot(q: Preorder, labels: list[str] | None = None) -> str:
+    """DOT rendering of the covering diagram of a preorder's classes."""
 
     def label(ci: int) -> str:
         members = q.classes[ci]

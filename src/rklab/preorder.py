@@ -1,20 +1,21 @@
-"""Finite preorders, their quotient posets, and the premodel axiom checker.
+"""Finite preorders, stored as their condensation, and the premodel axiom checker.
 
-A preorder on 0..n-1 is stored as bitset rows: bit j of ``rows[i]``
-says i <= j for j != i, and the diagonal is implied, so memory grows
-with the pairs present, not with n^2.  A ``Preorder`` keeps the
-reflexive-transitive closure of the rows it is built from, so every
-preorder is closed.  The quotient identifies mutually related elements
-(the strongly connected components of the relation) and is always a
-genuine partial order.  Heights and widths are computed exactly on the
-quotient, which is what the chain/antichain definitions range over once
-equivalent elements are ruled out.
+A ``Preorder`` on 0..n-1 is its quotient by mutual relation, a partial
+order: its classes, by least element with members ascending; per class,
+a bitset of the classes strictly above it; and per element, its class.
+Equal relations give equal records, and heights and widths are exact on
+the classes, which is what the chain/antichain definitions range over.
+A row's memory follows its highest set bit, so a chain's or a star's
+rows hold about n^2 bits; their total is checked against ``ROW_BUDGET``
+before each row is built.
 """
 from __future__ import annotations
 
 from .cardinal import CONTINUUM, OMEGA, ZERO, Card, render
 from .record import record
-from .report import Report, ReportBuilder
+from .report import BudgetError, Report, ReportBuilder
+
+ROW_BUDGET = 1 << 30  # the most row bits one preorder may hold: 128 MiB
 
 
 def _bits(x: int) -> list[int]:
@@ -37,96 +38,56 @@ def _mask(positions) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _charge(spent: int, bits: int) -> int:
+    """The row bits spent once a row of ``bits`` is built, refused past the budget."""
+    if spent + bits > ROW_BUDGET:
+        raise BudgetError(f"the preorder's rows need more than the row budget of {ROW_BUDGET} bits")
+    return spent + bits
+
+
 @record
 class Preorder:
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("negative element count")
-        if len(self.rows) != self.n or any(
-            r >> self.n or r >> i & 1 for i, r in enumerate(self.rows)
-        ):
-            raise ValueError("relation shape does not match element count")
-        # the closure: each row grows breadth first, ORing in the rows of
-        # the elements it newly reaches until it reaches nothing new
-        rows = list(self.rows)
-        for i, row in enumerate(rows):
-            reach = frontier = row
-            while frontier:
-                new = 0
-                for j in _bits(frontier):
-                    new |= rows[j]
-                frontier = new & ~reach
-                reach |= new
-            rows[i] = reach ^ 1 << i if reach >> i & 1 else reach
-        object.__setattr__(self, "rows", tuple(rows))
-
-    def le(self, i: int, j: int) -> bool:
-        return i == j or bool(self.rows[i] >> j & 1)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.rows) for j in sorted(_bits(row) + [i])]
-
-
-def from_pairs(n: int, pairs) -> Preorder:
-    succ: dict[int, list[int]] = {}
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"pair ({i},{j}) out of range for {n} elements")
-        if i != j:
-            succ.setdefault(i, []).append(j)
-    rows = [0] * n
-    for i, js in succ.items():
-        rows[i] = _mask(js)
-    return Preorder(n, tuple(rows))
-
-
-def induced(p: Preorder, elements: list[int]) -> Preorder:
-    """The relation restricted to ``elements``, renumbered in list order."""
-    pos = {e: a for a, e in enumerate(elements)}
-    rows = tuple(
-        _mask(pos[j] for j in _bits(p.rows[e]) if j in pos) for e in elements
-    )
-    return Preorder(len(elements), rows)
-
-
-@record
-class QuotientPoset:
-    """Partition into mutual-domination classes plus the induced order.
-
-    Classes are numbered in the order of their least element, which
-    comes first in each.  Bit b of ``above[a]`` says class a lies
-    strictly below class b; the order is reflexive, so the diagonal is
-    not stored.  ``index[e]`` is the class of element e.
-    """
+    """Bit b of ``above[a]`` says class a lies strictly below class b;
+    ``index[e]`` is the class of element e."""
 
     classes: tuple[tuple[int, ...], ...]
     above: tuple[int, ...]
     index: tuple[int, ...]
 
     @property
+    def n(self) -> int:
+        return len(self.index)
+
+    @property
     def size(self) -> int:
         return len(self.classes)
 
-    def le(self, a: int, b: int) -> bool:
+    def le(self, i: int, j: int) -> bool:
+        a, b = self.index[i], self.index[j]
         return a == b or bool(self.above[a] >> b & 1)
 
     def class_of(self, element: int) -> int:
         return self.index[element]
 
+    def _upper(self, a: int) -> list[int]:
+        """The elements of class a and of the classes above it, ascending."""
+        return sorted([*self.classes[a], *(x for b in _bits(self.above[a]) for x in self.classes[b])])
+
+    def pairs(self) -> list[tuple[int, int]]:
+        ups = [self._upper(a) for a in range(self.size)]
+        return [(i, j) for i, a in enumerate(self.index) for j in ups[a]]
+
     def minima(self) -> list[int]:
         covered = 0
         for row in self.above:
             covered |= row
-        return [i for i in range(self.size) if not covered >> i & 1]
+        return _bits(~covered & (1 << self.size) - 1)
 
     def maxima(self) -> list[int]:
         return [i for i, row in enumerate(self.above) if not row]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (a, b) with a < b and nothing strictly between."""
+        """Class pairs (a, b) with a < b and nothing strictly between."""
         out = []
         for a, row in enumerate(self.above):
             if row:  # a class with nothing above it covers nothing
@@ -137,51 +98,113 @@ class QuotientPoset:
         return out
 
 
-def sim_quotient(p: Preorder) -> QuotientPoset:
-    n = p.n
-    rows = p.rows
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for i, row in enumerate(rows):
-        if class_of[i] >= 0:
+def from_pairs(n: int, pairs) -> Preorder:
+    """The preorder the pairs generate on 0..n-1: their reflexive-transitive closure."""
+    succ: dict[int, list[int]] = {}
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"pair ({i},{j}) out of range for {n} elements")
+        if i != j:
+            succ.setdefault(i, []).append(j)
+    return _condense(n, succ)
+
+
+def _condense(n: int, succ: dict[int, list[int]]) -> Preorder:
+    """The record of the relation ``succ`` generates, in one pass: an iterative Tarjan search
+    completes each strongly connected component after every one it reaches, so in completion order
+    each class's row is the OR of the rows and bits of the classes it reaches directly (Purdom 1970;
+    Nuutila 1995)."""
+    num, low = [0] * n, [0] * n  # 0 until reached; on the stack, an element's place there plus 1
+    comp: list[tuple[int, ...] | None] = [None] * n  # each element's component, members ascending
+    done = []  # the components the search reached, in completion order
+    for root in succ:  # an element in no pair is never reached, and alone in its class
+        if num[root]:
             continue
-        # an element with an empty row is alone in its class, below nothing
-        members = (i, *(j for j in _bits(row) if rows[j] >> i & 1)) if row else (i,)
-        for j in members:
-            class_of[j] = len(classes)
-        classes.append(members)
-    above = tuple(
-        _mask(b for b in (class_of[j] for j in _bits(rows[members[0]])) if b != a)
-        if rows[members[0]] else 0
-        for a, members in enumerate(classes)
-    )
-    return QuotientPoset(tuple(classes), above, tuple(class_of))
+        num[root] = low[root] = 1
+        stack, path, tried = [root], [root], [0]  # per step, the successors tried: a count, smaller than an iterator
+        while path:
+            v = path[-1]
+            edges = succ.get(v, ())
+            for i in range(tried[-1], len(edges)):
+                w = edges[i]
+                if not num[w]:
+                    tried[-1] = i + 1
+                    num[w] = low[w] = len(stack) + 1
+                    stack.append(w)
+                    path.append(w)
+                    tried.append(0)
+                    break
+                if comp[w] is None and num[w] < low[v]:  # w is on the stack
+                    low[v] = num[w]
+            else:
+                del path[-1], tried[-1]
+                if low[v] < num[v]:  # v's component goes on below it
+                    low[path[-1]] = min(low[path[-1]], low[v])
+                    continue
+                members = tuple(sorted(stack[num[v] - 1:]))
+                del stack[num[v] - 1:]
+                for e in members:
+                    comp[e] = members
+                done.append(members)
+    del num, low
+    index, classes = [0] * n, []  # classes by least element
+    for e, members in enumerate(comp):
+        if members is None:
+            members = (e,)
+        if members[0] == e:
+            for x in members:
+                index[x] = len(classes)
+            classes.append(members)
+    above, spent = [0] * len(classes), 0
+    for members in done:
+        a = index[members[0]]
+        heads = {index[j] for e in members if e in succ for j in succ[e]} - {a}
+        if heads:
+            spent = _charge(spent, max(max(above[b].bit_length(), b + 1) for b in heads))
+            row = _mask(heads)
+            for b in heads:
+                row |= above[b]
+            above[a] = row
+    return Preorder(tuple(classes), tuple(above), tuple(index))
 
 
-def components(q: QuotientPoset) -> list[tuple[list[int], list[int]]]:
-    """The connected components of the order, in the order of their least
-    element: each as its elements and, ascending, the least element of
-    each of its maximal classes.
+def induced(p: Preorder, elements: list[int]) -> Preorder:
+    """The relation restricted to ``elements``, renumbered in list order: the
+    classes they meet, in the order ``p`` has between them."""
+    new = {c: a for a, c in enumerate(dict.fromkeys(p.index[e] for e in elements))}  # p's class -> its class here
+    index = tuple(new[p.index[e]] for e in elements)
+    classes: list[list[int]] = [[] for _ in new]
+    for x, a in enumerate(index):
+        classes[a].append(x)
+    above, spent, present = [], 0, _mask(new)
+    for c in new:
+        heads = [new[b] for b in _bits(p.above[c] & present)]
+        spent = _charge(spent, max(heads, default=-1) + 1)
+        above.append(_mask(heads))
+    return Preorder(tuple(map(tuple, classes)), tuple(above), index)
 
-    Comparable classes lie below one maximal class, so joining each class
-    to the maximal classes above it connects each component.
-    """
-    root = list(range(q.size))
+
+def components(p: Preorder) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the order, by least element: each as its elements and,
+    ascending, the least element of each of its maximal classes.  Comparable classes lie
+    below one maximal class, so joining each class to the maximal classes above it
+    connects each component."""
+    root = list(range(p.size))
 
     def find(a: int) -> int:
         while root[a] != a:
             root[a] = a = root[root[a]]
         return a
 
-    tops = _mask(q.maxima())
-    for a, row in enumerate(q.above):
+    tops = _mask(p.maxima())
+    for a, row in enumerate(p.above):
         for m in _bits(row & tops):
             root[find(m)] = find(a)
     comps: dict[int, tuple[list[int], list[int]]] = {}
-    for c, members in enumerate(q.classes):
+    for c, members in enumerate(p.classes):
         elements, reps = comps.setdefault(find(c), ([], []))
         elements.extend(members)
-        if not q.above[c]:
+        if not p.above[c]:
             reps.append(members[0])
     return list(comps.values())
 
@@ -189,66 +212,68 @@ def components(q: QuotientPoset) -> list[tuple[list[int], list[int]]]:
 def cones(p: Preorder, a: int) -> tuple[frozenset[int], frozenset[int]]:
     if not (0 <= a < p.n):
         raise IndexError(f"element {a} out of range")
-    lower = frozenset(x for x in range(p.n) if p.le(x, a))
-    upper = frozenset(_bits(p.rows[a])) | {a}
-    return lower, upper
+    c = p.index[a]
+    lower = (x for d, row in enumerate(p.above) if d == c or row >> c & 1 for x in p.classes[d])
+    return frozenset(lower), frozenset(p._upper(c))
 
 
-def ranks(q: QuotientPoset) -> list[int]:
+def ranks(p: Preorder) -> list[int]:
     """Per class, the most classes strictly below it on one chain."""
     # a class has more classes above it than any class above it: this
     # order puts every class with a class above it before those classes
-    order = sorted((c for c in range(q.size) if q.above[c]), key=lambda c: -q.above[c].bit_count())
-    rank = [0] * q.size
+    order = sorted((c for c in range(p.size) if p.above[c]), key=lambda c: -p.above[c].bit_count())
+    rank = [0] * p.size
     for c in order:
-        for d in _bits(q.above[c]):
+        for d in _bits(p.above[c]):
             if rank[c] + 1 > rank[d]:
                 rank[d] = rank[c] + 1
     return rank
 
 
-def height(q: QuotientPoset) -> int:
+def height(p: Preorder) -> int:
     """Longest chain of pairwise non-equivalent elements (element count)."""
-    return max(ranks(q), default=-1) + 1
+    return max(ranks(p), default=-1) + 1
 
 
-def width(q: QuotientPoset) -> int:
-    """Maximum antichain of the quotient.
-
-    By Dilworth's theorem this is the fewest chains that cover the
-    quotient, which is its class count minus a maximum matching of the
-    pairs a < b (Fulkerson 1956): each class that no matched pair enters
-    starts one chain.  The matching grows by augmenting paths, searched
-    depth first on an explicit stack.
-    """
-    k = q.size
-    above = [_bits(row) if row else () for row in q.above]
-    below = [-1] * k  # below[b] is the class matched to b, if any
-    seen = [-1] * k  # seen[b] == a: b was tried in the search from a
-    for a in (c for c in range(k) if above[c]):  # a class with none above it matches none
-        stack, via = [(a, iter(above[a]))], []
-        while stack:
-            u, options = stack[-1]
-            b = next((b for b in options if seen[b] != a), None)
-            if b is None:
+def width(p: Preorder) -> int:
+    """Maximum antichain of the quotient: by Dilworth's theorem, the fewest
+    chains that cover it, which is its class count minus a maximum matching
+    of the pairs a < b (Fulkerson 1956).  The matching grows by augmenting
+    paths, searched depth first over the rows as bitsets: a class on the
+    path takes an unmatched class above it if it has one, or else steps
+    through the first matched one this search has not tried."""
+    below = [-1] * p.size  # below[b] is the class matched to b, if any
+    matched = 0  # the classes matched to some class
+    for a, row in enumerate(p.above):
+        if not row:  # a class with none above it matches none
+            continue
+        seen, stack, via = 0, [a], []  # the classes this search tried; its path
+        while row:
+            free = row & ~matched
+            if free:
+                b = (free & -free).bit_length() - 1
+                # flip the path: each stacked class takes the b it went through
+                for v, c in zip(stack, via + [b]):
+                    below[c] = v
+                matched |= 1 << b
+                break
+            rest = row & ~seen
+            if rest:
+                b = (rest & -rest).bit_length() - 1
+                seen |= 1 << b
+                via.append(b)
+                stack.append(below[b])
+            else:
                 stack.pop()
                 del via[-1:]  # the b that led to the dead end, if any
-            elif below[b] < 0:
-                # flip the path: each stacked class takes the b it went through
-                for (v, _), c in zip(stack, via + [b]):
-                    below[c] = v
-                break
-            else:
-                seen[b] = a
-                via.append(b)
-                stack.append((below[b], iter(above[below[b]])))
-    return below.count(-1)
+            row = p.above[stack[-1]] if stack else 0
+    return p.size - matched.bit_count()
 
 
-def is_upward_directed(q: QuotientPoset) -> bool:
+def is_upward_directed(p: Preorder) -> bool:
     """Every pair has a common upper bound; for a finite preorder, that is
     a single maximal class."""
-    return len(q.maxima()) <= 1
+    return len(p.maxima()) <= 1
 
 
 # -- premodel profiles -------------------------------------------------------
@@ -294,38 +319,18 @@ def check_premodel(profile: PremodelProfile) -> Report:
     facts: the width is continual and the set is upward directed.
     """
     rb = ReportBuilder("premodel")
-    rb.check(
-        "size-continual",
-        profile.size == CONTINUUM,
-        f"size = {render(profile.size)}, must be c",
-    )
+    size, lower, cls, height = map(render, (profile.size, profile.lower_cone_card, profile.class_card, profile.height))
+    rb.check("size-continual", profile.size == CONTINUUM, f"size = {size}, must be c")
     rb.check("upward-directed", profile.directed, "set must be upward directed")
-    rb.check(
-        "lower-cones-countable",
-        profile.lower_cone_card == OMEGA,
-        f"|lower cone| = {render(profile.lower_cone_card)}, must be w",
-    )
-    rb.check(
-        "sim-classes-countable",
-        profile.class_card == OMEGA,
-        f"|class| = {render(profile.class_card)}, must be w",
-    )
+    rb.check("lower-cones-countable", profile.lower_cone_card == OMEGA, f"|lower cone| = {lower}, must be w")
+    rb.check("sim-classes-countable", profile.class_card == OMEGA, f"|class| = {cls}, must be w")
     for idx, case in enumerate(profile.joint_upper_cone_cases):
         shape = classify_cone_case(case)
-        rb.check(
-            f"upper-cone-case-{idx}",
-            shape is not None,
-            f"case {idx} matches shape {shape}"
-            if shape is not None
-            else f"case {idx} fits none of the four admissible shapes",
-        )
-    rb.check(
-        "height-countable",
-        profile.height == OMEGA,
-        "height must be w; a finite height is impossible"
-        if profile.height.finite
-        else f"height = {render(profile.height)}, must be w",
-    )
+        found = f"matches shape {shape}" if shape is not None else "fits none of the four admissible shapes"
+        rb.check(f"upper-cone-case-{idx}", shape is not None, f"case {idx} {found}")
+    finite = profile.height.finite
+    why = "height must be w; a finite height is impossible" if finite else f"height = {height}, must be w"
+    rb.check("height-countable", profile.height == OMEGA, why)
     if rb.done().ok:
         rb.fact("width", render(CONTINUUM))
         rb.fact("upward-directed", "confirmed")
@@ -335,10 +340,4 @@ def check_premodel(profile: PremodelProfile) -> Report:
 # -- helpers used by tests and the demo script ------------------------------
 
 def random_preorder(rng, n: int, density: float = 0.3) -> Preorder:
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and rng.random() < density
-    ]
-    return from_pairs(n, pairs)
+    return from_pairs(n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density])

@@ -620,6 +620,31 @@ def test_preorder_many_elements_fits_in_memory(tmp_path):
     assert elapsed < 60, f"took {elapsed:.1f}s"
 
 
+def test_a_star_past_the_row_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # every element below the last: n - 1 rows of n bits, one bit over the budget
+    import rklab.preorder
+
+    n = 50
+    budget = (n - 1) * n - 1
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", budget)
+    star = "".join(f"{i} <= {n - 1}\n" for i in range(n - 1))
+    (tmp_path / "star.po").write_text(f"elements: {n}\n{star}")
+    values = "".join(f"f: {{{i}}} = 0\n" for i in range(n))
+    (tmp_path / "star.ds").write_text(f"elements: {n}\n{star}mode: finite\n{values}")
+    nodes = "".join(f"type t{i} prime\n" for i in range(n))
+    edges = "".join(f"t{n - 1} dominates t{i} via f\n" for i in range(n - 1))
+    (tmp_path / "star.dg").write_text(nodes + edges)
+    for argv in (["preorder", "--in", "star.po", "--height"], ["build", "--spec", "star.ds"],
+                 ["dominate", "--in", "star.dg", "--rkt"], ["dominate", "--in", "star.dg"]):
+        argv[2] = str(tmp_path / argv[2])
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: the preorder's rows need more than the row budget of {budget} bits\n"
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", budget + 1)
+    code, out, _ = run_cli("preorder", "--in", str(tmp_path / "star.po"), "--height", capsys=capsys)
+    assert (code, out) == (0, f"elements: {n}\nheight: 2\n")
+
+
 def _subprocess_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -697,13 +722,13 @@ def _count_preorder_calls(monkeypatch, names):
 def test_preorder_builds_one_quotient(tmp_path, capsys, monkeypatch):
     po = tmp_path / "chain.po"
     po.write_text("elements: 4\n0 <= 1\n1 <= 2\n2 <= 3\n")
-    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "from_pairs", "height", "width"))
+    counts = _count_preorder_calls(monkeypatch, ("from_pairs", "_condense", "height", "width"))
     code, out, _ = run_cli(
         "preorder", "--in", str(po), "--quotient", "--height", "--width", "--directed",
         "--dot", str(tmp_path / "q.dot"), "--machine", capsys=capsys,
     )
     assert code == 0 and "height=4\nwidth=1\ndirected=true\n" in out
-    assert counts == {"sim_quotient": 1, "from_pairs": 1, "height": 1, "width": 1}
+    assert counts == {"from_pairs": 1, "_condense": 1, "height": 1, "width": 1}
 
 
 def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatch):
@@ -712,11 +737,12 @@ def test_build_replay_builds_one_quotient_per_order(tmp_path, capsys, monkeypatc
         "elements: 3\n0 <= 1\n1 <= 0\nmode: finite\nf: {0,1} = 2\nf: {2} = 0\n"
         "partition: 0 P\npartition: 1 P\npartition: 2 NPL\n"
     )
-    counts = _count_preorder_calls(monkeypatch, ("sim_quotient", "from_pairs"))
+    counts = _count_preorder_calls(monkeypatch, ("from_pairs", "_condense"))
     code, out, _ = run_cli("build", "--spec", str(ds), "--replay", "--machine", capsys=capsys)
     assert code == 0 and "rk_classes=2\n" in out
-    # the spec's order and the replayed one: each built and quotiented once
-    assert counts == {"sim_quotient": 2, "from_pairs": 2}
+    # the spec's order and the replayed registry's: each built in one pass,
+    # and the replayed prime order restricted from the registry's, not rebuilt
+    assert counts == {"from_pairs": 2, "_condense": 2}
 
 
 def test_oversized_type_spaces_refused_before_allocating():
@@ -1038,7 +1064,7 @@ def test_output_matches_the_golden_file(golden_runs):
 
 
 def test_machine_output_has_one_record_per_plain_line(golden_runs):
-    # limits and classify keep a machine form of their own
+    # limits and classify print records in one form only, so theirs do not pair up
     for (argv, _, plain), (_, _, machine) in zip(golden_runs[::2], golden_runs[1::2]):
         if argv.split()[0] in ("limits", "classify"):
             continue

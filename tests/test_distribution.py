@@ -32,7 +32,6 @@ from rklab.preorder import (
     components,
     from_pairs,
     random_preorder,
-    sim_quotient,
 )
 
 CFG = BuildConfig(colors=1, per_color=1, depth=1, fan_out=1)
@@ -113,7 +112,6 @@ def test_decompose():
 
 def test_validate_f_finite_tc():
     order = from_pairs(3, [(0, 1), (1, 0)])
-    q = sim_quotient(order)
     good = finite_spec(order, {frozenset({0, 1}): fin(1), frozenset({2}): ZERO})
     assert validate_f(good).ok
     bad = finite_spec(order, {frozenset({0, 1}): ZERO, frozenset({2}): ZERO})
@@ -204,8 +202,7 @@ def test_spec_keys_match_the_mode():
 def test_blueprint_example_shape():
     # two types, the higher dominating the lower one only
     order = from_pairs(2, [(0, 1)])
-    q = sim_quotient(order)
-    spec = finite_spec(order, {frozenset(c): ZERO for c in q.classes})
+    spec = finite_spec(order, {frozenset(c): ZERO for c in order.classes})
     bp = build_blueprint(spec, "t77", CFG)
     qedges = [step.args for step in bp.pipeline if step.op == "qedge"]
     assert qedges == [{"low": 0, "high": 1, "principal": True}]
@@ -228,7 +225,7 @@ def test_components_against_matrix_oracle():
         n = trial if trial < 2 else rng.randint(0, 12)
         p = random_preorder(rng, n, rng.uniform(0.0, 0.4))
         full = matrix(p)
-        comps, expected = components(sim_quotient(p)), brute_components(full)
+        comps, expected = components(p), brute_components(full)
         assert [sorted(elements) for elements, _ in comps] == expected
         for (_, reps), comp in zip(comps, expected):
             # the least element of each class with nothing strictly above it
@@ -260,9 +257,8 @@ def test_blueprint_round_trip_random():
     values = [ZERO, fin(1), fin(2), OMEGA, CONTINUUM]
     for trial in range(12):
         order = random_preorder(rng, rng.randint(1, 5), 0.3)
-        q = sim_quotient(order)
         f = {}
-        for members in q.classes:
+        for members in order.classes:
             f[frozenset(members)] = (
                 rng.choice([fin(1), fin(3), OMEGA, CONTINUUM])
                 if len(members) > 1
@@ -274,7 +270,6 @@ def test_blueprint_round_trip_random():
         assert len(struct.universe) <= 200
         po = replayed_prime_preorder(struct, bp.predicates)
         assert po == order
-        assert sim_quotient(po) == q
         il = replayed_il(struct, spec)
         assert all(card_eq(il[k], v, ch=False) for k, v in f.items())
         for tag in ("icp", "css"):
@@ -283,8 +278,7 @@ def test_blueprint_round_trip_random():
 
 def test_blueprint_partition_variants():
     order = from_pairs(3, [])
-    q = sim_quotient(order)
-    f = {frozenset(c): ZERO for c in q.classes}
+    f = {frozenset(c): ZERO for c in order.classes}
     partition = {0: "P", 1: "NPL", 2: "P"}
     spec_finite = finite_spec(order, f, partition)
     bp91 = build_blueprint(spec_finite, "t91", CFG)
@@ -424,8 +418,8 @@ def test_corollary_builds_one_quotient(monkeypatch, kind, lam):
     import rklab.preorder
 
     quotients = []
-    original = rklab.preorder.sim_quotient
-    monkeypatch.setattr(rklab.preorder, "sim_quotient", lambda p: quotients.append(p) or original(p))
+    original = rklab.preorder.from_pairs
+    monkeypatch.setattr(rklab.preorder, "from_pairs", lambda n, pairs: quotients.append(n) or original(n, pairs))
     params = (fin(2), lam) if kind == "c78" else (lam,)
     spec = realize_corollary(kind, params)
     assert len(quotients) == 1
@@ -455,8 +449,7 @@ def test_builder_worst_case_universe_budget():
     for pairs, n in (([], 6), ([(2 * i, 2 * i + 1) for i in range(6)]
                                + [(2 * i + 1, 2 * i) for i in range(6)], 12)):
         order = from_pairs(n, pairs)
-        q = sim_quotient(order)
-        spec = finite_spec(order, {frozenset(c): CONTINUUM for c in q.classes})
+        spec = finite_spec(order, {frozenset(c): CONTINUUM for c in order.classes})
         bp = build_blueprint(spec, "t77", CFG)
         struct = replay_blueprint(bp, CFG, check=True)
         assert len(struct.universe) <= 200

@@ -12,7 +12,6 @@ from rklab.domination import (
     rk_preorder,
     rk_structure,
 )
-from rklab.preorder import sim_quotient
 
 
 def graph(nodes, edges):
@@ -147,8 +146,7 @@ def test_minimal_but_not_least_detectable():
         [TypeNode("a"), TypeNode("b"), TypeNode("c")],
         [DomEdge("c", "a", "f"), DomEdge("c", "b", "g")],
     )
-    q = sim_quotient(rk_preorder(g))
-    assert len(q.minima()) == 2
+    assert len(rk_preorder(g).minima()) == 2
 
 
 def test_node_invariants():
@@ -218,7 +216,7 @@ def test_rk_structure_matches_direct_definition_on_random_graphs():
         for ca, amembers in enumerate(q.classes):
             for cb, bmembers in enumerate(q.classes):
                 expect = order.le(idx[prime[amembers[0]]], idx[prime[bmembers[0]]])
-                assert q.le(ca, cb) == expect
+                assert (ca == cb or bool(q.above[ca] >> cb & 1)) == expect
 
 
 def test_iso_classes_match_pairwise_oracle_on_random_graphs():

@@ -14,7 +14,7 @@ from rklab.distribution import (
     sequence_spec,
 )
 from rklab.domination import DomEdge, DominationGraph, TypeNode
-from rklab.preorder import random_preorder, sim_quotient, from_pairs
+from rklab.preorder import random_preorder, from_pairs
 from rklab.report import BudgetError
 from rklab.typespace import TypeSpace
 
@@ -69,10 +69,9 @@ def test_distribution_round_trip():
     for trial in range(200):
         order = random_preorder(rng, rng.randint(1, 5), 0.3)
         if trial % 2 == 0:
-            q = sim_quotient(order)
             values = {
                 frozenset(c): (fin(1) if len(c) > 1 else rng.choice(cards))
-                for c in q.classes
+                for c in order.classes
             }
             partition = (
                 {i: rng.choice(["P", "NPL"]) for i in range(order.n)}
@@ -152,8 +151,7 @@ def test_struct_round_trip():
     rng = random.Random(6)
     for _ in range(5):
         order = random_preorder(rng, rng.randint(1, 4), 0.3)
-        q = sim_quotient(order)
-        values = {frozenset(c): (fin(1) if len(c) > 1 else ZERO) for c in q.classes}
+        values = {frozenset(c): (fin(1) if len(c) > 1 else ZERO) for c in order.classes}
         spec = finite_spec(order, values)
         struct = replay_blueprint(build_blueprint(spec, "t77", cfg), cfg)
         text = formats.serialize_struct(struct)
@@ -413,7 +411,6 @@ def test_distribution_numbers_outside_the_elements_cite_their_line(text, message
 
 
 def test_quotient_dot_output():
-    q = sim_quotient(from_pairs(3, [(0, 1), (1, 2)]))
-    dot = formats.quotient_dot(q)
+    dot = formats.quotient_dot(from_pairs(3, [(0, 1), (1, 2)]))
     assert dot.startswith("digraph")
     assert "c0 -> c1" in dot

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,21 +13,22 @@ from oracles import (
     brute_width,
     matrix,
 )
+import rklab.preorder
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
 from rklab.preorder import (
     ConeCase,
     PremodelProfile,
-    Preorder,
     check_premodel,
     classify_cone_case,
     cones,
     from_pairs,
     height,
+    induced,
     is_upward_directed,
     random_preorder,
-    sim_quotient,
     width,
 )
+from rklab.report import BudgetError
 
 
 def chain(n):
@@ -48,23 +50,27 @@ def test_close_examples():
 
 def test_sim_quotient_examples():
     p = from_pairs(2, [(0, 1), (1, 0)])
-    assert sim_quotient(p).size == 1
-    q = sim_quotient(antichain(3))
+    assert p.size == 1 and p.classes == ((0, 1),) and p.index == (0, 0)
+    q = antichain(3)
     assert q.size == 3
-    assert not any(q.le(a, b) for a in range(3) for b in range(3) if a != b)
+    assert q.above == (0, 0, 0)  # no class lies below another
     # two-cycle below a third element: 2 classes, one covering edge
     p = from_pairs(3, [(0, 1), (1, 0), (0, 2)])
-    q = sim_quotient(p)
-    assert q.size == 2
-    assert len(q.covers()) == 1
+    assert p.size == 2
+    assert p.covers() == [(0, 1)]
+    # classes are numbered by least element, members ascending
+    p = from_pairs(5, [(4, 2), (2, 4), (3, 0), (1, 4)])
+    assert p.classes == ((0,), (1,), (2, 4), (3,))
+    assert p.index == (0, 1, 2, 3, 2)
+    assert p.above == (0, 0b100, 0, 0b1)
 
 
 def test_preorder_is_closed_on_construction():
     # a 3-element chain given without 0 <= 2
-    p = Preorder(3, (0b010, 0b100, 0))
-    assert p.le(0, 2) and p.rows == (0b110, 0b100, 0)
-    assert p == from_pairs(3, [(0, 1), (1, 2)])
-    assert sim_quotient(p).covers() == [(0, 1), (1, 2)]
+    p = from_pairs(3, [(1, 2), (0, 1)])
+    assert p.le(0, 2) and p.above == (0b110, 0b100, 0)
+    assert p == from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    assert p.covers() == [(0, 1), (1, 2)]
 
 
 def test_cones():
@@ -80,80 +86,95 @@ def test_cones():
 
 
 def test_height_width_examples():
-    assert height(sim_quotient(chain(4))) == 4
-    assert height(sim_quotient(antichain(5))) == 1
+    assert height(chain(4)) == 4
+    assert height(antichain(5)) == 1
     two_equiv = from_pairs(2, [(0, 1), (1, 0)])
-    assert height(sim_quotient(two_equiv)) == 1  # equivalent elements never stack
-    assert width(sim_quotient(antichain(5))) == 5
-    assert width(sim_quotient(chain(4))) == 1
+    assert height(two_equiv) == 1  # equivalent elements never stack
+    assert width(antichain(5)) == 5
+    assert width(chain(4)) == 1
     grid = from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert width(sim_quotient(grid)) == 2
+    assert width(grid) == 2
     assert brute_width(matrix(grid)) == 2
 
 
 def test_directedness():
     top = from_pairs(3, [(0, 2), (1, 2)])
-    assert is_upward_directed(sim_quotient(top))
-    assert not is_upward_directed(sim_quotient(antichain(2)))
+    assert is_upward_directed(top)
+    assert not is_upward_directed(antichain(2))
     v = from_pairs(3, [(0, 2), (1, 2)])
-    assert is_upward_directed(sim_quotient(v))
+    assert is_upward_directed(v)
 
 
 def test_random_preorders_against_oracles():
     rng = random.Random(20260811)
     for trial in range(500):
         n = rng.randint(1, 10)
-        p = random_preorder(rng, n, rng.uniform(0.05, 0.5))
-        assert matrix(p) == brute_close(matrix(p))
-        q = sim_quotient(p)
-        seen = sorted(x for members in q.classes for x in members)
+        density = rng.uniform(0.05, 0.5)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+        p = from_pairs(n, pairs)
+        assert matrix(p) == brute_close([[(i, j) in pairs for j in range(n)] for i in range(n)])
+        seen = sorted(x for members in p.classes for x in members)
         assert seen == list(range(n))  # genuine partition
-        for a in range(q.size):
-            for b in range(q.size):
-                if a != b:
-                    assert not (q.le(a, b) and q.le(b, a))
+        for a in range(p.size):
+            for b in range(p.size):
+                if a != b:  # the class order is antisymmetric
+                    assert not (p.above[a] >> b & 1 and p.above[b] >> a & 1)
         if n <= 8:
-            assert height(sim_quotient(p)) == brute_height(matrix(p))
-            assert width(sim_quotient(p)) == brute_width(matrix(p))
+            assert height(p) == brute_height(matrix(p))
+            assert width(p) == brute_width(matrix(p))
+
+
+def _cycles(rng, n):
+    """Pairs running a cycle through each of a few random disjoint groups."""
+    elements = rng.sample(range(n), n)
+    pairs = []
+    while elements:
+        group, elements = elements[: rng.randint(1, 5)], elements[rng.randint(1, 5):]
+        pairs += zip(group, group[1:] + group[:1])
+    return pairs
 
 
 def test_bitset_rows_against_matrix_oracles():
     rng = random.Random(20261018)
-    for trial in range(300):
+    for trial in range(400):
         n = rng.randint(0, 9) if trial < 200 else rng.randint(10, 24)
-        density = rng.uniform(0.0, 0.4)
+        density = rng.uniform(0.0, 0.4) if trial < 300 else rng.uniform(0.0, 0.1)
         pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+        if trial >= 300:  # fat classes: cycles through random groups, a few links between
+            pairs += _cycles(rng, n)
         generators = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
         full = brute_close(generators)
-        raw = tuple(sum(1 << j for j in range(n) if generators[i][j] and j != i) for i in range(n))
-        assert matrix(Preorder(n, raw)) == full
         p = from_pairs(n, pairs)
         assert matrix(p) == full
-        q = sim_quotient(p)
-        assert {frozenset(c) for c in q.classes} == brute_classes(full)
-        assert {(frozenset(q.classes[a]), frozenset(q.classes[b])) for a, b in q.covers()} == brute_covers(full)
-        for a in range(q.size):
-            for b in range(q.size):
-                assert q.le(a, b) == full[q.classes[a][0]][q.classes[b][0]]
-        assert is_upward_directed(sim_quotient(p)) == brute_directed(full)
+        assert {frozenset(c) for c in p.classes} == brute_classes(full)
+        assert [c[0] for c in p.classes] == sorted(c[0] for c in p.classes)
+        assert all(list(c) == sorted(c) and p.index[x] == a for a, c in enumerate(p.classes) for x in c)
+        assert {(frozenset(p.classes[a]), frozenset(p.classes[b])) for a, b in p.covers()} == brute_covers(full)
+        for a in range(p.size):
+            for b in range(p.size):
+                assert bool(p.above[a] >> b & 1) == (a != b and full[p.classes[a][0]][p.classes[b][0]])
+        assert is_upward_directed(p) == brute_directed(full)
         for a in range(n):
             lower, upper = cones(p, a)
             assert lower == {x for x in range(n) if full[x][a]}
             assert upper == {x for x in range(n) if full[a][x]}
+        elements = rng.sample(range(n), rng.randint(0, n))
+        sub = induced(p, elements)
+        assert matrix(sub) == [[full[x][y] for y in elements] for x in elements]
+        assert sub == from_pairs(len(elements), sub.pairs())
         if n <= 8:
-            assert height(sim_quotient(p)) == brute_height(full)
-            assert width(sim_quotient(p)) == brute_width(full)
+            assert height(p) == brute_height(full)
+            assert width(p) == brute_width(full)
 
 
 def test_height_one_iff_flat():
     rng = random.Random(7)
     for _ in range(100):
         p = random_preorder(rng, rng.randint(1, 6), 0.4)
-        q = sim_quotient(p)
         flat = not any(
-            q.le(a, b) for a in range(q.size) for b in range(q.size) if a != b
+            p.le(x, y) for x in range(p.n) for y in range(p.n) if p.class_of(x) != p.class_of(y)
         )
-        assert (height(sim_quotient(p)) == 1) == flat
+        assert (height(p) == 1) == flat
 
 
 def conforming_profile():
@@ -234,15 +255,46 @@ def chain_product(m, n):
 
 
 def test_width_past_twenty_classes():
-    assert width(sim_quotient(antichain(25))) == 25
+    assert width(antichain(25)) == 25
     for lengths in ((30,), (5,) * 7, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (3,) * 24):
-        assert width(sim_quotient(chains(*lengths))) == len(lengths)
+        assert width(chains(*lengths)) == len(lengths)
     for m, n in ((1, 25), (5, 5), (4, 9), (9, 4), (6, 8)):
-        assert width(sim_quotient(chain_product(m, n))) == min(m, n)
+        assert width(chain_product(m, n)) == min(m, n)
     # equivalent elements collapse: 30 two-element cycles in one chain
     cycles = [(2 * i, 2 * i + 1) for i in range(30)] + [(2 * i + 1, 2 * i) for i in range(30)]
     links = [(2 * i, 2 * i + 2) for i in range(29)]
-    assert width(sim_quotient(from_pairs(60, cycles + links))) == 1
+    assert width(from_pairs(60, cycles + links)) == 1
+
+
+def test_a_long_cycle_builds_one_class_quickly():
+    n = 100_000
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    start = time.perf_counter()
+    p = from_pairs(n, pairs)
+    elapsed = time.perf_counter() - start
+    assert p.classes == (tuple(range(n)),) and p.above == (0,) and set(p.index) == {0}
+    assert height(p) == width(p) == 1
+    assert elapsed < 1.0, f"a {n}-element cycle took {elapsed:.2f}s"
+
+
+def star(n):
+    """Every element below the last: n - 1 rows of n bits each."""
+    return [(i, n - 1) for i in range(n - 1)]
+
+
+def test_rows_past_the_budget_are_refused(monkeypatch):
+    n = 40
+    assert from_pairs(n, star(n)).above[0] == 1 << n - 1
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", (n - 1) * n)
+    p = from_pairs(n, star(n))  # exactly at the budget
+    from_pairs(n + 1, star(n) + [(n - 1, n), (n, n - 1)])  # a second top element adds no row
+    with pytest.raises(BudgetError, match="row budget"):
+        from_pairs(n + 1, star(n + 1))
+    # a restriction charges its own rows
+    assert induced(p, list(range(n))) == p
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", (n - 1) * n - 1)
+    with pytest.raises(BudgetError, match="row budget"):
+        induced(p, list(range(n)))
 
 
 from hypothesis import given, settings
@@ -279,10 +331,9 @@ def test_close_properties(raw):
 @given(raw_preorders())
 def test_quotient_partition_properties(raw):
     p = from_pairs(*raw)
-    q = sim_quotient(p)
-    flat = sorted(x for members in q.classes for x in members)
+    flat = sorted(x for members in p.classes for x in members)
     assert flat == list(range(p.n))
-    for members in q.classes:
+    for members in p.classes:
         for a in members:
             for b in members:
                 assert p.le(a, b) and p.le(b, a)
