@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .record import record
-from .report import BudgetError
+from .report import Budget
 
 _RANK = {"fin": 0, "w": 1, "w1": 2, "c": 3}
 
@@ -104,7 +104,7 @@ def render(a: Card) -> str:
 
 # the most digits a number may have: more than any cap of rklab needs, and
 # fewer than the 4300 that Python's int() converts by default since 3.11
-DIGIT_BOUND = 4096
+DIGIT_BOUND = Budget("digit bound", 4096, "digits")
 
 
 def natural(text: str, what: str = "a natural number") -> int:
@@ -113,8 +113,7 @@ def natural(text: str, what: str = "a natural number") -> int:
     Past ``DIGIT_BOUND`` digits it is over every cap: a ``BudgetError``."""
     if not (text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")):
         raise ValueError(f"expected {what}, got {text!r}")
-    if len(text) > DIGIT_BOUND:
-        raise BudgetError(f"{len(text)} digits exceed the digit bound {DIGIT_BOUND}")
+    DIGIT_BOUND.check(len(text))
     return int(text)
 
 

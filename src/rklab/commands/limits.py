@@ -15,7 +15,7 @@ def arguments(p: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     from ..cardinal import fin, parse_card, render
-    from ..limitcount import lmt, lms, render_word, stabilization
+    from ..limitcount import NODE_BUDGET, lmt, lms, render_word, stabilization
 
     if (args.n is None) == (args.lam is None):
         raise ValueError("limits takes exactly one of --n and --lam")
@@ -29,7 +29,7 @@ def run(args: argparse.Namespace) -> int:
     if system.kind == "lms" and system.n is None:
         out.append(("reading", system.reading, f"side-condition reading: {system.reading}"))
     out += [("L", length, f"L={length}: {count} classes"), ("classes", count, None)]
-    over = f"over the node budget ({info['nodes_next']} > {info['budget']})"
+    over = f"over the node budget ({info['nodes_next']} > {NODE_BUDGET.limit})"
     out.append(("classes_next", info["count_next"] if known else "unknown",
                 f"L={length + 1}: " + (f"{info['count_next']} classes" if known else over)))
     stable = info["stable"] if known else "unknown"

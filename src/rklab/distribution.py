@@ -35,7 +35,7 @@ from .cardinal import (
     render,
 )
 from .record import record
-from .report import BudgetError, Report, ReportBuilder  # preorder, domination, operators: imported where used
+from .report import Report, ReportBuilder  # preorder, domination, operators: imported where used
 
 
 @record
@@ -472,8 +472,7 @@ def build_blueprint(
     # a bu step per two components and per two maximal classes of one; each
     # icp, css and bu step adds an element, so a longer plan never applies
     steps = len(splits) + comb(len(comps), 2) + sum(comb(len(reps), 2) for _, reps in comps)
-    if steps > UNIVERSE_CAP:
-        raise BudgetError(f"{steps} icp, css and bu steps exceed the universe cap {UNIVERSE_CAP}")
+    UNIVERSE_CAP.check(steps, "icp, css and bu steps")
     plan += (icp_step(e) if op == "icp" else css_step(e, source) for op, e in splits)
 
     for (_, reps_a), (_, reps_b) in itertools.combinations(comps, 2):

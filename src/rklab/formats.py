@@ -14,11 +14,11 @@ import itertools
 from typing import Callable, Iterable
 
 from .cardinal import natural, parse_card, render  # other layers: imported where used
-from .report import BudgetError
+from .report import Budget, BudgetError
 
 # the most elements a preorder or distribution-spec file may declare; a
 # million elements and five pairs peak at about 200 MB to analyse
-ELEMENT_CAP = 1_000_000
+ELEMENT_CAP = Budget("element cap", 1_000_000, "elements")
 
 
 class ParseError(ValueError):
@@ -78,8 +78,7 @@ def _preorder(lines: list[tuple[int, str]], path: str) -> Preorder:
         raise ParseError(path, lines[0][0] if lines else 1, "'elements: <k>'", got)
     first_no, first = lines[0]
     (n,) = _ints([first.split(":", 1)[1]], path, first_no, "integer element count", first)
-    if n > ELEMENT_CAP:
-        raise BudgetError(f"{n} elements exceed the element cap {ELEMENT_CAP}")
+    ELEMENT_CAP.check(n)
 
     def pairs():  # read as from_pairs takes them, so no list of them is kept
         for no, line in lines[1:]:

@@ -23,12 +23,12 @@ from typing import Iterator
 
 from .cardinal import OMEGA, Card, check_limit_count, fin, render
 from .record import record
-from .report import BudgetError
+from .report import Budget
 
 Word = tuple[int, ...]
 Run = tuple[int, int, int]
 
-NODE_BUDGET = 200_000
+NODE_BUDGET = Budget("node budget", 200_000, "nodes")
 SHOWN_REPRESENTATIVES = 20
 
 
@@ -170,19 +170,16 @@ class _Automaton:
     def roots(self, level: int) -> Iterator[int]:  # the classes at a level, in length-lex order
         return (n for n in range(1, self.made[level]) if not 0 < self.lvl[n] <= level)
 
-    def grow(self, max_len: int, budget: int) -> None:
+    def grow(self, max_len: int) -> None:
         """Build the levels up to ``max_len``, each checked against the node budget before it
         allocates; a level counts at least one node per letter, so a long bound is refused at once."""
-        if self.a * max_len > budget:
-            raise BudgetError(f"the nodes of length at most {max_len} exceed the budget {budget}")
+        NODE_BUDGET.check(self.a * max_len)
         known = min(max_len + 1, len(self.made))
-        over = bisect_right(self.made, budget + 1, 0, known)  # the first built level over the budget
-        if over < known:
-            raise BudgetError(f"{self.made[over] - 1} nodes exceed the budget {budget}")
+        # the first built level over the budget, if any, else the last one asked for
+        over = bisect_right(self.made, NODE_BUDGET.limit + 1, 0, known)
+        NODE_BUDGET.check(self.made[min(over, known - 1)] - 1)
         for k in range(len(self.made), max_len + 1):
-            nodes = len(self.pre) - 1 + self.a * len(self.fresh)
-            if nodes > budget:
-                raise BudgetError(f"{nodes} nodes exceed the budget {budget}")
+            NODE_BUDGET.check(len(self.pre) - 1 + self.a * len(self.fresh))
             self._level(k)
 
     def _family(self, key: object, level: int) -> dict[int, int]:
@@ -299,33 +296,29 @@ class _Automaton:
 
 
 # the automaton per (system, alphabet), grown to the longest bound asked for;
-# at most 64, the least recently used dropped (none depends on the budget)
+# at most 64, the least recently used dropped (none depends on the node budget)
 _AUTOMATA: dict[tuple[IdentitySystem, int], _Automaton] = {}
 
 
-def _automaton(sys: IdentitySystem, alphabet: int, max_len: int, budget: int) -> _Automaton:
+def _automaton(sys: IdentitySystem, alphabet: int, max_len: int) -> _Automaton:
     if alphabet < 1 or max_len < 1:
         raise ValueError("alphabet and length bound must be positive")
     auto = _AUTOMATA.pop((sys, alphabet), None) or _Automaton(sys, alphabet)
-    auto.grow(max_len, budget)
+    auto.grow(max_len)
     while len(_AUTOMATA) >= 64:
         del _AUTOMATA[next(iter(_AUTOMATA))]
     _AUTOMATA[sys, alphabet] = auto
     return auto
 
 
-def count_classes(
-    sys: IdentitySystem, alphabet: int, max_len: int, budget: int = NODE_BUDGET
-) -> tuple[int, list[Word]]:
+def count_classes(sys: IdentitySystem, alphabet: int, max_len: int) -> tuple[int, list[Word]]:
     """Class count plus length-lex minimal representatives, the roots at the bound."""
-    auto = _automaton(sys, alphabet, max_len, budget)
+    auto = _automaton(sys, alphabet, max_len)
     reps = [auto.word(n) for n in auto.roots(max_len)]
     return len(reps), reps
 
 
-def normal_form(
-    sys: IdentitySystem, w: Word, max_len: int, alphabet: int | None = None, budget: int = NODE_BUDGET
-) -> Word:
+def normal_form(sys: IdentitySystem, w: Word, max_len: int, alphabet: int | None = None) -> Word:
     """Length-lex minimum of w's class at the given bound; idempotent."""
     if not w:
         raise ValueError("words are nonempty")
@@ -334,7 +327,7 @@ def normal_form(
     alphabet = max(w) + 1 if alphabet is None else alphabet
     if any(not (0 <= letter < alphabet) for letter in w):
         raise ValueError("letter outside the alphabet")
-    auto = _automaton(sys, alphabet, max_len, budget)
+    auto = _automaton(sys, alphabet, max_len)
     return auto.word(auto.root(auto.walk(w), max_len))
 
 
@@ -342,20 +335,18 @@ def render_word(w: Word) -> str:
     return ".".join(str(x) for x in w)
 
 
-def stabilization(
-    sys: IdentitySystem, alphabet: int, max_len: int, budget: int = NODE_BUDGET
-) -> dict[str, object]:
+def stabilization(sys: IdentitySystem, alphabet: int, max_len: int) -> dict[str, object]:
     """Counts at L and L+1 with the agreement flag the CLI reports, and the first
     ``SHOWN_REPRESENTATIVES`` representatives; the L+1 figures are None if only L+1 is over the budget."""
-    auto = _automaton(sys, alphabet, max_len, budget)
+    auto = _automaton(sys, alphabet, max_len)
     count, count_next = auto.counts[max_len], None
     built = len(auto.made) > max_len + 1  # the nodes of level L+1, counted before it allocates
     nodes = auto.made[max_len + 1] if built else len(auto.pre) + alphabet * len(auto.fresh)
     nodes_next = max(nodes - 1, alphabet * (max_len + 1))
-    if nodes_next <= budget:
-        auto.grow(max_len + 1, budget)
+    if nodes_next <= NODE_BUDGET.limit:
+        auto.grow(max_len + 1)
         count_next = auto.counts[max_len + 1]
     reps = [auto.word(n) for n in islice(auto.roots(max_len), SHOWN_REPRESENTATIVES)]
     stable = None if count_next is None else count == count_next
     return {"L": max_len, "count": count, "count_next": count_next, "stable": stable, "nodes_next": nodes_next,
-            "budget": budget, "representatives": reps, "target": sys.target}
+            "representatives": reps, "target": sys.target}

@@ -28,7 +28,7 @@ from .typespace import (
     valid_cell,
 )
 
-COUNT_CAP = 8
+COUNT_CAP = 8  # bounds an input count, not a computation: past it is a ValueError (exit 2)
 
 
 @record

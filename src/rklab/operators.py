@@ -31,13 +31,13 @@ from typing import Iterable, Mapping, Sequence
 from .cardinal import CONTINUUM, Card, check_limit_count, render
 from .domination import DomEdge, DominationGraph, TypeNode
 from .record import record, replace
-from .report import BudgetError, Report, ReportBuilder
+from .report import Budget, Report, ReportBuilder
 
 Color = int | None  # None is the infinite color
 
 # the most elements the operators may grow a structure to, checked before each
 # step allocates; the costliest plan within it peaks at about 350 MB (README)
-UNIVERSE_CAP = 250_000
+UNIVERSE_CAP = Budget("universe cap", 250_000, "elements")
 
 
 def pnode(pred: str) -> str:
@@ -164,7 +164,7 @@ def colored_base(parts: int, colors: int, per_color: int = 1) -> StructSpec:
     """
     if parts < 1 or colors < 1 or per_color < 1:
         raise ValueError("parts, colors, per_color must be positive")
-    _reserve(0, parts * (colors * per_color + 1))
+    UNIVERSE_CAP.check(parts * (colors * per_color + 1))
     universe: list[str] = []
     unary: dict[str, tuple[str, ...]] = {}
     coloring: dict[str, Color] = {}
@@ -196,7 +196,7 @@ def add_qedge(spec: StructSpec, low: int, high: int, principal: bool) -> None:
     lo, hi = ({spec.color(x): x for x in reversed(spec.extent(f"P{p}"))} for p in (low, high))
     colors = sorted(c for c in lo if c is not None)
     # a q edge links each color to every color at or below it, and the infinite colors
-    _reserve(sum(map(len, spec.binary.values())), len(colors) * (len(colors) + 1) // 2 + 1, "q-edge pairs")
+    UNIVERSE_CAP.check(sum(map(len, spec.binary.values())) + len(colors) * (len(colors) + 1) // 2 + 1, "q-edge pairs")
     # range side color j, domain side color i >= j
     rows = [(lo[i], hi[j]) for j in colors for i in colors if i >= j]
     qname = f"Q{low}_{high}"
@@ -212,23 +212,18 @@ def _split_depth(colors: Iterable[Color], depth: int) -> int:
     return min(finite) if finite else depth
 
 
-def _reserve(size: int, adding: int, what: str = "elements") -> None:
-    """Refuse, before it allocates, growing ``size`` ``what`` by ``adding``
-    past the cap."""
-    total = size + adding
-    if total > UNIVERSE_CAP:
-        # 2^depth splits can have more digits than Python prints
-        amount = total if total.bit_length() <= 64 else f"at least 2^{total.bit_length() - 1}"
-        raise BudgetError(f"{amount} {what} exceed the universe cap {UNIVERSE_CAP}")
-
-
 def _split_need(spec: StructSpec, subs: Sequence[str], depth: int, fan_out: int) -> int:
-    # summed over tuples of colors, not of elements: the extents may be long
-    counts = [Counter(map(spec.color, spec.extent(sub))).items() for sub in subs]
-    total = 0
-    for combo in itertools.product(*counts):
-        colors, sizes = zip(*combo)
-        total += math.prod(sizes) << _split_depth(colors, depth)
+    """The witnesses ``_split`` gives the tuples of the extents of ``subs``, counted per
+    color: the tuples whose least finite color is c, those with every color at or above c
+    less those with every color above it (the infinite one above all), take 2^c blocks
+    each, and those of infinite colors alone 2^depth."""
+    counts = [Counter(map(spec.color, spec.extent(sub))) for sub in subs]
+    above = [n.pop(None, 0) for n in counts]  # per extent, its elements above the color at hand
+    total = math.prod(above) << depth
+    for c in sorted(set().union(*counts), reverse=True):
+        fewer = math.prod(above)
+        above = [a + n[c] for a, n in zip(above, counts)]
+        total += (math.prod(above) - fewer) << c
     return total * fan_out
 
 
@@ -264,7 +259,7 @@ def _split(
     # past depth 64 the need is over the cap however it is counted: 2^depth is not computed
     need = _split_need(spec, subs, min(depth, 64), fan_out)
     fresh = need if fresh is None else fresh
-    _reserve(len(spec.universe), max(fresh, need))
+    UNIVERSE_CAP.check(len(spec.universe) + max(fresh, need))
     if fresh < need:
         raise ValueError(f"{letter} of size {fresh} cannot honor the splits, need {need}")
     app = len(spec.history)
@@ -349,7 +344,7 @@ def css(
     _check_colored_extent(spec, sub, ceiling)
     # each stub gives an element of color c one target per color c..ceiling
     per_stub = sum(1 if c is None else ceiling + 1 - c for c in map(spec.color, spec.extent(sub)))
-    _reserve(len(spec.universe), len(stubs) * per_stub * fan_out)
+    UNIVERSE_CAP.check(len(spec.universe) + len(stubs) * per_stub * fan_out)
     app = len(spec.history)
     rels = [f"{sub}.css{app}.R{j}" for j in range(len(stubs))]
     tuples: dict[str, list[tuple[str, str]]] = {r: [] for r in rels}

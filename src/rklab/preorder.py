@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from .cardinal import CONTINUUM, OMEGA, ZERO, Card, render
 from .record import record
-from .report import BudgetError, Report, ReportBuilder
+from .report import Budget, Report, ReportBuilder
 
-ROW_BUDGET = 1 << 30  # the most row bits one preorder may hold: 128 MiB
+ROW_BUDGET = Budget("row budget", 1 << 30, "row bits")  # 128 MiB per preorder
 
 
 def _bits(x: int) -> list[int]:
@@ -36,13 +36,6 @@ def _mask(positions) -> int:
     for i in positions:
         buf[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(buf, "little")
-
-
-def _charge(spent: int, bits: int) -> int:
-    """The row bits spent once a row of ``bits`` is built, refused past the budget."""
-    if spent + bits > ROW_BUDGET:
-        raise BudgetError(f"the preorder's rows need more than the row budget of {ROW_BUDGET} bits")
-    return spent + bits
 
 
 @record
@@ -160,7 +153,7 @@ def _condense(n: int, succ: dict[int, list[int]]) -> Preorder:
         a = index[members[0]]
         heads = {index[j] for e in members if e in succ for j in succ[e]} - {a}
         if heads:
-            spent = _charge(spent, max(max(above[b].bit_length(), b + 1) for b in heads))
+            spent = ROW_BUDGET.check(spent + max(max(above[b].bit_length(), b + 1) for b in heads))
             row = _mask(heads)
             for b in heads:
                 row |= above[b]
@@ -179,7 +172,7 @@ def induced(p: Preorder, elements: list[int]) -> Preorder:
     above, spent, present = [], 0, _mask(new)
     for c in new:
         heads = [new[b] for b in _bits(p.above[c] & present)]
-        spent = _charge(spent, max(heads, default=-1) + 1)
+        spent = ROW_BUDGET.check(spent + max(heads, default=-1) + 1)
         above.append(_mask(heads))
     return Preorder(tuple(map(tuple, classes)), tuple(above), index)
 

@@ -2,8 +2,8 @@
 
 Failures are report content, not exceptions: a check that finds
 violations still returns normally and the caller decides what to do.
-A computation that would exceed one of its budgets raises
-``BudgetError`` instead of running.
+A computation that would exceed one of its budgets, each a ``Budget``
+in the module that owns it, raises ``BudgetError`` instead of running.
 """
 from __future__ import annotations
 
@@ -11,7 +11,28 @@ from .record import record
 
 
 class BudgetError(ValueError):
-    """A computation's size exceeds its budget; the input itself is valid."""
+    """A computation's size exceeds its budget; the input itself is valid.
+    An amount past 64 bits prints as at least its highest power of two."""
+
+    def __init__(self, budget: Budget, asked: int, unit: str | None = None):
+        self.budget, self.asked = budget, asked
+        amount = asked if asked.bit_length() <= 64 else f"at least 2^{asked.bit_length() - 1}"
+        super().__init__(f"{amount} {unit or budget.unit} exceed the {budget.name} {budget.limit}")
+
+
+@record
+class Budget:
+    """A cap of ``limit`` ``unit`` on one computation, named as in "the <name> <limit>"."""
+
+    name: str
+    limit: int
+    unit: str
+
+    def check(self, asked: int, unit: str | None = None) -> int:
+        """``asked``, or past the limit a BudgetError counting it in ``unit`` if given."""
+        if asked > self.limit:
+            raise BudgetError(self, asked, unit)
+        return asked
 
 
 @record

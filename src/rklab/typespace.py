@@ -28,12 +28,14 @@ from typing import Iterable, NamedTuple
 
 from .cardinal import natural
 from .record import record
-from .report import BudgetError
+from .report import Budget, BudgetError
 
 # enumerate_types builds at most the 2^16 cells of iup depth 16 or sdup depth 14; the
-# rules answer up to depth 4096, where sdup's 3*2^d - 1 cells print in 1,234 digits
-CELL_BUDGET = 2**16
-DEPTH_BOUND = 4096
+# rules answer up to depth 4096, where sdup's 3*2^d - 1 cells print in 1,234 digits,
+# and fewer than 2^4096 colored parts
+CELL_BUDGET = Budget("cell budget", 2**16, "cells")
+DEPTH_BOUND = Budget("depth bound", 4096, "levels")
+PART_BOUND = Budget("part bound", 4096, "binary digits of a part count")
 
 
 class IupCell(NamedTuple):
@@ -71,10 +73,8 @@ class TypeSpace:
                 raise ValueError("colored family needs a positive part count")
         elif self.parts is not None:
             raise ValueError("parts only applies to the colored family")
-        if self.depth > DEPTH_BOUND:
-            raise BudgetError(f"{self.family} depth capped at {DEPTH_BOUND}")
-        if (self.parts or 0).bit_length() > DEPTH_BOUND:
-            raise BudgetError(f"colored part count capped at 2^{DEPTH_BOUND}")
+        DEPTH_BOUND.check(self.depth)
+        PART_BOUND.check((self.parts or 0).bit_length())
 
 
 @record
@@ -115,9 +115,7 @@ def cell_count(ts: TypeSpace) -> int:
 def enumerate_types(ts: TypeSpace) -> tuple[Cell, ...]:
     """All consistent complete cells at the truncation depth, cached; a
     space of more than ``CELL_BUDGET`` cells is refused before any is built."""
-    count = cell_count(ts)
-    if count > CELL_BUDGET:
-        raise BudgetError(f"{count} cells exceed the cell budget {CELL_BUDGET}")
+    CELL_BUDGET.check(cell_count(ts))
     if ts.family == "iup":
         return tuple(IupCell(bits) for bits in itertools.product((0, 1), repeat=ts.depth))
     if ts.family == "sdup":  # the tree nodes breadth first, the frontier last

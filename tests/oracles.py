@@ -1,13 +1,16 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Deliberately dumb implementations: saturation over boolean matrices for
-closures and covers, exhaustive subset enumeration for chains and
+closures and covers, every labeled preorder on a few points built point
+by point (and one per isomorphism type, as the least relation over all
+relabellings), exhaustive subset enumeration for chains and
 antichains, a search over every element pair for connected components,
 a permutation search for isomorphism, a pairwise comparison
 of saturated principal reachability for the isomorphism classes of prime
 models, a saturating union-find over explicit word lists for the bounded
 congruence, the identity schemas' ground instances built as word
-tuples, a comparison of every two extent pairs for the bu
+tuples, a sum over every tuple of colors for the witnesses a split
+needs, a comparison of every two extent pairs for the bu
 disjoint-images check, direct formula enumeration over all 3^atoms
 signed conjunctions for density and classification, a scan of every
 cell for consistency and coverage, and the formula-by-formula
@@ -21,8 +24,10 @@ They build the library's own records.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 
 
 def matrix(p) -> list[list[bool]]:
@@ -44,6 +49,34 @@ def brute_close(rel) -> list[list[bool]]:
     return out
 
 
+def all_preorders(n: int) -> list[tuple[tuple[bool, ...], ...]]:
+    """Every reflexive, transitive relation on 0..n-1 as a boolean matrix: each
+    one on n-1 points extended by point n-1 with a down-closed set D below it
+    and an up-closed set U above it, every element of D below every one of U."""
+    if n == 0:
+        return [()]
+    out, sets = [], [[x for x in range(n - 1) if bits >> x & 1] for bits in range(1 << n - 1)]
+    for rel in all_preorders(n - 1):
+        downs = [d for d in sets if all(y in d for x in d for y in range(n - 1) if rel[y][x])]
+        ups = [u for u in sets if all(y in u for x in u for y in range(n - 1) if rel[x][y])]
+        for d in downs:
+            for u in ups:
+                if all(rel[x][y] for x in d for y in u):
+                    rows = [(*row, i in d) for i, row in enumerate(rel)]
+                    out.append((*rows, (*(i in u for i in range(n - 1)), True)))
+    return out
+
+
+def preorder_types(n: int) -> list[tuple[tuple[bool, ...], ...]]:
+    """One preorder on 0..n-1 per isomorphism type: the least, as a tuple of rows,
+    of its relabellings under every permutation."""
+    least = {
+        min(tuple(tuple(rel[p[i]][p[j]] for j in range(n)) for i in range(n)) for p in itertools.permutations(range(n)))
+        for rel in all_preorders(n)
+    }
+    return sorted(least)
+
+
 def brute_classes(rel) -> set[frozenset[int]]:
     """The mutual-domination classes of a closed relation."""
     n = len(rel)
@@ -61,6 +94,16 @@ def brute_covers(rel) -> set[tuple[frozenset[int], frozenset[int]]]:
         for b in range(n)
         if less(a, b) and not any(less(a, c) and less(c, b) for c in range(n))
     }
+
+
+def brute_extremes(rel) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
+    """The minimal and the maximal mutual-domination classes of a closed relation:
+    those with no element strictly below, and strictly above."""
+    n = len(rel)
+    cls = [frozenset(j for j in range(n) if rel[i][j] and rel[j][i]) for i in range(n)]
+    less = lambda a, b: rel[a][b] and not rel[b][a]
+    return ({cls[a] for a in range(n) if not any(less(b, a) for b in range(n))},
+            {cls[a] for a in range(n) if not any(less(a, b) for b in range(n))})
 
 
 def brute_directed(rel) -> bool:
@@ -94,22 +137,16 @@ def brute_components(rel) -> list[list[int]]:
 
 
 def brute_height(rel) -> int:
-    """Longest chain of pairwise non-equivalent elements, by trying all
-    element subsets in every order."""
+    """Longest chain of pairwise non-equivalent elements of a closed relation:
+    the largest element subset whose elements are pairwise strictly
+    comparable, which sorted is such a chain, by trying all subsets."""
     n = len(rel)
     best = 0
-    elements = range(n)
     for size in range(1, n + 1):
-        for subset in itertools.combinations(elements, size):
-            for perm in itertools.permutations(subset):
-                ok = True
-                for a, b in zip(perm, perm[1:]):
-                    if not rel[a][b] or (rel[a][b] and rel[b][a]):
-                        ok = False
-                        break
-                if ok:
-                    best = max(best, size)
-                    break
+        for subset in itertools.combinations(range(n), size):
+            if all(rel[a][b] != rel[b][a] for a, b in itertools.combinations(subset, 2)):
+                best = size
+                break
     return best
 
 
@@ -255,6 +292,19 @@ def brute_instantiate(system, alphabet: int, max_len: int) -> list:
             if lhs and rhs and lhs != rhs and len(lhs) <= max_len and len(rhs) <= max_len:
                 out[lhs, rhs] = None
     return list(out)
+
+
+def brute_split_need(spec, subs, depth: int, fan_out: int) -> int:
+    """The witnesses an icp or bu split of the extents of ``subs`` gives, summed
+    over every tuple of colors: the tuple's elements times 2 to its least finite
+    color, or to ``depth`` if it has none, ``fan_out`` each."""
+    counts = [collections.Counter(map(spec.color, spec.extent(sub))).items() for sub in subs]
+    total = 0
+    for combo in itertools.product(*counts):
+        colors, sizes = zip(*combo)
+        finite = [c for c in colors if c is not None]
+        total += math.prod(sizes) << (min(finite) if finite else depth)
+    return total * fan_out
 
 
 def brute_disjoint(spec, op, params) -> list[str]:

@@ -19,6 +19,8 @@ from rklab import cli
 from rklab.cli import COMMANDS, build_parser, main
 from rklab.distribution import BuildConfig, build_blueprint, replay_blueprint
 from rklab.formats import parse_distribution, serialize_struct
+from rklab.record import replace
+from rklab.report import Budget, BudgetError
 
 
 COMMAND_NAMES = [name for name, _ in COMMANDS]
@@ -159,7 +161,7 @@ def test_types_in_reports_a_budget(tmp_path, capsys):
         3, "", "error: 3221225471 cells exceed the cell budget 65536\n")
     deep.write_text("family: sdup\ndepth: 5000\n")
     assert run_cli("types", "--in", str(deep), "--prime", capsys=capsys) == (
-        3, "", "error: sdup depth capped at 4096\n")
+        3, "", "error: 5000 levels exceed the depth bound 4096\n")
 
 
 def test_types_refuses_a_repeated_type_space_key(tmp_path, capsys):
@@ -492,7 +494,7 @@ def test_limits_next_table_over_budget(capsys):
     assert "L=1: 1000 classes\nL=2: over the node budget (1001000 > 200000)\nstable: unknown\n" in out
     code, out, err = run_cli(*argv[:-1], "2", capsys=capsys)
     assert code == 3 and out == ""
-    assert err == "error: 1001000 nodes exceed the budget 200000\n"
+    assert err == "error: 1001000 nodes exceed the node budget 200000\n"
 
 
 def test_limits_next_level_counted_per_class(capsys):
@@ -519,7 +521,7 @@ def test_limits_long_bound_refused_quickly(capsys):
     )
     elapsed = time.perf_counter() - start
     assert code == 3 and out == ""
-    assert err == "error: the nodes of length at most 3000000 exceed the budget 200000\n"
+    assert err == "error: 6000000 nodes exceed the node budget 200000\n"
     assert elapsed < 0.5, f"--len 3000000 took {elapsed:.2f}s"
 
 
@@ -543,7 +545,7 @@ def test_limits_huge_alphabet(capsys):
     )
     elapsed = time.perf_counter() - start
     assert code == 3 and out == ""
-    assert err == "error: the nodes of length at most 4 exceed the budget 200000\n"
+    assert err == "error: 400000 nodes exceed the node budget 200000\n"
     assert elapsed < 0.5, f"--len 4 took {elapsed:.2f}s"
 
 
@@ -620,13 +622,82 @@ def test_preorder_many_elements_fits_in_memory(tmp_path):
     assert elapsed < 60, f"took {elapsed:.1f}s"
 
 
+# per budget: its module and constant, the limit to patch it to (None: as
+# shipped), a command line that asks for one more, and the file it reads
+ONE_PAST = [
+    ("cardinal", "DIGIT_BOUND", None, "limits --system lmt --n 1 --alphabet " + "1" * 4097 + " --len 1", None),
+    ("formats", "ELEMENT_CAP", None, "preorder --in {path}", "elements: 1000001\n"),
+    # a star on 4 elements: 3 rows of 4 bits
+    ("preorder", "ROW_BUDGET", 11, "preorder --in {path} --height", "elements: 4\n0 <= 3\n1 <= 3\n2 <= 3\n"),
+    ("operators", "UNIVERSE_CAP", None, "apply --pipeline {path}", "base parts=1 colors=250000\n"),
+    ("typespace", "CELL_BUDGET", 2**17 - 1, "types --family iup --depth 17 --enumerate", None),
+    ("typespace", "DEPTH_BOUND", None, "types --family iup --depth 4097 --prime", None),
+    ("typespace", "PART_BOUND", None, f"types --family colored --m {2**4096} --depth 1 --prime", None),
+    ("limitcount", "NODE_BUDGET", None, "limits --system lmt --n 1 --alphabet 200001 --len 1", None),
+]
+
+
+@pytest.mark.parametrize("module, constant, limit, line, text", ONE_PAST, ids=[c for _, c, *_ in ONE_PAST])
+def test_each_budget_refuses_one_past_its_limit(module, constant, limit, line, text, tmp_path, capsys, monkeypatch):
+    layer = importlib.import_module(f"rklab.{module}")
+    budget = getattr(layer, constant)
+    if limit is not None:
+        budget = replace(budget, limit=limit)
+        monkeypatch.setattr(layer, constant, budget)
+    raised, check = [], Budget.check
+
+    def spy(self, asked, unit=None):
+        try:
+            return check(self, asked, unit)
+        except BudgetError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(Budget, "check", spy)
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(*line.format(path=path).split(), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith(f" exceed the {budget.name} {budget.limit}\n")
+    [exc] = raised
+    assert exc.budget is budget and exc.asked == budget.limit + 1
+
+
+def _budgets() -> dict[str, Budget]:
+    """Every ``Budget`` of the layer modules, by ``module.CONSTANT``."""
+    import pkgutil
+
+    import rklab
+
+    found = {}
+    for info in pkgutil.iter_modules(rklab.__path__):
+        if info.name != "__main__" and not info.ispkg:
+            layer = importlib.import_module(f"rklab.{info.name}")
+            found.update((f"{info.name}.{k}", v) for k, v in vars(layer).items() if isinstance(v, Budget))
+    return found
+
+
+def test_the_readme_budget_table_lists_every_budget():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| ([^|]+) \| `(\w+\.\w+)` \| (\d+) \| ([^|]+) \| [^|]+ \| `([^`]+)` \|$", readme, re.M)
+    budgets = _budgets()
+    assert len(budgets) == 8
+    assert sorted(row[1] for row in rows) == sorted(budgets)
+    for name, constant, limit, unit, example in rows:
+        budget = budgets[constant]
+        assert (name, int(limit), unit) == (budget.name, budget.limit, budget.unit)
+        assert re.fullmatch(rf"error: (\S+: )?\d+ [a-z ,-]+ exceed the {name} {limit}", example), example
+
+
 def test_a_star_past_the_row_budget_exits_3(tmp_path, capsys, monkeypatch):
     # every element below the last: n - 1 rows of n bits, one bit over the budget
     import rklab.preorder
 
     n = 50
     budget = (n - 1) * n - 1
-    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", budget)
+    row_budget = rklab.preorder.ROW_BUDGET
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", replace(row_budget, limit=budget))
     star = "".join(f"{i} <= {n - 1}\n" for i in range(n - 1))
     (tmp_path / "star.po").write_text(f"elements: {n}\n{star}")
     values = "".join(f"f: {{{i}}} = 0\n" for i in range(n))
@@ -639,8 +710,8 @@ def test_a_star_past_the_row_budget_exits_3(tmp_path, capsys, monkeypatch):
         argv[2] = str(tmp_path / argv[2])
         code, out, err = run_cli(*argv, capsys=capsys)
         assert (code, out) == (3, ""), argv
-        assert err == f"error: the preorder's rows need more than the row budget of {budget} bits\n"
-    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", budget + 1)
+        assert err == f"error: {budget + 1} row bits exceed the row budget {budget}\n"
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", replace(row_budget, limit=budget + 1))
     code, out, _ = run_cli("preorder", "--in", str(tmp_path / "star.po"), "--height", capsys=capsys)
     assert (code, out) == (0, f"elements: {n}\nheight: 2\n")
 
@@ -758,7 +829,7 @@ def test_oversized_type_spaces_refused_before_allocating():
          "error: 3221225471 cells exceed the cell budget 65536\n"),
         (("--family", "colored", "--m", "10000000", "--depth", "10", "--enumerate"), 3, "",
          "error: 120000000 cells exceed the cell budget 65536\n"),
-        (("--family", "iup", "--depth", "4097", "--prime"), 3, "", "error: iup depth capped at 4096\n"),
+        (("--family", "iup", "--depth", "4097", "--prime"), 3, "", "error: 4097 levels exceed the depth bound 4096\n"),
         (("--family", "sdup", "--depth", "30", "--prime"), 0, "cells=3221225471\nprime_model=true\n", ""),
         (("--family", "colored", "--m", "10000000", "--depth", "10", "--prime", "--classify", "P9999999,!C3",
           "--dense", "(0,inf)"), 0, "cells=120000000\nformula=i-formula\nprime_model=true\ndense=false\n", ""),

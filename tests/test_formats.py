@@ -334,7 +334,7 @@ def test_a_type_space_past_the_depth_bound_is_a_budget_error():
     # the space is well formed; only its size is refused
     with pytest.raises(BudgetError) as err:
         formats.parse_typespace("family: sdup\ndepth: 4097\n", "deep.ts")
-    assert str(err.value) == "sdup depth capped at 4096"
+    assert str(err.value) == "4097 levels exceed the depth bound 4096"
     assert formats.parse_typespace("family: sdup\ndepth: 4096\n").depth == 4096
 
 

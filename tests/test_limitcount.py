@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from oracles import brute_congruence_count, brute_instantiate
 from rklab import limitcount
+from rklab.record import replace
 from rklab.cardinal import CONTINUUM, OMEGA, fin
 from rklab.limitcount import (
     _AUTOMATA,
+    NODE_BUDGET,
     IdentitySystem,
     Schema,
     _level_blocks,
@@ -155,7 +157,7 @@ def test_normal_form_characterizes_classes():
         assert rep == min(members, key=lambda w: (len(w), w))
 
 
-def test_word_validation():
+def test_word_validation(monkeypatch):
     sys1 = lmt(fin(1))
     with pytest.raises(ValueError):
         normal_form(sys1, (), 3)
@@ -163,8 +165,9 @@ def test_word_validation():
         normal_form(sys1, (0, 0, 0, 0), 3)
     with pytest.raises(ValueError):
         normal_form(sys1, (5,), 3, alphabet=3)
-    with pytest.raises(ValueError):
-        count_classes(FREE_SYSTEM, 10, 7, budget=1000)
+    monkeypatch.setattr(limitcount, "NODE_BUDGET", replace(limitcount.NODE_BUDGET, limit=1000))
+    with pytest.raises(ValueError, match="exceed the node budget 1000$"):
+        count_classes(FREE_SYSTEM, 10, 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,27 +285,34 @@ def test_engine_matches_brute_classes(name, sys_):
             assert normal_form(sys_, w, length, alphabet=alphabet) == least
 
 
-def test_stabilization_next_table_over_budget():
+def test_stabilization_next_table_over_budget(monkeypatch):
     # lms w over 3 letters: 3, 12, 27, 45 and 66 nodes of at most 1 .. 5 letters
+    def budget(limit):
+        monkeypatch.setattr(limitcount, "NODE_BUDGET", replace(NODE_BUDGET, limit=limit))
+
     sysw = lms(OMEGA)
-    info = stabilization(sysw, 3, 4, budget=45)
+    budget(45)
+    info = stabilization(sysw, 3, 4)
     assert info["count_next"] is None and info["stable"] is None
-    assert info["nodes_next"] == 66 and info["budget"] == 45
+    assert info["nodes_next"] == 66 > limitcount.NODE_BUDGET.limit == 45
     assert info["count"] == count_classes(sysw, 3, 4)[0] == 21
     assert info["representatives"] == count_classes(sysw, 3, 4)[1][:20]
-    full = stabilization(sysw, 3, 4, budget=66)
+    budget(66)
+    full = stabilization(sysw, 3, 4)
     assert full["count_next"] == count_classes(sysw, 3, 5)[0] == 29
     assert full["stable"] is False
-    with pytest.raises(ValueError, match="^45 nodes exceed the budget 44$"):
-        stabilization(sysw, 3, 4, budget=44)
+    budget(44)
+    with pytest.raises(ValueError, match="^45 nodes exceed the node budget 44$"):
+        stabilization(sysw, 3, 4)
     _AUTOMATA.clear()  # the same refusal before level 4 is built
-    with pytest.raises(ValueError, match="^45 nodes exceed the budget 44$"):
-        stabilization(sysw, 3, 4, budget=44)
+    with pytest.raises(ValueError, match="^45 nodes exceed the node budget 44$"):
+        stabilization(sysw, 3, 4)
     # each level is charged one node per letter at least
-    info = stabilization(lmt(fin(2)), 3, 4, budget=14)
+    budget(14)
+    info = stabilization(lmt(fin(2)), 3, 4)
     assert info["count_next"] is None and info["nodes_next"] == 15
-    with pytest.raises(ValueError, match="^the nodes of length at most 5 exceed the budget 14$"):
-        stabilization(lmt(fin(2)), 3, 5, budget=14)
+    with pytest.raises(ValueError, match="^15 nodes exceed the node budget 14$"):
+        stabilization(lmt(fin(2)), 3, 5)
 
 
 @pytest.mark.parametrize("name,sys_", SCHEMA_KINDS, ids=[k for k, _ in SCHEMA_KINDS])

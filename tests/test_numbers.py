@@ -15,7 +15,7 @@ from rklab.cli import main
 from rklab.report import BudgetError
 
 LONG = "9" * 5000
-BUDGET = f"{len(LONG)} digits exceed the digit bound {DIGIT_BOUND}"
+BUDGET = f"{len(LONG)} digits exceed the digit bound {DIGIT_BOUND.limit}"
 
 # each spelling: read as a number, refused by the grammar, or over the digit bound
 SPELLINGS = {
@@ -143,10 +143,23 @@ def test_a_number_past_the_digit_bound_is_refused_alike_by_every_interpreter(ent
 
 
 def test_natural_reads_ascii_digits_alone():
-    assert [natural(s) for s in ("0", "3", "10", "9" * DIGIT_BOUND)] == [0, 3, 10, 10**DIGIT_BOUND - 1]
+    bound = DIGIT_BOUND.limit
+    assert [natural(s) for s in ("0", "3", "10", "9" * bound)] == [0, 3, 10, 10**bound - 1]
     for spelling in ("", " 3", "3 ", "1_0", "+3", "-0", "03", "00", "3.0", "0x3", "٣", "²"):
         with pytest.raises(ValueError, match="^expected a natural number, got ") as err:
             natural(spelling)
         assert not isinstance(err.value, BudgetError)
-    with pytest.raises(BudgetError, match=f"^{DIGIT_BOUND + 1} digits exceed the digit bound {DIGIT_BOUND}$"):
-        natural("1" + "0" * DIGIT_BOUND)
+    with pytest.raises(BudgetError, match=f"^{bound + 1} digits exceed the digit bound {bound}$") as err:
+        natural("1" + "0" * bound)
+    assert (err.value.budget, err.value.asked) == (DIGIT_BOUND, bound + 1)
+
+
+def test_an_option_value_that_begins_with_a_dash_needs_the_equals_form(capsys):
+    # argparse takes "-1,0,0" for an option of its own, so --triple has no value
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--tc", "--triple", "-1,0,0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --triple: expected one argument\n")
+    # written --triple=-1,0,0, the value reaches the number grammar
+    assert main(["classify", "--tc", "--triple=-1,0,0"]) == 2
+    assert capsys.readouterr() == ("", "error: expected a cardinal token, got '-1'\n")

@@ -1,10 +1,11 @@
 import copy
 import random
 import re
+import time
 
 import pytest
 
-from oracles import brute_disjoint
+from oracles import brute_disjoint, brute_split_need
 from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, fin
 from rklab import operators
 from rklab.distribution import BuildConfig, build_blueprint, finite_spec, realize_corollary
@@ -28,6 +29,7 @@ from rklab.operators import (
     verify_schemes,
 )
 from rklab.preorder import from_pairs
+from rklab.record import replace
 from rklab.report import BudgetError
 
 
@@ -62,7 +64,7 @@ def test_qedge_cap_counts_the_pairs_already_there(monkeypatch):
     spec = colored_base(3, 2)
     icp(spec, "P1", None, 1, 2)
     there = sum(map(len, spec.binary.values()))
-    monkeypatch.setattr(operators, "UNIVERSE_CAP", there + 3)
+    monkeypatch.setattr(operators, "UNIVERSE_CAP", replace(operators.UNIVERSE_CAP, limit=there + 3))
     with pytest.raises(BudgetError, match=f"^{there + 4} q-edge pairs exceed"):
         add_qedge(spec, 0, 2, False)
 
@@ -458,6 +460,34 @@ def test_auto_sizes_are_computed_once_per_step(monkeypatch):
     assert arities == [1, 2, 2]
 
 
+def test_split_sizing_agrees_with_the_sum_over_color_tuples():
+    rng = random.Random(20261022)
+    for trial in range(300):
+        spec = colored_base(3, rng.randint(1, 6), rng.randint(1, 3))
+        for el in spec.universe:  # any mix of colors, the infinite one included
+            spec.coloring[el] = rng.choice([None, *range(rng.randint(1, 8))])
+        subs = rng.sample(["P0", "P1", "P2"], rng.randint(1, 2))
+        depth, fan = rng.randint(1, 70), rng.randint(1, 3)
+        assert operators._split_need(spec, subs, depth, fan) == brute_split_need(spec, subs, depth, fan)
+
+
+def test_split_sizing_is_linear_in_the_colors():
+    # the sum over color pairs took 3.6 s at 2000 colors as a fresh process
+    def refusal(colors):
+        text = f"base parts=2 colors={colors}\nbu sub1=P0 sub2=P1 depth={colors}\n"
+        with pytest.raises(BudgetError) as info:
+            run_pipeline(parse_pipeline(text, "plan.pipe"))
+        return str(info.value)
+
+    # 402 elements, then the oracle's need at bu's default fan-out of 2
+    total = 402 + brute_split_need(colored_base(2, 200), ["P0", "P1"], 64, 2)
+    assert refusal(200) == f"at least 2^{total.bit_length() - 1} elements exceed the universe cap 250000"
+    start = time.perf_counter()
+    assert refusal(20000) == "at least 2^20003 elements exceed the universe cap 250000"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s"
+
+
 @pytest.mark.parametrize(
     "text, amount",
     [
@@ -475,7 +505,7 @@ def test_auto_sizes_are_computed_once_per_step(monkeypatch):
 def test_plan_past_the_universe_cap_refused(text, amount):
     with pytest.raises(BudgetError) as info:
         run_pipeline(parse_pipeline(text + "\n", "plan.pipe"))
-    assert str(info.value) == f"{amount} elements exceed the universe cap {operators.UNIVERSE_CAP}"
+    assert str(info.value) == f"{amount} elements exceed the universe cap {operators.UNIVERSE_CAP.limit}"
 
 
 def test_checked_pipeline_raises_at_failing_step(monkeypatch):

@@ -1,25 +1,32 @@
+import itertools
 import random
 import time
 
 import pytest
 
 from oracles import (
+    all_preorders,
     brute_classes,
     brute_close,
+    brute_components,
     brute_covers,
     brute_directed,
+    brute_extremes,
     brute_height,
     brute_isomorphic,
     brute_width,
     matrix,
+    preorder_types,
 )
 import rklab.preorder
 from rklab.cardinal import CONTINUUM, OMEGA, ZERO, fin
+from rklab.formats import parse_preorder, serialize_preorder
 from rklab.preorder import (
     ConeCase,
     PremodelProfile,
     check_premodel,
     classify_cone_case,
+    components,
     cones,
     from_pairs,
     height,
@@ -28,6 +35,7 @@ from rklab.preorder import (
     random_preorder,
     width,
 )
+from rklab.record import replace
 from rklab.report import BudgetError
 
 
@@ -285,14 +293,15 @@ def star(n):
 def test_rows_past_the_budget_are_refused(monkeypatch):
     n = 40
     assert from_pairs(n, star(n)).above[0] == 1 << n - 1
-    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", (n - 1) * n)
+    row_budget = rklab.preorder.ROW_BUDGET
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", replace(row_budget, limit=(n - 1) * n))
     p = from_pairs(n, star(n))  # exactly at the budget
     from_pairs(n + 1, star(n) + [(n - 1, n), (n, n - 1)])  # a second top element adds no row
     with pytest.raises(BudgetError, match="row budget"):
         from_pairs(n + 1, star(n + 1))
     # a restriction charges its own rows
     assert induced(p, list(range(n))) == p
-    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", (n - 1) * n - 1)
+    monkeypatch.setattr(rklab.preorder, "ROW_BUDGET", replace(row_budget, limit=(n - 1) * n - 1))
     with pytest.raises(BudgetError, match="row budget"):
         induced(p, list(range(n)))
 
@@ -337,3 +346,41 @@ def test_quotient_partition_properties(raw):
         for a in members:
             for b in members:
                 assert p.le(a, b) and p.le(b, a)
+
+
+def test_every_preorder_on_five_points_against_the_oracles():
+    # OEIS A000798 labeled, A001930 up to isomorphism
+    assert [len(all_preorders(n)) for n in range(1, 6)] == [1, 4, 29, 355, 6942]
+    assert [len(preorder_types(n)) for n in range(1, 5)] == [1, 3, 9, 33]
+    assert not any(brute_isomorphic(a, b) for a, b in itertools.combinations(preorder_types(4), 2))
+    for n in range(1, 6):
+        for rel in all_preorders(n):
+            rel = [list(row) for row in rel]
+            p = from_pairs(n, [(i, j) for i in range(n) for j in range(n) if rel[i][j]])
+            assert matrix(p) == rel
+            classes, covers = brute_classes(rel), brute_covers(rel)
+            cycles = [(c[k], c[k - 1]) for c in map(sorted, classes) for k in range(len(c))]
+            assert from_pairs(n, [(min(a), min(b)) for a, b in covers] + cycles) == p
+            assert {frozenset(c) for c in p.classes} == classes
+            assert all(p.index[x] == a for a, c in enumerate(p.classes) for x in c)
+            assert all(bool(p.above[a] >> b & 1) == (a != b and rel[p.classes[a][0]][p.classes[b][0]])
+                       for a in range(p.size) for b in range(p.size))
+            assert {(frozenset(p.classes[a]), frozenset(p.classes[b])) for a, b in p.covers()} == covers
+            lowest, highest = brute_extremes(rel)
+            assert {frozenset(p.classes[a]) for a in p.minima()} == lowest
+            assert {frozenset(p.classes[a]) for a in p.maxima()} == highest
+            assert height(p) == brute_height(rel) and width(p) == brute_width(rel)
+            comps = brute_components(rel)
+            got = [(sorted(elements), reps) for elements, reps in components(p)]
+            assert got == [(comp, sorted(min(c) for c in highest if c <= set(comp))) for comp in comps]
+            for a in range(n):
+                assert cones(p, a) == ({x for x in range(n) if rel[x][a]}, {x for x in range(n) if rel[a][x]})
+            assert is_upward_directed(p) == brute_directed(rel)
+            assert parse_preorder(serialize_preorder(p)) == p
+            if n <= 4:  # every subset, renumbered ascending and descending
+                for k in range(n + 1):
+                    for subset in itertools.combinations(range(n), k):
+                        for elements in (subset, subset[::-1]):
+                            sub = induced(p, list(elements))
+                            assert matrix(sub) == [[rel[x][y] for y in elements] for x in elements]
+                            assert sub == from_pairs(k, sub.pairs())

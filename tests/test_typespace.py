@@ -405,6 +405,9 @@ def test_the_cell_budget_guards_enumeration_alone():
     assert consistent(sdup, parse_formula(sdup, f"S{deep},!S1"))
     assert not consistent(sdup, parse_formula(sdup, f"S{deep},!S{deep[:500]}"))
     assert is_dense(sdup, [parse_cell(sdup, "stop:e")]) is False
-    with pytest.raises(BudgetError, match="sdup depth capped at 4096"):
+    with pytest.raises(BudgetError, match="^4097 levels exceed the depth bound 4096$"):
         TypeSpace("sdup", 4097)
+    assert TypeSpace("colored", 1, 2**4096 - 1).parts.bit_length() == 4096
+    with pytest.raises(BudgetError, match="^4097 binary digits of a part count exceed the part bound 4096$"):
+        TypeSpace("colored", 1, 2**4096)
     assert cell_count(TypeSpace("sdup", 4096)) == 3 * 2**4096 - 1
