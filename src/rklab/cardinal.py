@@ -54,29 +54,20 @@ CONTINUUM = Card("c")
 ZERO = fin(0)
 
 
-def _rank(a: Card, ch: bool) -> int:
+def card_key(a: Card, ch: bool = True) -> tuple[int, int]:
+    """The position of ``a`` on the cardinal line: keys compare as the
+    cardinals do, and under CH the keys of w1 and c coincide."""
     r = _RANK[a.kind]
-    if ch and r == 2:
-        return 3
-    return r
+    return (3 if ch and r == 2 else r), a.value
 
 
 def card_le(a: Card, b: Card, ch: bool = True) -> bool:
-    """Total comparison; under CH the ranks of w1 and c coincide."""
-    ra, rb = _rank(a, ch), _rank(b, ch)
-    if ra != rb:
-        return ra < rb
-    if a.finite and b.finite:
-        return a.value <= b.value
-    return True
-
-
-def card_lt(a: Card, b: Card, ch: bool = True) -> bool:
-    return card_le(a, b, ch) and not card_le(b, a, ch)
+    """Total comparison; under CH w1 and c compare equal."""
+    return card_key(a, ch) <= card_key(b, ch)
 
 
 def card_eq(a: Card, b: Card, ch: bool = True) -> bool:
-    return card_le(a, b, ch) and card_le(b, a, ch)
+    return card_key(a, ch) == card_key(b, ch)
 
 
 def card_sum(a: Card, b: Card) -> Card:

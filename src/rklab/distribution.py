@@ -1,11 +1,11 @@
 """Distribution triples, admissibility, and buildable blueprints.
 
 The triple of a theory counts (prime-over-tuple, limit, other) countable
-models.  The classifier accepts exactly the admissible families: the
-small-theory value list on one side and, for theories with a continuum
-of types, the three families whose union is forced once some coordinate
-must be the continuum; the two impossible patterns are rejected with
-reason codes naming the obstruction.
+models.  The classifier reads one ordered table, ``RULES``: the first row
+whose theory class and coordinate shapes fit a triple decides it, as a
+small-theory case, one of the three families whose union is forced once
+a theory has a continuum of types, or a reason code naming the
+obstruction.
 
 A distribution spec is a finite preorder plus the limit-count function,
 either per mutual-domination class (finite mode) or per domination
@@ -19,7 +19,7 @@ registry's prime-model structure and the f values as limit targets.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, inf
 
 from .cardinal import (
     CONTINUUM,
@@ -28,8 +28,8 @@ from .cardinal import (
     ZERO,
     Card,
     card_eq,
+    card_key,
     card_le,
-    card_lt,
     card_sum_all,
     fin,
     render,
@@ -74,29 +74,48 @@ class Verdict:
         return out
 
 
-# Three admissible families once the type space is a continuum, as data:
-# (family id, p shape, l shape, npl shape); "c" means equal to the
-# continuum under the active CH flag, "0" exactly zero, ">=1" at least
-# one, "any" unrestricted.
-TC_FAMILIES: tuple[tuple[int, str, str, str], ...] = (
-    (1, "c", "c", "any"),
-    (2, "0", "0", "c"),
-    (3, ">=1", "any", "c"),
+# A shape is an interval [least, bound) of the cardinal line, unbounded
+# above for None: w1 follows w under either CH flag, and nothing follows c.
+SHAPES: dict[str, tuple[Card, Card | None]] = {
+    "any": (ZERO, None),
+    "0": (ZERO, fin(1)),
+    "1": (fin(1), fin(2)),
+    ">=1": (fin(1), None),
+    "<=w": (ZERO, OMEGA1),
+    "c": (CONTINUUM, None),
+    "<c": (ZERO, CONTINUUM),
+}
+_INTERVALS = {
+    ch: {
+        shape: (card_key(lo, ch), (inf,) if hi is None else card_key(hi, ch))
+        for shape, (lo, hi) in SHAPES.items()
+    }
+    for ch in (False, True)
+}
+
+# (theory class, p shape, l shape, npl shape, status, case or reason): the
+# first row whose class and three shapes fit a triple decides it.
+RULES: tuple[tuple[str, str, str, str, str, int | str], ...] = (
+    ("small", "any", "any", ">=1", "inadmissible", "small-npl-nonzero"),
+    ("small", "1", "0", "any", "admissible-small", 1),
+    ("small", "1", "any", "any", "inadmissible", "p-categorical-forces-zero-limits"),
+    ("small", "0", "any", "any", "inadmissible", "small-needs-prime-model"),
+    ("small", "<=w", "0", "any", "inadmissible", "multiple-primes-need-limits"),
+    ("small", "<=w", "any", "any", "admissible-small", 2),
+    ("small", "any", "any", "any", "inadmissible", "small-prime-count-at-most-countable"),
+    ("tc", "c", "c", "any", "admissible-tc", 1),
+    ("tc", "0", "0", "c", "admissible-tc", 2),
+    ("tc", ">=1", "any", "c", "admissible-tc", 3),
+    ("tc", "<c", "c", "<c", "inadmissible", "continuum-limits-need-continuum-primes-or-npl"),
+    ("tc", "c", "<c", "<c", "inadmissible", "continuum-primes-force-continuum-limits"),
+    ("tc", "0", ">=1", "any", "inadmissible", "limits-need-primes"),
+    ("tc", "any", "any", "any", "inadmissible", "no-continuum-coordinate"),
 )
 
 
-def _shape_ok(shape: str, value: Card, ch: bool) -> bool:
-    if shape == "c":
-        return card_eq(value, CONTINUUM, ch)
-    if shape == "0":
-        return card_eq(value, ZERO, ch)
-    if shape == ">=1":
-        return card_le(fin(1), value, ch)
-    return True  # "any"
-
-
 def classify_triple(t: Cm3Triple, theory_class: str = "tc", ch: bool = True) -> Verdict:
-    """Admissibility of a distribution triple.
+    """Admissibility of a distribution triple: the first row of ``RULES``
+    for ``theory_class`` that the triple fits.
 
     ``theory_class`` selects the small-theory value list or the
     continuum-types families.  Under the CH flag the first uncountable
@@ -111,55 +130,14 @@ def classify_triple(t: Cm3Triple, theory_class: str = "tc", ch: bool = True) -> 
             flags.append("omega1-value-unrealized")
         elif not ch:
             flags.append("outside-ch-hypothesis")
-
-    if theory_class == "small":
-        if t.npl != ZERO:
-            return Verdict("inadmissible", reason="small-npl-nonzero", flags=tuple(flags))
-        if t.p == fin(1):
-            if t.l == ZERO:
-                return Verdict("admissible-small", case=1, flags=tuple(flags))
-            return Verdict(
-                "inadmissible", reason="p-categorical-forces-zero-limits", flags=tuple(flags)
-            )
-        if t.p == ZERO:
-            return Verdict("inadmissible", reason="small-needs-prime-model", flags=tuple(flags))
-        if t.p.finite or t.p == OMEGA:
-            if t.l == ZERO:
-                return Verdict(
-                    "inadmissible", reason="multiple-primes-need-limits", flags=tuple(flags)
-                )
-            return Verdict("admissible-small", case=2, flags=tuple(flags))
-        return Verdict(
-            "inadmissible", reason="small-prime-count-at-most-countable", flags=tuple(flags)
-        )
-
-    if theory_class != "tc":
-        raise ValueError(f"unknown theory class {theory_class!r}")
-
-    for fam, sp, sl, snpl in TC_FAMILIES:
-        if (
-            _shape_ok(sp, t.p, ch)
-            and _shape_ok(sl, t.l, ch)
-            and _shape_ok(snpl, t.npl, ch)
-        ):
-            return Verdict("admissible-tc", case=fam, flags=tuple(flags))
-    is_c = lambda v: card_eq(v, CONTINUUM, ch)
-    below_c = lambda v: card_lt(v, CONTINUUM, ch)
-    if is_c(t.l) and below_c(t.p) and below_c(t.npl):
-        return Verdict(
-            "inadmissible",
-            reason="continuum-limits-need-continuum-primes-or-npl",
-            flags=tuple(flags),
-        )
-    if is_c(t.p) and below_c(t.l) and below_c(t.npl):
-        return Verdict(
-            "inadmissible",
-            reason="continuum-primes-force-continuum-limits",
-            flags=tuple(flags),
-        )
-    if card_eq(t.p, ZERO, ch) and not card_eq(t.l, ZERO, ch):
-        return Verdict("inadmissible", reason="limits-need-primes", flags=tuple(flags))
-    return Verdict("inadmissible", reason="no-continuum-coordinate", flags=tuple(flags))
+    interval = _INTERVALS[ch]
+    kp, kl, knpl = (card_key(v, ch) for v in t)
+    for cls, sp, sl, snpl, status, outcome in RULES:
+        (plo, phi), (llo, lhi), (nlo, nhi) = interval[sp], interval[sl], interval[snpl]
+        if cls == theory_class and plo <= kp < phi and llo <= kl < lhi and nlo <= knpl < nhi:
+            case, reason = (None, outcome) if status == "inadmissible" else (outcome, None)
+            return Verdict(status, case, reason, tuple(flags))
+    raise ValueError(f"unknown theory class {theory_class!r}")
 
 
 def decompose(rk: Card, il: list[Card] | tuple[Card, ...], npl: Card) -> Card:
@@ -288,7 +266,8 @@ _BUILDABLE_VALUES = "value must lie in w or be w or c"
 
 
 def _value_buildable(v: Card) -> bool:
-    return v.finite or v == OMEGA or v == CONTINUUM
+    """Every cardinal but w1: the values a blueprint or witness can build."""
+    return v != OMEGA1
 
 
 def subsequence_of(y1: SeqKey, y2: SeqKey) -> bool:
@@ -409,6 +388,8 @@ def build_blueprint(
 
     if variant not in ("t77", "t84", "t91", "t92"):
         raise ValueError(f"unknown variant {variant!r}")
+    if spec.order.n == 0:
+        raise ValueError("a blueprint needs at least one element")
     if variant == "t77" and spec.mode != "finite":
         raise ValueError("the finite builder needs a finite-mode spec")
     if variant in ("t91", "t92") and spec.partition is None:
@@ -544,12 +525,8 @@ def replayed_il(struct: StructSpec, spec: DistributionSpec) -> dict[frozenset[in
 
 # -- corollary witnesses ------------------------------------------------------
 
-def _check_range(value: Card, allow_zero: bool, what: str) -> None:
-    ok = (value.finite and (allow_zero or value.value >= 1)) or value in (
-        OMEGA,
-        CONTINUUM,
-    )
-    if not ok:
+def _check_range(value: Card, what: str) -> None:
+    if not _value_buildable(value):
         raise ValueError(f"{what} out of range: {render(value)}")
 
 
@@ -566,20 +543,20 @@ def realize_corollary(kind: str, params: tuple[Card, ...]) -> DistributionSpec:
         lam1, lam2 = params
         if not (lam1.finite and lam1.value >= 1):
             raise ValueError(f"first parameter must be a positive natural, got {render(lam1)}")
-        _check_range(lam2, allow_zero=True, what="second parameter")
+        _check_range(lam2, "second parameter")
         n = lam1.value
         values = {frozenset({i}): ZERO for i in range(n)}
         values[frozenset({0})] = lam2
         return finite_spec(from_pairs(n, []), values, triple=Cm3Triple(lam1, lam2, CONTINUUM))
     if kind == "c85":
         (lam,) = params
-        _check_range(lam, allow_zero=True, what="limit count")
+        _check_range(lam, "limit count")
         order = from_pairs(3, [(0, 1), (1, 2)])
         key = SeqKey((0, 1, 2), extendable=lam != ZERO)
         return sequence_spec(order, {key: lam}, triple=Cm3Triple(OMEGA, lam, CONTINUUM))
     if kind == "c93":
         (lam,) = params
-        _check_range(lam, allow_zero=True, what="npl count")
+        _check_range(lam, "npl count")
         npl_count = 2 if lam in (OMEGA, CONTINUUM) else lam.value
         n = 3 + npl_count
         order = from_pairs(n, [(0, 1), (1, 2)])

@@ -227,10 +227,6 @@ def _split_need(spec: StructSpec, subs: Sequence[str], depth: int, fan_out: int)
     return total * fan_out
 
 
-def icp_need(spec: StructSpec, sub: str, depth: int, fan_out: int) -> int:
-    return _split_need(spec, (sub,), depth, fan_out)
-
-
 def _check_colored_extent(spec: StructSpec, sub: str, ceiling: int) -> None:
     extent = spec.extent(sub)
     if not extent:

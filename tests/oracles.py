@@ -13,8 +13,9 @@ tuples, a sum over every tuple of colors for the witnesses a split
 needs, a comparison of every two extent pairs for the bu
 disjoint-images check, direct formula enumeration over all 3^atoms
 signed conjunctions for density and classification, a scan of every
-cell for consistency and coverage, and the formula-by-formula
-round-robin witness construction for submodels.
+cell for consistency and coverage, the formula-by-formula
+round-robin witness construction for submodels, and the triple
+classifier written out branch by branch.
 They share no code with the library paths they certify.
 
 The last section holds what only tests call: writers of the formats
@@ -469,6 +470,59 @@ def round_robin_counts(ts, cells, formulas, cap: int) -> dict | None:
         if counts[pick] < cap:
             counts[pick] += 1
     return {cell: k or 1 for cell, k in zip(order, counts)}
+
+
+def brute_classify_triple(t, theory_class: str = "tc", ch: bool = True):
+    """The admissibility of a distribution triple, decided branch by branch
+    and comparing coordinates by their symbols alone: a coordinate is the
+    continuum when it is ``c``, or ``w1`` under the CH flag."""
+    from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, fin
+    from rklab.distribution import Verdict
+
+    flags = []
+    if OMEGA1 in (t.p, t.l, t.npl):
+        flags.append("omega1-coordinate")
+        if theory_class == "small":
+            flags.append("omega1-value-unrealized")
+        elif not ch:
+            flags.append("outside-ch-hypothesis")
+
+    def verdict(status, case=None, reason=None):
+        return Verdict(status, case, reason, tuple(flags))
+
+    if theory_class == "small":
+        if t.npl != ZERO:
+            return verdict("inadmissible", reason="small-npl-nonzero")
+        if t.p == fin(1):
+            if t.l == ZERO:
+                return verdict("admissible-small", case=1)
+            return verdict("inadmissible", reason="p-categorical-forces-zero-limits")
+        if t.p == ZERO:
+            return verdict("inadmissible", reason="small-needs-prime-model")
+        if t.p.finite or t.p == OMEGA:
+            if t.l == ZERO:
+                return verdict("inadmissible", reason="multiple-primes-need-limits")
+            return verdict("admissible-small", case=2)
+        return verdict("inadmissible", reason="small-prime-count-at-most-countable")
+    if theory_class != "tc":
+        raise ValueError(f"unknown theory class {theory_class!r}")
+
+    def is_c(v):
+        return v == CONTINUUM or (ch and v == OMEGA1)
+
+    if is_c(t.p) and is_c(t.l):
+        return verdict("admissible-tc", case=1)
+    if t.p == ZERO and t.l == ZERO and is_c(t.npl):
+        return verdict("admissible-tc", case=2)
+    if t.p != ZERO and is_c(t.npl):
+        return verdict("admissible-tc", case=3)
+    if is_c(t.l) and not is_c(t.p) and not is_c(t.npl):
+        return verdict("inadmissible", reason="continuum-limits-need-continuum-primes-or-npl")
+    if is_c(t.p) and not is_c(t.l) and not is_c(t.npl):
+        return verdict("inadmissible", reason="continuum-primes-force-continuum-limits")
+    if t.p == ZERO and t.l != ZERO:
+        return verdict("inadmissible", reason="limits-need-primes")
+    return verdict("inadmissible", reason="no-continuum-coordinate")
 
 
 # -- writers, a reader and read-backs that only tests call -------------------

@@ -54,7 +54,6 @@ from rklab.models import (
 from rklab.operators import (
     colored_base,
     icp,
-    icp_need,
     verify_schemes,
 )
 from rklab.preorder import (
@@ -368,7 +367,7 @@ def test_criterion_09_builder_round_trip():
 def test_criterion_10_operator_ground_checks():
     rng = random.Random(10)
     spec0 = colored_base(1, 3)
-    out = icp(spec0, "P0", icp_need(spec0, "P0", 3, 2), 3, 2)
+    out = icp(spec0, "P0", None, 3, 2)
     rels = out.history[-1].params["rels"]
     base_img = {}
     for x, y in out.binary[rels[0]]:

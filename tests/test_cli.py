@@ -343,6 +343,21 @@ def test_build_refuses_fan_out_below_one(tmp_path, capsys, fan, message):
     assert result == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "mode,variant", [("finite", "t77"), ("countable-truncated", "t84")], ids=["finite", "countable"]
+)
+@pytest.mark.parametrize("extra", [[], ["--replay"]], ids=["out", "replay"])
+def test_build_refuses_a_spec_with_no_elements(tmp_path, capsys, mode, variant, extra):
+    # planned, it would split a part P0 that does not exist
+    ds, pipe = tmp_path / "empty.ds", tmp_path / "empty.pipe"
+    ds.write_text(f"elements: 0\nmode: {mode}\n")
+    result = run_cli(
+        "build", "--spec", str(ds), "--variant", variant, "--out", str(pipe), *extra, capsys=capsys
+    )
+    assert result == (2, "", "error: a blueprint needs at least one element\n")
+    assert not pipe.exists()
+
+
 def test_build_without_replay_refuses_fan_out_below_one(tmp_path, capsys):
     # the config is checked where it is given, so no pipeline of fan=0 or
     # colors=0 steps is written for apply to refuse later

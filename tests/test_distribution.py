@@ -1,11 +1,21 @@
+import itertools
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from oracles import brute_components, limit_obligations, matrix, replayed_prime_flags
+from oracles import (
+    brute_classify_triple,
+    brute_components,
+    limit_obligations,
+    matrix,
+    replayed_prime_flags,
+)
 from rklab.cardinal import CONTINUUM, OMEGA, OMEGA1, ZERO, card_eq, fin, render
 from rklab.distribution import (
+    RULES,
     BuildConfig,
     Cm3Triple,
     DistributionSpec,
@@ -90,6 +100,31 @@ def test_classify_tc_rejections():
     )
 
 
+def test_every_triple_on_the_grid_against_the_oracle():
+    # 9^3 triples over {0..5, w, w1, c}, both theory classes, both CH flags
+    grid = [fin(k) for k in range(6)] + [OMEGA, OMEGA1, CONTINUUM]
+    decided = []
+    for p, l, npl in itertools.product(grid, repeat=3):
+        t = Cm3Triple(p, l, npl)
+        for cls, ch in itertools.product(("small", "tc"), (False, True)):
+            got, want = classify_triple(t, cls, ch), brute_classify_triple(t, cls, ch)
+            assert (got.status, got.case, got.reason, got.flags, got.render()) == (
+                want.status, want.case, want.reason, want.flags, want.render()
+            ), (t.render(), cls, ch)
+            decided.append((cls, got.status, got.reason or got.case))
+    assert len(decided) == 2916
+    # each row's outcome is its own, so every row decides some triple
+    outcomes = [(cls, status, outcome) for cls, _, _, _, status, outcome in RULES]
+    assert len(RULES) == len(set(outcomes)) == 14
+    assert set(decided) == set(outcomes)
+
+
+def test_the_readme_rule_table_is_rules():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (small|tc) \| `(\S+)` \| `(\S+)` \| `(\S+)` \| ([a-z-]+) \| ([\w-]+) \|$", readme, re.M)
+    assert rows == [(*row[:5], str(row[5])) for row in RULES]
+
+
 def test_classify_omega1_under_ch():
     # under CH the first uncountable coordinate counts as the continuum
     v = classify_triple(Cm3Triple(OMEGA1, OMEGA1, fin(0)), "tc", ch=True)
@@ -132,6 +167,27 @@ def test_validate_f_value_range():
     assert any(
         "value-range" in e.code for e in validate_f(spec).violations()
     )
+    assert [e.detail for e in validate_f(spec).violations()] == [
+        "f = w1; value must lie in w or be w or c"
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind,params,what",
+    [("c78", (fin(2), OMEGA1), "second parameter"), ("c85", (OMEGA1,), "limit count"),
+     ("c93", (OMEGA1,), "npl count")],
+)
+def test_corollary_refuses_w1_and_no_other_value(kind, params, what):
+    # the values validate_f accepts: every cardinal but w1, zero included
+    with pytest.raises(ValueError, match=f"^{what} out of range: w1$"):
+        realize_corollary(kind, params)
+    for lam in (ZERO, fin(3), OMEGA, CONTINUUM):
+        realize_corollary(kind, params[:-1] + (lam,))
+
+
+def test_classify_refuses_an_unknown_theory_class():
+    with pytest.raises(ValueError, match="^unknown theory class 'big'$"):
+        classify_triple(Cm3Triple(ZERO, ZERO, CONTINUUM), "big")
 
 
 def test_sequence_semantics():

@@ -22,7 +22,6 @@ from rklab.operators import (
     colored_base,
     css,
     icp,
-    icp_need,
     pnode,
     run_pipeline,
     stub_name,
@@ -71,8 +70,9 @@ def test_qedge_cap_counts_the_pairs_already_there(monkeypatch):
 
 def test_icp_splits_by_color():
     spec = base2()
-    out = icp(spec, "P0", icp_need(spec, "P0", 2, 2), 2, 2)
+    out = icp(spec, "P0", None, 2, 2)
     rec = out.history[-1]
+    assert len(rec.params["ys"]) == brute_split_need(base2(), ["P0"], 2, 2) == 14
     rels = rec.params["rels"]
     img = {}
     for x, y in out.binary[rels[0]]:
@@ -90,7 +90,7 @@ def test_icp_splits_by_color():
 
 def test_icp_registry_updates():
     spec = base2(colors=1)
-    out = icp(spec, "P0", icp_need(spec, "P0", 1, 2), 1, 2)
+    out = icp(spec, "P0", None, 1, 2)
     assert out.nodes[pnode("P0")].prime is False
     stubs = out.stubs_of(pnode("P0"))
     assert stubs == [stub_name("P0", "0"), stub_name("P0", "1")]
@@ -113,7 +113,7 @@ def test_icp_errors():
 
 
 def icp_then_stubs(spec, sub="P0", depth=1, fan=2):
-    out = icp(spec, sub, icp_need(spec, sub, depth, fan), depth, fan)
+    out = icp(spec, sub, None, depth, fan)
     return out, out.stubs_of(pnode(sub))
 
 
@@ -232,8 +232,8 @@ def test_copy_shares_no_container():
 
 
 def test_operator_determinism():
-    a = icp(base2(), "P0", icp_need(base2(), "P0", 2, 2), 2, 2)
-    b = icp(base2(), "P0", icp_need(base2(), "P0", 2, 2), 2, 2)
+    a = icp(base2(), "P0", None, 2, 2)
+    b = icp(base2(), "P0", None, 2, 2)
     assert a == b
 
 
@@ -246,7 +246,7 @@ def test_verify_schemes_on_random_inputs():
         fan = rng.randint(1, 2)
         spec = colored_base(parts, colors)
         sub = f"P{rng.randrange(parts)}"
-        spec = icp(spec, sub, icp_need(spec, sub, depth, fan), depth, fan)
+        spec = icp(spec, sub, None, depth, fan)
         assert verify_schemes(spec, "icp").ok
         stubs = spec.stubs_of(pnode(sub))
         target = f"P{rng.randrange(parts)}"
@@ -270,7 +270,7 @@ def _delete_one_pair(spec, rel, index=0):
 
 def test_mutation_detected():
     spec = base2(colors=1)
-    out = icp(spec, "P0", icp_need(spec, "P0", 1, 2), 1, 2)
+    out = icp(spec, "P0", None, 1, 2)
     rels = out.history[-1].params["rels"]
     for rel in rels:
         for index in range(len(out.binary[rel])):
@@ -313,7 +313,7 @@ def test_bu_disjoint_images_match_pairwise_oracle():
         depth = max(1, colors - 1 + rng.randint(0, 1))
         fan = rng.randint(1, 2)
         spec = colored_base(2, colors, per_color=rng.randint(1, 2))
-        spec = icp(spec, "P0", icp_need(spec, "P0", depth, fan), depth, fan)
+        spec = icp(spec, "P0", None, depth, fan)
         spec = css(spec, spec.stubs_of(pnode("P0")), "P1", fan)
         spec = bu(spec, "P0", "P1", None, depth, fan)
         for _ in range(5):
@@ -557,9 +557,7 @@ def fold_public_operators(steps):
         a = step.args
         fan, depth = a.get("fan", 2), a.get("depth", 1)
         if step.op == "icp":
-            y = a.get("y")
-            y = icp_need(spec, a["sub"], depth, fan) if y is None else y
-            icp(spec, a["sub"], y, depth, fan)
+            icp(spec, a["sub"], a.get("y"), depth, fan)
         elif step.op in ("css", "bd"):
             if "source" in a:
                 parent = pnode(a["source"])  # a scan of the nodes, not the stub index
